@@ -19,6 +19,13 @@ cargo test -q -p mlpwin-ooo --features trace
 echo "==> mlpwin-bench --smoke (BENCH.json schema gate)"
 cargo run --release -q -p mlpwin-bench --bin mlpwin-bench -- --smoke --out results/BENCH_smoke.json
 
+echo "==> mlpwin-benchmark --smoke (result checks only, no timing gate)"
+# Every workload once at tiny budgets: the campaign legs' journals must
+# be byte-identical to in-process runs and the exact split must stitch
+# to the serial result, through the same snapshot, supervisor and
+# settlement code the campaigns use. A failed check exits nonzero.
+target/release/mlpwin-benchmark --smoke --out target/ci-artifacts/benchmark
+
 echo "==> mlpwin-bench full suite (host-perf regression gate, >15% fails)"
 # Gate against the committed baseline; write the fresh report to target/
 # so CI never dirties results/BENCH.json. Right after the build/test

@@ -31,6 +31,15 @@ struct BtbEntry {
     valid: bool,
 }
 
+/// An entry no branch has been inserted into: every entry starts so, and
+/// stays so until its first insert.
+const INVALID_ENTRY: BtbEntry = BtbEntry {
+    tag: 0,
+    target: 0,
+    lru: 0,
+    valid: false,
+};
+
 /// The branch target buffer.
 #[derive(Debug, Clone)]
 pub struct Btb {
@@ -53,15 +62,7 @@ impl Btb {
         );
         assert!(config.ways > 0, "BTB needs at least one way");
         Btb {
-            entries: vec![
-                BtbEntry {
-                    tag: 0,
-                    target: 0,
-                    lru: 0,
-                    valid: false
-                };
-                config.sets * config.ways
-            ],
+            entries: vec![INVALID_ENTRY; config.sets * config.ways],
             ways: config.ways,
             set_mask: config.sets - 1,
             tick: 0,
@@ -116,13 +117,20 @@ impl Btb {
     }
 
     /// Serializes the table contents and the LRU clock.
+    ///
+    /// Each entry is its valid flag, followed by its fields only when
+    /// valid: nothing clears `valid`, so an invalid entry still holds
+    /// [`INVALID_ENTRY`]'s fields, and neither lookup nor victim choice
+    /// reads them.
     pub fn save_state(&self, w: &mut mlpwin_isa::snap::SnapWriter) {
         w.put_u64(self.tick);
         w.put_seq(self.entries.iter(), |w, e| {
-            w.put_u64(e.tag);
-            w.put_u64(e.target);
-            w.put_u64(e.lru);
             w.put_bool(e.valid);
+            if e.valid {
+                w.put_u64(e.tag);
+                w.put_u64(e.target);
+                w.put_u64(e.lru);
+            }
         });
     }
 
@@ -134,11 +142,14 @@ impl Btb {
     ) -> Result<(), mlpwin_isa::snap::SnapError> {
         self.tick = r.get_u64()?;
         let entries = r.get_seq(|r| {
+            if !r.get_bool()? {
+                return Ok(INVALID_ENTRY);
+            }
             Ok(BtbEntry {
                 tag: r.get_u64()?,
                 target: r.get_u64()?,
                 lru: r.get_u64()?,
-                valid: r.get_bool()?,
+                valid: true,
             })
         })?;
         if entries.len() != self.entries.len() {
@@ -198,6 +209,41 @@ mod tests {
         btb.insert(0xc, 0x4); // set 1
         assert_eq!(btb.lookup(0x0), Some(0x1));
         assert_eq!(btb.lookup(0x4), Some(0x2));
+    }
+
+    #[test]
+    fn partly_filled_table_restores_exactly() {
+        use mlpwin_isa::snap::{SnapReader, SnapWriter};
+        let image = |b: &Btb| {
+            let mut w = SnapWriter::new();
+            b.save_state(&mut w);
+            w.into_bytes()
+        };
+        let mut btb = tiny();
+        let empty = image(&btb);
+        btb.insert(0x0, 0xa);
+        btb.insert(0x4, 0xb);
+        btb.insert(0x10, 0xc);
+        let bytes = image(&btb);
+        assert_eq!(
+            bytes.len(),
+            empty.len() + 3 * 24,
+            "24 bytes per valid entry"
+        );
+        let mut back = tiny();
+        let mut r = SnapReader::new(&bytes);
+        back.load_state(&mut r).expect("restores");
+        r.finish().expect("consumed exactly");
+        assert_eq!(image(&back), bytes);
+        // The last invalid way fills, then LRU evicts, identically.
+        for (pc, target) in [(0x14, 0xd), (0x20, 0xe), (0x4, 0xf)] {
+            btb.insert(pc, target);
+            back.insert(pc, target);
+        }
+        for pc in [0x0, 0x4, 0x10, 0x14, 0x20] {
+            assert_eq!(btb.lookup(pc), back.lookup(pc), "pc {pc:#x}");
+        }
+        assert_eq!(image(&btb), image(&back));
     }
 
     #[test]

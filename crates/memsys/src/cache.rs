@@ -95,6 +95,19 @@ struct Line {
     meta: LineMeta,
 }
 
+/// A line no fill has reached: every line starts so, and stays so until
+/// its first fill.
+const INVALID_LINE: Line = Line {
+    tag: 0,
+    valid: false,
+    dirty: false,
+    lru: 0,
+    meta: LineMeta {
+        provenance: Provenance::DemandCorrect,
+        touched_by_correct_path: false,
+    },
+};
+
 /// Counters for one cache level.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -155,19 +168,7 @@ impl Cache {
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         Cache {
             config,
-            lines: vec![
-                Line {
-                    tag: 0,
-                    valid: false,
-                    dirty: false,
-                    lru: 0,
-                    meta: LineMeta {
-                        provenance: Provenance::DemandCorrect,
-                        touched_by_correct_path: false,
-                    },
-                };
-                sets * config.assoc
-            ],
+            lines: vec![INVALID_LINE; sets * config.assoc],
             set_mask: (sets - 1) as Addr,
             line_shift: config.line_bytes.trailing_zeros(),
             tick: 0,
@@ -304,15 +305,24 @@ impl Cache {
 
     /// Serializes the array contents, LRU clock and counters; geometry is
     /// rebuilt from the configuration at restore time.
+    ///
+    /// Each line is its valid flag, followed by its fields only when
+    /// valid. That is exact because nothing clears `valid` once a fill
+    /// sets it, so an invalid line still holds the fields `Cache::new`
+    /// gave it — and no probe reads an invalid line's fields anyway. A
+    /// full cache encodes to the same size as writing every field of
+    /// every line.
     pub fn save_state(&self, w: &mut mlpwin_isa::snap::SnapWriter) {
         w.put_u64(self.tick);
         w.put_seq(self.lines.iter(), |w, l| {
-            w.put_u64(l.tag);
             w.put_bool(l.valid);
-            w.put_bool(l.dirty);
-            w.put_u64(l.lru);
-            w.put_u8(l.meta.provenance.tag());
-            w.put_bool(l.meta.touched_by_correct_path);
+            if l.valid {
+                w.put_u64(l.tag);
+                w.put_bool(l.dirty);
+                w.put_u64(l.lru);
+                w.put_u8(l.meta.provenance.tag());
+                w.put_bool(l.meta.touched_by_correct_path);
+            }
         });
         w.put_u64(self.stats.hits);
         w.put_u64(self.stats.misses);
@@ -328,9 +338,12 @@ impl Cache {
     ) -> Result<(), mlpwin_isa::snap::SnapError> {
         self.tick = r.get_u64()?;
         let lines = r.get_seq(|r| {
+            if !r.get_bool()? {
+                return Ok(INVALID_LINE);
+            }
             Ok(Line {
                 tag: r.get_u64()?,
-                valid: r.get_bool()?,
+                valid: true,
                 dirty: r.get_bool()?,
                 lru: r.get_u64()?,
                 meta: LineMeta {
@@ -357,6 +370,7 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlpwin_isa::snap::{SnapError, SnapReader, SnapWriter};
 
     fn tiny() -> Cache {
         // 4 sets x 2 ways x 16B lines = 128 B.
@@ -485,6 +499,183 @@ mod tests {
         assert!(c.contains(0x000));
         assert!(c.contains(0x080));
         assert_eq!(c.stats().evictions, 1);
+    }
+
+    /// A 64-bit LCG (Knuth's MMIX constants), high bits out.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            self.0 >> 33
+        }
+
+        fn meta(&mut self) -> LineMeta {
+            LineMeta {
+                provenance: match self.next() % 3 {
+                    0 => Provenance::DemandCorrect,
+                    1 => Provenance::DemandWrong,
+                    _ => Provenance::Prefetch,
+                },
+                touched_by_correct_path: self.next().is_multiple_of(2),
+            }
+        }
+    }
+
+    fn image(c: &Cache) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        c.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// The size of a layout that writes every field of every line: tick,
+    /// line count, 20 bytes per line, five counters.
+    fn dense_size(c: &Cache) -> usize {
+        8 + 8 + c.lines.len() * 20 + 5 * 8
+    }
+
+    #[test]
+    fn snapshot_round_trips_exactly_at_every_fill_level() {
+        // 16 sets x 4 ways x 16 B lines.
+        let config = CacheConfig {
+            size_bytes: 1024,
+            assoc: 4,
+            line_bytes: 16,
+            hit_latency: 1,
+        };
+        let mut rng = Lcg(7);
+        let empty = Cache::new(config);
+        let mut one = Cache::new(config);
+        one.fill(0x230, meta(Provenance::Prefetch));
+        assert_eq!(one.access(0x230, true, true), AccessOutcome::Hit);
+        let mut partial = Cache::new(config);
+        for _ in 0..40 {
+            let addr = rng.next() % 4096;
+            let (write, touch) = (rng.next().is_multiple_of(2), rng.next().is_multiple_of(2));
+            if partial.access(addr, write, touch) == AccessOutcome::Miss {
+                let m = rng.meta();
+                partial.fill(addr, m);
+            }
+        }
+        let mut full = Cache::new(config);
+        // Twice the capacity, so every way of every set is valid and
+        // half the fills evict.
+        for line in 0..128u64 {
+            let m = rng.meta();
+            full.fill(line * 16, m);
+            full.access(line * 16 + 4, line % 3 == 0, false);
+        }
+        assert_eq!(full.resident_count(), 64);
+        assert!((2..64).contains(&partial.resident_count()));
+
+        for (name, cache) in [
+            ("empty", empty),
+            ("one line", one),
+            ("partial", partial),
+            ("full", full),
+        ] {
+            let bytes = image(&cache);
+            assert!(
+                bytes.len() <= dense_size(&cache),
+                "{name}: larger than dense"
+            );
+            let mut back = Cache::new(config);
+            let mut r = SnapReader::new(&bytes);
+            back.load_state(&mut r).expect("restores");
+            r.finish().expect("consumed exactly");
+            assert_eq!(image(&back), bytes, "{name}: save -> load -> save");
+
+            // The restored cache answers every probe as the original does.
+            let mut orig = cache;
+            let mut probe = Lcg(99);
+            for step in 0..4000 {
+                let addr = probe.next() % 8192;
+                match probe.next() % 4 {
+                    0 => {
+                        let (write, touch) = (
+                            probe.next().is_multiple_of(2),
+                            probe.next().is_multiple_of(2),
+                        );
+                        assert_eq!(
+                            orig.access(addr, write, touch),
+                            back.access(addr, write, touch),
+                            "{name}: access at step {step}"
+                        );
+                    }
+                    1 => assert_eq!(orig.contains(addr), back.contains(addr), "{name}"),
+                    2 => {
+                        let m = probe.meta();
+                        assert_eq!(orig.fill(addr, m), back.fill(addr, m), "{name}: fill");
+                    }
+                    _ => assert_eq!(orig.resident_count(), back.resident_count(), "{name}"),
+                }
+            }
+            assert_eq!(orig.stats(), back.stats(), "{name}");
+            assert_eq!(image(&orig), image(&back), "{name}: diverged");
+        }
+    }
+
+    #[test]
+    fn snapshot_size_tracks_valid_lines_and_caps_at_dense() {
+        let mut c = tiny();
+        assert_eq!(
+            image(&c).len(),
+            8 + 8 + 8 + 5 * 8,
+            "one flag byte per empty line"
+        );
+        for line in 0..8u64 {
+            c.fill(line * 16, meta(Provenance::DemandCorrect));
+        }
+        assert_eq!(c.resident_count(), 8);
+        assert_eq!(
+            image(&c).len(),
+            dense_size(&c),
+            "a full cache costs the dense size"
+        );
+    }
+
+    #[test]
+    fn corrupt_snapshots_are_typed_errors() {
+        let mut c = tiny();
+        c.fill(0x000, meta(Provenance::DemandCorrect));
+        c.fill(0x050, meta(Provenance::Prefetch));
+        let bytes = image(&c);
+
+        // A stream written for another geometry.
+        let mut bigger = Cache::new(CacheConfig {
+            size_bytes: 256,
+            ..*c.config()
+        });
+        assert_eq!(
+            bigger.load_state(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Mismatch {
+                what: "cache geometry"
+            })
+        );
+        // Every truncation.
+        for cut in 0..bytes.len() {
+            let err = tiny()
+                .load_state(&mut SnapReader::new(&bytes[..cut]))
+                .expect_err("truncated stream");
+            assert!(
+                matches!(
+                    err,
+                    SnapError::ShortRead { .. } | SnapError::BadLength { .. }
+                ),
+                "cut at {cut}: {err:?}"
+            );
+        }
+        // A presence flag that is neither 0 nor 1 (the first line's flag
+        // follows the tick and the line count).
+        let mut bad = bytes.clone();
+        bad[16] = 7;
+        assert!(matches!(
+            tiny().load_state(&mut SnapReader::new(&bad)),
+            Err(SnapError::BadTag { tag: 7, .. })
+        ));
     }
 
     #[test]

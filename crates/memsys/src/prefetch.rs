@@ -51,6 +51,17 @@ struct RptEntry {
     valid: bool,
 }
 
+/// An entry no training has reached: every entry starts so, and stays so
+/// until it is first allocated.
+const INVALID_ENTRY: RptEntry = RptEntry {
+    tag: 0,
+    last_addr: 0,
+    stride: 0,
+    state: StrideState::Initial,
+    lru: 0,
+    valid: false,
+};
+
 /// Counters for the prefetcher.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PrefetchStats {
@@ -93,17 +104,7 @@ impl StridePrefetcher {
         );
         StridePrefetcher {
             config,
-            table: vec![
-                RptEntry {
-                    tag: 0,
-                    last_addr: 0,
-                    stride: 0,
-                    state: StrideState::Initial,
-                    lru: 0,
-                    valid: false,
-                };
-                config.entries
-            ],
+            table: vec![INVALID_ENTRY; config.entries],
             sets,
             tick: 0,
             stats: PrefetchStats::default(),
@@ -116,19 +117,26 @@ impl StridePrefetcher {
     }
 
     /// Serializes the reference-prediction table, LRU clock and counters.
+    ///
+    /// Each entry is its valid flag, followed by its fields only when
+    /// valid: nothing clears `valid`, so an invalid entry still holds
+    /// [`INVALID_ENTRY`]'s fields, and victim choice reads an invalid
+    /// entry's LRU as 0 whatever it holds.
     pub fn save_state(&self, w: &mut mlpwin_isa::snap::SnapWriter) {
         w.put_u64(self.tick);
         w.put_seq(self.table.iter(), |w, e| {
-            w.put_u64(e.tag);
-            w.put_u64(e.last_addr);
-            w.put_i64(e.stride);
-            w.put_u8(match e.state {
-                StrideState::Initial => 0,
-                StrideState::Transient => 1,
-                StrideState::Steady => 2,
-            });
-            w.put_u64(e.lru);
             w.put_bool(e.valid);
+            if e.valid {
+                w.put_u64(e.tag);
+                w.put_u64(e.last_addr);
+                w.put_i64(e.stride);
+                w.put_u8(match e.state {
+                    StrideState::Initial => 0,
+                    StrideState::Transient => 1,
+                    StrideState::Steady => 2,
+                });
+                w.put_u64(e.lru);
+            }
         });
         w.put_u64(self.stats.trains);
         w.put_u64(self.stats.proposed);
@@ -142,6 +150,9 @@ impl StridePrefetcher {
     ) -> Result<(), mlpwin_isa::snap::SnapError> {
         self.tick = r.get_u64()?;
         let table = r.get_seq(|r| {
+            if !r.get_bool()? {
+                return Ok(INVALID_ENTRY);
+            }
             Ok(RptEntry {
                 tag: r.get_u64()?,
                 last_addr: r.get_u64()?,
@@ -162,7 +173,7 @@ impl StridePrefetcher {
                     }
                 },
                 lru: r.get_u64()?,
-                valid: r.get_bool()?,
+                valid: true,
             })
         })?;
         if table.len() != self.table.len() {
@@ -332,5 +343,43 @@ mod tests {
         let b = p.train(0x104, 0x9300, true);
         assert_eq!(a[0], 0x1100);
         assert_eq!(b[0], 0x9400);
+    }
+
+    #[test]
+    fn partly_trained_table_restores_exactly() {
+        use mlpwin_isa::snap::{SnapReader, SnapWriter};
+        let image = |p: &StridePrefetcher| {
+            let mut w = SnapWriter::new();
+            p.save_state(&mut w);
+            w.into_bytes()
+        };
+        let mut p = pf();
+        let empty = image(&p);
+        // Two PCs trained to steady strides: 14 of 16 entries invalid.
+        for i in 0..4 {
+            let _ = p.train(0x100, 0x1000 + i * 0x40, true);
+            let _ = p.train(0x104, 0x9000 - i * 0x80, true);
+        }
+        let bytes = image(&p);
+        assert_eq!(
+            bytes.len(),
+            empty.len() + 2 * 33,
+            "33 bytes per valid entry"
+        );
+        let mut back = pf();
+        let mut r = SnapReader::new(&bytes);
+        back.load_state(&mut r).expect("restores");
+        r.finish().expect("consumed exactly");
+        assert_eq!(image(&back), bytes);
+        // New PCs take the invalid ways; old ones keep their strides.
+        for (pc, addr) in [
+            (0x100, 0x1100),
+            (0x108, 0x40),
+            (0x104, 0x8e00),
+            (0x10c, 0x80),
+        ] {
+            assert_eq!(p.train(pc, addr, true), back.train(pc, addr, true));
+        }
+        assert_eq!(image(&p), image(&back));
     }
 }

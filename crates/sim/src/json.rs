@@ -291,11 +291,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 2;
             }
             _ => {
-                // Consume one UTF-8 code point.
-                let text = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                let c = text.chars().next().ok_or("empty string tail")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or escape with
+                // one UTF-8 check: validating from here to the end of the
+                // input per character made every string quadratic.
+                let run = rest
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .unwrap_or(rest.len());
+                let text = std::str::from_utf8(&rest[..run]).map_err(|_| "invalid UTF-8")?;
+                out.push_str(text);
+                *pos += run;
             }
         }
     }
@@ -428,6 +433,32 @@ mod tests {
         );
         // Truncated pairs are malformed, not panics.
         assert!(Json::parse(r#""\ud83d\u12""#).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 1 MiB of plain text is one run: a per-character scan of the
+        // rest of the input would take minutes here.
+        let long = "x".repeat(1 << 20);
+        let doc = obj(vec![("a", s(long.as_str())), ("b", s("tail"))]);
+        assert_eq!(Json::parse(&doc.encode()).expect("1 MiB string"), doc);
+    }
+
+    #[test]
+    fn raw_utf8_runs_split_cleanly_at_escapes() {
+        // Raw multi-byte UTF-8 (never written by the encoder, but valid
+        // input) directly before and after escapes, so each run boundary
+        // falls next to a multi-byte character.
+        assert_eq!(
+            Json::parse("\"é\\nемул\\\"😀\\\\ü\\t\"").expect("raw utf-8"),
+            s("é\nемул\"😀\\ü\t")
+        );
+        // A surrogate-pair escape between two raw runs.
+        assert_eq!(
+            Json::parse("\"ab×\\ud83d\\ude00ü cd\"").expect("pair between runs"),
+            s("ab×\u{1F600}ü cd")
+        );
+        assert_eq!(Json::parse("\"\\u00e9\"").expect("escape only"), s("é"));
     }
 
     #[test]

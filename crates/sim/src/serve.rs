@@ -67,6 +67,7 @@ use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -1263,14 +1264,18 @@ struct FleetListener {
     info: Arc<FleetInfo>,
     accept: Option<std::thread::JoinHandle<()>>,
     janitor: Option<std::thread::JoinHandle<()>>,
+    /// Dropped at shutdown to wake the janitor out of its tick wait.
+    janitor_wake: Option<mpsc::Sender<()>>,
 }
 
 impl FleetListener {
     /// Flips the stop flag, wakes the blocking accept with a loopback
-    /// poke, and joins the accept and janitor threads.
+    /// poke and the janitor by dropping its wake channel, and joins the
+    /// accept and janitor threads.
     fn shutdown(mut self) {
         self.info.stop.store(true, Ordering::SeqCst);
         TcpStream::connect_timeout(&self.addr, Duration::from_secs(2)).ok();
+        drop(self.janitor_wake.take());
         if let Some(handle) = self.accept.take() {
             handle.join().ok();
         }
@@ -1343,6 +1348,7 @@ fn start_fleet(
             })?
     };
 
+    let (janitor_wake, wake) = mpsc::channel::<()>();
     let janitor = {
         let campaign = Arc::clone(campaign);
         let info = Arc::clone(&info);
@@ -1350,7 +1356,14 @@ fn start_fleet(
             .name("fleet-janitor".to_string())
             .spawn(move || {
                 while !info.stop.load(Ordering::SeqCst) {
-                    std::thread::sleep(JANITOR_TICK);
+                    // A tick passes with the sender alive; shutdown drops
+                    // it, which ends the wait at once.
+                    if !matches!(
+                        wake.recv_timeout(JANITOR_TICK),
+                        Err(mpsc::RecvTimeoutError::Timeout)
+                    ) {
+                        return;
+                    }
                     let expired = {
                         let mut queue = campaign.queue.lock().expect("queue poisoned");
                         expire_and_log(&campaign, &mut queue, campaign.now_ms())
@@ -1376,6 +1389,7 @@ fn start_fleet(
         info,
         accept: Some(accept),
         janitor: Some(janitor),
+        janitor_wake: Some(janitor_wake),
     })
 }
 
@@ -1955,5 +1969,90 @@ mod tests {
             Some(50)
         );
         assert!(campaign.job_json(99).is_none(), "unknown id is None");
+    }
+
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("mlpwin-serve-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        dir
+    }
+
+    /// Settlement reads `done.jsonl` as workers leave it: appends from
+    /// several workers, a torn line from a killed one, a newer build's
+    /// record and a duplicate. Each lookup must find exactly its own
+    /// spec's decodable result, and a spec with no line must find none —
+    /// the "exited clean but journaled no result" death.
+    #[test]
+    fn settlement_finds_each_specs_own_result_in_a_messy_done_journal() {
+        let dir = scratch("settle-read");
+        let path = dir.join("done.jsonl");
+        let runs: Vec<(RunSpec, RunResult)> = (1..=3)
+            .map(|n| {
+                let spec = spec_n(n);
+                let result = crate::runner::run(&spec).expect("tiny run");
+                (spec, result)
+            })
+            .collect();
+        let journal = Journal::new(&path);
+        journal.append(&runs[0].0, &runs[0].1).expect("append");
+        journal.append(&runs[1].0, &runs[1].1).expect("append");
+        journal.append(&runs[0].0, &runs[0].1).expect("duplicate");
+        // A newer build's record of spec 3, then a kill mid-append of it.
+        let line = encode_line(&runs[2].0, &runs[2].1);
+        let newer = line.replacen("\"schema\":2", "\"schema\":99", 1);
+        assert_ne!(newer, line, "schema field rewritten");
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .expect("open");
+        file.write_all(format!("{newer}\n{}", &line[..line.len() / 2]).as_bytes())
+            .expect("torn tail");
+        drop(file);
+
+        let found = |spec: &RunSpec| find_journaled(&path, spec).expect("readable");
+        assert_eq!(found(&runs[0].0).as_ref(), Some(&runs[0].1));
+        assert_eq!(found(&runs[1].0).as_ref(), Some(&runs[1].1));
+        assert_eq!(
+            found(&runs[2].0),
+            None,
+            "unknown schema and torn line skipped"
+        );
+        assert_eq!(found(&spec_n(4)), None, "never journaled");
+
+        // The worker's retry appends after the torn line.
+        journal
+            .append(&runs[2].0, &runs[2].1)
+            .expect("fresh append");
+        for (spec, result) in &runs {
+            assert_eq!(found(spec).as_ref(), Some(result));
+        }
+        assert_eq!(found(&spec_n(4)), None);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A worker that exits 0 without journaling is a death, charged and
+    /// retried until the job is quarantined — never a completion.
+    #[test]
+    fn clean_exit_without_a_journaled_result_is_a_death() {
+        let dir = scratch("settle-death");
+        let mut cfg = CampaignConfig::new(&dir, "true");
+        cfg.workers = 1;
+        cfg.max_kills = 2;
+        cfg.backoff_base = Duration::from_millis(1);
+        let outcome = run_campaign(&[(spec_n(1), Lane::Normal)], &cfg).expect("campaign runs");
+        let CampaignOutcome::Complete(report) = outcome else {
+            panic!("campaign interrupted");
+        };
+        assert_eq!((report.done, report.quarantined), (0, 1), "{report:?}");
+        let queue = JobQueue::open(&cfg.wal_path(), QueuePolicy::default()).expect("reopen WAL");
+        match &queue.job(0).state {
+            JobState::Quarantined { detail } => assert!(
+                detail.contains("worker exited clean but journaled no result"),
+                "{detail}"
+            ),
+            other => panic!("job not quarantined: {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -29,7 +29,7 @@ pub const METRIC_SNAPSHOT_CORRUPT: &str = "mlpwin_snapshot_corrupt_total";
 /// The snapshot file schema this build writes and reads. Bump on any
 /// incompatible frame or core-image layout change; an unknown schema is
 /// treated as corruption (quarantine + fall back), never a crash.
-pub const SNAPSHOT_SCHEMA: u32 = 1;
+pub const SNAPSHOT_SCHEMA: u32 = 2;
 
 /// Leading magic of every snapshot file.
 const MAGIC: [u8; 8] = *b"MLPWSNAP";

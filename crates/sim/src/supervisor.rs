@@ -23,6 +23,7 @@ use crate::snapshot::SnapshotPolicy;
 use mlpwin_ooo::EngineCounters;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -33,6 +34,10 @@ pub const METRIC_WORKER_LAUNCHES: &str = "mlpwin_worker_launches_total";
 pub const METRIC_WORKER_BUDGET_KILLS: &str = "mlpwin_worker_budget_kills_total";
 /// Counter of worker heartbeat lines observed.
 pub const METRIC_WORKER_HEARTBEATS: &str = "mlpwin_worker_heartbeats_total";
+
+/// How often a running child's heartbeat, memory and wall-clock budgets
+/// are checked.
+const BUDGET_TICK: Duration = Duration::from_millis(20);
 
 /// A callback invoked with the cycle count of every `hb <cycle>` line a
 /// worker prints. The campaign control plane uses it to renew the
@@ -266,12 +271,16 @@ impl Supervisor {
         };
         metrics::counter_add(METRIC_WORKER_LAUNCHES, 1);
         let last_beat = Arc::new(Mutex::new(Instant::now()));
+        // The reader drops its sender when the child's stdout closes,
+        // which wakes `watch` to reap the exiting child at once.
+        let (eof_tx, eof_rx) = mpsc::channel::<()>();
         let reader = child.stdout.take().map(|stdout| {
             let last_beat = Arc::clone(&last_beat);
             let hook = self.heartbeat_hook.clone();
             let engine_slot = Arc::clone(&self.last_engine);
             std::thread::spawn(move || {
                 use std::io::BufRead as _;
+                let _eof = eof_tx;
                 for line in std::io::BufReader::new(stdout).lines() {
                     let Ok(line) = line else { break };
                     if let Some(rest) = line.strip_prefix("hb ") {
@@ -319,7 +328,8 @@ impl Supervisor {
                 text
             })
         });
-        let verdict = self.watch(&mut child, &last_beat);
+        let eof = reader.is_some().then_some(eof_rx);
+        let verdict = self.watch(&mut child, &last_beat, eof);
         if let Some(reader) = reader {
             reader.join().ok();
         }
@@ -388,9 +398,19 @@ impl Supervisor {
         }
     }
 
-    /// Polls the child against every budget until it exits or is killed.
-    fn watch(&self, child: &mut Child, last_beat: &Arc<Mutex<Instant>>) -> Verdict {
+    /// Watches the child against every budget until it exits or is
+    /// killed. Budgets are checked every [`BUDGET_TICK`]; between checks
+    /// the wait ends early when `stdout_eof` reports that the child closed
+    /// its stdout, after which its exit status is polled from 1 ms up,
+    /// doubling to the tick for a child that lingers.
+    fn watch(
+        &self,
+        child: &mut Child,
+        last_beat: &Arc<Mutex<Instant>>,
+        mut stdout_eof: Option<mpsc::Receiver<()>>,
+    ) -> Verdict {
         let started = Instant::now();
+        let mut reap_pause = Duration::from_millis(1);
         loop {
             match child.try_wait() {
                 Ok(Some(status)) => {
@@ -409,7 +429,20 @@ impl Supervisor {
                 metrics::counter_add(METRIC_WORKER_BUDGET_KILLS, 1);
                 return Verdict::Killed(reason);
             }
-            std::thread::sleep(Duration::from_millis(20));
+            match &stdout_eof {
+                Some(eof) => {
+                    if !matches!(
+                        eof.recv_timeout(BUDGET_TICK),
+                        Err(RecvTimeoutError::Timeout)
+                    ) {
+                        stdout_eof = None;
+                    }
+                }
+                None => {
+                    std::thread::sleep(reap_pause);
+                    reap_pause = (reap_pause * 2).min(BUDGET_TICK);
+                }
+            }
         }
     }
 
