@@ -13,6 +13,14 @@ cp target/cargo-timings/cargo-timing.html target/ci-artifacts/cargo-timing.html
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> golden digests under the single-stepped and event-driven engines"
+# tests/golden_digests.rs pins every profile's base/dynamic/runahead
+# journal line to fixed hashes; the workspace run above checked the
+# default engine. The runner reads both variables, so these two legs pin
+# the other engine settings to the very same values.
+env -u MLPWIN_EVENT_DRIVEN MLPWIN_NO_FAST_FORWARD=1 cargo test -q -p mlpwin --test golden_digests
+env -u MLPWIN_NO_FAST_FORWARD MLPWIN_EVENT_DRIVEN=1 cargo test -q -p mlpwin --test golden_digests
+
 echo "==> cargo test -q --features trace (event-trace hooks)"
 cargo test -q -p mlpwin-ooo --features trace
 

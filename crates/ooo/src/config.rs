@@ -257,7 +257,7 @@ pub struct CoreConfig {
     /// including the memory system's
     /// [`next_event_at`](mlpwin_memsys::MemSystem::next_event_at)
     /// contract — when fast-forwarding, so the memory side drives
-    /// wakeups instead of being polled, and the event wheels' telemetry
+    /// wakeups instead of being polled, and the event queues' telemetry
     /// is reported as engine counters. Semantics-neutral like
     /// `fast_forward` (the event-equivalence suite asserts bit-identical
     /// stats, intervals and snapshots with it on and off); the memory

@@ -21,7 +21,7 @@
 
 use crate::config::{ConfigError, CoreConfig};
 use crate::error::{PipelineError, StallSnapshot};
-use crate::events::{EngineCounters, EventWheel, WakeSource};
+use crate::events::{EngineCounters, EventQueue, WakeSource};
 use crate::frontend::{FetchedInst, FrontEnd};
 use crate::fu::FuPool;
 use crate::lsq::{LoadCheck, Lsq};
@@ -124,19 +124,27 @@ pub struct Core<W> {
     rename: RenameMap,
     fu: FuPool,
 
-    /// (ready_time, seq) of instructions whose operands will be ready —
-    /// a calendar queue whose head doubles as the fast-forward's
-    /// operand-wakeup bound.
-    pending_ready: EventWheel,
+    /// (ready_time, seq) of instructions whose operands will be ready two
+    /// or more cycles out — a heap whose head doubles as the
+    /// fast-forward's operand-wakeup bound.
+    pending_ready: EventQueue,
+    /// (ready_time, seq) operand-ready events due exactly one cycle after
+    /// they were posted — most of them. The top of `issue` promotes the
+    /// entries due that cycle and keeps the rest (a commit-stage
+    /// `force_inv` posts for the cycle after). Promotion sets a bit in
+    /// the age-ordered ready ring, so the lane needs no order.
+    ready_lane: Vec<(Cycle, DynSeq)>,
     /// Instructions ready to issue now; the select loop walks the ring
     /// in place, oldest first.
     ready: ReadyRing,
     /// Loads waiting behind an un-issued overlapping store, kept sorted
     /// by age (oldest at the front).
     blocked_loads: VecDeque<DynSeq>,
-    /// (complete_at, seq) execution-completion events — the writeback
-    /// stage's calendar queue, and the fast-forward's completion bound.
-    completions: EventWheel,
+    /// (complete_at, seq) completion events of branches — the writeback
+    /// stage's queue, since resolving a branch is its only work. Every
+    /// other instruction has finished once `complete_at <= now`, which
+    /// only the ROB head's commit ever asks.
+    completions: EventQueue,
 
     alloc_stall_until: Cycle,
     shrink_wait: bool,
@@ -263,8 +271,7 @@ impl<W: Workload> Core<W> {
         #[cfg(feature = "trace")]
         let tracer = config.trace.map(Tracer::new);
         // Size every hot-path container to the largest level up front:
-        // the ROB ring then never reallocates, even across enlarges (the
-        // event wheels allocate their slot table eagerly on their own).
+        // the ROB ring then never reallocates, even across enlarges.
         let max_rob = config.max_level_spec().rob;
         Ok(Core {
             fu: FuPool::new(config.fu_counts),
@@ -280,10 +287,11 @@ impl<W: Workload> Core<W> {
             iq_occ: 0,
             lsq: Lsq::new(),
             rename: RenameMap::new(),
-            pending_ready: EventWheel::new(),
+            pending_ready: EventQueue::new(),
+            ready_lane: Vec::new(),
             ready: ReadyRing::with_capacity(max_rob),
             blocked_loads: VecDeque::new(),
-            completions: EventWheel::new(),
+            completions: EventQueue::new(),
             alloc_stall_until: 0,
             shrink_wait: false,
             l2_miss_events: 0,
@@ -504,7 +512,7 @@ impl<W: Workload> Core<W> {
             rob_head: self
                 .rob
                 .front()
-                .map(|d| format!("{:?}", (&d.inst, d.issued, d.completed))),
+                .map(|d| format!("{:?}", (&d.inst, d.issued, d.complete_at <= self.now))),
         }
     }
 
@@ -558,7 +566,7 @@ impl<W: Workload> Core<W> {
         let Some(head) = self.rob.front() else {
             return true; // nothing to commit
         };
-        if head.completed {
+        if head.complete_at <= self.now {
             return false; // would retire next cycle
         }
         let head_blocked_l2_load = head.inst.op == OpClass::Load && head.issued && head.l2_miss;
@@ -588,8 +596,9 @@ impl<W: Workload> Core<W> {
     /// stepping would have charged.
     ///
     /// The next-event bound comes from [`next_wake`](Core::next_wake) —
-    /// the typed plan over every wake-up source: the two calendar
-    /// queues' heads, the runahead episode end, the allocation stall's
+    /// the typed plan over every wake-up source: the two event queues'
+    /// heads, the next-cycle lane, the ROB head's completion, the
+    /// runahead episode end, the allocation stall's
     /// expiry, fetch's own resume time, the policy's quiet horizon, the
     /// interval/snapshot epoch boundaries, the watchdog / deadline trip
     /// points (so errors fire on the identical cycle), and — in
@@ -683,10 +692,11 @@ impl<W: Workload> Core<W> {
     /// and the event-driven loop share one source of truth instead of
     /// each re-scanning the state ad hoc.
     ///
-    /// The per-instruction sources are the two calendar queues' heads;
-    /// the rest are scalar horizons folded in directly (posting them as
-    /// queue entries would mean cancel/reschedule churn every time one
-    /// moves, for no gain — the fold *is* the pop). In event-driven mode
+    /// The per-instruction sources are the two event queues' heads, the
+    /// next-cycle lane and the ROB head's completion time; the rest are
+    /// scalar horizons folded in directly (posting them as queue entries
+    /// would mean re-posting every time one moves, for no gain — the
+    /// fold *is* the pop). In event-driven mode
     /// the memory system's [`next_event_at`](MemSystem::next_event_at)
     /// contract joins the plan, so in-flight fills the core holds no
     /// completion event for (prefetches, wrong-path orphans) wake the
@@ -717,8 +727,17 @@ impl<W: Workload> Core<W> {
         if let Some(t) = self.pending_ready.next_time() {
             fold(t, WakeSource::OperandReady);
         }
+        if let Some(&(t, _)) = self.ready_lane.iter().min() {
+            fold(t, WakeSource::OperandReady);
+        }
         if let Some(t) = self.completions.next_time() {
             fold(t, WakeSource::Completion);
+        }
+        // Only the head's completion can change what the machine does:
+        // commit reads nothing else, and no younger instruction becomes
+        // the head without a commit, which takes a real step.
+        if let Some(head) = self.rob.front() {
+            fold(head.complete_at, WakeSource::Completion);
         }
         if self.cfg.event_driven {
             if let Some(t) = self.mem.next_event_at(now) {
@@ -768,7 +787,8 @@ impl<W: Workload> Core<W> {
         self.ff_cycles
     }
 
-    /// Event-engine telemetry: calendar-queue traffic and the
+    /// Event-engine telemetry: event-queue traffic (heap posts only; the
+    /// next-cycle lane is not counted) and the
     /// skipped-versus-stepped cycle split over the core's lifetime
     /// (warm-up included). Host-side diagnostics, deliberately outside
     /// [`CoreStats`] and the snapshot image — like `ff_cycles` — so A/B
@@ -831,7 +851,7 @@ impl<W: Workload> Core<W> {
     fn head_blocked_on_memory(&self) -> bool {
         self.rob
             .front()
-            .is_some_and(|d| d.inst.op == OpClass::Load && d.issued && !d.completed)
+            .is_some_and(|d| d.inst.op == OpClass::Load && d.issued && d.complete_at > self.now)
     }
 
     /// Appends an [`IntervalSample`] at each epoch boundary of the
@@ -939,7 +959,7 @@ impl<W: Workload> Core<W> {
     /// microarchitectural — into a flat byte image.
     ///
     /// Captured: the cycle clock, ROB/IQ/LSQ contents, rename map, FU
-    /// pools, scheduler event wheels, runahead episode and tables, the
+    /// pools, scheduler event queues, runahead episode and tables, the
     /// front end (including the workload generator's RNG and phase
     /// cursor), branch predictor, memory hierarchy (caches, MSHRs, DRAM
     /// queues), window-policy state, every statistics accumulator, and
@@ -980,10 +1000,11 @@ impl<W: Workload> Core<W> {
         self.lsq.save_state(w);
         self.rename.save_state(w);
         self.fu.save_state(w);
-        // The event wheels travel as sorted (time, seq) pairs — the
-        // representation-free form the heap-based scheduler also wrote,
-        // so images are interchangeable across scheduler generations.
-        let pending = self.pending_ready.sorted_events();
+        // The event queues travel as sorted (time, seq) pairs, the
+        // next-cycle lane merged in as ordinary pending-ready events.
+        let mut pending = self.pending_ready.sorted_events();
+        pending.extend_from_slice(&self.ready_lane);
+        pending.sort_unstable();
         w.put_seq(pending.iter(), |w, &(t, s)| {
             w.put_u64(t);
             w.put_u64(s);
@@ -1056,9 +1077,11 @@ impl<W: Workload> Core<W> {
         self.rename.load_state(r)?;
         self.fu.load_state(r)?;
         // Snapshots are taken at step boundaries, where every queued
-        // event is strictly in the future — so the restored wheels'
-        // windows start at the cycle after the restored clock. An event
-        // at or below the clock means a corrupt image.
+        // event is strictly in the future — so the restored queues'
+        // floors sit at the cycle after the restored clock. An event at
+        // or below the clock means a corrupt image. Every pending-ready
+        // event goes to the heap: promotion does not care which holds it.
+        self.ready_lane.clear();
         let pending = r.get_seq(|r| Ok((r.get_u64()?, r.get_u64()?)))?;
         if !self.pending_ready.restore(self.now + 1, &pending) {
             return Err(SnapError::Mismatch {
@@ -1187,10 +1210,37 @@ impl<W: Workload> Core<W> {
             if changed && d.unresolved_srcs == 0 {
                 let rt = d.src_ready[0].max(d.src_ready[1]).max(d.fetched_at + 1);
                 d.ready_time = rt;
-                self.pending_ready.post(rt, w);
+                self.post_ready(rt, w);
             }
         }
         self.rob[p_idx].waiters = waiters;
+    }
+
+    /// Queues an operand-ready promotion: one due next cycle rides the
+    /// lane, a later one the heap. Every post is strictly in the future.
+    fn post_ready(&mut self, t: Cycle, seq: DynSeq) {
+        debug_assert!(
+            t > self.now,
+            "operand-ready post at {t} not after {}",
+            self.now
+        );
+        if t == self.now + 1 {
+            self.ready_lane.push((t, seq));
+        } else {
+            self.pending_ready.post(t, seq);
+        }
+    }
+
+    /// Moves `seq` into the ready set if the `(t, seq)` event still
+    /// describes it: stale events (a squashed instruction's, or a time a
+    /// runahead INV override lowered) no longer match its `ready_time`.
+    fn promote(&mut self, t: Cycle, seq: DynSeq) {
+        if let Some(i) = self.rob_idx(seq) {
+            let d = &self.rob[i];
+            if !d.issued && d.unresolved_srcs == 0 && d.ready_time == t {
+                self.ready.insert(seq);
+            }
+        }
     }
 
     // ---------------------------------------------------------- writeback
@@ -1294,7 +1344,7 @@ impl<W: Workload> Core<W> {
         for _ in 0..self.cfg.commit_width {
             let Some(head) = self.rob.front() else { break };
             let in_runahead = self.episode.is_some();
-            if head.completed {
+            if head.complete_at <= now {
                 self.retire_head(now, in_runahead);
                 continue;
             }
@@ -1449,7 +1499,6 @@ impl<W: Workload> Core<W> {
         let Some(i) = self.rob_idx(seq) else { return };
         self.rob[i].inv = true;
         self.rob[i].value_ready_at = now + 1;
-        self.rob[i].completed = true;
         self.rob[i].complete_at = now;
         self.notify_waiters(seq);
     }
@@ -1463,6 +1512,7 @@ impl<W: Workload> Core<W> {
         self.blocked_loads.clear();
         self.ready.clear();
         self.pending_ready.clear();
+        self.ready_lane.clear();
         self.completions.clear();
         self.fu.flush();
         self.rename = RenameMap::new();
@@ -1563,14 +1613,19 @@ impl<W: Workload> Core<W> {
         // could change a blocked load's outcome on the next retry.
         self.issue_quiesced = true;
 
-        // Promote instructions whose operands have arrived.
-        while let Some((t, seq)) = self.pending_ready.pop_due(now) {
-            if let Some(i) = self.rob_idx(seq) {
-                let d = &self.rob[i];
-                if !d.issued && d.unresolved_srcs == 0 && d.ready_time == t {
-                    self.ready.insert(seq);
-                }
+        // Promote instructions whose operands have arrived. Lane entries
+        // due next cycle (posted by this cycle's commit stage) stay.
+        let mut lane = std::mem::take(&mut self.ready_lane);
+        lane.retain(|&(t, seq)| {
+            if t > now {
+                return true;
             }
+            self.promote(t, seq);
+            false
+        });
+        self.ready_lane = lane;
+        while let Some((t, seq)) = self.pending_ready.pop_due(now) {
+            self.promote(t, seq);
         }
 
         // Retry loads blocked behind stores (oldest first); they consume
@@ -1634,7 +1689,6 @@ impl<W: Workload> Core<W> {
                         d.mem_state = MemState::Issued;
                         d.value_ready_at = now + depth.max(2) as Cycle;
                         d.complete_at = d.value_ready_at;
-                        self.completions.post(now + depth.max(2) as Cycle, seq);
                         self.notify_waiters(seq);
                         issued += 1;
                         continue;
@@ -1678,7 +1732,6 @@ impl<W: Workload> Core<W> {
                     d.inv = d.src_inv[0] || d.src_inv[1];
                     d.mem_state = MemState::Issued;
                     d.complete_at = now + 1;
-                    self.completions.post(now + 1, seq);
                     issued += 1;
                 }
                 _ => {
@@ -1694,7 +1747,9 @@ impl<W: Workload> Core<W> {
                     d.inv = d.src_inv[0] || d.src_inv[1];
                     d.value_ready_at = now + latency.max(depth) as Cycle;
                     d.complete_at = now + latency as Cycle;
-                    self.completions.post(now + latency as Cycle, seq);
+                    if d.is_branch() {
+                        self.completions.post(now + latency as Cycle, seq);
+                    }
                     self.notify_waiters(seq);
                     issued += 1;
                 }
@@ -1773,8 +1828,6 @@ impl<W: Workload> Core<W> {
         d.inv = inv || d.src_inv[0] || d.src_inv[1];
         d.value_ready_at = value_ready.max(now + depth);
         d.complete_at = d.value_ready_at;
-        let complete_at = d.complete_at;
-        self.completions.post(complete_at, seq);
         self.notify_waiters(seq);
     }
 
@@ -1937,7 +1990,7 @@ impl<W: Workload> Core<W> {
         if d.unresolved_srcs == 0 {
             let rt = d.src_ready[0].max(d.src_ready[1]).max(now + 1);
             d.ready_time = rt;
-            self.pending_ready.post(rt, seq);
+            self.post_ready(rt, seq);
         }
         self.rob.push_back(d);
     }
@@ -2285,6 +2338,96 @@ mod tests {
         other
             .restore(&bytes)
             .expect_err("geometry mismatch must fail");
+    }
+
+    #[test]
+    fn runahead_entry_wakeups_survive_the_same_cycle_lane_drain() {
+        // Entering runahead at cycle t force-INVs the trigger load in the
+        // commit stage, which wakes its dependents for t + 1 — lane
+        // entries posted *before* that cycle's issue drains the lane.
+        // They must survive the drain and promote at t + 1.
+        let cfg = CoreConfig {
+            runahead: Some(crate::config::RunaheadOpts::default()),
+            ..CoreConfig::default()
+        };
+        let w = profiles::by_name("libquantum", 7).expect("profile");
+        let mut core = Core::new(cfg, w, Box::new(FixedLevelPolicy::new(0)));
+        core.run_warmup(5_000).expect("warm-up must not stall");
+        let mut checked = 0;
+        for _ in 0..400_000 {
+            if checked >= 20 {
+                break;
+            }
+            let episodes = core.stats.runahead_episodes;
+            let waiters: Vec<DynSeq> = core
+                .rob
+                .front()
+                .map(|head| head.waiters.iter().collect())
+                .unwrap_or_default();
+            core.step();
+            if core.stats.runahead_episodes == episodes {
+                continue;
+            }
+            let t = core.now;
+            let woken: Vec<DynSeq> = waiters
+                .into_iter()
+                .filter(|&seq| {
+                    core.rob_idx(seq).is_some_and(|i| {
+                        let d = &core.rob[i];
+                        !d.issued && d.unresolved_srcs == 0 && d.ready_time == t + 1
+                    })
+                })
+                .collect();
+            for &seq in &woken {
+                assert!(
+                    core.ready_lane.contains(&(t + 1, seq)),
+                    "cycle {t}: the wakeup of {seq} was dropped from the lane"
+                );
+            }
+            core.step();
+            for &seq in &woken {
+                let promoted = core
+                    .rob_idx(seq)
+                    .is_none_or(|i| core.rob[i].issued || core.ready.contains(seq));
+                assert!(promoted, "cycle {}: {seq} was not promoted", t + 1);
+            }
+            checked += woken.len();
+        }
+        assert!(checked >= 20, "only {checked} runahead-entry wakeups seen");
+    }
+
+    #[test]
+    fn snapshot_with_a_live_lane_and_pending_branch_resumes_bit_identically() {
+        let w = profiles::by_name("gobmk", 7).expect("profile");
+        let mut core = Core::new(CoreConfig::default(), w, Box::new(FixedLevelPolicy::new(0)));
+        core.run_warmup(3_000).expect("warm-up must not stall");
+        core.arm_run(6_000);
+        loop {
+            core.step();
+            core.check_progress()
+                .expect("healthy profile must not stall");
+            if core.stats.cycles > 500
+                && !core.ready_lane.is_empty()
+                && !core.completions.is_empty()
+            {
+                break;
+            }
+        }
+        let bytes = core.snapshot();
+        let queued = core.pending_ready.len() + core.ready_lane.len();
+        let reference = core.resume_run().expect("reference run must finish");
+
+        let w = profiles::by_name("gobmk", 7).expect("profile");
+        let mut resumed = Core::new(CoreConfig::default(), w, Box::new(FixedLevelPolicy::new(0)));
+        resumed.restore(&bytes).expect("restore must succeed");
+        assert_eq!(
+            resumed.pending_ready.len(),
+            queued,
+            "lane entries travel as pending-ready events"
+        );
+        assert_eq!(resumed.snapshot(), bytes, "re-encoding must be identical");
+        let stats = resumed.resume_run().expect("resumed run must finish");
+        assert_eq!(stats, reference, "resume must be bit-identical");
     }
 
     #[test]

@@ -1,55 +1,37 @@
-//! The core's event wheel: a hierarchical calendar queue over
-//! (cycle, dyn_seq) wake-up events.
+//! The core's event queue: a binary min-heap over `(cycle, dyn_seq)`
+//! wake-up events.
 //!
-//! The scheduler keeps two of these (operand-ready promotions and
-//! execution completions), and the stall fast-forward reads their
-//! [`next_time`](EventWheel::next_time) as two legs of its next-event
-//! bound — the same queue serves single-step pops and bulk skips, so
-//! there is exactly one source of truth for "when does the pipeline
-//! wake next".
-//!
-//! # Structure
-//!
-//! A *near* wheel of [`NEAR_SLOTS`] single-cycle buckets covers the
-//! window `[floor, floor + NEAR_SLOTS)`; because the window never spans
-//! more than one lap, slot `t % NEAR_SLOTS` maps to exactly one cycle
-//! and no per-entry time needs storing. Events beyond the window wait
-//! in a *far* `BTreeMap` and migrate into the wheel as the floor
-//! advances past pops. An occupancy bitmap (one bit per slot) makes
-//! [`next_time`](EventWheel::next_time) a handful of word scans rather
-//! than a slot walk, so the fast-forward's bound query stays cheap even
-//! when the wheel is sparse — the regime the whole structure exists
-//! for.
+//! The scheduler keeps two of these: operand-ready promotions due two
+//! or more cycles out (next-cycle promotions ride a plain lane in the
+//! core instead), and branch completions. The stall fast-forward reads
+//! their [`next_time`](EventQueue::next_time) as two legs of its
+//! next-event bound, so single-step pops and bulk skips share one
+//! source of truth for "when does the pipeline wake next".
 //!
 //! # Ordering contract
 //!
-//! Pops yield strictly non-decreasing `(time, seq)` pairs, ties broken
-//! by ascending `seq` — the exact order a `BinaryHeap<Reverse<(Cycle,
-//! DynSeq)>>` would produce, which the writeback and wakeup stages'
-//! squash/filter logic depends on. Since sequence numbers are handed
-//! out in program order, ascending `seq` within a cycle is FIFO over
-//! same-cycle posts.
+//! Pops yield non-decreasing `(time, seq)` pairs, ties broken by
+//! ascending `seq`, and duplicate `(time, seq)` posts pop back to back —
+//! the writeback and wakeup stages' squash/filter logic depends on it.
+//! Since sequence numbers are handed out in program order, ascending
+//! `seq` within a cycle is FIFO over same-cycle posts.
 
 use crate::types::DynSeq;
 use mlpwin_isa::Cycle;
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// Near-wheel span in cycles (and slots). Covers an unloaded memory
-/// round trip with generous queueing margin, so only deeply backed-up
-/// DRAM bursts ever touch the far map.
-pub const NEAR_SLOTS: usize = 1024;
-
-const WORDS: usize = NEAR_SLOTS / 64;
-
-/// Every distinct wake-up source the scheduler tracks. The wheels carry
-/// the first two as posted events; the rest are scalar horizons the
+/// Every distinct wake-up source the scheduler tracks. The event queues,
+/// the next-cycle lane and the ROB head carry the first two; the rest
+/// are scalar horizons the
 /// [`next_wake`](crate::core::Core::next_wake) plan folds in. Carried
 /// alongside the bound so telemetry can say *what* ends each coast.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WakeSource {
-    /// An instruction's operands arrive (pending-ready wheel).
+    /// An instruction's operands arrive (pending-ready queue or lane).
     OperandReady,
-    /// A function unit finishes executing (completion wheel).
+    /// An instruction finishes executing (a branch's completion event,
+    /// or the ROB head's completion time).
     Completion,
     /// An in-flight memory-side fill completes ([`next_event_at`]
     /// contract; consulted in event-driven mode).
@@ -128,14 +110,15 @@ impl WakeSource {
     }
 }
 
-/// Event-engine telemetry totals over a core's lifetime: calendar-queue
+/// Event-engine telemetry totals over a core's lifetime: event-queue
 /// traffic and how the cycle clock advanced (bulk skips versus real
 /// steps). Host-side diagnostics — never part of stats or snapshots.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineCounters {
-    /// Events posted into both calendar queues.
+    /// Events posted into both event queues (the next-cycle lane is not
+    /// a queue and is not counted).
     pub events_posted: u64,
-    /// Events popped from both calendar queues.
+    /// Events popped from both event queues.
     pub events_popped: u64,
     /// Cycles advanced in bulk by the stall fast-forward.
     pub skipped_cycles: u64,
@@ -156,18 +139,12 @@ impl EngineCounters {
 }
 
 /// A time-indexed queue of `(cycle, seq)` wake-up events.
-#[derive(Debug, Clone)]
-pub struct EventWheel {
-    /// All events at times `< floor` have been popped; the near wheel
-    /// covers `[floor, floor + NEAR_SLOTS)`.
+#[derive(Debug, Clone, Default)]
+pub struct EventQueue {
+    heap: BinaryHeap<Reverse<(Cycle, DynSeq)>>,
+    /// Every event at a time `< floor` has been popped: the time of the
+    /// last pop, or the restore point.
     floor: Cycle,
-    /// Near buckets, each sorted ascending by seq; slot `t % NEAR_SLOTS`.
-    slots: Vec<Vec<DynSeq>>,
-    /// Occupancy bit per near slot.
-    bits: [u64; WORDS],
-    /// Events at `t >= floor + NEAR_SLOTS`, bucketed by time.
-    far: BTreeMap<Cycle, Vec<DynSeq>>,
-    len: usize,
     /// Host-side telemetry: lifetime posts and pops. Deliberately not
     /// snapshotted (like the fast-forward's skip counter): restoring a
     /// core resets them to the restored session's own activity.
@@ -175,34 +152,20 @@ pub struct EventWheel {
     popped: u64,
 }
 
-impl Default for EventWheel {
-    fn default() -> EventWheel {
-        EventWheel::new()
-    }
-}
-
-impl EventWheel {
-    /// An empty wheel with its window starting at cycle 0.
-    pub fn new() -> EventWheel {
-        EventWheel {
-            floor: 0,
-            slots: vec![Vec::new(); NEAR_SLOTS],
-            bits: [0; WORDS],
-            far: BTreeMap::new(),
-            len: 0,
-            posted: 0,
-            popped: 0,
-        }
+impl EventQueue {
+    /// An empty queue with its floor at cycle 0.
+    pub fn new() -> EventQueue {
+        EventQueue::default()
     }
 
     /// Number of queued events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether no event is queued.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// Lifetime events posted (telemetry).
@@ -219,7 +182,7 @@ impl EventWheel {
     ///
     /// # Panics
     ///
-    /// Panics if `t` is below the wheel's floor (a wake-up in the past:
+    /// Panics if `t` is below the queue's floor (a wake-up in the past:
     /// scheduler posts are always strictly in the future).
     pub fn post(&mut self, t: Cycle, seq: DynSeq) {
         assert!(
@@ -228,138 +191,22 @@ impl EventWheel {
             self.floor
         );
         self.posted += 1;
-        self.len += 1;
-        if t < self.floor + NEAR_SLOTS as Cycle {
-            let slot = (t % NEAR_SLOTS as Cycle) as usize;
-            let bucket = &mut self.slots[slot];
-            let pos = bucket.partition_point(|&s| s < seq);
-            bucket.insert(pos, seq);
-            self.bits[slot / 64] |= 1 << (slot % 64);
-        } else {
-            let bucket = self.far.entry(t).or_default();
-            let pos = bucket.partition_point(|&s| s < seq);
-            bucket.insert(pos, seq);
-        }
-    }
-
-    /// Removes one queued `(t, seq)` event; returns whether it existed.
-    pub fn cancel(&mut self, t: Cycle, seq: DynSeq) -> bool {
-        if t < self.floor {
-            return false; // already popped
-        }
-        if t < self.floor + NEAR_SLOTS as Cycle {
-            let slot = (t % NEAR_SLOTS as Cycle) as usize;
-            let bucket = &mut self.slots[slot];
-            let Ok(pos) = bucket.binary_search(&seq) else {
-                return false;
-            };
-            bucket.remove(pos);
-            if bucket.is_empty() {
-                self.bits[slot / 64] &= !(1 << (slot % 64));
-            }
-        } else {
-            let Some(bucket) = self.far.get_mut(&t) else {
-                return false;
-            };
-            let Ok(pos) = bucket.binary_search(&seq) else {
-                return false;
-            };
-            bucket.remove(pos);
-            if bucket.is_empty() {
-                self.far.remove(&t);
-            }
-        }
-        self.len -= 1;
-        true
-    }
-
-    /// Moves a queued event to a new time; returns whether the old
-    /// event existed (nothing is posted when it did not).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_t` is below the floor (as [`post`](Self::post)).
-    pub fn reschedule(&mut self, old_t: Cycle, new_t: Cycle, seq: DynSeq) -> bool {
-        if !self.cancel(old_t, seq) {
-            return false;
-        }
-        self.posted -= 1; // the re-post below is a move, not a fresh event
-        self.post(new_t, seq);
-        true
+        self.heap.push(Reverse((t, seq)));
     }
 
     /// Earliest queued event time, if any.
     pub fn next_time(&self) -> Option<Cycle> {
-        self.next_near_time()
-            .or_else(|| self.far.keys().next().copied())
+        self.heap.peek().map(|&Reverse((t, _))| t)
     }
 
-    /// Scans the occupancy bitmap in time order (wrapping from the
-    /// floor's slot) for the earliest occupied near slot.
-    fn next_near_time(&self) -> Option<Cycle> {
-        let start = (self.floor % NEAR_SLOTS as Cycle) as usize;
-        let (sw, sb) = (start / 64, start % 64);
-        let head = self.bits[sw] & (!0u64 << sb);
-        if head != 0 {
-            return Some(self.slot_time(sw * 64 + head.trailing_zeros() as usize));
-        }
-        for k in 1..WORDS {
-            let i = (sw + k) % WORDS;
-            if self.bits[i] != 0 {
-                return Some(self.slot_time(i * 64 + self.bits[i].trailing_zeros() as usize));
-            }
-        }
-        let tail = self.bits[sw] & !(!0u64 << sb);
-        if tail != 0 {
-            return Some(self.slot_time(sw * 64 + tail.trailing_zeros() as usize));
-        }
-        None
-    }
-
-    /// The unique time in `[floor, floor + NEAR_SLOTS)` congruent to
-    /// `slot` — the modular inverse of the slot mapping.
-    fn slot_time(&self, slot: usize) -> Cycle {
-        let base = self.floor - (self.floor % NEAR_SLOTS as Cycle);
-        let t = base + slot as Cycle;
-        if t >= self.floor {
-            t
-        } else {
-            t + NEAR_SLOTS as Cycle
-        }
-    }
-
-    /// Pops the earliest event if it is due (`time <= now`). Advances
-    /// the floor to the popped time, migrating far events that the
-    /// advance brings inside the near window.
+    /// Pops the earliest event if it is due (`time <= now`), raising the
+    /// floor to its time.
     pub fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, DynSeq)> {
-        let t = self.next_time()?;
-        if t > now {
+        if self.next_time()? > now {
             return None;
         }
-        if t > self.floor {
-            self.floor = t;
-            // Far events now inside [floor, floor + NEAR_SLOTS) move
-            // into the wheel (including t's own bucket when the floor
-            // jumped a whole lap).
-            while let Some((&ft, _)) = self.far.iter().next() {
-                if ft >= self.floor + NEAR_SLOTS as Cycle {
-                    break;
-                }
-                let bucket = self.far.remove(&ft).expect("checked present");
-                let slot = (ft % NEAR_SLOTS as Cycle) as usize;
-                debug_assert!(self.slots[slot].is_empty(), "slot collision on migrate");
-                self.slots[slot] = bucket;
-                self.bits[slot / 64] |= 1 << (slot % 64);
-            }
-        }
-        let slot = (t % NEAR_SLOTS as Cycle) as usize;
-        let bucket = &mut self.slots[slot];
-        debug_assert!(!bucket.is_empty(), "next_time pointed at an empty slot");
-        let seq = bucket.remove(0);
-        if bucket.is_empty() {
-            self.bits[slot / 64] &= !(1 << (slot % 64));
-        }
-        self.len -= 1;
+        let Reverse((t, seq)) = self.heap.pop().expect("peeked non-empty");
+        self.floor = t;
         self.popped += 1;
         Some((t, seq))
     }
@@ -367,48 +214,22 @@ impl EventWheel {
     /// Drops every queued event (runahead exit). The floor — and the
     /// telemetry counters — are unaffected.
     pub fn clear(&mut self) {
-        if self.len == 0 {
-            return;
-        }
-        for w in 0..WORDS {
-            let mut bits = self.bits[w];
-            while bits != 0 {
-                let slot = w * 64 + bits.trailing_zeros() as usize;
-                self.slots[slot].clear();
-                bits &= bits - 1;
-            }
-            self.bits[w] = 0;
-        }
-        self.far.clear();
-        self.len = 0;
+        self.heap.clear();
     }
 
     /// Every queued event as ascending `(time, seq)` pairs — the
-    /// canonical serialized form (identical to what sorting a heap's
-    /// contents produces, so snapshot images are representation-free).
+    /// canonical serialized form, independent of the heap's layout.
     pub fn sorted_events(&self) -> Vec<(Cycle, DynSeq)> {
-        let mut out = Vec::with_capacity(self.len);
-        // Near slots in time order: walk the bitmap from the floor slot.
-        let start = (self.floor % NEAR_SLOTS as Cycle) as usize;
-        for k in 0..NEAR_SLOTS {
-            let slot = (start + k) % NEAR_SLOTS;
-            if self.bits[slot / 64] & (1 << (slot % 64)) != 0 {
-                let t = self.slot_time(slot);
-                out.extend(self.slots[slot].iter().map(|&s| (t, s)));
-            }
-        }
-        for (&t, bucket) in &self.far {
-            out.extend(bucket.iter().map(|&s| (t, s)));
-        }
-        debug_assert!(out.is_sorted());
+        let mut out: Vec<(Cycle, DynSeq)> = self.heap.iter().map(|&Reverse(e)| e).collect();
+        out.sort_unstable();
         out
     }
 
-    /// Rebuilds the wheel from serialized events with the window
-    /// starting at `floor`. Returns `false` (leaving the wheel cleared)
-    /// when any event lies below the floor — a corrupt image, since
-    /// snapshots are only taken at step boundaries where every queued
-    /// event is strictly in the future.
+    /// Rebuilds the queue from serialized events with its floor at
+    /// `floor`. Returns `false` (leaving the queue cleared) when any
+    /// event lies below the floor — a corrupt image, since snapshots are
+    /// only taken at step boundaries where every queued event is
+    /// strictly in the future.
     #[must_use]
     pub fn restore(&mut self, floor: Cycle, events: &[(Cycle, DynSeq)]) -> bool {
         self.clear();
@@ -416,9 +237,8 @@ impl EventWheel {
         if events.iter().any(|&(t, _)| t < floor) {
             return false;
         }
-        for &(t, seq) in events {
-            self.post(t, seq);
-        }
+        self.heap.extend(events.iter().map(|&e| Reverse(e)));
+        self.posted += events.len() as u64;
         true
     }
 }
@@ -427,9 +247,9 @@ impl EventWheel {
 mod tests {
     use super::*;
 
-    fn drain(w: &mut EventWheel, now: Cycle) -> Vec<(Cycle, DynSeq)> {
+    fn drain(q: &mut EventQueue, now: Cycle) -> Vec<(Cycle, DynSeq)> {
         let mut out = Vec::new();
-        while let Some(e) = w.pop_due(now) {
+        while let Some(e) = q.pop_due(now) {
             out.push(e);
         }
         out
@@ -437,121 +257,83 @@ mod tests {
 
     #[test]
     fn pops_ascending_time_then_seq() {
-        let mut w = EventWheel::new();
-        w.post(5, 30);
-        w.post(3, 99);
-        w.post(5, 10);
-        w.post(3, 1);
-        assert_eq!(w.next_time(), Some(3));
-        assert_eq!(drain(&mut w, 100), vec![(3, 1), (3, 99), (5, 10), (5, 30)]);
-        assert!(w.is_empty());
+        let mut q = EventQueue::new();
+        q.post(5, 30);
+        q.post(3, 99);
+        q.post(5, 10);
+        q.post(3, 1);
+        assert_eq!(q.next_time(), Some(3));
+        assert_eq!(drain(&mut q, 100), vec![(3, 1), (3, 99), (5, 10), (5, 30)]);
+        assert!(q.is_empty());
     }
 
     #[test]
     fn pop_due_respects_now() {
-        let mut w = EventWheel::new();
-        w.post(10, 1);
-        w.post(20, 2);
-        assert_eq!(w.pop_due(9), None);
-        assert_eq!(w.pop_due(10), Some((10, 1)));
-        assert_eq!(w.pop_due(19), None);
-        assert_eq!(w.next_time(), Some(20));
-        assert_eq!(w.pop_due(20), Some((20, 2)));
+        let mut q = EventQueue::new();
+        q.post(10, 1);
+        q.post(20, 2);
+        assert_eq!(q.pop_due(9), None);
+        assert_eq!(q.pop_due(10), Some((10, 1)));
+        assert_eq!(q.pop_due(19), None);
+        assert_eq!(q.next_time(), Some(20));
+        assert_eq!(q.pop_due(20), Some((20, 2)));
     }
 
     #[test]
-    fn duplicate_events_pop_adjacent() {
-        let mut w = EventWheel::new();
-        w.post(7, 4);
-        w.post(7, 4);
-        assert_eq!(w.len(), 2);
-        assert_eq!(drain(&mut w, 7), vec![(7, 4), (7, 4)]);
-    }
-
-    #[test]
-    fn far_events_migrate_across_the_horizon() {
-        let mut w = EventWheel::new();
-        let far = NEAR_SLOTS as Cycle * 3 + 17;
-        w.post(far, 8);
-        w.post(2, 1);
-        assert_eq!(w.next_time(), Some(2));
-        assert_eq!(w.pop_due(2), Some((2, 1)));
-        // Nothing due until the far event's own time.
-        assert_eq!(w.pop_due(far - 1), None);
-        assert_eq!(w.next_time(), Some(far));
-        assert_eq!(w.pop_due(far), Some((far, 8)));
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    fn floor_jump_migrates_every_overtaken_bucket() {
-        let mut w = EventWheel::new();
-        let base = NEAR_SLOTS as Cycle;
-        // One near event, then a cluster just past the horizon.
-        w.post(base - 1, 1);
-        w.post(base + 1, 2);
-        w.post(base + 2, 3);
-        w.post(base * 2 + 5, 4);
+    fn squash_then_reuse_duplicates_pop_adjacent() {
+        // A squashed instruction's stale event and its seq's new owner's
+        // event name the same (t, seq); the filter that drops the repeat
+        // relies on the two popping back to back, between the same-cycle
+        // neighbours on either side and before any later event.
+        let mut q = EventQueue::new();
+        q.post(12, 9); // stale: posted before the squash
+        q.post(12, 3);
+        q.post(13, 1);
+        q.post(12, 11);
+        q.post(12, 9); // the reused seq's own event
+        q.post(11, 20);
+        assert_eq!(q.len(), 6);
         assert_eq!(
-            drain(&mut w, base * 3),
-            vec![
-                (base - 1, 1),
-                (base + 1, 2),
-                (base + 2, 3),
-                (base * 2 + 5, 4)
-            ]
+            drain(&mut q, 13),
+            vec![(11, 20), (12, 3), (12, 9), (12, 9), (12, 11), (13, 1)]
         );
     }
 
     #[test]
-    fn cancel_and_reschedule() {
-        let mut w = EventWheel::new();
-        w.post(10, 1);
-        w.post(10, 2);
-        w.post(NEAR_SLOTS as Cycle + 50, 3);
-        assert!(w.cancel(10, 1));
-        assert!(!w.cancel(10, 1), "second cancel finds nothing");
-        assert!(!w.cancel(11, 2), "wrong time finds nothing");
-        assert!(w.reschedule(NEAR_SLOTS as Cycle + 50, 4, 3));
-        assert!(!w.reschedule(10, 20, 99), "unknown event is not re-posted");
-        assert_eq!(drain(&mut w, Cycle::MAX), vec![(4, 3), (10, 2)]);
-    }
-
-    #[test]
     fn clear_empties_without_moving_the_floor() {
-        let mut w = EventWheel::new();
-        w.post(100, 1);
-        assert_eq!(w.pop_due(100), Some((100, 1)));
-        w.post(150, 2);
-        w.post(NEAR_SLOTS as Cycle * 2, 3);
-        w.clear();
-        assert!(w.is_empty());
-        assert_eq!(w.next_time(), None);
+        let mut q = EventQueue::new();
+        q.post(100, 1);
+        assert_eq!(q.pop_due(100), Some((100, 1)));
+        q.post(150, 2);
+        q.post(5_000, 3);
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.next_time(), None);
         // Still usable after clear, with the floor where pops left it.
-        w.post(120, 9);
-        assert_eq!(w.pop_due(120), Some((120, 9)));
+        q.post(120, 9);
+        assert_eq!(q.pop_due(120), Some((120, 9)));
     }
 
     #[test]
     #[should_panic(expected = "below floor")]
     fn posting_into_the_past_is_a_bug() {
-        let mut w = EventWheel::new();
-        w.post(50, 1);
-        let _ = w.pop_due(50);
-        w.post(49, 2);
+        let mut q = EventQueue::new();
+        q.post(50, 1);
+        let _ = q.pop_due(50);
+        q.post(49, 2);
     }
 
     #[test]
     fn snapshot_round_trip_preserves_events_and_order() {
-        let mut w = EventWheel::new();
-        w.post(900, 1);
-        let _ = w.pop_due(900); // floor at 900: the near window now wraps
+        let mut q = EventQueue::new();
+        q.post(900, 1);
+        let _ = q.pop_due(900);
         for (t, s) in [(901, 5), (1500, 2), (999_999, 7), (901, 3)] {
-            w.post(t, s);
+            q.post(t, s);
         }
-        let events = w.sorted_events();
+        let events = q.sorted_events();
         assert_eq!(events, vec![(901, 3), (901, 5), (1500, 2), (999_999, 7)]);
-        let mut r = EventWheel::new();
+        let mut r = EventQueue::new();
         assert!(r.restore(901, &events));
         assert_eq!(r.len(), 4);
         assert_eq!(drain(&mut r, Cycle::MAX), events);
@@ -559,30 +341,36 @@ mod tests {
 
     #[test]
     fn restore_rejects_events_below_the_floor() {
-        let mut w = EventWheel::new();
-        assert!(!w.restore(100, &[(99, 1)]));
-        assert!(w.is_empty(), "rejected restore leaves the wheel empty");
-        assert!(w.restore(100, &[(100, 1)]));
+        let mut q = EventQueue::new();
+        assert!(!q.restore(100, &[(99, 1)]));
+        assert!(q.is_empty(), "rejected restore leaves the queue empty");
+        assert!(q.restore(100, &[(100, 1)]));
+    }
+
+    #[test]
+    #[should_panic(expected = "below floor")]
+    fn restore_sets_the_floor() {
+        let mut q = EventQueue::new();
+        assert!(q.restore(100, &[]));
+        q.post(99, 1);
     }
 
     #[test]
     fn telemetry_counts_posts_and_pops() {
-        let mut w = EventWheel::new();
-        w.post(1, 1);
-        w.post(2, 2);
-        let _ = w.pop_due(5);
-        assert_eq!((w.posted(), w.popped()), (2, 1));
-        assert!(w.reschedule(2, 3, 2), "move");
-        assert_eq!(w.posted(), 2, "a reschedule is not a fresh post");
-        w.clear();
-        assert_eq!((w.posted(), w.popped()), (2, 1), "clear keeps telemetry");
+        let mut q = EventQueue::new();
+        q.post(1, 1);
+        q.post(2, 2);
+        let _ = q.pop_due(5);
+        assert_eq!((q.posted(), q.popped()), (2, 1));
+        q.clear();
+        assert_eq!((q.posted(), q.popped()), (2, 1), "clear keeps telemetry");
     }
 
-    /// The satellite's op fuzzer: an LCG drives random post / pop_due /
-    /// cancel / reschedule / next_time traffic against a naive sorted
-    /// reference model, asserting identical contents and pop order
-    /// (deterministic ties), monotone pop times per sweep, and length
-    /// bookkeeping throughout.
+    /// An LCG drives random post / duplicate post / pop_due / next_time
+    /// / snapshot-restore traffic against a naive sorted reference
+    /// model, asserting identical contents and pop order (deterministic
+    /// ties, adjacent duplicates), monotone pop times per sweep, and
+    /// length bookkeeping throughout.
     #[test]
     fn lcg_fuzz_against_reference_model() {
         let mut lcg: u64 = 0x2545F4914F6CDD1D;
@@ -592,25 +380,28 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             lcg >> 33
         };
-        let mut w = EventWheel::new();
+        let mut q = EventQueue::new();
         let mut model: Vec<(Cycle, DynSeq)> = Vec::new();
         let mut now: Cycle = 0;
+        let insert = |model: &mut Vec<(Cycle, DynSeq)>, e: (Cycle, DynSeq)| {
+            let pos = model.partition_point(|&m| m < e);
+            model.insert(pos, e);
+        };
         for step in 0..20_000 {
             match next() % 10 {
-                // Post: biased near, occasionally far beyond the wheel.
+                // Post: biased near, occasionally far out.
                 0..=4 => {
                     let spread = if next() % 8 == 0 { 5_000 } else { 300 };
                     let t = now + 1 + next() % spread;
                     let seq = next() % 64;
-                    w.post(t, seq);
-                    let pos = model.partition_point(|&e| e < (t, seq));
-                    model.insert(pos, (t, seq));
+                    q.post(t, seq);
+                    insert(&mut model, (t, seq));
                 }
                 // Advance time and drain everything due, checking order.
                 5..=6 => {
                     now += next() % 700;
                     let mut last_pop: Option<(Cycle, DynSeq)> = None;
-                    while let Some((t, seq)) = w.pop_due(now) {
+                    while let Some((t, seq)) = q.pop_due(now) {
                         assert!(t <= now);
                         assert!(last_pop <= Some((t, seq)), "pop order regressed");
                         last_pop = Some((t, seq));
@@ -618,33 +409,30 @@ mod tests {
                     }
                     assert!(model.first().is_none_or(|&(t, _)| t > now));
                 }
-                // Cancel a random queued event (or a missing one).
+                // Re-post a queued event verbatim (squash-then-reuse).
                 7 => {
-                    if !model.is_empty() && next() % 4 != 0 {
-                        let (t, seq) = model.remove((next() % model.len() as u64) as usize);
-                        assert!(w.cancel(t, seq));
-                    } else {
-                        assert!(!w.cancel(now + 1 + next() % 300, 1 << 40));
+                    if !model.is_empty() {
+                        let e = model[(next() % model.len() as u64) as usize];
+                        q.post(e.0, e.1);
+                        insert(&mut model, e);
                     }
                 }
-                // Reschedule a random queued event.
+                // Snapshot and restore into a fresh queue at the floor a
+                // core restore uses (every queued event is in the future).
                 8 => {
-                    if !model.is_empty() {
-                        let i = (next() % model.len() as u64) as usize;
-                        let (t, seq) = model.remove(i);
-                        let nt = now + 1 + next() % 2_000;
-                        assert!(w.reschedule(t, nt, seq));
-                        let pos = model.partition_point(|&e| e < (nt, seq));
-                        model.insert(pos, (nt, seq));
-                    }
+                    let events = q.sorted_events();
+                    assert_eq!(events, model, "sorted form diverged at {step}");
+                    let mut r = EventQueue::new();
+                    assert!(r.restore(now + 1, &events));
+                    q = r;
                 }
                 // Pure observation.
                 _ => {
-                    assert_eq!(w.next_time(), model.first().map(|&(t, _)| t));
-                    assert_eq!(w.len(), model.len());
+                    assert_eq!(q.next_time(), model.first().map(|&(t, _)| t));
+                    assert_eq!(q.len(), model.len());
                 }
             }
         }
-        assert_eq!(w.sorted_events(), model, "final contents diverged");
+        assert_eq!(q.sorted_events(), model, "final contents diverged");
     }
 }

@@ -100,7 +100,7 @@ pub use config::{
 };
 pub use core::Core;
 pub use error::{PipelineError, StallSnapshot};
-pub use events::{EngineCounters, EventWheel, WakeSource};
+pub use events::{EngineCounters, EventQueue, WakeSource};
 pub use policy::{FixedLevelPolicy, WindowPolicy};
 pub use ready::ReadyRing;
 pub use stats::{CoreStats, CpiBucket, DeltaError, IntervalSample, StatsDelta, CPI_BUCKETS};

@@ -125,9 +125,13 @@ pub struct DynInst {
     /// Cycle the result is available to dependents (`Cycle::MAX` until
     /// known). Includes the issue-queue re-broadcast depth.
     pub value_ready_at: Cycle,
-    /// Cycle execution finishes and the instruction may commit.
+    /// Cycle execution finishes and the instruction may commit: it has
+    /// finished executing once `complete_at <= now`.
     pub complete_at: Cycle,
-    /// Execution finished.
+    /// Writeback has consumed this instruction's completion event. Only
+    /// branches post one, so this stays false for every other
+    /// instruction; it guards against resolving a branch twice when a
+    /// squashed instruction's stale event names the same `(time, seq)`.
     pub completed: bool,
     /// Dependents (by `dyn_seq`) waiting for this result.
     pub waiters: SeqList,

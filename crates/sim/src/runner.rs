@@ -57,9 +57,9 @@ pub const METRIC_RUN_KCPS: &str = "mlpwin_run_kcps";
 /// Gauge: the latest run's measured phase in million simulated
 /// instructions per wall-clock second.
 pub const METRIC_RUN_MIPS: &str = "mlpwin_run_mips";
-/// Counter of wake events posted into the core's scheduler wheels.
+/// Counter of wake events posted into the core's scheduler queues.
 pub const METRIC_EVENTS_POSTED: &str = "mlpwin_events_posted_total";
-/// Counter of wake events popped from the core's scheduler wheels.
+/// Counter of wake events popped from the core's scheduler queues.
 pub const METRIC_EVENTS_POPPED: &str = "mlpwin_events_popped_total";
 /// Counter of cycles the wake plan advanced in bulk instead of stepping.
 pub const METRIC_CYCLES_SKIPPED: &str = "mlpwin_cycles_skipped_total";

@@ -29,7 +29,11 @@ pub const METRIC_SNAPSHOT_CORRUPT: &str = "mlpwin_snapshot_corrupt_total";
 /// The snapshot file schema this build writes and reads. Bump on any
 /// incompatible frame or core-image layout change; an unknown schema is
 /// treated as corruption (quarantine + fall back), never a crash.
-pub const SNAPSHOT_SCHEMA: u32 = 2;
+///
+/// Schema 3: core images carry completion events for branches only, so
+/// a schema-2 build restoring one would never complete any other
+/// instruction.
+pub const SNAPSHOT_SCHEMA: u32 = 3;
 
 /// Leading magic of every snapshot file.
 const MAGIC: [u8; 8] = *b"MLPWSNAP";
@@ -194,7 +198,7 @@ impl SnapshotStore {
             let bytes = match std::fs::read(&path) {
                 Ok(bytes) => bytes,
                 Err(e) => {
-                    self.quarantine_with_warning(&path, &format!("read failed: {e}"));
+                    quarantine_with_warning(&path, &format!("read failed: {e}"));
                     continue;
                 }
             };
@@ -207,7 +211,7 @@ impl SnapshotStore {
                         path,
                     })
                 }
-                Err(detail) => self.quarantine_with_warning(&path, &detail),
+                Err(detail) => quarantine_with_warning(&path, &detail),
             }
         }
         None
@@ -218,20 +222,7 @@ impl SnapshotStore {
     /// quarantine — from load, restore, or replay — counts into
     /// [`METRIC_SNAPSHOT_CORRUPT`].
     pub fn quarantine(&self, path: &Path) {
-        metrics::counter_add(METRIC_SNAPSHOT_CORRUPT, 1);
-        let mut corrupt = path.as_os_str().to_owned();
-        corrupt.push(".corrupt");
-        if std::fs::rename(path, PathBuf::from(&corrupt)).is_err() {
-            std::fs::remove_file(path).ok();
-        }
-    }
-
-    fn quarantine_with_warning(&self, path: &Path, detail: &str) {
-        eprintln!(
-            "warning: snapshot {}: {detail}; quarantined, falling back",
-            path.display()
-        );
-        self.quarantine(path);
+        quarantine_file(path);
     }
 
     /// Deletes every (non-quarantined) snapshot of this spec — called
@@ -271,7 +262,31 @@ impl SnapshotStore {
     }
 }
 
+/// Moves a bad frame file aside (`<name>.corrupt`), or deletes it when
+/// the rename fails, counting it into [`METRIC_SNAPSHOT_CORRUPT`].
+fn quarantine_file(path: &Path) {
+    metrics::counter_add(METRIC_SNAPSHOT_CORRUPT, 1);
+    let mut corrupt = path.as_os_str().to_owned();
+    corrupt.push(".corrupt");
+    if std::fs::rename(path, PathBuf::from(&corrupt)).is_err() {
+        std::fs::remove_file(path).ok();
+    }
+}
+
+/// [`quarantine_file`] with a warning naming the failed check — shared
+/// with the split store, whose boundary frames use the same codec.
+pub(crate) fn quarantine_with_warning(path: &Path, detail: &str) {
+    eprintln!(
+        "warning: snapshot {}: {detail}; quarantined, falling back",
+        path.display()
+    );
+    quarantine_file(path);
+}
+
 // ---------------------------------------------------------------- framing
+
+/// Bytes of a frame before its payload.
+pub(crate) const FRAME_HEADER: usize = MAGIC.len() + 4 + 8 + 1 + 8 + 8;
 
 /// Frame layout (all integers little-endian):
 /// `magic[8] | schema u32 | spec_hash u64 | phase u8 | cycle u64 |
@@ -297,8 +312,7 @@ pub fn decode_frame(
     expect_hash: u64,
     bytes: &[u8],
 ) -> Result<(SnapshotPhase, u64, Vec<u8>), String> {
-    let header = MAGIC.len() + 4 + 8 + 1 + 8 + 8;
-    if bytes.len() < header + 4 {
+    if bytes.len() < FRAME_HEADER + 4 {
         return Err(format!("short file ({} bytes)", bytes.len()));
     }
     let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
@@ -306,25 +320,13 @@ pub fn decode_frame(
     if crc32(body) != recorded {
         return Err("CRC mismatch".to_string());
     }
-    if body[..MAGIC.len()] != MAGIC {
-        return Err("bad magic".to_string());
-    }
-    let mut at = MAGIC.len();
+    check_frame_header(expect_hash, body)?;
+    let mut at = MAGIC.len() + 4 + 8;
     let mut take = |n: usize| {
         let s = &body[at..at + n];
         at += n;
         s
     };
-    let schema = u32::from_le_bytes(take(4).try_into().expect("4 bytes"));
-    if schema != SNAPSHOT_SCHEMA {
-        return Err(format!(
-            "unknown schema {schema} (this build reads {SNAPSHOT_SCHEMA})"
-        ));
-    }
-    let hash = u64::from_le_bytes(take(8).try_into().expect("8 bytes"));
-    if hash != expect_hash {
-        return Err(format!("spec hash {hash:016x} is not {expect_hash:016x}"));
-    }
     let phase = SnapshotPhase::from_tag(take(1)[0]).ok_or("bad phase tag")?;
     let cycle = u64::from_le_bytes(take(8).try_into().expect("8 bytes"));
     let len = u64::from_le_bytes(take(8).try_into().expect("8 bytes"));
@@ -333,6 +335,30 @@ pub fn decode_frame(
         return Err(format!("payload length {} is not {len}", payload.len()));
     }
     Ok((phase, cycle, payload.to_vec()))
+}
+
+/// Checks a frame's magic, schema and spec hash from its first
+/// [`FRAME_HEADER`] bytes alone, so a file that another build or spec
+/// wrote is refused without reading its payload.
+pub(crate) fn check_frame_header(expect_hash: u64, head: &[u8]) -> Result<(), String> {
+    if head.len() < FRAME_HEADER {
+        return Err(format!("short file ({} bytes)", head.len()));
+    }
+    if head[..MAGIC.len()] != MAGIC {
+        return Err("bad magic".to_string());
+    }
+    let at = MAGIC.len();
+    let schema = u32::from_le_bytes(head[at..at + 4].try_into().expect("4 bytes"));
+    if schema != SNAPSHOT_SCHEMA {
+        return Err(format!(
+            "unknown schema {schema} (this build reads {SNAPSHOT_SCHEMA})"
+        ));
+    }
+    let hash = u64::from_le_bytes(head[at + 4..at + 12].try_into().expect("8 bytes"));
+    if hash != expect_hash {
+        return Err(format!("spec hash {hash:016x} is not {expect_hash:016x}"));
+    }
+    Ok(())
 }
 
 // ------------------------------------------------------------------ hooks

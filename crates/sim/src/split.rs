@@ -42,7 +42,10 @@ use crate::json::{num, s, Json};
 use crate::lock;
 use crate::metrics::{self, ScopedTimer};
 use crate::runner::{apply_spec_overrides, collect_result, RunResult, RunSpec};
-use crate::snapshot::{decode_frame, encode_frame, SnapshotPhase};
+use crate::snapshot::{
+    check_frame_header, decode_frame, encode_frame, quarantine_with_warning, SnapshotPhase,
+    FRAME_HEADER,
+};
 use mlpwin_ooo::{Core, CoreStats, LevelSpec, StatsDelta, WindowPolicy, CPI_BUCKETS};
 use mlpwin_workloads::{profiles, ProfileWorkload};
 use std::fs::{self, File, OpenOptions};
@@ -279,6 +282,29 @@ impl SplitStore {
         Ok((now, payload))
     }
 
+    /// Whether boundary `index`'s frame exists and its header names this
+    /// build's snapshot schema and this spec. A frame that exists but
+    /// fails (another build's, say) is quarantined like a bad snapshot,
+    /// so the caller re-sweeps instead of failing in phase 2.
+    fn boundary_header_ok(&self, index: u64) -> bool {
+        let path = self.boundary_path(index);
+        if !path.is_file() {
+            return false;
+        }
+        let mut head = [0u8; FRAME_HEADER];
+        let checked = File::open(&path)
+            .and_then(|mut f| f.read_exact(&mut head))
+            .map_err(|e| e.to_string())
+            .and_then(|()| check_frame_header(self.hash, &head));
+        match checked {
+            Ok(()) => true,
+            Err(detail) => {
+                quarantine_with_warning(&path, &detail);
+                false
+            }
+        }
+    }
+
     fn save_manifest(&self, spec: &RunSpec, m: &Manifest) -> Result<(), SimError> {
         let line = obj(vec![
             ("schema", num(SPLIT_SCHEMA)),
@@ -297,7 +323,8 @@ impl SplitStore {
 
     /// Loads and fully validates a stored manifest: schema, spec hash
     /// *and* full spec equality (the trust-no-hash rule), plus the
-    /// presence of every boundary frame. Any defect means "no sweep".
+    /// presence of every boundary frame with a header this build reads.
+    /// Any defect means "no sweep".
     fn load_manifest(&self, spec: &RunSpec) -> Option<Manifest> {
         let text = fs::read_to_string(self.manifest_path()).ok()?;
         let v = Json::parse(&text).ok()?;
@@ -323,7 +350,7 @@ impl SplitStore {
             final_insts: v.get("final_insts")?.as_u64()?,
         };
         for i in 0..m.boundary_now.len() as u64 {
-            if !self.boundary_path(i).is_file() {
+            if !self.boundary_header_ok(i) {
                 return None;
             }
         }

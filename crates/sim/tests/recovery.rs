@@ -10,6 +10,7 @@
 
 use mlpwin_sim::runner::{run_matrix_with, run_recoverable, FaultSpec, RunSpec};
 use mlpwin_sim::snapshot::{SnapshotPolicy, SnapshotStore};
+use mlpwin_sim::split::{run_split, SplitConfig};
 use mlpwin_sim::supervisor::SuperviseOutcome;
 use mlpwin_sim::{signals, spec_hash, Journal, MatrixConfig, SimModel, Supervisor};
 use std::path::{Path, PathBuf};
@@ -280,6 +281,147 @@ fn corrupt_snapshot_heals_to_an_older_generation_or_fresh_start() {
             .filter_map(|e| e.ok())
             .any(|e| e.file_name().to_string_lossy().ends_with(".corrupt")),
         "the corrupt file must be quarantined"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The schema this build's predecessor wrote; its core images carry
+/// completion events for every instruction rather than branches only.
+const OLD_SNAPSHOT_SCHEMA: u32 = 2;
+
+/// Rewrites a snapshot frame as an intact frame of the old schema: the
+/// schema field changes and the CRC is recomputed, so only the schema
+/// check can refuse it.
+fn downgrade_frame(path: &Path) {
+    assert_ne!(OLD_SNAPSHOT_SCHEMA, mlpwin_sim::SNAPSHOT_SCHEMA);
+    let mut bytes = std::fs::read(path).expect("read frame");
+    bytes[8..12].copy_from_slice(&OLD_SNAPSHOT_SCHEMA.to_le_bytes());
+    let body = bytes.len() - 4;
+    let crc = mlpwin_isa::snap::crc32(&bytes[..body]);
+    bytes[body..].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(path, bytes).expect("rewrite frame");
+}
+
+fn corrupt_counter() -> u64 {
+    mlpwin_sim::metrics::flush();
+    mlpwin_sim::metrics::global()
+        .snapshot()
+        .counters
+        .get(mlpwin_sim::snapshot::METRIC_SNAPSHOT_CORRUPT)
+        .copied()
+        .unwrap_or(0)
+}
+
+/// Files under `dir` (recursively) whose name ends with `suffix`.
+fn files_ending(dir: &Path, suffix: &str) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("read dir").flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            out.extend(files_ending(&path, suffix));
+        } else if path.to_string_lossy().ends_with(suffix) {
+            out.push(path);
+        }
+    }
+    out.sort();
+    out
+}
+
+/// Journal bytes of one result appended to a fresh journal.
+fn journal_of(dir: &Path, name: &str, spec: &RunSpec, result: &mlpwin_sim::RunResult) -> Vec<u8> {
+    let path = dir.join(name);
+    Journal::new(&path)
+        .append(spec, result)
+        .expect("journal append");
+    std::fs::read(&path).expect("journal written")
+}
+
+#[test]
+fn old_schema_snapshots_are_quarantined_and_the_rerun_journal_is_identical() {
+    let _guard = SIGNAL_LOCK.lock().expect("signal lock");
+    let dir = scratch("old-schema");
+    let policy = SnapshotPolicy::in_dir(dir.join("snaps")).every(250);
+    let spec = RunSpec::new("libquantum", SimModel::Runahead).with_budget(1_500, 2_500);
+
+    signals::reset();
+    signals::request_interrupt();
+    let _ = std::panic::catch_unwind(|| run_recoverable(&spec, &policy));
+    signals::reset();
+
+    let frames = files_ending(&dir.join("snaps"), ".snap");
+    assert!(!frames.is_empty(), "the interrupted run left no snapshot");
+    for frame in &frames {
+        downgrade_frame(frame);
+    }
+
+    mlpwin_sim::metrics::set_telemetry(true);
+    let before = corrupt_counter();
+    let rerun = run_recoverable(&spec, &policy).expect("rerun completes");
+    let after = corrupt_counter();
+    mlpwin_sim::metrics::set_telemetry(false);
+
+    assert_eq!(
+        after,
+        before + frames.len() as u64,
+        "every old-schema snapshot must be counted as quarantined"
+    );
+    assert_eq!(
+        files_ending(&dir.join("snaps"), ".corrupt").len(),
+        frames.len(),
+        "every old-schema snapshot must be moved aside"
+    );
+    let reference = mlpwin_sim::runner::run(&spec).expect("reference run");
+    assert_eq!(
+        journal_of(&dir, "rerun.jsonl", &spec, &rerun),
+        journal_of(&dir, "reference.jsonl", &spec, &reference),
+        "the rerun must journal byte-identically to a clean run"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn old_schema_split_boundary_is_quarantined_and_the_rerun_journal_is_identical() {
+    let _guard = SIGNAL_LOCK.lock().expect("signal lock");
+    let dir = scratch("old-schema-split");
+    let spec = RunSpec::new("mcf", SimModel::Dynamic).with_budget(2_000, 6_000);
+    let cfg = SplitConfig::new(44_000);
+    let first = run_split(&spec, &cfg, &dir.join("store")).expect("first split");
+    assert!(
+        first.n_intervals >= 3,
+        "the run must split into several intervals"
+    );
+
+    // An old build's boundary frame, and no cached interval results, so
+    // the rerun must either use the stored frames or re-sweep.
+    let boundary = files_ending(&dir.join("store"), "b000001.snap");
+    assert_eq!(boundary.len(), 1, "one store, one boundary 1 frame");
+    downgrade_frame(&boundary[0]);
+    for journal in files_ending(&dir.join("store"), "intervals.jsonl") {
+        std::fs::remove_file(journal).expect("drop cached intervals");
+    }
+
+    mlpwin_sim::metrics::set_telemetry(true);
+    let before = corrupt_counter();
+    let rerun = run_split(&spec, &cfg, &dir.join("store")).expect("rerun split");
+    let after = corrupt_counter();
+    mlpwin_sim::metrics::set_telemetry(false);
+
+    assert_eq!(after, before + 1, "the old-schema boundary must be counted");
+    assert!(
+        !rerun.sweep_reused,
+        "a store with a refused frame is re-swept"
+    );
+    assert_eq!(
+        files_ending(&dir.join("store"), "b000001.snap.corrupt").len(),
+        1,
+        "the old-schema boundary must be moved aside"
+    );
+    let reference = mlpwin_sim::runner::run(&spec).expect("reference run");
+    let stitched = rerun.result.as_ref().expect("exact mode yields a result");
+    assert_eq!(
+        journal_of(&dir, "rerun.jsonl", &spec, stitched),
+        journal_of(&dir, "reference.jsonl", &spec, &reference),
+        "the re-swept split must journal byte-identically to a serial run"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
