@@ -24,6 +24,11 @@ env -u MLPWIN_NO_FAST_FORWARD MLPWIN_EVENT_DRIVEN=1 cargo test -q -p mlpwin --te
 echo "==> cargo test -q --features trace (event-trace hooks)"
 cargo test -q -p mlpwin-ooo --features trace
 
+echo "==> golden digests with the trace hooks compiled in"
+# The hooks sit inside the commit and issue stages; compiling them in
+# must not move a single journal byte.
+cargo test -q -p mlpwin --features trace --test golden_digests
+
 echo "==> mlpwin-bench --smoke (BENCH.json schema gate)"
 cargo run --release -q -p mlpwin-bench --bin mlpwin-bench -- --smoke --out results/BENCH_smoke.json
 

@@ -4,13 +4,14 @@
 //! (writeback → commit → resize → issue → dispatch → fetch) so that
 //! same-cycle hand-offs resolve like hardware's.
 //!
-//! The reorder buffer is the spine: a `VecDeque<DynInst>` in allocation
-//! order whose entries fuse ROB, issue-queue and LSQ state. Dynamic
-//! sequence numbers are assigned at dispatch, so they are contiguous
-//! within the ROB and `dyn_seq - head.dyn_seq` indexes it directly.
+//! The reorder buffer is the spine: a [`Rob`] ring in allocation order
+//! whose entries fuse ROB, issue-queue and LSQ state. Dynamic sequence
+//! numbers are assigned at dispatch, so they are contiguous within the
+//! ROB: `dyn_seq - head` ranks an entry and `dyn_seq mod N` is its slot.
 //!
-//! The hot path is allocation-free: the ROB deque is pre-sized to the
-//! largest configured level (it never reallocates), the ready set is a
+//! The hot path is allocation-free: ROB slots are recycled in place
+//! (dispatch re-initializes the tail slot, retire reads the head slot
+//! where it sits), the ready set is a
 //! packed bitmap over ROB slots ([`ReadyRing`]) walked in place by the
 //! select loop, and blocked loads rotate through a pre-sorted deque.
 //! When the pipeline is provably inert — dispatch blocked, nothing
@@ -28,6 +29,7 @@ use crate::lsq::{LoadCheck, Lsq};
 use crate::policy::WindowPolicy;
 use crate::ready::ReadyRing;
 use crate::rename::RenameMap;
+use crate::rob::Rob;
 use crate::runahead::{CauseStatusTable, RaLookup, RunaheadCache};
 use crate::stats::{CoreStats, CpiBucket, IntervalSample, CPI_BUCKETS};
 #[cfg(feature = "trace")]
@@ -93,6 +95,13 @@ struct Episode {
     l2_misses: u32,
 }
 
+/// Operand-ready wakeups due at most this many cycles after they are
+/// posted ride `Core::ready_lane` instead of the heap. Four covers the
+/// short latencies that dominate posts — L1 hits, multiplies and FP
+/// operations, depth-2 and depth-3 issue queues — while keeping the
+/// lane, which `issue` scans every cycle, short.
+const LANE_HORIZON: Cycle = 4;
+
 /// Zeroed statistics shaped for `config`'s level ladder.
 fn fresh_stats(config: &CoreConfig) -> CoreStats {
     CoreStats {
@@ -118,21 +127,21 @@ pub struct Core<W> {
     now: Cycle,
     level: usize,
     next_dyn: DynSeq,
-    rob: VecDeque<DynInst>,
+    rob: Rob,
     iq_occ: usize,
     lsq: Lsq,
     rename: RenameMap,
     fu: FuPool,
 
-    /// (ready_time, seq) of instructions whose operands will be ready two
-    /// or more cycles out — a heap whose head doubles as the
-    /// fast-forward's operand-wakeup bound.
+    /// (ready_time, seq) of instructions whose operands will be ready
+    /// more than [`LANE_HORIZON`] cycles out — a heap whose head doubles
+    /// as the fast-forward's operand-wakeup bound.
     pending_ready: EventQueue,
-    /// (ready_time, seq) operand-ready events due exactly one cycle after
-    /// they were posted — most of them. The top of `issue` promotes the
-    /// entries due that cycle and keeps the rest (a commit-stage
-    /// `force_inv` posts for the cycle after). Promotion sets a bit in
-    /// the age-ordered ready ring, so the lane needs no order.
+    /// (ready_time, seq) operand-ready events due at most
+    /// [`LANE_HORIZON`] cycles after they were posted — nearly all of
+    /// them. The top of `issue` promotes the entries due that cycle and
+    /// keeps the rest. Promotion sets a bit in the age-ordered ready
+    /// ring, so the lane needs no order.
     ready_lane: Vec<(Cycle, DynSeq)>,
     /// Instructions ready to issue now; the select loop walks the ring
     /// in place, oldest first.
@@ -283,7 +292,7 @@ impl<W: Workload> Core<W> {
             now: 0,
             level: 0,
             next_dyn: 1,
-            rob: VecDeque::with_capacity(max_rob),
+            rob: Rob::with_capacity(max_rob),
             iq_occ: 0,
             lsq: Lsq::new(),
             rename: RenameMap::new(),
@@ -597,7 +606,7 @@ impl<W: Workload> Core<W> {
     ///
     /// The next-event bound comes from [`next_wake`](Core::next_wake) —
     /// the typed plan over every wake-up source: the two event queues'
-    /// heads, the next-cycle lane, the ROB head's completion, the
+    /// heads, the short-latency lane, the ROB head's completion, the
     /// runahead episode end, the allocation stall's
     /// expiry, fetch's own resume time, the policy's quiet horizon, the
     /// interval/snapshot epoch boundaries, the watchdog / deadline trip
@@ -693,7 +702,7 @@ impl<W: Workload> Core<W> {
     /// each re-scanning the state ad hoc.
     ///
     /// The per-instruction sources are the two event queues' heads, the
-    /// next-cycle lane and the ROB head's completion time; the rest are
+    /// short-latency lane and the ROB head's completion time; the rest are
     /// scalar horizons folded in directly (posting them as queue entries
     /// would mean re-posting every time one moves, for no gain — the
     /// fold *is* the pop). In event-driven mode
@@ -788,7 +797,7 @@ impl<W: Workload> Core<W> {
     }
 
     /// Event-engine telemetry: event-queue traffic (heap posts only; the
-    /// next-cycle lane is not counted) and the
+    /// short-latency lane is not counted) and the
     /// skipped-versus-stepped cycle split over the core's lifetime
     /// (warm-up included). Host-side diagnostics, deliberately outside
     /// [`CoreStats`] and the snapshot image — like `ff_cycles` — so A/B
@@ -1001,7 +1010,7 @@ impl<W: Workload> Core<W> {
         self.rename.save_state(w);
         self.fu.save_state(w);
         // The event queues travel as sorted (time, seq) pairs, the
-        // next-cycle lane merged in as ordinary pending-ready events.
+        // short-latency lane merged in as ordinary pending-ready events.
         let mut pending = self.pending_ready.sorted_events();
         pending.extend_from_slice(&self.ready_lane);
         pending.sort_unstable();
@@ -1068,6 +1077,18 @@ impl<W: Workload> Core<W> {
         if rob.len() > self.cfg.max_level_spec().rob {
             return Err(SnapError::Mismatch {
                 what: "ROB occupancy vs capacity",
+            });
+        }
+        // The ring places each entry by its sequence number, so the
+        // entries must be consecutive and end right below `next_dyn`.
+        let contiguous = rob
+            .iter()
+            .rev()
+            .zip(1u64..)
+            .all(|(d, back)| self.next_dyn.checked_sub(back) == Some(d.dyn_seq));
+        if !contiguous {
+            return Err(SnapError::Mismatch {
+                what: "ROB sequence numbers",
             });
         }
         self.rob.clear();
@@ -1154,20 +1175,6 @@ impl<W: Workload> Core<W> {
 
     // ------------------------------------------------------------ helpers
 
-    fn rob_idx(&self, seq: DynSeq) -> Option<usize> {
-        let front = self.rob.front()?.dyn_seq;
-        if seq < front {
-            return None;
-        }
-        let i = (seq - front) as usize;
-        if i < self.rob.len() {
-            debug_assert_eq!(self.rob[i].dyn_seq, seq);
-            Some(i)
-        } else {
-            None
-        }
-    }
-
     fn iq_depth(&self) -> u32 {
         self.cfg.levels[self.level].iq_depth
     }
@@ -1179,19 +1186,20 @@ impl<W: Workload> Core<W> {
     /// Announces a producer's result time/validity to its waiters. Safe
     /// to call again with an earlier time (runahead INV override).
     fn notify_waiters(&mut self, producer: DynSeq) {
-        let Some(p_idx) = self.rob_idx(producer) else {
+        let Some(p_idx) = self.rob.idx(producer) else {
             return;
         };
-        let value_ready = self.rob[p_idx].value_ready_at;
-        let inv = self.rob[p_idx].inv;
-        // Take-then-restore instead of cloning: the loop never touches
-        // the producer's own waiter list (waiters are only appended at
-        // rename), and the list must survive for re-notification.
-        let waiters = std::mem::take(&mut self.rob[p_idx].waiters);
-        for w in waiters.iter() {
-            // One deque indexing per waiter: every field access below
-            // goes through this borrow.
-            let Some(i) = self.rob_idx(w) else { continue };
+        let p = &self.rob[p_idx];
+        let value_ready = p.value_ready_at;
+        let inv = p.inv;
+        // Walk the list by position: the loop never appends to the
+        // producer's own list (waiters are only appended at rename), and
+        // the list must survive for re-notification.
+        for k in 0..p.waiters.len() {
+            let w = self.rob[p_idx].waiters.get(k);
+            // One ROB lookup per waiter: every field access below goes
+            // through this borrow.
+            let Some(i) = self.rob.idx(w) else { continue };
             let d = &mut self.rob[i];
             if d.issued {
                 continue;
@@ -1213,18 +1221,18 @@ impl<W: Workload> Core<W> {
                 self.post_ready(rt, w);
             }
         }
-        self.rob[p_idx].waiters = waiters;
     }
 
-    /// Queues an operand-ready promotion: one due next cycle rides the
-    /// lane, a later one the heap. Every post is strictly in the future.
+    /// Queues an operand-ready promotion: one due within
+    /// [`LANE_HORIZON`] cycles rides the lane, a later one the heap.
+    /// Every post is strictly in the future.
     fn post_ready(&mut self, t: Cycle, seq: DynSeq) {
         debug_assert!(
             t > self.now,
             "operand-ready post at {t} not after {}",
             self.now
         );
-        if t == self.now + 1 {
+        if t - self.now <= LANE_HORIZON {
             self.ready_lane.push((t, seq));
         } else {
             self.pending_ready.post(t, seq);
@@ -1235,7 +1243,7 @@ impl<W: Workload> Core<W> {
     /// describes it: stale events (a squashed instruction's, or a time a
     /// runahead INV override lowered) no longer match its `ready_time`.
     fn promote(&mut self, t: Cycle, seq: DynSeq) {
-        if let Some(i) = self.rob_idx(seq) {
+        if let Some(i) = self.rob.idx(seq) {
             let d = &self.rob[i];
             if !d.issued && d.unresolved_srcs == 0 && d.ready_time == t {
                 self.ready.insert(seq);
@@ -1247,7 +1255,7 @@ impl<W: Workload> Core<W> {
 
     fn writeback(&mut self, now: Cycle) {
         while let Some((t, seq)) = self.completions.pop_due(now) {
-            let Some(i) = self.rob_idx(seq) else { continue };
+            let Some(i) = self.rob.idx(seq) else { continue };
             let d = &mut self.rob[i];
             if d.completed || d.complete_at != t {
                 continue; // squash-then-reuse or stale event
@@ -1293,6 +1301,7 @@ impl<W: Workload> Core<W> {
 
     fn squash_younger(&mut self, seq: DynSeq) {
         while self.rob.back().is_some_and(|d| d.dyn_seq > seq) {
+            // Read the vacated tail slot in place.
             let d = self.rob.pop_back().expect("checked non-empty");
             if let Some((reg, prev)) = d.prev_map {
                 self.rename.rollback(reg, prev);
@@ -1313,7 +1322,7 @@ impl<W: Workload> Core<W> {
             s = r + 1;
         }
         // Reuse the squashed sequence numbers so ROB dyn_seqs stay
-        // contiguous (rob_idx relies on it). Stale heap entries naming a
+        // contiguous (the ROB ring relies on it). Stale heap entries naming a
         // reused seq are filtered: completions check complete_at and
         // pending_ready checks ready_time against the live instruction.
         self.next_dyn = seq + 1;
@@ -1389,6 +1398,7 @@ impl<W: Workload> Core<W> {
     }
 
     fn retire_head(&mut self, now: Cycle, in_runahead: bool) {
+        // The vacated head slot is read in place: nothing below pushes.
         let d = self.rob.pop_front().expect("retire from empty ROB");
         if d.in_iq {
             self.iq_occ -= 1;
@@ -1423,6 +1433,7 @@ impl<W: Workload> Core<W> {
         }
 
         debug_assert!(!d.wrong_path, "wrong-path instruction reached commit");
+        let trace_seq = d.trace_seq;
         self.last_commit_cycle = now;
         self.stats.committed_insts += 1;
         self.total_committed += 1;
@@ -1440,18 +1451,15 @@ impl<W: Workload> Core<W> {
             OpClass::Store => {
                 self.stats.committed_stores += 1;
                 // The store retires to the cache hierarchy now.
-                if let Some(m) = &d.inst.mem {
-                    let r = self.mem.access(
-                        AccessKind::Store,
-                        d.inst.pc,
-                        m.addr,
-                        now,
-                        PathKind::Correct,
-                    );
+                if let Some(m) = d.inst.mem {
+                    let pc = d.inst.pc;
+                    let r = self
+                        .mem
+                        .access(AccessKind::Store, pc, m.addr, now, PathKind::Correct);
                     if r.l2_demand_miss {
                         self.l2_miss_events += 1;
                         #[cfg(feature = "trace")]
-                        self.trace_llc_miss(now, d.inst.pc, m.addr);
+                        self.trace_llc_miss(now, pc, m.addr);
                     }
                 }
             }
@@ -1466,7 +1474,7 @@ impl<W: Workload> Core<W> {
             }
             _ => {}
         }
-        if let Some(ts) = d.trace_seq {
+        if let Some(ts) = trace_seq {
             self.front.retire_below(ts + 1);
         }
     }
@@ -1496,7 +1504,7 @@ impl<W: Workload> Core<W> {
     /// Marks an instruction's result INV and available immediately,
     /// re-notifying dependents that were promised a later time.
     fn force_inv(&mut self, seq: DynSeq, now: Cycle) {
-        let Some(i) = self.rob_idx(seq) else { return };
+        let Some(i) = self.rob.idx(seq) else { return };
         self.rob[i].inv = true;
         self.rob[i].value_ready_at = now + 1;
         self.rob[i].complete_at = now;
@@ -1634,7 +1642,7 @@ impl<W: Workload> Core<W> {
         // allocation or re-sort.
         for _ in 0..self.blocked_loads.len() {
             let seq = self.blocked_loads.pop_front().expect("len-bounded pop");
-            let Some(i) = self.rob_idx(seq) else { continue };
+            let Some(i) = self.rob.idx(seq) else { continue };
             let m = self.rob[i].inst.mem.expect("blocked entry is a load");
             match self.lsq.check_load(seq, &m) {
                 LoadCheck::Blocked => self.blocked_loads.push_back(seq),
@@ -1664,7 +1672,7 @@ impl<W: Workload> Core<W> {
                 break;
             };
             cursor = seq + 1;
-            let Some(i) = self.rob_idx(seq) else {
+            let Some(i) = self.rob.idx(seq) else {
                 self.ready.remove(seq);
                 continue;
             };
@@ -1759,7 +1767,7 @@ impl<W: Workload> Core<W> {
 
     fn mark_issued(&mut self, seq: DynSeq, now: Cycle) {
         self.stats.issued_total += 1;
-        let i = self.rob_idx(seq).expect("issuing a live instruction");
+        let i = self.rob.idx(seq).expect("issuing a live instruction");
         let d = &mut self.rob[i];
         debug_assert!(!d.issued);
         d.issued = true;
@@ -1772,7 +1780,7 @@ impl<W: Workload> Core<W> {
 
     /// Executes a load whose disambiguation check allowed it to proceed.
     fn perform_load(&mut self, seq: DynSeq, now: Cycle, check: LoadCheck) {
-        let i = self.rob_idx(seq).expect("load is live");
+        let i = self.rob.idx(seq).expect("load is live");
         let m = self.rob[i].inst.mem.expect("load has a memref");
         let pc = self.rob[i].inst.pc;
         let wrong_path = self.rob[i].wrong_path;
@@ -1783,7 +1791,8 @@ impl<W: Workload> Core<W> {
         let (value_ready, inv, mem_latency, l2_miss) = match check {
             LoadCheck::Forward(store_seq) => {
                 let store_inv = self
-                    .rob_idx(store_seq)
+                    .rob
+                    .idx(store_seq)
                     .map(|si| self.rob[si].inv)
                     .unwrap_or(false);
                 (now + l1_hit.max(depth), store_inv, l1_hit as u32, false)
@@ -1921,39 +1930,28 @@ impl<W: Workload> Core<W> {
     fn rename_and_insert(&mut self, fetched: FetchedInst, now: Cycle) {
         let seq = self.next_dyn;
         self.next_dyn += 1;
-        let mut d = DynInst::new(
-            seq,
-            fetched.trace_seq,
-            fetched.inst,
-            fetched.wrong_path,
-            fetched.fetched_at,
-        );
-        d.bp_outcome = fetched.bp_outcome;
-        d.mispredicted = d
-            .bp_outcome
-            .as_ref()
-            .map(|o| o.mispredicted)
-            .unwrap_or(false);
         self.stats.dispatched_total += 1;
-        if d.wrong_path {
+        if fetched.wrong_path {
             self.stats.wrongpath_dispatched += 1;
         }
 
         // Rename sources.
-        let srcs = d.inst.srcs;
-        for (s, src) in srcs.iter().enumerate() {
+        let mut src_producers = [None, None];
+        let mut src_ready = [0, 0];
+        let mut src_inv = [false, false];
+        let mut unresolved_srcs = 0;
+        for (s, src) in fetched.inst.srcs.iter().enumerate() {
             let Some(reg) = src else { continue };
             match self.rename.producer(*reg) {
                 None => {
-                    d.src_ready[s] = 0;
-                    d.src_inv[s] = self.arch_inv[reg.index()];
+                    src_inv[s] = self.arch_inv[reg.index()];
                 }
                 Some(p) => {
-                    d.src_producers[s] = Some(p);
-                    match self.rob_idx(p) {
+                    src_producers[s] = Some(p);
+                    match self.rob.idx(p) {
                         Some(pi) if self.rob[pi].value_ready_at != Cycle::MAX => {
-                            d.src_ready[s] = self.rob[pi].value_ready_at;
-                            d.src_inv[s] = self.rob[pi].inv;
+                            src_ready[s] = self.rob[pi].value_ready_at;
+                            src_inv[s] = self.rob[pi].inv;
                             // Still register as a waiter: a runahead
                             // force-INV can lower the producer's ready
                             // time after the fact, and the re-notification
@@ -1961,14 +1959,13 @@ impl<W: Workload> Core<W> {
                             self.rob[pi].waiters.push(seq);
                         }
                         Some(pi) => {
-                            d.src_ready[s] = Cycle::MAX;
-                            d.unresolved_srcs += 1;
+                            src_ready[s] = Cycle::MAX;
+                            unresolved_srcs += 1;
                             self.rob[pi].waiters.push(seq);
                         }
                         None => {
                             // Producer left the ROB between map update and
                             // commit-clear: value is architectural.
-                            d.src_ready[s] = 0;
                         }
                     }
                 }
@@ -1976,23 +1973,41 @@ impl<W: Workload> Core<W> {
         }
 
         // Rename destination.
-        if let Some(dest) = d.inst.dest {
-            let prev = self.rename.define(dest, seq);
-            d.prev_map = Some((dest.index(), prev));
-        }
+        let prev_map = fetched
+            .inst
+            .dest
+            .map(|dest| (dest.index(), self.rename.define(dest, seq)));
 
         // Enter the window resources.
-        d.in_iq = true;
         self.iq_occ += 1;
-        if let Some(m) = d.inst.mem {
-            self.lsq.allocate(seq, d.inst.op == OpClass::Store, m);
+        if let Some(m) = fetched.inst.mem {
+            self.lsq.allocate(seq, fetched.inst.op == OpClass::Store, m);
         }
-        if d.unresolved_srcs == 0 {
-            let rt = d.src_ready[0].max(d.src_ready[1]).max(now + 1);
-            d.ready_time = rt;
-            self.post_ready(rt, seq);
+        let mut ready_time = 0;
+        if unresolved_srcs == 0 {
+            ready_time = src_ready[0].max(src_ready[1]).max(now + 1);
+            self.post_ready(ready_time, seq);
         }
-        self.rob.push_back(d);
+
+        // Recycle the tail slot in place: no record is built and moved.
+        let mispredicted = fetched.bp_outcome.as_ref().is_some_and(|o| o.mispredicted);
+        let d = self.rob.push_back(seq);
+        d.reset(
+            seq,
+            fetched.trace_seq,
+            fetched.inst,
+            fetched.wrong_path,
+            fetched.fetched_at,
+        );
+        d.bp_outcome = fetched.bp_outcome;
+        d.mispredicted = mispredicted;
+        d.src_producers = src_producers;
+        d.src_ready = src_ready;
+        d.src_inv = src_inv;
+        d.unresolved_srcs = unresolved_srcs;
+        d.ready_time = ready_time;
+        d.prev_map = prev_map;
+        d.in_iq = true;
     }
 }
 
@@ -2338,6 +2353,31 @@ mod tests {
         other
             .restore(&bytes)
             .expect_err("geometry mismatch must fail");
+
+        // A `next_dyn` (bytes 16..24) that no longer sits right above the
+        // ROB's youngest entry breaks the ring's sequence indexing.
+        let rob_len = u64::from_le_bytes(bytes[24..32].try_into().expect("8 bytes"));
+        assert!(rob_len > 0, "the image must hold a live window");
+        let mut bumped = bytes.clone();
+        let next_dyn = u64::from_le_bytes(bumped[16..24].try_into().expect("8 bytes"));
+        bumped[16..24].copy_from_slice(&(next_dyn + 7).to_le_bytes());
+        let w = profiles::by_name("gcc", 7).expect("profile");
+        let mut core3 = Core::new(
+            CoreConfig {
+                snapshot_cycles: Some(1_000),
+                ..CoreConfig::default()
+            },
+            w,
+            Box::new(FixedLevelPolicy::new(0)),
+        );
+        assert_eq!(
+            core3
+                .restore(&bumped)
+                .expect_err("bumped next_dyn must fail"),
+            SnapError::Mismatch {
+                what: "ROB sequence numbers"
+            }
+        );
     }
 
     #[test]
@@ -2372,7 +2412,7 @@ mod tests {
             let woken: Vec<DynSeq> = waiters
                 .into_iter()
                 .filter(|&seq| {
-                    core.rob_idx(seq).is_some_and(|i| {
+                    core.rob.idx(seq).is_some_and(|i| {
                         let d = &core.rob[i];
                         !d.issued && d.unresolved_srcs == 0 && d.ready_time == t + 1
                     })
@@ -2387,7 +2427,8 @@ mod tests {
             core.step();
             for &seq in &woken {
                 let promoted = core
-                    .rob_idx(seq)
+                    .rob
+                    .idx(seq)
                     .is_none_or(|i| core.rob[i].issued || core.ready.contains(seq));
                 assert!(promoted, "cycle {}: {seq} was not promoted", t + 1);
             }
@@ -2402,17 +2443,23 @@ mod tests {
         let mut core = Core::new(CoreConfig::default(), w, Box::new(FixedLevelPolicy::new(0)));
         core.run_warmup(3_000).expect("warm-up must not stall");
         core.arm_run(6_000);
-        loop {
+        let mut found = false;
+        while core.stats.committed_insts < core.commit_stop {
             core.step();
             core.check_progress()
                 .expect("healthy profile must not stall");
+            // A lane entry more than one cycle out exercises the full
+            // horizon, not just next-cycle wakeups.
+            let now = core.now;
             if core.stats.cycles > 500
-                && !core.ready_lane.is_empty()
+                && core.ready_lane.iter().any(|&(t, _)| t > now + 1)
                 && !core.completions.is_empty()
             {
+                found = true;
                 break;
             }
         }
+        assert!(found, "no step left a multi-cycle lane entry and a branch");
         let bytes = core.snapshot();
         let queued = core.pending_ready.len() + core.ready_lane.len();
         let reference = core.resume_run().expect("reference run must finish");

@@ -1,9 +1,9 @@
 //! The core's event queue: a binary min-heap over `(cycle, dyn_seq)`
 //! wake-up events.
 //!
-//! The scheduler keeps two of these: operand-ready promotions due two
-//! or more cycles out (next-cycle promotions ride a plain lane in the
-//! core instead), and branch completions. The stall fast-forward reads
+//! The scheduler keeps two of these: operand-ready promotions due more
+//! than the core's `LANE_HORIZON` cycles out (short-latency promotions
+//! ride a plain lane in the core instead), and branch completions. The stall fast-forward reads
 //! their [`next_time`](EventQueue::next_time) as two legs of its
 //! next-event bound, so single-step pops and bulk skips share one
 //! source of truth for "when does the pipeline wake next".
@@ -22,7 +22,8 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Every distinct wake-up source the scheduler tracks. The event queues,
-/// the next-cycle lane and the ROB head carry the first two; the rest
+/// the short-latency ready lane and the ROB head carry the first two;
+/// the rest
 /// are scalar horizons the
 /// [`next_wake`](crate::core::Core::next_wake) plan folds in. Carried
 /// alongside the bound so telemetry can say *what* ends each coast.
@@ -115,8 +116,8 @@ impl WakeSource {
 /// steps). Host-side diagnostics — never part of stats or snapshots.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineCounters {
-    /// Events posted into both event queues (the next-cycle lane is not
-    /// a queue and is not counted).
+    /// Events posted into both event queues (the short-latency ready
+    /// lane is not a queue and is not counted).
     pub events_posted: u64,
     /// Events popped from both event queues.
     pub events_popped: u64,

@@ -90,6 +90,7 @@ pub mod lsq;
 pub mod policy;
 pub mod ready;
 pub mod rename;
+mod rob;
 pub mod runahead;
 pub mod stats;
 pub mod trace;

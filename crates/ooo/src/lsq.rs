@@ -243,6 +243,13 @@ impl Lsq {
                 issued,
             })
         })?;
+        // `allocate` asserts program order; a restored queue must meet it
+        // too, since the disambiguation scan and squash rely on it.
+        if entries.windows(2).any(|p| p[0].dyn_seq >= p[1].dyn_seq) {
+            return Err(SnapError::Mismatch {
+                what: "LSQ program order",
+            });
+        }
         self.clear();
         for e in entries {
             if e.is_store {
@@ -401,5 +408,29 @@ mod tests {
         q.allocate(1, true, MemRef::new(0x13c, 8)); // spans 0x100 and 0x140 granules
         assert_eq!(q.check_load(2, &MemRef::new(0x140, 4)), LoadCheck::Blocked);
         assert_eq!(q.check_load(3, &MemRef::new(0x138, 8)), LoadCheck::Blocked);
+    }
+
+    #[test]
+    fn restore_rejects_out_of_order_entries() {
+        let mut q = Lsq::new();
+        q.allocate(4, true, m(0x100));
+        q.allocate(9, false, m(0x200));
+        let mut w = SnapWriter::with_capacity(64);
+        q.save_state(&mut w);
+        let mut bytes = w.into_bytes();
+        let mut fresh = Lsq::new();
+        fresh
+            .load_state(&mut SnapReader::new(&bytes))
+            .expect("in-order image restores");
+        assert_eq!(fresh.occupancy(), 2);
+        // Give the second entry (after the 8-byte count and the first
+        // entry's 19 bytes) the first entry's seq.
+        bytes[27..35].copy_from_slice(&4u64.to_le_bytes());
+        assert_eq!(
+            Lsq::new().load_state(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Mismatch {
+                what: "LSQ program order"
+            })
+        );
     }
 }

@@ -45,6 +45,20 @@ impl SeqList {
         self.inline_len == 0
     }
 
+    /// The waiter at `pos` in insertion order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos >= self.len()`.
+    #[inline]
+    pub fn get(&self, pos: usize) -> DynSeq {
+        if pos < self.inline_len as usize {
+            self.inline[pos]
+        } else {
+            self.spill[pos - SeqList::INLINE]
+        }
+    }
+
     /// Iterates the waiters in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = DynSeq> + '_ {
         self.inline[..self.inline_len as usize]
@@ -200,6 +214,50 @@ impl DynInst {
             prev_map: None,
             inv: false,
         }
+    }
+
+    /// Re-initializes a recycled ROB slot to the state
+    /// [`DynInst::new`] builds, field by field and in place, so
+    /// dispatch never builds a record and moves it into the ROB.
+    pub fn reset(
+        &mut self,
+        dyn_seq: DynSeq,
+        trace_seq: Option<SeqNum>,
+        inst: Instruction,
+        wrong_path: bool,
+        fetched_at: Cycle,
+    ) {
+        self.mem_state = if inst.op.is_mem() {
+            MemState::Waiting
+        } else {
+            MemState::None
+        };
+        self.dyn_seq = dyn_seq;
+        self.trace_seq = trace_seq;
+        self.inst = inst;
+        self.wrong_path = wrong_path;
+        self.fetched_at = fetched_at;
+        self.src_producers = [None, None];
+        self.src_ready = [0, 0];
+        self.src_inv = [false, false];
+        self.unresolved_srcs = 0;
+        self.ready_time = 0;
+        self.in_iq = false;
+        self.issued = false;
+        self.issued_at = 0;
+        self.value_ready_at = Cycle::MAX;
+        self.complete_at = Cycle::MAX;
+        self.completed = false;
+        // Drop any spill rather than keep it for the slot's next
+        // occupant: holding every slot's largest fan-out ever seen
+        // raised `sim-comp`'s peak RSS by about 0.4 MB.
+        self.waiters = SeqList::default();
+        self.mem_latency = 0;
+        self.l2_miss = false;
+        self.bp_outcome = None;
+        self.mispredicted = false;
+        self.prev_map = None;
+        self.inv = false;
     }
 
     /// True for loads and stores.
@@ -363,10 +421,50 @@ mod tests {
         assert!(!l.is_empty());
         let collected: Vec<DynSeq> = l.iter().collect();
         assert_eq!(collected, (0..10).collect::<Vec<_>>());
-        // A taken list is empty and reusable (the notify pass relies on
-        // take-then-restore).
-        let taken = std::mem::take(&mut l);
-        assert!(l.is_empty());
-        assert_eq!(taken.len(), 10);
+        // Positional reads agree with iteration across the spill edge.
+        let by_pos: Vec<DynSeq> = (0..l.len()).map(|k| l.get(k)).collect();
+        assert_eq!(by_pos, collected);
+    }
+
+    #[test]
+    fn reset_matches_a_freshly_built_entry() {
+        let st = Instruction::store(
+            0x200,
+            ArchReg::int(3),
+            ArchReg::int(4),
+            MemRef::new(0x80, 8),
+        );
+        let mut d = DynInst::new(1, None, st, true, 5);
+        // Dirty every field a pipeline pass could touch.
+        d.src_producers = [Some(9), Some(8)];
+        d.src_ready = [3, 4];
+        d.src_inv = [true, true];
+        d.unresolved_srcs = 2;
+        d.ready_time = 11;
+        d.in_iq = true;
+        d.issued = true;
+        d.issued_at = 12;
+        d.value_ready_at = 13;
+        d.complete_at = 14;
+        d.completed = true;
+        for s in 0..9 {
+            d.waiters.push(s);
+        }
+        d.mem_state = MemState::Issued;
+        d.mem_latency = 200;
+        d.l2_miss = true;
+        d.mispredicted = true;
+        d.prev_map = Some((3, Some(2)));
+        d.inv = true;
+        let i = Instruction::alu(0x100, OpClass::IntAlu, ArchReg::int(1), &[ArchReg::int(2)]);
+        d.reset(7, Some(3), i.clone(), false, 42);
+        let fresh = DynInst::new(7, Some(3), i, false, 42);
+        let (mut a, mut b) = (
+            SnapWriter::with_capacity(256),
+            SnapWriter::with_capacity(256),
+        );
+        d.encode(&mut a);
+        fresh.encode(&mut b);
+        assert_eq!(a.into_bytes(), b.into_bytes());
     }
 }

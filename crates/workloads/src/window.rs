@@ -94,7 +94,7 @@ impl<W: Workload> TraceWindow<W> {
         self.base = r.get_u64()?;
         self.generated = r.get_u64()?;
         let buf = r.get_seq(Instruction::decode)?;
-        if self.generated - self.base != buf.len() as u64 {
+        if self.generated.checked_sub(self.base) != Some(buf.len() as u64) {
             return Err(mlpwin_isa::snap::SnapError::Mismatch {
                 what: "trace-window buffer length",
             });
@@ -183,5 +183,27 @@ mod tests {
         // Only generated instructions can be discarded.
         assert_eq!(w.buffered(), 0);
         assert_eq!(w.frontier(), 10);
+    }
+
+    #[test]
+    fn restore_rejects_generated_below_base() {
+        let mut w = window();
+        let _ = w.get(9);
+        w.retire_below(5);
+        let mut image = mlpwin_isa::snap::SnapWriter::with_capacity(256);
+        w.save_state(&mut image);
+        let mut bytes = image.into_bytes();
+        // `generated` (bytes 8..16) drops below `base` (5).
+        bytes[8..16].copy_from_slice(&2u64.to_le_bytes());
+        let mut fresh = window();
+        let err = fresh
+            .load_state(&mut mlpwin_isa::snap::SnapReader::new(&bytes))
+            .expect_err("generated < base must be refused");
+        assert_eq!(
+            err,
+            mlpwin_isa::snap::SnapError::Mismatch {
+                what: "trace-window buffer length"
+            }
+        );
     }
 }
