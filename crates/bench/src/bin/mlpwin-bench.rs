@@ -5,13 +5,16 @@
 //! compute-intensive programs, each under the baseline and the
 //! dynamic-resizing model, at a fixed budget), times every run, and
 //! writes a schema-versioned `BENCH.json` with per-run wall-clock,
-//! simulated throughput and process peak RSS. Every row also carries an
-//! `event` rider: the identical spec re-run under `MLPWIN_EVENT_DRIVEN`
-//! (results asserted bit-identical) with its skip fraction and wall
-//! speedup. When a previous file exists it is the baseline: a matched
-//! per-category throughput drop beyond
+//! simulated throughput and process peak RSS. When a previous file
+//! exists it is the baseline: a matched per-category throughput drop
+//! beyond
 //! [`REGRESSION_THRESHOLD`](mlpwin_bench::benchfile::REGRESSION_THRESHOLD)
 //! exits nonzero, so CI catches a PR that slows the hot loop.
+//!
+//! With `--snapshot-cycles N` the gate is instead host time inside the
+//! snapshot path (image encode plus atomic save) as a share of the same
+//! run's wall time, bounded by
+//! [`SNAPSHOT_OVERHEAD_BOUND`](mlpwin_bench::benchfile::SNAPSHOT_OVERHEAD_BOUND).
 //!
 //! ```text
 //! cargo run --release -p mlpwin-bench --bin mlpwin-bench
@@ -21,8 +24,8 @@
 //!     --warmup N     warm-up insts per run      (default 50000; smoke 2000)
 //!     --smoke        tiny budget, schema validation only, no threshold gate
 //!     --snapshot-cycles N   run through the recoverable runner with this
-//!                           snapshot cadence (measures snapshot overhead)
-//!     --max-drop PCT override the regression threshold (percent)
+//!                           snapshot cadence and gate on snapshot overhead
+//!                           instead of baseline throughput
 //!     --split N      also time an interval-parallel re-analysis of every
 //!                    run: sampled split (stride N, N workers) against a
 //!                    fresh snapshot sweep; records a speedup rider per
@@ -39,11 +42,12 @@
 //! partial report over the baseline trajectory.
 
 use mlpwin_bench::benchfile::{
-    matched_drop, peak_rss_kb, throughput_drop, BenchEntry, BenchEvent, BenchReport, BenchSplit,
-    BENCH_SCHEMA, REGRESSION_THRESHOLD,
+    matched_drop, peak_rss_kb, throughput_drop, BenchEntry, BenchReport, BenchSplit, BENCH_SCHEMA,
+    REGRESSION_THRESHOLD, SNAPSHOT_OVERHEAD_BOUND,
 };
+use mlpwin_sim::metrics;
 use mlpwin_sim::report::TextTable;
-use mlpwin_sim::runner::{run, run_recoverable, RunResult, RunSpec};
+use mlpwin_sim::runner::{run, run_recoverable, RunSpec, METRIC_SNAPSHOT_HOST_NS};
 use mlpwin_sim::snapshot::SnapshotPolicy;
 use mlpwin_sim::split::{run_split, SplitConfig};
 use mlpwin_sim::{signals, SimModel};
@@ -59,7 +63,6 @@ struct BenchArgs {
     insts: u64,
     smoke: bool,
     snapshot_cycles: Option<u64>,
-    max_drop: Option<f64>,
     split: Option<u64>,
 }
 
@@ -72,7 +75,6 @@ impl BenchArgs {
             insts: 0,
             smoke: false,
             snapshot_cycles: None,
-            max_drop: None,
             split: None,
         };
         let (mut warmup, mut insts) = (None, None);
@@ -100,16 +102,9 @@ impl BenchArgs {
                 "--split" => {
                     out.split = Some(value("--split").parse().expect("--split: not a number"))
                 }
-                "--max-drop" => {
-                    out.max_drop = Some(
-                        value("--max-drop")
-                            .parse()
-                            .expect("--max-drop: not a number"),
-                    )
-                }
                 other => panic!(
                     "unknown flag {other}; expected --smoke/--out/--baseline/--warmup/--insts/\
-                     --snapshot-cycles/--max-drop/--split"
+                     --snapshot-cycles/--split"
                 ),
             }
         }
@@ -153,32 +148,6 @@ fn is_memory_row(e: &BenchEntry) -> bool {
     profiles::params_by_name(&e.profile)
         .map(|p| p.category == mlpwin_workloads::params::Category::MemoryIntensive)
         .unwrap_or(false)
-}
-
-/// Times the event-driven rider for one spec: the identical run with
-/// the event engine folded into the wake plan. Results must be
-/// bit-identical — the bench doubles as an end-to-end equivalence
-/// check on every row it reports — so a divergence aborts the suite
-/// rather than publishing a rider for a different simulation.
-fn event_leg(spec: &RunSpec, stepped: &RunResult, stepped_wall: f64) -> BenchEvent {
-    std::env::set_var("MLPWIN_EVENT_DRIVEN", "1");
-    let started = Instant::now();
-    let attempt = run(spec);
-    let wall_secs = started.elapsed().as_secs_f64();
-    std::env::remove_var("MLPWIN_EVENT_DRIVEN");
-    let result = mlpwin_bench::expect_run(attempt);
-    assert_eq!(
-        &result,
-        stepped,
-        "{} [{}]: event-driven result diverged from the stepped run",
-        spec.profile,
-        spec.model.tag()
-    );
-    BenchEvent {
-        wall_secs,
-        skip_fraction: result.engine.skip_fraction(),
-        speedup: stepped_wall / wall_secs.max(1e-9),
-    }
 }
 
 /// Times the `--split N` rider for one spec: a sampled (stride `n`,
@@ -243,6 +212,19 @@ fn main() {
             .join("bench-snapshots");
         SnapshotPolicy::in_dir(dir).every(cadence)
     });
+    // The snapshot path's own host time reaches the bench through the
+    // runner's telemetry counter, so snapshot mode turns telemetry on.
+    if snapshots.is_some() {
+        metrics::set_telemetry(true);
+    }
+    let snapshot_host_ns = || {
+        metrics::global()
+            .snapshot()
+            .counters
+            .get(METRIC_SNAPSHOT_HOST_NS)
+            .copied()
+            .unwrap_or(0)
+    };
 
     // Read the baseline before writing anything: the default baseline
     // IS the previous --out file.
@@ -269,10 +251,14 @@ fn main() {
         .join("bench-splits");
 
     let mut entries = Vec::with_capacity(specs.len());
+    // Per row: the run's skip fraction and its seconds in the snapshot
+    // path (zero without `--snapshot-cycles`).
+    let mut row_extras = Vec::with_capacity(specs.len());
     for spec in &specs {
         if signals::interrupted() {
             interrupted_exit();
         }
+        let snap_ns_before = snapshot_host_ns();
         let started = Instant::now();
         let attempt = match &snapshots {
             // Overhead measurement: time the recoverable path, snapshot
@@ -292,6 +278,8 @@ fn main() {
         };
         let result = mlpwin_bench::expect_run(attempt);
         let wall_secs = started.elapsed().as_secs_f64();
+        let snap_secs = (snapshot_host_ns() - snap_ns_before) as f64 / 1e9;
+        row_extras.push((result.engine.skip_fraction(), snap_secs));
         let mut entry = BenchEntry {
             profile: spec.profile.clone(),
             model: spec.model.tag(),
@@ -301,7 +289,6 @@ fn main() {
             sim_cycles: result.stats.cycles,
             sim_insts: result.stats.committed_insts,
             split: None,
-            event: None,
         };
         if let Some(n) = args.split {
             entry.split = Some(split_leg(
@@ -312,7 +299,6 @@ fn main() {
                 &split_dir,
             ));
         }
-        entry.event = Some(event_leg(spec, &result, wall_secs));
         entries.push(entry);
     }
     let report = BenchReport {
@@ -322,26 +308,17 @@ fn main() {
     };
 
     let mut t = TextTable::new(vec![
-        "program", "model", "wall ms", "kcyc/s", "MIPS", "skip", "event x",
+        "program", "model", "wall ms", "kcyc/s", "MIPS", "skip", "snap ms",
     ]);
-    for e in &report.entries {
-        let (skip, speedup) = e.event.as_ref().map_or_else(
-            || ("-".to_string(), "-".to_string()),
-            |ev| {
-                (
-                    format!("{:.0}%", ev.skip_fraction * 100.0),
-                    format!("{:.2}", ev.speedup),
-                )
-            },
-        );
+    for (e, &(skip, snap_secs)) in report.entries.iter().zip(&row_extras) {
         t.row(vec![
             e.profile.clone(),
             e.model.clone(),
             format!("{:.1}", e.wall_secs * 1e3),
             format!("{:.0}", e.kcps()),
             format!("{:.3}", e.mips()),
-            skip,
-            speedup,
+            format!("{:.0}%", skip * 100.0),
+            format!("{:.1}", snap_secs * 1e3),
         ]);
     }
     println!("{}", t.render());
@@ -397,54 +374,67 @@ fn main() {
     }
     println!("wrote {}", args.out.display());
 
-    match &baseline {
-        None => println!("no baseline at {}; gate skipped", baseline_path.display()),
-        Some(baseline) => match throughput_drop(baseline, &report) {
-            None => println!("baseline throughput is degenerate; gate skipped"),
-            Some(drop) => {
-                println!(
-                    "vs baseline {}: {:+.1}% throughput",
-                    baseline_path.display(),
-                    -drop * 100.0
-                );
-                let threshold = args
-                    .max_drop
-                    .map_or(REGRESSION_THRESHOLD, |pct| pct / 100.0);
-                // The gate runs per category over rows present in both
-                // reports: freshly added suite rows must neither mask a
-                // regression on old rows nor be gated against nothing.
-                let legs = [
-                    (
-                        "memory-bound",
-                        matched_drop(baseline, &report, is_memory_row),
-                    ),
-                    (
-                        "compute-bound",
-                        matched_drop(baseline, &report, |e| !is_memory_row(e)),
-                    ),
-                ];
-                let mut failed = false;
-                for (name, drop) in legs {
-                    let Some(drop) = drop else {
-                        println!("{name} rows: no matched baseline; leg skipped");
-                        continue;
-                    };
-                    println!("{name} rows (matched): {:+.1}% throughput", -drop * 100.0);
-                    if drop > threshold {
-                        eprintln!(
-                            "FAIL: {name} throughput regressed {:.1}% (> {:.0}% threshold)",
-                            drop * 100.0,
-                            threshold * 100.0
-                        );
-                        failed = true;
-                    }
-                }
-                if args.smoke {
-                    println!("smoke mode: threshold gate skipped");
-                } else if failed {
-                    std::process::exit(1);
-                }
-            }
-        },
+    // Either gate runs per category over the memory-bound and the
+    // compute-bound rows separately, so a swing in one cannot hide
+    // behind the other.
+    let (what, bound, legs) = if snapshots.is_some() {
+        // Summed snapshot-path seconds over summed wall seconds.
+        let share = |memory: bool| {
+            let rows = report.entries.iter().zip(&row_extras);
+            let (snap, wall) = rows
+                .filter(|(e, _)| is_memory_row(e) == memory)
+                .fold((0.0, 0.0), |(snap, wall), (e, &(_, s))| {
+                    (snap + s, wall + e.wall_secs)
+                });
+            (wall > 0.0).then(|| snap / wall)
+        };
+        (
+            "of wall time in snapshot encode + save",
+            SNAPSHOT_OVERHEAD_BOUND,
+            [share(true), share(false)],
+        )
+    } else if let Some(baseline) = &baseline {
+        let Some(drop) = throughput_drop(baseline, &report) else {
+            println!("baseline throughput is degenerate; gate skipped");
+            return;
+        };
+        println!(
+            "vs baseline {}: {:+.1}% throughput",
+            baseline_path.display(),
+            -drop * 100.0
+        );
+        // Only rows present in both reports are compared: freshly added
+        // suite rows must neither mask a regression on old rows nor be
+        // gated against nothing.
+        let drop = |memory: bool| matched_drop(baseline, &report, |e| is_memory_row(e) == memory);
+        (
+            "throughput drop vs matched baseline rows",
+            REGRESSION_THRESHOLD,
+            [drop(true), drop(false)],
+        )
+    } else {
+        println!("no baseline at {}; gate skipped", baseline_path.display());
+        return;
+    };
+    let mut failed = false;
+    for (name, value) in ["memory-bound", "compute-bound"].into_iter().zip(legs) {
+        let Some(value) = value else {
+            println!("{name} rows: nothing to compare; leg skipped");
+            continue;
+        };
+        println!("{name} rows: {:.2}% {what}", value * 100.0);
+        if value > bound {
+            eprintln!(
+                "FAIL: {name} rows: {:.2}% {what} (> {:.0}% bound)",
+                value * 100.0,
+                bound * 100.0
+            );
+            failed = true;
+        }
+    }
+    if args.smoke {
+        println!("smoke mode: threshold gate skipped");
+    } else if failed {
+        std::process::exit(1);
     }
 }

@@ -11,7 +11,7 @@
 //! window the miss-driven policy picks buys nothing — misses are not
 //! marginal MLP); `hash-probe`'s narrower batches leave headroom the
 //! dynamic window harvests. All three spend most host cycles in the
-//! sparse-event regime the event engine bulk-advances (the `skip`
+//! sparse-event regime the stall fast-forward bulk-advances (the `skip`
 //! column).
 //!
 //! ```text

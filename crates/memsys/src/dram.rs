@@ -93,14 +93,6 @@ impl Dram {
         &self.stats
     }
 
-    /// The cycle at which the data bus finishes its queued transfers —
-    /// the channel's contribution to the memory system's
-    /// [`next_event_at`](crate::MemSystem::next_event_at) contract. A
-    /// value `<= now` means the bus is idle.
-    pub fn busy_until(&self) -> Cycle {
-        self.bus_free
-    }
-
     /// Cycles the data bus is occupied transferring `line_bytes`.
     pub fn transfer_cycles(&self, line_bytes: usize) -> Cycle {
         (line_bytes as u64).div_ceil(self.config.bytes_per_cycle as u64)

@@ -206,38 +206,6 @@ impl MemSystem {
         self.l1d_mshr.occupancy() + self.l2_mshr.occupancy()
     }
 
-    /// The memory side's wake-up contract: the earliest cycle strictly
-    /// after `now` at which hierarchy state changes on its own — an
-    /// in-flight MSHR fill (demand *or* prefetch) completes or the DRAM
-    /// bus drains. `None` means the hierarchy is quiescent: nothing is
-    /// in flight, so no future cycle differs from `now` until the core
-    /// sends the next access.
-    ///
-    /// An event-driven scheduler may sleep until the returned cycle
-    /// without missing a memory-side state change. The bound is
-    /// deliberately conservative (prefetch fills wake the core even
-    /// though no instruction waits on them): waking early is always
-    /// safe, and the stall fast-forward's own stats-neutrality argument
-    /// makes any such shortened skip bit-identical in results.
-    pub fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
-        let mut next: Option<Cycle> = None;
-        let mut fold = |t: Cycle| {
-            if t > now && next.is_none_or(|n| t < n) {
-                next = Some(t);
-            }
-        };
-        if let Some(t) = self.l1d_mshr.earliest_completion() {
-            fold(t);
-        }
-        if let Some(t) = self.l2_mshr.earliest_completion() {
-            fold(t);
-        }
-        if self.outstanding_misses() > 0 {
-            fold(self.dram.busy_until());
-        }
-        next
-    }
-
     /// Clears all counters (including provenance) while keeping cache,
     /// MSHR, predictor-table and bus state warm — the measurement reset
     /// after a warm-up phase. Lines resident at reset time count toward
@@ -726,20 +694,6 @@ mod tests {
         // One ~314-cycle miss and one 2-cycle hit.
         assert!(m.stats().avg_load_latency() < 300.0);
         assert_eq!(m.stats().loads, 2);
-    }
-
-    #[test]
-    fn next_event_at_tracks_inflight_fills() {
-        let mut m = mem();
-        assert_eq!(m.next_event_at(0), None, "idle hierarchy has no events");
-        let r = m.access(AccessKind::Load, 0x100, 0x8000_0000, 0, PathKind::Correct);
-        let next = m.next_event_at(0).expect("a fill is in flight");
-        assert!(next <= r.ready_at, "first event no later than the fill");
-        assert!(next > 0, "events are strictly in the future");
-        // Past the fill (and any prefetch tail) the hierarchy is quiet
-        // again: every remaining event time folds away.
-        let horizon = m.dram().busy_until().max(r.ready_at) + 1_000_000;
-        assert_eq!(m.next_event_at(horizon), None);
     }
 
     #[test]

@@ -253,18 +253,6 @@ pub struct CoreConfig {
     /// stats with it on and off); the knob exists for those A/B tests
     /// and for debugging. Default `true`.
     pub fast_forward: bool,
-    /// Event-driven scheduling: the core consults the full wake plan —
-    /// including the memory system's
-    /// [`next_event_at`](mlpwin_memsys::MemSystem::next_event_at)
-    /// contract — when fast-forwarding, so the memory side drives
-    /// wakeups instead of being polled, and the event queues' telemetry
-    /// is reported as engine counters. Semantics-neutral like
-    /// `fast_forward` (the event-equivalence suite asserts bit-identical
-    /// stats, intervals and snapshots with it on and off); the memory
-    /// bound can only *shrink* a skip, and any legal skip is
-    /// stats-neutral by the fast-forward's construction. Default
-    /// `false`; enabled per run via `MLPWIN_EVENT_DRIVEN`.
-    pub event_driven: bool,
     /// Fault injection for harness tests; `None` (the default) disables.
     pub fault: Option<FaultInjection>,
     /// Interval time-series epoch length in cycles; `None` (the
@@ -306,7 +294,6 @@ impl Default for CoreConfig {
             watchdog_cycles: DEFAULT_WATCHDOG_CYCLES,
             deadline_cycles: None,
             fast_forward: true,
-            event_driven: false,
             fault: None,
             interval_cycles: None,
             trace: None,

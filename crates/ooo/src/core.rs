@@ -41,6 +41,7 @@ use mlpwin_isa::{Addr, Cycle, OpClass, SeqNum};
 use mlpwin_memsys::{AccessKind, MemSystem, PathKind};
 use mlpwin_workloads::Workload;
 use std::collections::VecDeque;
+use std::time::Instant;
 
 /// Why dispatch allocated nothing this cycle — the raw observation the
 /// CPI-stack accounting pass refines into a [`CpiBucket`]. The dispatch
@@ -229,6 +230,9 @@ pub struct Core<W> {
     /// simulated state: presence or absence never changes what the
     /// pipeline does.
     snapshot_sink: Option<SnapshotSink>,
+    /// Host nanoseconds spent encoding periodic snapshots and running
+    /// the sink on them. Host-side only, like `ff_cycles`.
+    snapshot_ns: u64,
 }
 
 impl<W: Workload> Core<W> {
@@ -327,6 +331,7 @@ impl<W: Workload> Core<W> {
             last_commit_cycle: 0,
             total_committed: 0,
             snapshot_sink: None,
+            snapshot_ns: 0,
         })
     }
 
@@ -470,12 +475,22 @@ impl<W: Workload> Core<W> {
         if self.snapshot_sink.is_none() || !self.stats.cycles.is_multiple_of(cadence) {
             return;
         }
+        self.offer_snapshot();
+    }
+
+    /// Encodes the current image and runs the sink on it, timing both.
+    /// Out of line so the per-step cadence check stays small.
+    #[cold]
+    #[inline(never)]
+    fn offer_snapshot(&mut self) {
+        let started = Instant::now();
         let bytes = self.snapshot();
         let now = self.now;
         if let Some(mut sink) = self.snapshot_sink.take() {
             sink(now, &bytes);
             self.snapshot_sink = Some(sink);
         }
+        self.snapshot_ns += started.elapsed().as_nanos() as u64;
     }
 
     /// Converts the per-call relative deadline into the absolute cycle
@@ -610,9 +625,8 @@ impl<W: Workload> Core<W> {
     /// runahead episode end, the allocation stall's
     /// expiry, fetch's own resume time, the policy's quiet horizon, the
     /// interval/snapshot epoch boundaries, the watchdog / deadline trip
-    /// points (so errors fire on the identical cycle), and — in
-    /// event-driven mode — the memory system's own event horizon. The
-    /// event cycle itself is always executed as a real step.
+    /// points (so errors fire on the identical cycle). The event cycle
+    /// itself is always executed as a real step.
     fn stall_fast_forward(&mut self) {
         if !self.cfg.fast_forward
             || self.cycle_dispatched > 0
@@ -696,22 +710,19 @@ impl<W: Workload> Core<W> {
 
     /// The unified wake plan: the earliest future cycle at which any
     /// wake-up source could change the machine's course (or an observer
-    /// could next look), typed by which source binds. Both scheduling
-    /// modes compute their skip bound here — the stepped fast-forward
-    /// and the event-driven loop share one source of truth instead of
-    /// each re-scanning the state ad hoc.
+    /// could next look), typed by which source binds. The stall
+    /// fast-forward is its one caller and reads its skip bound here
+    /// instead of re-scanning the state ad hoc.
     ///
     /// The per-instruction sources are the two event queues' heads, the
     /// short-latency lane and the ROB head's completion time; the rest are
     /// scalar horizons folded in directly (posting them as queue entries
     /// would mean re-posting every time one moves, for no gain — the
-    /// fold *is* the pop). In event-driven mode
-    /// the memory system's [`next_event_at`](MemSystem::next_event_at)
-    /// contract joins the plan, so in-flight fills the core holds no
-    /// completion event for (prefetches, wrong-path orphans) wake the
-    /// machine instead of being polled; that bound can only shorten a
-    /// skip, which the fast-forward's stats-neutrality makes invisible
-    /// in results.
+    /// fold *is* the pop). The memory system adds no bound of its own:
+    /// a fill an instruction waits on surfaces through the sources
+    /// above, and the hierarchy resolves contention by timestamp when
+    /// the next access arrives, so a fill nothing waits on (a prefetch,
+    /// a wrong-path orphan) cannot change what the core does.
     fn next_wake(
         &self,
         now: Cycle,
@@ -747,11 +758,6 @@ impl<W: Workload> Core<W> {
         // the head without a commit, which takes a real step.
         if let Some(head) = self.rob.front() {
             fold(head.complete_at, WakeSource::Completion);
-        }
-        if self.cfg.event_driven {
-            if let Some(t) = self.mem.next_event_at(now) {
-                fold(t, WakeSource::MemSystem);
-            }
         }
         if let Some(ep) = &self.episode {
             fold(ep.end_at, WakeSource::EpisodeEnd);
@@ -801,7 +807,8 @@ impl<W: Workload> Core<W> {
     /// skipped-versus-stepped cycle split over the core's lifetime
     /// (warm-up included). Host-side diagnostics, deliberately outside
     /// [`CoreStats`] and the snapshot image — like `ff_cycles` — so A/B
-    /// runs across scheduling modes stay bit-identical in results.
+    /// runs with the fast-forward on and off stay bit-identical in
+    /// results.
     pub fn engine_counters(&self) -> EngineCounters {
         EngineCounters {
             events_posted: self.pending_ready.posted() + self.completions.posted(),
@@ -809,6 +816,14 @@ impl<W: Workload> Core<W> {
             skipped_cycles: self.ff_cycles,
             stepped_cycles: self.stepped_cycles,
         }
+    }
+
+    /// Host nanoseconds spent on periodic snapshots over the core's
+    /// lifetime: the image encode plus the installed sink (for the
+    /// recoverable runner, the atomic file save). 0 without a sink. A
+    /// host-performance diagnostic, outside [`CoreStats`] and the image.
+    pub fn snapshot_host_ns(&self) -> u64 {
+        self.snapshot_ns
     }
 
     /// How many coasts each wake-up source ended (indexed by

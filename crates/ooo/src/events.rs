@@ -34,10 +34,10 @@ pub enum WakeSource {
     /// An instruction finishes executing (a branch's completion event,
     /// or the ROB head's completion time).
     Completion,
-    /// An in-flight memory-side fill completes ([`next_event_at`]
-    /// contract; consulted in event-driven mode).
-    ///
-    /// [`next_event_at`]: mlpwin_memsys::MemSystem::next_event_at
+    /// Reserved: a memory-side fill completing. Never produced — the
+    /// plan needs no memory-side bound (see
+    /// [`next_wake`](crate::core::Core::next_wake)) — but kept so
+    /// histogram indices and metric labels stay stable.
     MemSystem,
     /// A runahead episode ends.
     EpisodeEnd,

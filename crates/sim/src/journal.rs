@@ -549,7 +549,8 @@ pub(crate) fn decode_result(v: &Json, spec: RunSpec) -> Option<RunResult> {
             })
             .collect::<Option<Vec<_>>>()?,
         // Host-side engine telemetry is not journaled (the skip schedule
-        // may differ between the engines while results stay identical).
+        // differs with the fast-forward on and off while results stay
+        // identical).
         engine: Default::default(),
     })
 }

@@ -67,6 +67,9 @@ pub const METRIC_CYCLES_SKIPPED: &str = "mlpwin_cycles_skipped_total";
 pub const METRIC_CYCLES_STEPPED: &str = "mlpwin_cycles_stepped_total";
 /// Gauge: the latest run's fraction of cycles advanced in bulk, 0..=1.
 pub const METRIC_SKIP_FRACTION: &str = "mlpwin_skip_fraction";
+/// Counter of host nanoseconds spent encoding and saving periodic
+/// snapshots (zero for snapshot-free runs).
+pub const METRIC_SNAPSHOT_HOST_NS: &str = "mlpwin_snapshot_host_ns_total";
 
 /// A deliberately injected failure, for testing the harness's own
 /// recovery paths (see `DESIGN.md` §"Error handling").
@@ -179,7 +182,8 @@ impl RunSpec {
 /// runs of one spec are "the same result" exactly when every simulated
 /// statistic matches — however their skip schedules differed. This is
 /// what lets journal round-trips, the split stitcher, and A/B
-/// comparisons across scheduling modes assert full-struct identity.
+/// comparisons with the fast-forward on and off assert full-struct
+/// identity.
 #[derive(Debug, Clone)]
 pub struct RunResult {
     /// The spec that produced this result.
@@ -207,9 +211,9 @@ pub struct RunResult {
     /// Scheduler event-engine telemetry (posts, pops, skipped versus
     /// stepped cycles). Host-side only: deliberately excluded from the
     /// journal codec, because the skip schedule legitimately differs
-    /// between the stepped and event-driven executions of the same spec
-    /// while every journaled field stays bit-identical. Zero for results
-    /// decoded from a journal.
+    /// between executions with the fast-forward on and off while every
+    /// journaled field stays bit-identical. Zero for results decoded
+    /// from a journal.
     pub engine: EngineCounters,
 }
 
@@ -388,14 +392,6 @@ pub(crate) fn apply_spec_overrides(config: &mut CoreConfig, spec: &RunSpec) {
     if std::env::var_os("MLPWIN_NO_FAST_FORWARD").is_some() {
         config.fast_forward = false;
     }
-    // Event-driven scheduling: fold the memory system's next_event_at
-    // bound into the core's wake plan. Same bit-identical contract as
-    // the fast-forward switch (the event-equivalence suites assert it),
-    // and env-only for the same reason: journal lines and spec hashes
-    // must not depend on which engine executed the spec.
-    if std::env::var_os("MLPWIN_EVENT_DRIVEN").is_some() {
-        config.event_driven = true;
-    }
     if let Some(cycles) = spec.watchdog_cycles {
         config.watchdog_cycles = cycles;
     }
@@ -465,6 +461,7 @@ pub(crate) fn collect_result<W: Workload>(
     metrics::counter_add(METRIC_CYCLES_SKIPPED, engine.skipped_cycles);
     metrics::counter_add(METRIC_CYCLES_STEPPED, engine.stepped_cycles);
     metrics::gauge_set(METRIC_SKIP_FRACTION, engine.skip_fraction());
+    metrics::counter_add(METRIC_SNAPSHOT_HOST_NS, core.snapshot_host_ns());
     core.mem_mut().finalize();
     // Publish this run's shard; with telemetry off the shard is empty
     // and this is a single thread-local branch.

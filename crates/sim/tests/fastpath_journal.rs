@@ -22,6 +22,11 @@ fn journal_lines_are_bit_identical_with_fast_forward_off() {
             .with_budget(15_000, 8_000)
             .with_intervals(773),
         RunSpec::new("gcc", SimModel::Base).with_budget(15_000, 8_000),
+        // The software-MLP extensions: long coasts between fill bursts.
+        RunSpec::new("chase-batch", SimModel::Runahead).with_budget(15_000, 8_000),
+        RunSpec::new("hash-probe", SimModel::Fixed(2))
+            .with_budget(10_000, 6_000)
+            .with_intervals(777),
     ];
 
     let on: Vec<_> = specs

@@ -656,7 +656,7 @@ pub fn all() -> Vec<ProfileParams> {
 /// — but they resolve through [`params_by_name`]/[`by_name`] like any
 /// built-in profile, so figure bins and bench rows can exercise the
 /// sparse-event regime (long quiet stretches punctuated by bursts of
-/// independent fills) that event-driven core scheduling targets.
+/// independent fills) that the core's stall fast-forward targets.
 ///
 /// The generator's pointer-chase register models a *single* serial
 /// chain, so the interleaved-batch idiom is expressed by its

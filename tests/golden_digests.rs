@@ -3,13 +3,13 @@
 //! pinned to values captured from a known-good build.
 //!
 //! The other equivalence suites compare two execution modes of the same
-//! scheduler (stepped against event-driven, fast-forward on against
-//! off, split against serial), so a change both modes share moves both
-//! sides together and still passes. This suite compares against fixed
-//! numbers instead: any change to a simulated result fails it. The
-//! runner reads `MLPWIN_NO_FAST_FORWARD` and `MLPWIN_EVENT_DRIVEN`, so
-//! running this test under either variable pins that engine setting to
-//! the same values (`ci.sh` runs all three).
+//! scheduler (fast-forward on against off, split against serial), so a
+//! change both modes share moves both sides together and still passes.
+//! This suite compares against fixed numbers instead: any change to a
+//! simulated result fails it. The runner reads `MLPWIN_NO_FAST_FORWARD`,
+//! so running this test under that variable pins the plain stepped loop
+//! to the same values (`ci.sh` runs the default engine, the stepped
+//! loop, and the build with trace hooks).
 //!
 //! A deliberate model change must regenerate the table: the failure
 //! message prints the complete replacement.
