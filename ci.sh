@@ -242,7 +242,8 @@ echo "    workerless fleet degraded to local threads and completed"
 echo "==> mlpwin-bench snapshot-overhead gate (default cadence, >5% fails)"
 # The full suite once through the recoverable runner at the default
 # snapshot cadence (snapshot::DEFAULT_SNAPSHOT_CADENCE). The bench times
-# each periodic snapshot (image encode plus atomic save) inside that one
+# each periodic snapshot on the simulating thread (image encode plus its
+# handoff to the background writer, which saves it) inside that one
 # run and fails when they exceed 5% of a category's wall time, so
 # host-speed drift between runs cannot move the number. The per-run
 # store setup and cleanup are not timed. Best of five attempts (with a

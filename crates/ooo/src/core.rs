@@ -113,8 +113,10 @@ fn fresh_stats(config: &CoreConfig) -> CoreStats {
 }
 
 /// A periodic snapshot consumer: called with the current cycle and the
-/// serialized core image at every snapshot-cadence point.
-pub type SnapshotSink = Box<dyn FnMut(Cycle, &[u8])>;
+/// serialized core image at every snapshot-cadence point. The image is
+/// handed over by value, so a sink may move it to another thread
+/// without copying.
+pub type SnapshotSink = Box<dyn FnMut(Cycle, Vec<u8>)>;
 
 /// The simulated processor: front end, window resources, execution
 /// engine, memory hierarchy, and the window-resizing policy.
@@ -487,7 +489,7 @@ impl<W: Workload> Core<W> {
         let bytes = self.snapshot();
         let now = self.now;
         if let Some(mut sink) = self.snapshot_sink.take() {
-            sink(now, &bytes);
+            sink(now, bytes);
             self.snapshot_sink = Some(sink);
         }
         self.snapshot_ns += started.elapsed().as_nanos() as u64;
@@ -820,7 +822,8 @@ impl<W: Workload> Core<W> {
 
     /// Host nanoseconds spent on periodic snapshots over the core's
     /// lifetime: the image encode plus the installed sink (for the
-    /// recoverable runner, the atomic file save). 0 without a sink. A
+    /// recoverable runner, the handoff to its background writer, which
+    /// reports the durable save separately). 0 without a sink. A
     /// host-performance diagnostic, outside [`CoreStats`] and the image.
     pub fn snapshot_host_ns(&self) -> u64 {
         self.snapshot_ns
@@ -1705,7 +1708,6 @@ impl<W: Workload> Core<W> {
                         // touching memory (runahead semantics).
                         self.ready.remove(seq);
                         self.mark_issued(seq, now);
-                        self.lsq.mark_issued(seq);
                         let depth = self.iq_depth();
                         let d = &mut self.rob[i];
                         d.inv = true;
@@ -1841,7 +1843,6 @@ impl<W: Workload> Core<W> {
             (value_ready, inv)
         };
 
-        self.lsq.mark_issued(seq);
         if !self.rob[i].issued {
             self.mark_issued(seq, now);
         }
@@ -2233,7 +2234,7 @@ mod tests {
         let taken = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
         let sink = std::rc::Rc::clone(&taken);
         core.set_snapshot_sink(Box::new(move |cycle, bytes| {
-            sink.borrow_mut().push((cycle, bytes.to_vec()));
+            sink.borrow_mut().push((cycle, bytes));
         }));
         let stats = core.run(insts).expect("healthy profile must not stall");
         (stats, taken)
@@ -2294,7 +2295,7 @@ mod tests {
         let taken = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
         let sink = std::rc::Rc::clone(&taken);
         core.set_snapshot_sink(Box::new(move |cycle, bytes| {
-            sink.borrow_mut().push((cycle, bytes.to_vec()));
+            sink.borrow_mut().push((cycle, bytes));
         }));
         core.run_warmup(3_000).expect("warm-up must not stall");
         let warmup_images = taken.borrow().len();

@@ -44,6 +44,8 @@ struct LsqEntry {
     dyn_seq: DynSeq,
     is_store: bool,
     mem: MemRef,
+    /// Whether a store has executed (its data can forward). Only store
+    /// entries' flag is ever read; the core never marks loads.
     issued: bool,
 }
 
@@ -141,8 +143,10 @@ impl Lsq {
         });
     }
 
-    /// Marks the entry's address/data as produced (store executed or load
-    /// access performed).
+    /// Marks a store's address and data as produced (the store
+    /// executed), so overlapping younger loads forward from it. Only
+    /// stores need marking: [`check_load`](Lsq::check_load) never reads a
+    /// load entry's flag.
     pub fn mark_issued(&mut self, dyn_seq: DynSeq) {
         if let Ok(i) = self.entries.binary_search_by_key(&dyn_seq, |e| e.dyn_seq) {
             self.entries[i].issued = true;
@@ -432,5 +436,41 @@ mod tests {
                 what: "LSQ program order"
             })
         );
+    }
+
+    /// A load entry's issue flag is never read: marking every load
+    /// issued leaves each disambiguation answer unchanged.
+    #[test]
+    fn load_issue_state_cannot_change_any_check_load_answer() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) % bound
+        };
+        for _ in 0..200 {
+            let (mut plain, mut marked) = (Lsq::new(), Lsq::new());
+            let mut loads = Vec::new();
+            for seq in 1..=24 {
+                let is_store = next(3) == 0;
+                let mem = MemRef::new(0x100 + next(16) * 4, 1 << next(4));
+                plain.allocate(seq, is_store, mem);
+                marked.allocate(seq, is_store, mem);
+                if is_store && next(2) == 0 {
+                    plain.mark_issued(seq);
+                    marked.mark_issued(seq);
+                } else if !is_store {
+                    marked.mark_issued(seq);
+                    loads.push(seq);
+                }
+            }
+            for &seq in &loads {
+                for probe in 0..20 {
+                    let mem = MemRef::new(0x100 + probe * 4, 8);
+                    assert_eq!(plain.check_load(seq, &mem), marked.check_load(seq, &mem));
+                }
+            }
+        }
     }
 }

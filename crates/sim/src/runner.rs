@@ -16,7 +16,9 @@ use crate::metrics::{self, ScopedTimer};
 use crate::model::SimModel;
 use crate::progress::Progress;
 use crate::signals;
-use crate::snapshot::{self, LoadedSnapshot, SnapshotPhase, SnapshotPolicy, SnapshotStore};
+use crate::snapshot::{
+    self, LoadedSnapshot, SnapshotPhase, SnapshotPolicy, SnapshotStore, SnapshotWriter,
+};
 use mlpwin_branch::PredictorStats;
 use mlpwin_energy::RunCounters;
 use mlpwin_isa::Cycle;
@@ -67,9 +69,14 @@ pub const METRIC_CYCLES_SKIPPED: &str = "mlpwin_cycles_skipped_total";
 pub const METRIC_CYCLES_STEPPED: &str = "mlpwin_cycles_stepped_total";
 /// Gauge: the latest run's fraction of cycles advanced in bulk, 0..=1.
 pub const METRIC_SKIP_FRACTION: &str = "mlpwin_skip_fraction";
-/// Counter of host nanoseconds spent encoding and saving periodic
-/// snapshots (zero for snapshot-free runs).
+/// Counter of host nanoseconds the simulating thread spends on periodic
+/// snapshots: the image encode plus its handoff to the background
+/// writer (zero for snapshot-free runs).
 pub const METRIC_SNAPSHOT_HOST_NS: &str = "mlpwin_snapshot_host_ns_total";
+/// Counter of host nanoseconds the background writer spends making
+/// periodic snapshots durable (temp file, `fsync`, rename, prune), off
+/// the simulating thread.
+pub const METRIC_SNAPSHOT_WRITE_NS: &str = "mlpwin_snapshot_write_ns_total";
 
 /// A deliberately injected failure, for testing the harness's own
 /// recovery paths (see `DESIGN.md` §"Error handling").
@@ -506,6 +513,11 @@ enum ExecError {
 /// never the run. On success the spec's snapshots are deleted: a
 /// finished run must not resume from a stale image.
 ///
+/// Each attempt saves its images on one background
+/// [`SnapshotWriter`] thread, so the simulation does not wait for
+/// `fsync`. A crash can therefore lose the image still in flight, and
+/// the resume starts from the one before it — still exactly.
+///
 /// Results are bit-identical to [`run`] for the same spec: the snapshot
 /// cadence only adds step-boundary save points and never changes what
 /// the pipeline does (the core's fast-forward pins cadence points
@@ -585,26 +597,34 @@ fn execute_recoverable<W: Workload>(
 
     // The sink must label each image with the driver phase it was taken
     // in; the shared cell is how the phase transitions reach the
-    // closure.
+    // closure. The writer is shared with the sink so the run can drain
+    // it before reporting; whichever handle drops last joins its
+    // thread, so every offered image is saved before this function
+    // returns — on success, error and unwind alike — and thus before
+    // `run_recoverable` discards the store.
     let phase = Rc::new(Cell::new(SnapshotPhase::Warmup));
-    let fresh_start = resume.is_none();
+    let writer = Rc::new(SnapshotWriter::spawn(store.clone(), resume.is_none()));
     {
         let phase = Rc::clone(&phase);
-        let store = store.clone();
-        core.set_snapshot_sink(Box::new(move |cycle, bytes| {
-            // A failed save is a warning, not an error: the simulation
-            // is unharmed, only the recovery point is older.
-            if let Err(detail) = store.save(phase.get(), cycle, bytes) {
-                eprintln!("warning: {detail}; continuing without this snapshot");
-            }
-            snapshot::hooks::on_snapshot(cycle, fresh_start);
+        let writer = Rc::clone(&writer);
+        core.set_snapshot_sink(Box::new(move |cycle, image| {
+            snapshot::hooks::on_offer(cycle);
+            writer.submit(phase.get(), cycle, image);
             if signals::interrupted() {
-                // The image for this very cycle is on disk: unwind now
-                // and the next invocation resumes from here.
+                // Unwind only once the image for this very cycle is on
+                // disk: the next invocation resumes from here.
+                writer.flush();
                 std::panic::panic_any(signals::INTERRUPT_PANIC);
             }
         }));
     }
+    // The successful epilogue: wait for the last images, then report
+    // the writer's save time beside the core's encode-and-handoff time.
+    let finish = |core: &mut Core<W>, stats: CoreStats, secs: Option<f64>| {
+        writer.flush();
+        metrics::counter_add(METRIC_SNAPSHOT_WRITE_NS, writer.write_ns());
+        collect_result(spec, category, levels, core, stats, secs)
+    };
 
     let sim = |e: mlpwin_ooo::PipelineError| ExecError::Sim(e.into());
     match resume {
@@ -618,9 +638,7 @@ fn execute_recoverable<W: Workload>(
             let measure_timer = ScopedTimer::start(METRIC_PHASE_MEASURE);
             let stats = core.run(spec.insts).map_err(sim)?;
             let secs = measure_timer.stop();
-            Ok(collect_result(
-                spec, category, levels, &mut core, stats, secs,
-            ))
+            Ok(finish(&mut core, stats, secs))
         }
         Some(snap) => {
             core.restore(&snap.payload)
@@ -641,18 +659,14 @@ fn execute_recoverable<W: Workload>(
                     let measure_timer = ScopedTimer::start(METRIC_PHASE_MEASURE);
                     let stats = core.run(spec.insts).map_err(sim)?;
                     let secs = measure_timer.stop();
-                    Ok(collect_result(
-                        spec, category, levels, &mut core, stats, secs,
-                    ))
+                    Ok(finish(&mut core, stats, secs))
                 }
                 SnapshotPhase::Measure => {
                     phase.set(SnapshotPhase::Measure);
                     let measure_timer = ScopedTimer::start(METRIC_PHASE_MEASURE);
                     let stats = core.resume_run().map_err(sim)?;
                     let secs = measure_timer.stop();
-                    Ok(collect_result(
-                        spec, category, levels, &mut core, stats, secs,
-                    ))
+                    Ok(finish(&mut core, stats, secs))
                 }
             }
         }
@@ -937,5 +951,76 @@ mod tests {
             SimError::Config(ConfigError::ZeroIntervalEpoch) => {}
             other => panic!("expected Config(ZeroIntervalEpoch), got {other:?}"),
         }
+    }
+
+    fn snapshot_files(dir: &std::path::Path) -> Vec<String> {
+        std::fs::read_dir(dir)
+            .map(|entries| {
+                entries
+                    .filter_map(|e| e.ok())
+                    .map(|e| e.file_name().to_string_lossy().into_owned())
+                    .collect()
+            })
+            .unwrap_or_default()
+    }
+
+    /// The run must not discard its store while the writer still holds
+    /// images: held on its first image, the writer finishes only after
+    /// the simulation has, and the finished run still leaves no file.
+    #[test]
+    fn finished_run_leaves_no_snapshot_even_when_the_writer_lags() {
+        use crate::snapshot::SAVE_GATE;
+        use std::sync::{mpsc, Arc};
+        let dir = std::env::temp_dir().join(format!("mlpwin-writer-held-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        // One image, two thirds of the way through the run: while the
+        // writer holds it, the simulation runs on to its end.
+        let spec = quick("gcc", SimModel::Base).with_budget(0, 3_000);
+        let reference = run(&spec).expect("reference run");
+        let policy = SnapshotPolicy::in_dir(&dir).every(reference.stats.cycles * 2 / 3);
+        let (held, holds) = mpsc::channel::<u64>();
+        let (release, released) = mpsc::channel::<()>();
+        let released = Mutex::new(released);
+        std::thread::scope(|scope| {
+            let running = scope.spawn(|| {
+                SAVE_GATE.with(|gate| {
+                    *gate.borrow_mut() = Some(Arc::new(move |cycle| {
+                        held.send(cycle).ok();
+                        released.lock().expect("gate lock").recv().ok();
+                    }));
+                });
+                run_recoverable(&spec, &policy)
+            });
+            holds.recv().expect("the writer takes the first image");
+            std::thread::sleep(std::time::Duration::from_millis(200));
+            assert!(
+                !running.is_finished(),
+                "the run must wait for its writer before returning"
+            );
+            drop(release);
+            let result = running.join().expect("no panic").expect("healthy run");
+            assert_eq!(result, reference);
+        });
+        assert_eq!(holds.try_iter().count(), 0, "exactly one image was offered");
+        assert_eq!(snapshot_files(&dir), Vec::<String>::new());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A save that cannot happen (the snapshot directory's parent is a
+    /// file) costs only the recovery point: the run warns and completes
+    /// bit-identically.
+    #[test]
+    fn failing_snapshot_saves_warn_and_the_run_completes_identically() {
+        let dir = std::env::temp_dir().join(format!("mlpwin-writer-fail-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let blocker = dir.join("not-a-dir");
+        std::fs::write(&blocker, b"").expect("write blocker");
+        let spec = quick("mcf", SimModel::Dynamic);
+        let policy = SnapshotPolicy::in_dir(blocker.join("snaps")).every(500);
+        let result = run_recoverable(&spec, &policy).expect("saves failing is not fatal");
+        assert_eq!(result, run(&spec).expect("reference run"));
+        assert_eq!(snapshot_files(&dir), vec!["not-a-dir".to_string()]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

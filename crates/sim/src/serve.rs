@@ -57,7 +57,7 @@ use crate::lock::LockedFile;
 use crate::metrics;
 use crate::progress::{CampaignSnapshot, Progress};
 use crate::queue::{DeathVerdict, JobId, JobQueue, JobState, Lane, QueuePolicy};
-use crate::runner::{RunResult, RunSpec};
+use crate::runner::RunSpec;
 use crate::signals;
 use crate::snapshot::SnapshotPolicy;
 use crate::supervisor::{HeartbeatHook, Supervisor, WorkerEnd};
@@ -1005,8 +1005,9 @@ fn worker_loop(me: &str, campaign: &Arc<Campaign>, cfg: &CampaignConfig) {
             match end {
                 WorkerEnd::Clean => {
                     // The worker's contract: exit 0 only after appending
-                    // (spec, result) to done.jsonl.
-                    match find_journaled(&cfg.done_path(), &job.spec) {
+                    // (spec, result) to done.jsonl. Its line is among the
+                    // last, so the scan runs from the tail.
+                    match Journal::new(cfg.done_path()).find_latest(&job.spec) {
                         Ok(Some(result)) => {
                             campaign
                                 .cache
@@ -1789,15 +1790,6 @@ fn supervisor_for(campaign: &Arc<Campaign>, cfg: &CampaignConfig, id: JobId) -> 
     sup
 }
 
-/// The journaled result for `spec`, if the worker appended one.
-fn find_journaled(path: &Path, spec: &RunSpec) -> Result<Option<RunResult>, SimError> {
-    Ok(Journal::new(path)
-        .load()?
-        .into_iter()
-        .find(|(s, _)| s == spec)
-        .map(|(_, result)| result))
-}
-
 /// Writes the finalized `journal.jsonl`: one line per Done job, in
 /// submission order, from verified cached results — byte-identical to
 /// the journal a serial uninterrupted run produces, regardless of how
@@ -1839,6 +1831,7 @@ fn finalize(queue: &JobQueue, cache: &CacheStore, cfg: &CampaignConfig) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::RunResult;
 
     fn spec_n(n: u64) -> RunSpec {
         let mut s = RunSpec::new("gcc", crate::SimModel::Base).with_budget(100, 100);
@@ -2010,7 +2003,7 @@ mod tests {
             .expect("torn tail");
         drop(file);
 
-        let found = |spec: &RunSpec| find_journaled(&path, spec).expect("readable");
+        let found = |spec: &RunSpec| journal.find_latest(spec).expect("readable");
         assert_eq!(found(&runs[0].0).as_ref(), Some(&runs[0].1));
         assert_eq!(found(&runs[1].0).as_ref(), Some(&runs[1].1));
         assert_eq!(

@@ -12,6 +12,9 @@
 //!   cycle, payload length) and CRC-32-guarded end to end;
 //! - writes are atomic: temp file in the same directory, `fsync`, then
 //!   rename — a kill mid-write leaves only a temp file nobody reads;
+//! - a recoverable run saves on one background `SnapshotWriter`
+//!   thread with at most one image in flight, so a crash loses at most
+//!   that image and the resume starts from the one before it;
 //! - a file that fails any check is *quarantined* (renamed with a
 //!   `.corrupt` suffix) with a warning, and the previous rotation — or a
 //!   fresh start — takes over; corruption is never fatal.
@@ -20,6 +23,9 @@ use crate::metrics;
 use mlpwin_isa::snap::crc32;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Instant;
 
 /// Counter of snapshot files quarantined as `*.corrupt` (failed CRC,
 /// framing, or restore). With telemetry on, a fleet that starts eating
@@ -363,6 +369,141 @@ pub(crate) fn check_frame_header(expect_hash: u64, head: &[u8]) -> Result<(), St
     Ok(())
 }
 
+// ----------------------------------------------------------------- writer
+
+/// One request to a [`SnapshotWriter`]'s thread.
+enum WriteRequest {
+    /// Save this image (the run's periodic snapshot at `cycle`).
+    Save {
+        phase: SnapshotPhase,
+        cycle: u64,
+        image: Vec<u8>,
+    },
+    /// Acknowledge once every earlier image has been saved.
+    Flush(mpsc::Sender<()>),
+}
+
+/// A test-only gate the writer thread passes before each save, called
+/// with the image's cycle; a test holds the writer busy by blocking in
+/// it.
+#[cfg(test)]
+pub(crate) type SaveGate = Arc<dyn Fn(u64) + Send + Sync>;
+
+#[cfg(test)]
+thread_local! {
+    /// The gate for writers spawned from this thread (thread-local so
+    /// concurrently running tests never hold each other's writers).
+    pub(crate) static SAVE_GATE: std::cell::RefCell<Option<SaveGate>> =
+        const { std::cell::RefCell::new(None) };
+}
+
+/// One run's background snapshot writer: a thread that makes offered
+/// images durable with [`SnapshotStore::save`] (temp file, `fsync`,
+/// rename, prune) while the simulation goes on.
+///
+/// The handoff is a rendezvous: the writer takes an image only when it
+/// is free, so an offer made while the previous image is still being
+/// saved blocks the simulating thread, and at most one image is ever in
+/// flight. Images are saved in offer order,
+/// and the chaos hook fires only after its image is saved. Dropping the
+/// writer drains the queue and joins the thread, so once it is gone
+/// every offered image is on disk (or its save failed with a warning).
+pub(crate) struct SnapshotWriter {
+    requests: Option<mpsc::SyncSender<WriteRequest>>,
+    thread: Option<std::thread::JoinHandle<()>>,
+    write_ns: Arc<AtomicU64>,
+}
+
+impl SnapshotWriter {
+    /// Starts the writer for `store`. `fresh_start` arms the chaos hook
+    /// (a resumed run never re-fires it).
+    pub(crate) fn spawn(store: SnapshotStore, fresh_start: bool) -> SnapshotWriter {
+        let (requests, queue) = mpsc::sync_channel::<WriteRequest>(0);
+        let write_ns = Arc::new(AtomicU64::new(0));
+        let total = Arc::clone(&write_ns);
+        #[cfg(test)]
+        let gate = SAVE_GATE.with(|g| g.borrow().clone());
+        let thread = std::thread::Builder::new()
+            .name("mlpwin-snapshot-writer".to_string())
+            .spawn(move || {
+                for request in queue {
+                    match request {
+                        WriteRequest::Save {
+                            phase,
+                            cycle,
+                            image,
+                        } => {
+                            #[cfg(test)]
+                            if let Some(gate) = &gate {
+                                gate(cycle);
+                            }
+                            let started = Instant::now();
+                            // A failed save is a warning, not an error:
+                            // the simulation is unharmed, only the
+                            // recovery point is older.
+                            if let Err(detail) = store.save(phase, cycle, &image) {
+                                eprintln!("warning: {detail}; continuing without this snapshot");
+                            }
+                            total.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                            hooks::on_durable(cycle, fresh_start);
+                        }
+                        WriteRequest::Flush(ack) => {
+                            ack.send(()).ok();
+                        }
+                    }
+                }
+            })
+            .expect("spawn the snapshot writer thread");
+        SnapshotWriter {
+            requests: Some(requests),
+            thread: Some(thread),
+            write_ns,
+        }
+    }
+
+    /// Hands one image to the writer; blocks while the previous image
+    /// is still being saved.
+    pub(crate) fn submit(&self, phase: SnapshotPhase, cycle: u64, image: Vec<u8>) {
+        let request = WriteRequest::Save {
+            phase,
+            cycle,
+            image,
+        };
+        if let Some(requests) = &self.requests {
+            // A dead writer loses only recovery points, never results.
+            requests.send(request).ok();
+        }
+    }
+
+    /// Blocks until every image submitted so far has been saved.
+    pub(crate) fn flush(&self) {
+        let (ack, done) = mpsc::channel();
+        if let Some(requests) = &self.requests {
+            if requests.send(WriteRequest::Flush(ack)).is_ok() {
+                done.recv().ok();
+            }
+        }
+    }
+
+    /// Host nanoseconds the writer has spent in saves so far.
+    pub(crate) fn write_ns(&self) -> u64 {
+        self.write_ns.load(Ordering::Relaxed)
+    }
+}
+
+impl Drop for SnapshotWriter {
+    fn drop(&mut self) {
+        // Closing the queue ends the thread's loop once it has saved
+        // every image already queued.
+        drop(self.requests.take());
+        if let Some(thread) = self.thread.take() {
+            if thread.join().is_err() {
+                eprintln!("warning: the snapshot writer panicked; later images were not saved");
+            }
+        }
+    }
+}
+
 // ------------------------------------------------------------------ hooks
 
 /// Process-global observation/chaos hooks fired at every snapshot-cadence
@@ -394,14 +535,16 @@ pub mod hooks {
         *HEARTBEAT_FN.lock().expect("heartbeat hook lock") = f;
     }
 
-    /// Abort the process at the first snapshot at or past `cycle` — but
-    /// only on a fresh (non-resumed) run, so the post-crash resume
-    /// completes. Test-only chaos injection.
+    /// Abort the process at the first snapshot at or past `cycle`, once
+    /// that image is saved — but only on a fresh (non-resumed) run, so
+    /// the post-crash resume completes. Test-only chaos injection.
     pub fn set_chaos_kill_at(cycle: Option<u64>) {
         CHAOS_KILL_AT.store(cycle.unwrap_or(u64::MAX), Ordering::SeqCst);
     }
 
-    pub(crate) fn on_snapshot(cycle: u64, fresh_start: bool) {
+    /// Fired on the simulating thread when an image is offered: the
+    /// heartbeats leave here, before the image reaches the disk.
+    pub(crate) fn on_offer(cycle: u64) {
         if HEARTBEAT.load(Ordering::SeqCst) {
             use std::io::Write as _;
             let mut out = std::io::stdout().lock();
@@ -412,6 +555,11 @@ pub mod hooks {
         if let Some(f) = hook {
             f(cycle);
         }
+    }
+
+    /// Fired on the writer thread once the image for `cycle` has been
+    /// saved, so an injected crash always finds that image on disk.
+    pub(crate) fn on_durable(cycle: u64, fresh_start: bool) {
         if fresh_start && cycle >= CHAOS_KILL_AT.load(Ordering::SeqCst) {
             eprintln!("chaos: aborting at cycle {cycle} (injected crash)");
             std::process::abort();
