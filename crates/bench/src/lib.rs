@@ -2,8 +2,9 @@
 //!
 //! The benchmark harness: one binary per table and figure of the paper
 //! (run with `cargo run --release -p mlpwin-bench --bin fig7`), plus
-//! Criterion micro-benchmarks of the hot simulator structures
-//! (`cargo bench -p mlpwin-bench`).
+//! micro-benchmarks of the hot simulator structures on a std-only
+//! harness (`cargo bench -p mlpwin-bench`), the repository benchmark
+//! (`mlpwin-benchmark`) and its paired same-host gate (`mlpwin-gate`).
 //!
 //! Every binary accepts the same flags:
 //!
@@ -18,8 +19,6 @@
 //! Budgets are scaled-down stand-ins for the paper's 16G-skip +
 //! 100M-measure sampling; raising `--insts` tightens every number at
 //! linear cost.
-
-pub mod benchfile;
 
 use mlpwin_ooo::CoreStats;
 use mlpwin_sim::report::{cpi_stack_table, pct, try_geomean, ReportError};

@@ -24,7 +24,6 @@ use mlpwin_memsys::ProvenanceStats;
 use mlpwin_ooo::{CoreStats, IntervalSample, LevelSpec, CPI_BUCKETS};
 use mlpwin_workloads::Category;
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// FNV-1a, 64-bit: tiny, dependency-free, stable everywhere.
@@ -197,53 +196,20 @@ impl Journal {
         }
     }
 
-    /// Appends one completed run. Creates the file (and its parent
-    /// directory) on first use; each entry is a single `write` of one
-    /// line, so a kill leaves at most one partial trailing line — and if
-    /// a previous kill left one, the append starts on a fresh line so
-    /// the partial entry cannot swallow the new one.
+    /// Appends one completed run through
+    /// [`append_line`](crate::lock::append_line): one locked write of
+    /// one line, which first ends a partial line a previous kill left
+    /// behind, so that entry cannot swallow this one.
     ///
     /// # Errors
     ///
-    /// I/O failures creating, opening or writing the file.
+    /// I/O failures creating, opening, locking or writing the file.
     pub fn append(&self, spec: &RunSpec, result: &RunResult) -> Result<(), SimError> {
-        if let Some(parent) = self.path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)
-                    .map_err(|e| self.io_error(format!("mkdir failed: {e}")))?;
-            }
-        }
-        let mut line = encode_line(spec, result);
-        line.push('\n');
-        if self.missing_final_newline() {
-            line.insert(0, '\n');
-        }
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)
-            .map_err(|e| self.io_error(format!("open failed: {e}")))?;
-        // Serialize concurrent appenders (many campaign workers share
-        // one journal): the advisory lock rides the handle and releases
-        // on close, so each entry lands as one uninterleaved line.
-        crate::lock::lock_exclusive_blocking(&file)
-            .map_err(|e| self.io_error(format!("flock failed: {e}")))?;
-        file.write_all(line.as_bytes())
-            .map_err(|e| self.io_error(format!("write failed: {e}")))?;
-        Ok(())
-    }
-
-    /// Whether the file ends in a partial line (a kill mid-append).
-    fn missing_final_newline(&self) -> bool {
-        use std::io::{Read as _, Seek as _, SeekFrom};
-        let Ok(mut file) = std::fs::File::open(&self.path) else {
-            return false; // no file yet — nothing to terminate
-        };
-        if file.seek(SeekFrom::End(-1)).is_err() {
-            return false; // empty file
-        }
-        let mut last = [0u8; 1];
-        file.read_exact(&mut last).is_ok() && last[0] != b'\n'
+        // Concurrent appenders (many campaign workers share one journal)
+        // serialize on the advisory lock, so each entry lands as one
+        // uninterleaved line.
+        crate::lock::append_line(&self.path, &encode_line(spec, result))
+            .map_err(|e| self.io_error(format!("append failed: {e}")))
     }
 
     fn io_error(&self, detail: String) -> SimError {

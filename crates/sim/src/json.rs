@@ -77,6 +77,14 @@ impl Json {
         }
     }
 
+    /// The value as an object's key-sorted entries.
+    pub fn as_obj(&self) -> Option<&BTreeMap<String, Json>> {
+        match self {
+            Json::Obj(map) => Some(map),
+            _ => None,
+        }
+    }
+
     /// Serializes to a compact single-line string.
     pub fn encode(&self) -> String {
         let mut out = String::new();

@@ -46,6 +46,39 @@ pub fn lock_exclusive_blocking(file: &File) -> std::io::Result<()> {
     }
 }
 
+/// Appends `line` plus a newline to `path` under the blocking lock,
+/// creating the file and its parent directory on first use. If a kill
+/// mid-append left a partial final line, a newline ends it first, so the
+/// fragment cannot swallow the new record. The check reads the last
+/// byte through the lock-holding handle, so no other appender can slip
+/// in between the check and the write. No fsync: callers that need one
+/// take it themselves.
+pub fn append_line(path: &Path, line: &str) -> std::io::Result<()> {
+    use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
+    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        std::fs::create_dir_all(parent)?;
+    }
+    let mut file = std::fs::OpenOptions::new()
+        .create(true)
+        .read(true)
+        .append(true)
+        .open(path)?;
+    lock_exclusive_blocking(&file)?;
+    let mut last = [0u8; 1];
+    let torn = file.seek(SeekFrom::End(-1)).is_ok()
+        && file.read_exact(&mut last).is_ok()
+        && last[0] != b'\n';
+    let mut bytes = Vec::with_capacity(line.len() + 2);
+    if torn {
+        bytes.push(b'\n');
+    }
+    bytes.extend_from_slice(line.as_bytes());
+    bytes.push(b'\n');
+    // One write: with O_APPEND it lands at the end whatever the read
+    // position, so a kill leaves at most one partial line behind.
+    file.write_all(&bytes)
+}
+
 /// Tries an exclusive lock without blocking. `Ok(false)` means another
 /// process holds it.
 fn try_lock_exclusive(file: &File) -> std::io::Result<bool> {

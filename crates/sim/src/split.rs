@@ -48,7 +48,7 @@ use crate::snapshot::{
 };
 use mlpwin_ooo::{Core, CoreStats, LevelSpec, StatsDelta, WindowPolicy, CPI_BUCKETS};
 use mlpwin_workloads::{profiles, ProfileWorkload};
-use std::fs::{self, File, OpenOptions};
+use std::fs::{self, File};
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -358,25 +358,17 @@ impl SplitStore {
     }
 
     /// Appends one interval-result line under the advisory file lock
-    /// (cross-process safety; in-process callers serialize separately).
+    /// (cross-process safety; in-process callers serialize separately),
+    /// ending a torn final line first.
     fn append_line(&self, line: &str) -> Result<(), SimError> {
         let path = self.journal_path();
-        let err = |detail: String| SimError::Journal {
-            path: path.clone(),
-            detail,
-        };
-        fs::create_dir_all(&self.dir).map_err(|e| err(e.to_string()))?;
-        let mut f = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| err(e.to_string()))?;
-        lock::lock_exclusive_blocking(&f).map_err(|e| err(e.to_string()))?;
-        writeln!(f, "{line}").map_err(|e| err(e.to_string()))?;
         // No fsync: losing an un-synced line on power failure only
         // means that interval re-simulates on the next run, and an
         // fsync per interval would dominate phase-2 wall time.
-        Ok(())
+        lock::append_line(&path, line).map_err(move |e| SimError::Journal {
+            path,
+            detail: e.to_string(),
+        })
     }
 
     fn encode_record(&self, spec: &RunSpec, rec: &IntervalRecord) -> String {
@@ -1087,5 +1079,38 @@ mod tests {
         let b = estimate(20, 2, 0, &wide, 0, 10_000);
         assert!(b.ci95_insts.1 - b.ci95_insts.0 > a.ci95_insts.1 - a.ci95_insts.0);
         assert!(a.ci95_cpi.0 <= a.est_cpi && a.est_cpi <= a.ci95_cpi.1);
+    }
+
+    #[test]
+    fn an_append_after_a_torn_line_keeps_its_record() {
+        let dir = std::env::temp_dir().join(format!("mlpwin-split-torn-{}", std::process::id()));
+        fs::remove_dir_all(&dir).ok();
+        let spec = RunSpec::new("mcf", crate::SimModel::Dynamic).with_budget(1_000, 1_000);
+        let store = SplitStore::new(&dir, &spec, 1_000);
+        let record = |index: u64| IntervalRecord {
+            index,
+            start_cycle: index * 1_000,
+            end_cycle: (index + 1) * 1_000,
+            delta: StatsDelta::from_raw(CoreStats::default()),
+            result: None,
+            cached: false,
+        };
+        store
+            .append_line(&store.encode_record(&spec, &record(0)))
+            .expect("first append");
+        // A kill mid-append leaves a fragment with no newline.
+        let torn = store.encode_record(&spec, &record(7));
+        let mut f = fs::OpenOptions::new()
+            .append(true)
+            .open(store.journal_path())
+            .expect("open journal");
+        f.write_all(&torn.as_bytes()[..torn.len() / 2])
+            .expect("write fragment");
+        store
+            .append_line(&store.encode_record(&spec, &record(1)))
+            .expect("append after the fragment");
+        let indices: Vec<u64> = store.load_records(&spec).iter().map(|r| r.index).collect();
+        assert_eq!(indices, [0, 1], "the record after the fragment survives");
+        fs::remove_dir_all(&dir).ok();
     }
 }

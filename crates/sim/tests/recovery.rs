@@ -460,6 +460,9 @@ fn interrupted_matrix_reports_and_resumes() {
 
 #[test]
 fn panicking_spec_with_snapshots_keeps_the_retry_contract() {
+    // The runner polls the process-global interrupt flag at every
+    // snapshot; a sibling's interrupt must not cut this run short.
+    let _guard = SIGNAL_LOCK.lock().expect("signal lock");
     let dir = scratch("retry");
     let specs = vec![
         RunSpec::new("gcc", SimModel::Base)
