@@ -132,6 +132,13 @@ echo "    live probe passed; trace and flight records written"
 diff target/ci-artifacts/campaign/first/journal.jsonl \
      target/ci-artifacts/campaign/silent/journal.jsonl
 echo "    journal is bit-identical with the listener on and off"
+# The controller alone writes done.jsonl and banks each spec once: its
+# lines are exactly the finalized journal's three, in completion order.
+for run in first silent; do
+    diff <(sort "target/ci-artifacts/campaign/$run/done.jsonl") \
+         <(sort "target/ci-artifacts/campaign/$run/journal.jsonl")
+done
+echo "    done.jsonl holds one line per spec, written by the controller alone"
 "$controller" --campaign target/ci-artifacts/campaign/rerun "${jobs[@]}" \
     --workers 2 --cache target/ci-artifacts/campaign/first/journal.jsonl \
     --worker-exe "$worker" | tee target/ci-artifacts/campaign/rerun.out

@@ -3,31 +3,42 @@
 //! Runs one `(profile, model)` spec through the recoverable runner:
 //! periodic snapshots, resume-from-latest on start, graceful
 //! SIGINT/SIGTERM (final snapshot already on disk, exit code 75 =
-//! "interrupted, resumable"). The [`Supervisor`](mlpwin_sim::Supervisor)
-//! launches this binary per spec and reads the `hb <cycle>` heartbeat
-//! lines it prints with `--heartbeat`; re-running the exact same command
-//! after any kind of death resumes the run bit-identically.
+//! "interrupted, resumable"). Re-running the exact same command after
+//! any kind of death resumes the run bit-identically.
+//!
+//! With `--wire` the worker speaks the fleet's [`wire`] protocol on
+//! stdout: one `heartbeat` frame at every snapshot, then — on success
+//! only — one `result` frame carrying the journal line, then EOF. The
+//! [`Supervisor`](mlpwin_sim::Supervisor) launches this binary per
+//! campaign job with `--wire` and settles the result frame the way it
+//! settles a fleet worker's. The frames carry job id 0: the pipe, not
+//! the frame, names the job. Without `--wire`, a human-readable `done`
+//! line ends a clean run; `--journal` appends the result to a journal
+//! for standalone runs.
 //!
 //! ```text
 //! mlpwin-sim --profile mcf --model dynamic [--warmup N] [--insts N]
 //!            [--seed N] [--watchdog N] [--deadline N] [--intervals N]
 //!            [--fault panic@N|livelock@N]
 //!            [--snapshot-dir DIR] [--snapshot-cycles N] [--keep N]
-//!            [--journal PATH] [--heartbeat] [--chaos-kill-at N]
+//!            [--journal PATH] [--wire] [--chaos-kill-at N]
 //! ```
 
+use mlpwin_sim::journal::encode_line;
 use mlpwin_sim::runner::{run_recoverable, FaultSpec, RunSpec};
 use mlpwin_sim::snapshot::{hooks, SnapshotPolicy};
+use mlpwin_sim::wire::{self, Msg, WireError};
 use mlpwin_sim::{signals, Journal, SimModel};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 struct Args {
     spec: RunSpec,
     snapshots: SnapshotPolicy,
     journal: Option<PathBuf>,
-    heartbeat: bool,
+    wire: bool,
     chaos_kill_at: Option<u64>,
 }
 
@@ -36,7 +47,7 @@ fn parse_args() -> Result<Args, String> {
     let mut profile_seen = false;
     let mut snapshots = SnapshotPolicy::default();
     let mut journal = None;
-    let mut heartbeat = false;
+    let mut wire = false;
     let mut chaos_kill_at = None;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -62,14 +73,14 @@ fn parse_args() -> Result<Args, String> {
             "--snapshot-cycles" => snapshots.cadence_cycles = parse_u64(&value("cycles")?)?,
             "--keep" => snapshots.keep = parse_u64(&value("count")?)? as usize,
             "--journal" => journal = Some(PathBuf::from(value("path")?)),
-            "--heartbeat" => heartbeat = true,
+            "--wire" => wire = true,
             "--chaos-kill-at" => chaos_kill_at = Some(parse_u64(&value("cycle")?)?),
             "--help" | "-h" => {
                 println!(
                     "usage: mlpwin-sim --profile NAME --model TAG [--warmup N] [--insts N] \
                      [--seed N] [--watchdog N] [--deadline N] [--intervals N] \
                      [--fault panic@N|livelock@N] [--snapshot-dir DIR] \
-                     [--snapshot-cycles N] [--keep N] [--journal PATH] [--heartbeat] \
+                     [--snapshot-cycles N] [--keep N] [--journal PATH] [--wire] \
                      [--chaos-kill-at N]"
                 );
                 std::process::exit(0);
@@ -84,7 +95,7 @@ fn parse_args() -> Result<Args, String> {
         spec,
         snapshots,
         journal,
-        heartbeat,
+        wire,
         chaos_kill_at,
     })
 }
@@ -105,6 +116,11 @@ fn parse_fault(s: &str) -> Result<FaultSpec, String> {
     }
 }
 
+/// Writes one wire frame to stdout.
+fn send(msg: &Msg) -> Result<(), WireError> {
+    wire::write_frame(&mut std::io::stdout().lock(), msg)
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(args) => args,
@@ -114,7 +130,18 @@ fn main() -> ExitCode {
         }
     };
     signals::install();
-    hooks::set_heartbeat(args.heartbeat);
+    if args.wire {
+        hooks::set_heartbeat_fn(Some(Arc::new(|cycle| {
+            // A closed pipe means the supervisor is gone; the run goes
+            // on and its snapshots stay resumable.
+            send(&Msg::Heartbeat {
+                job: 0,
+                cycle,
+                rtt_us: 0,
+            })
+            .ok();
+        })));
+    }
     hooks::set_chaos_kill_at(args.chaos_kill_at);
 
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -129,23 +156,22 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             }
-            // Engine telemetry for the supervisor's stdout reader — must
-            // precede `done`, which stays the final line of a clean run.
-            println!(
-                "eng posted={} popped={} skipped={} stepped={}",
-                result.engine.events_posted,
-                result.engine.events_popped,
-                result.engine.skipped_cycles,
-                result.engine.stepped_cycles
-            );
-            println!(
-                "done profile={} model={} cycles={} insts={} ipc={:.4}",
-                args.spec.profile,
-                args.spec.model.tag(),
-                result.stats.cycles,
-                result.stats.committed_insts,
-                result.ipc()
-            );
+            if args.wire {
+                let line = encode_line(&args.spec, &result);
+                if let Err(e) = send(&Msg::Result { job: 0, line }) {
+                    eprintln!("mlpwin-sim: {e}");
+                    return ExitCode::FAILURE;
+                }
+            } else {
+                println!(
+                    "done profile={} model={} cycles={} insts={} ipc={:.4}",
+                    args.spec.profile,
+                    args.spec.model.tag(),
+                    result.stats.cycles,
+                    result.stats.committed_insts,
+                    result.ipc()
+                );
+            }
             ExitCode::SUCCESS
         }
         Ok(Err(e)) => {

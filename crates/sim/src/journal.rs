@@ -64,11 +64,6 @@ pub fn spec_hash(spec: &RunSpec) -> u64 {
     fnv1a(canonical_spec(spec).as_bytes())
 }
 
-/// Bytes [`Journal::find_latest`] reads per step back from the end of
-/// the file: a few dozen lines, so the common case — the wanted line is
-/// among the last few — costs one read.
-const TAIL_BLOCK: u64 = 64 * 1024;
-
 /// A JSON-lines file of completed `(spec, result)` pairs.
 #[derive(Debug, Clone)]
 pub struct Journal {
@@ -133,69 +128,6 @@ impl Journal {
         Ok(entries)
     }
 
-    /// The result of the newest decodable entry for `spec`, found by
-    /// scanning the file from its end: only lines that carry the spec's
-    /// hash are decoded, and the scan stops at the first that decodes to
-    /// `spec`. Runs are deterministic, so every decodable entry of one
-    /// spec holds the same result and this agrees with a search through
-    /// [`load`](Journal::load) — without decoding the whole file. Lines
-    /// `load` skips (torn, corrupt, unknown schema) are skipped here too,
-    /// silently.
-    ///
-    /// # Errors
-    ///
-    /// Only genuine I/O failures (permissions, unreadable file).
-    pub fn find_latest(&self, spec: &RunSpec) -> Result<Option<RunResult>, SimError> {
-        self.find_latest_in_blocks(spec, TAIL_BLOCK)
-    }
-
-    /// [`find_latest`](Journal::find_latest) reading `block` bytes at a
-    /// time, backwards.
-    fn find_latest_in_blocks(
-        &self,
-        spec: &RunSpec,
-        block: u64,
-    ) -> Result<Option<RunResult>, SimError> {
-        use std::io::{Read as _, Seek as _, SeekFrom};
-        let mut file = match std::fs::File::open(&self.path) {
-            Ok(file) => file,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(self.io_error(format!("open failed: {e}"))),
-        };
-        let read_error = |e: std::io::Error| self.io_error(format!("read failed: {e}"));
-        let mut start = file.metadata().map_err(read_error)?.len();
-        let hash = format!("{:016x}", spec_hash(spec));
-        let matches = |line: &[u8]| -> Option<RunResult> {
-            let line = std::str::from_utf8(line).ok()?.trim();
-            if !line.contains(&hash) {
-                return None;
-            }
-            decode_line(line).and_then(|(s, result)| (s == *spec).then_some(result))
-        };
-        // `tail` holds the bytes from `start` to the end of the last line
-        // not yet examined; every newline in it ends a complete line.
-        let mut tail: Vec<u8> = Vec::new();
-        loop {
-            while let Some(newline) = tail.iter().rposition(|&b| b == b'\n') {
-                if let Some(result) = matches(&tail[newline + 1..]) {
-                    return Ok(Some(result));
-                }
-                tail.truncate(newline);
-            }
-            if start == 0 {
-                return Ok(matches(&tail));
-            }
-            let len = block.min(start);
-            start -= len;
-            let mut chunk = vec![0u8; len as usize];
-            file.seek(SeekFrom::Start(start))
-                .and_then(|_| file.read_exact(&mut chunk))
-                .map_err(read_error)?;
-            chunk.extend_from_slice(&tail);
-            tail = chunk;
-        }
-    }
-
     /// Appends one completed run through
     /// [`append_line`](crate::lock::append_line): one locked write of
     /// one line, which first ends a partial line a previous kill left
@@ -205,9 +137,9 @@ impl Journal {
     ///
     /// I/O failures creating, opening, locking or writing the file.
     pub fn append(&self, spec: &RunSpec, result: &RunResult) -> Result<(), SimError> {
-        // Concurrent appenders (many campaign workers share one journal)
-        // serialize on the advisory lock, so each entry lands as one
-        // uninterleaved line.
+        // Concurrent appenders (matrix threads, standalone workers
+        // sharing one journal) serialize on the advisory lock, so each
+        // entry lands as one uninterleaved line.
         crate::lock::append_line(&self.path, &encode_line(spec, result))
             .map_err(|e| self.io_error(format!("append failed: {e}")))
     }
@@ -744,65 +676,6 @@ mod tests {
         journal.append(&spec, &result).expect("first append");
         journal.append(&spec, &result).expect("second append");
         assert_eq!(journal.load().expect("load").len(), 2);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// The tail scan answers exactly what a search through a full
-    /// `load` answers, whatever the block size: duplicate specs, other
-    /// specs' lines, a newer build's record, a tampered hash, blank
-    /// lines and a torn last line.
-    #[test]
-    fn tail_scan_agrees_with_a_full_load() {
-        let runs: Vec<(RunSpec, RunResult)> = ["gcc", "mcf", "milc"]
-            .iter()
-            .map(|profile| {
-                let spec = RunSpec::new(profile, SimModel::Base).with_budget(1_000, 1_000);
-                let result = run(&spec).expect("healthy run");
-                (spec, result)
-            })
-            .collect();
-        let line = |i: usize| encode_line(&runs[i].0, &runs[i].1);
-        let future = line(2).replace("\"schema\":2", "\"schema\":99");
-        let tampered = line(2).replace(
-            &format!("{:016x}", spec_hash(&runs[2].0)),
-            "0123456789abcdef",
-        );
-        let torn = &line(2)[..line(2).len() / 2];
-        let text = format!(
-            "{}\n{}\n\n{}\n{future}\n{tampered}\n{}\nnot json\n{torn}",
-            line(0),
-            line(1),
-            line(0),
-            line(1)
-        );
-        let dir = std::env::temp_dir().join(format!("mlpwin-journal-tail-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("done.jsonl");
-        std::fs::write(&path, &text).expect("write");
-        let journal = Journal::new(&path);
-        let loaded = journal.load().expect("load");
-        let never = RunSpec::new("gcc", SimModel::Dynamic).with_budget(1_000, 1_000);
-        let specs = [&runs[0].0, &runs[1].0, &runs[2].0, &never];
-        for block in [1, 7, 100, 4_096, TAIL_BLOCK] {
-            for spec in specs {
-                let full = loaded.iter().find(|(s, _)| s == spec).map(|(_, r)| r);
-                let tail = journal.find_latest_in_blocks(spec, block).expect("read");
-                assert_eq!(tail.as_ref(), full, "{} at block {block}", spec.profile);
-            }
-        }
-        assert!(journal.find_latest(&runs[0].0).expect("read").is_some());
-        assert!(journal.find_latest(&runs[2].0).expect("read").is_none());
-
-        // Once the killed writer's retry lands, the tail scan finds it.
-        journal.append(&runs[2].0, &runs[2].1).expect("append");
-        assert_eq!(
-            journal.find_latest(&runs[2].0).expect("read").as_ref(),
-            Some(&runs[2].1)
-        );
-        assert!(Journal::new(dir.join("missing.jsonl"))
-            .find_latest(&runs[0].0)
-            .expect("a missing file is empty")
-            .is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -139,5 +139,5 @@ pub use runner::{FaultSpec, MatrixConfig, RunOutcome, RunResult, RunSpec};
 pub use serve::{run_campaign, CampaignConfig, CampaignOutcome, CampaignReport};
 pub use snapshot::{SnapshotPolicy, SnapshotStore, SNAPSHOT_SCHEMA};
 pub use split::{run_split, SamplingEstimate, SplitConfig, SplitOutcome};
-pub use supervisor::{SuperviseOutcome, Supervisor, WorkerEnd};
+pub use supervisor::{Supervisor, WorkerEnd};
 pub use wire::{Conn, Msg, NetFault, WireError, WIRE_SCHEMA};

@@ -54,6 +54,10 @@ pub fn telemetry_enabled() -> bool {
     }
 }
 
+/// Serializes unit tests that flip the process-global telemetry knob.
+#[cfg(test)]
+pub(crate) static KNOB_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Turns host telemetry on or off for the whole process, overriding the
 /// environment. Flipping the knob never changes simulated statistics —
 /// only whether wall-clock instrumentation records anything.
@@ -890,6 +894,7 @@ mod tests {
 
     #[test]
     fn timer_records_nothing_when_disabled() {
+        let _knob = KNOB_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_telemetry(false);
         let t = ScopedTimer::start("test_disabled_timer_us");
         assert!(t.stop().is_none());

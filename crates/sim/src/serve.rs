@@ -10,6 +10,11 @@
 //! - workers hold time-bounded leases renewed by their snapshot
 //!   heartbeats; a vaporized worker's lease expires and the job
 //!   re-runs, resuming from its latest snapshot;
+//! - local slots and fleet connections differ only in transport: a
+//!   local job is an `mlpwin-sim --wire` child writing the fleet's wire
+//!   frames to a pipe, so both go through one lease, one heartbeat
+//!   handler and one settle, and the controller alone writes
+//!   `done.jsonl`;
 //! - a job that kills [`QueuePolicy::max_kills`] successive workers is
 //!   quarantined as poison, with the last worker's stderr tail (stall
 //!   snapshot, panic message) attached, and the rest of the campaign
@@ -24,7 +29,7 @@
 //! suite in `tests/campaign.rs` asserts exactly that.
 //!
 //! Graceful drain: on SIGINT/SIGTERM workers finish their in-flight
-//! jobs (journaling the results), lease nothing new, and the controller
+//! jobs (settling the results), lease nothing new, and the controller
 //! reports [`CampaignOutcome::Interrupted`]; the binary exits
 //! [`EXIT_INTERRUPTED`](crate::signals::EXIT_INTERRUPTED) (75) and
 //! rerunning the same command resumes the campaign.
@@ -57,10 +62,13 @@ use crate::lock::LockedFile;
 use crate::metrics;
 use crate::progress::{CampaignSnapshot, Progress};
 use crate::queue::{DeathVerdict, JobId, JobQueue, JobState, Lane, QueuePolicy};
-use crate::runner::RunSpec;
+use crate::runner::{
+    RunResult, RunSpec, METRIC_CYCLES_SKIPPED, METRIC_CYCLES_STEPPED, METRIC_EVENTS_POPPED,
+    METRIC_EVENTS_POSTED,
+};
 use crate::signals;
 use crate::snapshot::SnapshotPolicy;
-use crate::supervisor::{HeartbeatHook, Supervisor, WorkerEnd};
+use crate::supervisor::{Supervisor, WorkerEnd};
 use crate::wire::{Conn, Msg, WireError, WIRE_SCHEMA};
 use std::collections::HashSet;
 use std::io::Write as _;
@@ -88,7 +96,7 @@ pub const METRIC_FLEET_CONNECTED: &str = "mlpwin_fleet_workers_connected";
 /// Everything a campaign needs to run.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
-    /// The campaign directory: WAL, worker journal, snapshots, lock
+    /// The campaign directory: WAL, results journal, snapshots, lock
     /// file and the finalized `journal.jsonl` all live here.
     pub dir: PathBuf,
     /// The `mlpwin-sim` worker executable.
@@ -163,7 +171,8 @@ impl CampaignConfig {
         self.dir.join("campaign.wal")
     }
 
-    /// The worker-append journal (raw, completion-ordered).
+    /// The results journal the controller appends as jobs settle (raw,
+    /// completion-ordered).
     pub fn done_path(&self) -> PathBuf {
         self.dir.join("done.jsonl")
     }
@@ -904,227 +913,76 @@ fn write_campaign_trace(path: &Path, campaign: &Campaign) -> Result<(), SimError
     })
 }
 
-/// One worker slot: lease → supervise → record, until the queue drains
-/// or an interrupt lands.
+/// One local worker slot: lease → supervise one `mlpwin-sim --wire`
+/// child → settle, until the queue drains or an interrupt lands. The
+/// child's frames reach the same heartbeat and settle handlers a fleet
+/// connection uses (see [`supervisor_for`]); what is left here is what
+/// only a process exit can tell.
 fn worker_loop(me: &str, campaign: &Arc<Campaign>, cfg: &CampaignConfig) {
     loop {
         if signals::interrupted() {
             return;
         }
-        let leased = {
-            let mut queue = campaign.queue.lock().expect("queue poisoned");
-            let now = campaign.now_ms();
-            if let Err(e) = expire_and_log(campaign, &mut queue, now) {
-                drop(queue);
-                campaign.abort(e);
-                return;
+        let (job, spec) = match lease(campaign, me) {
+            Msg::LeaseGrant { job, spec } => (job, spec),
+            Msg::Idle { .. } => {
+                // Backoff windows and other workers' leases drain on
+                // their own clock; poll gently.
+                std::thread::sleep(Duration::from_millis(10));
+                continue;
             }
-            match queue.lease(me, now) {
-                Ok(job) => {
-                    queue.publish_metrics();
-                    job.map(|job| (job, now))
-                }
-                Err(e) => {
-                    drop(queue);
-                    campaign.abort(e);
-                    return;
-                }
-            }
+            _ => return, // drained, interrupted, or aborted
         };
-        metrics::flush();
-        let Some((job, leased_at)) = leased else {
-            let done = campaign
-                .queue
-                .lock()
-                .expect("queue poisoned")
-                .all_terminal();
-            if done {
-                return;
-            }
-            // Backoff windows and other workers' leases drain on their
-            // own clock; poll gently.
-            std::thread::sleep(Duration::from_millis(10));
-            continue;
-        };
-        campaign.log.record(
-            leased_at,
-            Some(job.id),
-            EventKind::Leased {
-                worker: me.to_string(),
-            },
-        );
-        campaign.set_worker(me, Some((job.id, leased_at)));
-
-        // A re-leased job whose earlier worker journaled before its
-        // lease expired: serve the verified cached result, run nothing.
-        let cached = {
-            let cache = campaign.cache.lock().expect("cache poisoned");
-            cache.lookup(&job.spec).ok().flatten().cloned()
-        };
-        if cached.is_some() {
-            let settled = {
+        campaign.set_worker(me, Some((job, campaign.now_ms())));
+        let end = supervisor_for(campaign, cfg, job, me).supervise_once(&spec);
+        campaign.set_worker(me, None);
+        let settled = match end {
+            WorkerEnd::Interrupted => {
+                let now = campaign.now_ms();
                 let mut queue = campaign.queue.lock().expect("queue poisoned");
-                complete_if_mine(&mut queue, job.id, me, true, campaign.now_ms())
-            };
-            campaign.set_worker(me, None);
-            match settled {
-                Ok(true) => {
+                let released = if owns(&queue, job, me) {
                     campaign.log.record(
-                        campaign.now_ms(),
-                        Some(job.id),
-                        EventKind::Done {
+                        now,
+                        Some(job),
+                        EventKind::Released {
                             worker: me.to_string(),
-                            cached: true,
+                            reason: "graceful drain".to_string(),
+                            kill: false,
                         },
                     );
-                    campaign.record_progress(true, attempts_of(campaign, job.id), 0, 0, 0);
-                }
-                Ok(false) => {}
-                Err(e) => {
+                    queue.release(job, "graceful drain", now)
+                } else {
+                    Ok(())
+                };
+                drop(queue);
+                if let Err(e) = released {
                     campaign.abort(e);
-                    return;
                 }
+                return;
             }
-            continue;
-        }
-
-        let supervisor = supervisor_for(campaign, cfg, job.id);
-        let end = supervisor.supervise_once(&job.spec);
-        // Engine telemetry the worker reported on its way out (zero when
-        // it died before printing the `eng` line).
-        let engine_skipped = supervisor.last_engine().map_or(0, |e| e.skipped_cycles);
-        metrics::flush();
-        // Settle under the queue lock, remembering what to report (the
-        // event log may be taken while holding the queue; flight dumps
-        // and progress lines wait until the guard drops).
-        let mut dump_reason: Option<String> = None;
-        let mut progress_note: Option<(bool, u64, u64, u64)> = None;
-        let settled: Result<(), SimError> = {
-            let mut queue = campaign.queue.lock().expect("queue poisoned");
-            let now = campaign.now_ms();
-            match end {
-                WorkerEnd::Clean => {
-                    // The worker's contract: exit 0 only after appending
-                    // (spec, result) to done.jsonl. Its line is among the
-                    // last, so the scan runs from the tail.
-                    match Journal::new(cfg.done_path()).find_latest(&job.spec) {
-                        Ok(Some(result)) => {
-                            campaign
-                                .cache
-                                .lock()
-                                .expect("cache poisoned")
-                                .insert(&job.spec, &result);
-                            match complete_if_mine(&mut queue, job.id, me, false, now) {
-                                Ok(true) => {
-                                    campaign.log.record(
-                                        now,
-                                        Some(job.id),
-                                        EventKind::Done {
-                                            worker: me.to_string(),
-                                            cached: false,
-                                        },
-                                    );
-                                    progress_note = Some((
-                                        true,
-                                        result.stats.committed_insts,
-                                        result.stats.cycles,
-                                        engine_skipped,
-                                    ));
-                                    Ok(())
-                                }
-                                Ok(false) => Ok(()),
-                                Err(e) => Err(e),
-                            }
-                        }
-                        Ok(None) => settle_death(
-                            campaign,
-                            &mut queue,
-                            job.id,
-                            me,
-                            "worker exited clean but journaled no result",
-                            now,
-                            &mut dump_reason,
-                            &mut progress_note,
-                        ),
-                        Err(e) => Err(e),
-                    }
-                }
-                WorkerEnd::Interrupted => {
-                    let r = if owns(&queue, job.id, me) {
-                        let released = queue.release(job.id, "graceful drain", now);
-                        campaign.log.record(
-                            now,
-                            Some(job.id),
-                            EventKind::Released {
-                                worker: me.to_string(),
-                                reason: "graceful drain".to_string(),
-                                kill: false,
-                            },
-                        );
-                        released
-                    } else {
-                        Ok(())
-                    };
-                    drop(queue);
-                    campaign.set_worker(me, None);
-                    if let Err(e) = r {
-                        campaign.abort(e);
-                    }
-                    return;
-                }
-                WorkerEnd::TypedFailure { code, stderr_tail } => {
-                    let detail = with_tail(&format!("worker exit code {code}"), &stderr_tail);
-                    if owns(&queue, job.id, me) {
-                        let failed = queue.fail(job.id, &detail, now);
-                        campaign.log.record(
-                            now,
-                            Some(job.id),
-                            EventKind::Failed {
-                                worker: me.to_string(),
-                                detail,
-                            },
-                        );
-                        progress_note = Some((false, 0, 0, 0));
-                        failed
-                    } else {
-                        Ok(())
-                    }
-                }
-                WorkerEnd::Death {
-                    detail,
-                    stderr_tail,
-                } => settle_death(
-                    campaign,
-                    &mut queue,
-                    job.id,
-                    me,
-                    &with_tail(&detail, &stderr_tail),
-                    now,
-                    &mut dump_reason,
-                    &mut progress_note,
-                ),
-                WorkerEnd::LaunchFailed { detail } => settle_death(
-                    campaign,
-                    &mut queue,
-                    job.id,
-                    me,
-                    &detail,
-                    now,
-                    &mut dump_reason,
-                    &mut progress_note,
-                ),
-            }
+            WorkerEnd::TypedFailure { code, stderr_tail } => fail(
+                campaign,
+                me,
+                job,
+                with_tail(&format!("worker exit code {code}"), &stderr_tail),
+            ),
+            // The reader thread has settled any result frame by now, so
+            // a job this slot still owns after a clean exit got none.
+            WorkerEnd::Clean => settle_death(
+                campaign,
+                job,
+                me,
+                "worker exited clean but sent no result frame",
+            ),
+            WorkerEnd::Death {
+                detail,
+                stderr_tail,
+            } => settle_death(campaign, job, me, &with_tail(&detail, &stderr_tail)),
+            WorkerEnd::LaunchFailed { detail } => settle_death(campaign, job, me, &detail),
         };
-        campaign.set_worker(me, None);
         if let Err(e) = settled {
             campaign.abort(e);
             return;
-        }
-        if let Some(reason) = dump_reason {
-            campaign.dump_flight(&reason);
-        }
-        if let Some((ok, insts, cycles, skipped)) = progress_note {
-            campaign.record_progress(ok, attempts_of(campaign, job.id), insts, cycles, skipped);
         }
         metrics::flush();
     }
@@ -1165,49 +1023,76 @@ fn attempts_of(campaign: &Campaign, id: JobId) -> u32 {
 }
 
 /// Records a worker death against `id` when `me` still owns it, logs
-/// the matching event, and flags a flight dump. Factored out of the
-/// three death-shaped [`WorkerEnd`] arms.
-#[allow(clippy::too_many_arguments)]
-fn settle_death(
-    campaign: &Campaign,
-    queue: &mut JobQueue,
-    id: JobId,
-    me: &str,
-    detail: &str,
-    now_ms: u64,
-    dump_reason: &mut Option<String>,
-    progress_note: &mut Option<(bool, u64, u64, u64)>,
-) -> Result<(), SimError> {
-    if !owns(queue, id, me) {
-        return Ok(());
-    }
-    match queue.worker_died(id, detail, now_ms)? {
-        DeathVerdict::Requeued { .. } => {
-            campaign.log.record(
-                now_ms,
-                Some(id),
-                EventKind::Released {
+/// the matching event, and dumps a flight record.
+fn settle_death(campaign: &Campaign, id: JobId, me: &str, detail: &str) -> Result<(), SimError> {
+    let now = campaign.now_ms();
+    let verdict = {
+        let mut queue = campaign.queue.lock().expect("queue poisoned");
+        if !owns(&queue, id, me) {
+            return Ok(());
+        }
+        let verdict = queue.worker_died(id, detail, now)?;
+        campaign.log.record(
+            now,
+            Some(id),
+            match verdict {
+                DeathVerdict::Requeued { .. } => EventKind::Released {
                     worker: me.to_string(),
                     reason: detail.to_string(),
                     kill: true,
                 },
-            );
-            *dump_reason = Some(format!("worker death: {detail}"));
-        }
-        DeathVerdict::Quarantined => {
-            campaign.log.record(
-                now_ms,
-                Some(id),
-                EventKind::Quarantined {
+                DeathVerdict::Quarantined => EventKind::Quarantined {
                     worker: me.to_string(),
                     detail: detail.to_string(),
                 },
-            );
-            *dump_reason = Some(format!("job {id} quarantined: {detail}"));
-            *progress_note = Some((false, 0, 0, 0));
+            },
+        );
+        verdict
+    };
+    match verdict {
+        DeathVerdict::Requeued { .. } => campaign.dump_flight(&format!("worker death: {detail}")),
+        DeathVerdict::Quarantined => {
+            campaign.dump_flight(&format!("job {id} quarantined: {detail}"));
+            campaign.record_progress(false, attempts_of(campaign, id), 0, 0, 0);
         }
     }
     Ok(())
+}
+
+/// Records a deterministic, typed failure of `id` when `identity` still
+/// owns it; a stale report is absorbed. Shared by local slots (worker
+/// exit 1 or 2) and fleet connections (a `failed` frame).
+fn fail(campaign: &Campaign, identity: &str, id: JobId, detail: String) -> Result<(), SimError> {
+    let now = campaign.now_ms();
+    {
+        let mut queue = campaign.queue.lock().expect("queue poisoned");
+        if !valid_job(&queue, id) || !owns(&queue, id, identity) {
+            return Ok(());
+        }
+        queue.fail(id, &detail, now)?;
+    }
+    campaign.log.record(
+        now,
+        Some(id),
+        EventKind::Failed {
+            worker: identity.to_string(),
+            detail,
+        },
+    );
+    campaign.record_progress(false, attempts_of(campaign, id), 0, 0, 0);
+    Ok(())
+}
+
+/// Renews `id`'s lease when `identity` still holds it: a heartbeat
+/// arriving after expiry (or after the job moved to another worker) is
+/// stale noise and must not extend or resurrect the lease. Shared by
+/// local slots and fleet connections.
+fn heartbeat(campaign: &Campaign, identity: &str, id: JobId) {
+    let now = campaign.now_ms();
+    let mut queue = campaign.queue.lock().expect("queue poisoned");
+    if valid_job(&queue, id) && owns(&queue, id, identity) {
+        queue.renew(id, now);
+    }
 }
 
 /// Whether `me` still holds `id`'s lease. False once `expire_stale`
@@ -1527,18 +1412,9 @@ fn handle_fleet_msg(
     msg: Msg,
 ) -> Option<Msg> {
     match msg {
-        Msg::LeaseRequest => Some(fleet_lease(campaign, identity)),
+        Msg::LeaseRequest => Some(lease(campaign, identity)),
         Msg::Heartbeat { job, rtt_us, .. } => {
-            let now = campaign.now_ms();
-            {
-                let mut queue = campaign.queue.lock().expect("queue poisoned");
-                // Renew only a lease this worker still holds: a
-                // heartbeat arriving after expiry is stale noise and
-                // must not resurrect the lease.
-                if valid_job(&queue, job) && owns(&queue, job, identity) {
-                    queue.renew(job, now);
-                }
-            }
+            heartbeat(campaign, identity, job);
             if rtt_us > 0 {
                 metrics::observe(
                     metrics::labeled(METRIC_FLEET_RTT, &[("worker", base)]),
@@ -1547,34 +1423,14 @@ fn handle_fleet_msg(
             }
             Some(Msg::Ack)
         }
-        Msg::Result { job, line } => fleet_settle(campaign, cfg, identity, job, &line),
-        Msg::Failed { job, detail } => {
-            let now = campaign.now_ms();
-            let mut queue = campaign.queue.lock().expect("queue poisoned");
-            if !valid_job(&queue, job) || !owns(&queue, job, identity) {
-                return Some(Msg::Ack); // stale report: absorbed
+        Msg::Result { job, line } => settle(campaign, &cfg.done_path(), identity, job, &line),
+        Msg::Failed { job, detail } => match fail(campaign, identity, job, detail) {
+            Ok(()) => Some(Msg::Ack),
+            Err(e) => {
+                campaign.abort(e);
+                None
             }
-            let failed = queue.fail(job, &detail, now);
-            drop(queue);
-            match failed {
-                Ok(()) => {
-                    campaign.log.record(
-                        now,
-                        Some(job),
-                        EventKind::Failed {
-                            worker: identity.to_string(),
-                            detail,
-                        },
-                    );
-                    campaign.record_progress(false, attempts_of(campaign, job), 0, 0, 0);
-                    Some(Msg::Ack)
-                }
-                Err(e) => {
-                    campaign.abort(e);
-                    None
-                }
-            }
-        }
+        },
         // Any controller-to-worker message type (or a second hello)
         // arriving here means the peer is desynced — close and let it
         // reconnect cleanly.
@@ -1582,11 +1438,12 @@ fn handle_fleet_msg(
     }
 }
 
-/// Answers a lease request: expires stale leases first, serves banked
-/// (cache-verified) results without a grant, then hands out the next
-/// runnable job — or Idle with a backoff hint, or Drain once every job
-/// is terminal (or the campaign is draining).
-fn fleet_lease(campaign: &Arc<Campaign>, identity: &str) -> Msg {
+/// Answers a lease request from a local slot or a fleet connection:
+/// expires stale leases first, serves banked (cache-verified) results
+/// without a grant, then hands out the next runnable job — or Idle with
+/// a backoff hint, or Drain once every job is terminal (or the campaign
+/// is draining).
+fn lease(campaign: &Campaign, identity: &str) -> Msg {
     if signals::interrupted() {
         return Msg::Drain;
     }
@@ -1674,30 +1531,42 @@ fn fleet_lease(campaign: &Arc<Campaign>, identity: &str) -> Msg {
     reply
 }
 
-/// Settles a returned result idempotently. The journal line is
+/// Settles a returned result idempotently, for a local slot's result
+/// frame and a fleet connection's alike. The journal line is
 /// re-verified (embedded spec hash) before anything is trusted; the
-/// verified result is banked in done.jsonl + cache *before* the WAL
-/// flips to Done (matching the local worker ordering), and the Done
-/// transition itself happens only while the sender still owns the
-/// lease — a duplicate or late result is absorbed without mutation.
-fn fleet_settle(
-    campaign: &Arc<Campaign>,
-    cfg: &CampaignConfig,
-    identity: &str,
-    job: JobId,
-    line: &str,
-) -> Option<Msg> {
+/// verified result is banked in `done.jsonl` + cache *before* the WAL
+/// flips to Done, and the Done transition itself happens only while the
+/// sender still owns the lease — a duplicate or late result is absorbed
+/// without mutation. The controller is the only writer of `done.jsonl`.
+/// `None` asks a fleet connection to close (unverifiable line, desynced
+/// job id, fatal control-plane error).
+fn settle(campaign: &Campaign, done: &Path, identity: &str, job: JobId, line: &str) -> Option<Msg> {
     let Some((spec, result)) = decode_line(line) else {
         metrics::counter_add(METRIC_FLEET_FRAMES_CORRUPT, 1);
         metrics::flush();
-        eprintln!("fleet: {identity}: result line failed hash verification; closing");
+        eprintln!("campaign: {identity}: result line failed hash verification");
         return None;
     };
+    settle_result(campaign, done, identity, job, &spec, &result)
+}
+
+/// [`settle`] past the line's hash check. Folds `result.engine` into
+/// the controller's engine counters once per completed job; a journal
+/// line carries no engine counters, so a result decoded from a worker's
+/// line folds zeros there.
+fn settle_result(
+    campaign: &Campaign,
+    done: &Path,
+    identity: &str,
+    job: JobId,
+    spec: &RunSpec,
+    result: &RunResult,
+) -> Option<Msg> {
     let now = campaign.now_ms();
-    let mut progress: Option<(u32, u64, u64, u64)> = None;
+    let mut progress: Option<u32> = None;
     let reply = {
         let mut queue = campaign.queue.lock().expect("queue poisoned");
-        if !valid_job(&queue, job) || queue.job(job).spec != spec {
+        if !valid_job(&queue, job) || queue.job(job).spec != *spec {
             // The claimed job id does not carry this spec: desynced
             // (or adversarial) peer.
             drop(queue);
@@ -1706,20 +1575,20 @@ fn fleet_settle(
             return None;
         }
         if queue.job(job).state.is_terminal() {
-            // Already settled (by this worker's earlier duplicate, a
-            // local worker, or another connection): absorb silently.
+            // Already settled (by this worker's earlier duplicate or
+            // another worker): absorb silently.
             Msg::Settled { owned: false }
         } else {
             {
                 let mut cache = campaign.cache.lock().expect("cache poisoned");
-                if cache.lookup(&spec).ok().flatten().is_none() {
-                    if let Err(e) = Journal::new(cfg.done_path()).append(&spec, &result) {
+                if cache.lookup(spec).ok().flatten().is_none() {
+                    if let Err(e) = Journal::new(done).append(spec, result) {
                         drop(cache);
                         drop(queue);
                         campaign.abort(e);
                         return None;
                     }
-                    cache.insert(&spec, &result);
+                    cache.insert(spec, result);
                 }
             }
             match complete_if_mine(&mut queue, job, identity, false, now) {
@@ -1734,12 +1603,7 @@ fn fleet_settle(
                                 cached: false,
                             },
                         );
-                        progress = Some((
-                            queue.timing(job).attempts,
-                            result.stats.committed_insts,
-                            result.stats.cycles,
-                            result.engine.skipped_cycles,
-                        ));
+                        progress = Some(queue.timing(job).attempts);
                     }
                     // !owned: the lease expired mid-flight. The result
                     // is banked; whoever leases the job next completes
@@ -1754,9 +1618,24 @@ fn fleet_settle(
             }
         }
     };
-    metrics::flush();
-    if let Some((attempts, insts, cycles, skipped)) = progress {
-        campaign.record_progress(true, attempts, insts, cycles, skipped);
+    if let Some(attempts) = progress {
+        // The worker's engine traffic, once per completed job: the
+        // controller's /metrics sees what its whole fleet simulated.
+        let engine = &result.engine;
+        metrics::counter_add(METRIC_EVENTS_POSTED, engine.events_posted);
+        metrics::counter_add(METRIC_EVENTS_POPPED, engine.events_popped);
+        metrics::counter_add(METRIC_CYCLES_SKIPPED, engine.skipped_cycles);
+        metrics::counter_add(METRIC_CYCLES_STEPPED, engine.stepped_cycles);
+        metrics::flush();
+        campaign.record_progress(
+            true,
+            attempts,
+            result.stats.committed_insts,
+            result.stats.cycles,
+            engine.skipped_cycles,
+        );
+    } else {
+        metrics::flush();
     }
     Some(reply)
 }
@@ -1767,8 +1646,16 @@ fn valid_job(queue: &JobQueue, id: JobId) -> bool {
 }
 
 /// The per-job supervisor: single launch (the queue owns retry policy),
-/// heartbeat-renewed lease, stderr capture for quarantine diagnostics.
-fn supervisor_for(campaign: &Arc<Campaign>, cfg: &CampaignConfig, id: JobId) -> Supervisor {
+/// stderr capture for quarantine diagnostics, and a frame hook tagged
+/// with the job and slot it launched for — the child's heartbeats renew
+/// the lease and its result frame settles through the same handlers a
+/// fleet connection uses.
+fn supervisor_for(
+    campaign: &Arc<Campaign>,
+    cfg: &CampaignConfig,
+    job: JobId,
+    me: &str,
+) -> Supervisor {
     let mut sup = Supervisor::new(
         &cfg.worker_exe,
         SnapshotPolicy {
@@ -1777,16 +1664,20 @@ fn supervisor_for(campaign: &Arc<Campaign>, cfg: &CampaignConfig, id: JobId) -> 
             keep: cfg.keep,
         },
     );
-    sup.journal = Some(cfg.done_path());
     sup.heartbeat_timeout = Some(cfg.lease);
     sup.time_budget = cfg.job_time_budget;
     sup.chaos_kill_at = cfg.chaos_kill_at;
     sup.capture_stderr = true;
-    let renewer = Arc::clone(campaign);
-    sup.heartbeat_hook = Some(HeartbeatHook(Arc::new(move |_cycle| {
-        let now = renewer.now_ms();
-        renewer.queue.lock().expect("queue poisoned").renew(id, now);
-    })));
+    let campaign = Arc::clone(campaign);
+    let done = cfg.done_path();
+    let me = me.to_string();
+    sup.frame_hook = Some(Arc::new(move |msg| match msg {
+        Msg::Heartbeat { .. } => heartbeat(&campaign, &me, job),
+        Msg::Result { line, .. } => {
+            settle(&campaign, &done, &me, job, &line);
+        }
+        _ => {}
+    }));
     sup
 }
 
@@ -1831,12 +1722,30 @@ fn finalize(queue: &JobQueue, cache: &CacheStore, cfg: &CampaignConfig) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::RunResult;
 
     fn spec_n(n: u64) -> RunSpec {
         let mut s = RunSpec::new("gcc", crate::SimModel::Base).with_budget(100, 100);
         s.seed = n;
         s
+    }
+
+    /// A campaign around `queue` with an empty cache, no worker slots,
+    /// no fleet and nowhere to write flight records.
+    fn in_memory_campaign(queue: JobQueue) -> Campaign {
+        let jobs = queue.jobs().len();
+        Campaign {
+            queue: Mutex::new(queue),
+            cache: Mutex::new(CacheStore::new()),
+            fatal: Mutex::new(None),
+            started: Instant::now(),
+            log: CampaignLog::new(),
+            workers: Mutex::new(Vec::new()),
+            progress: Mutex::new(Progress::new(jobs)),
+            show_progress: false,
+            flight_seq: AtomicU64::new(1),
+            flight_dir: std::env::temp_dir().join("mlpwin-never-used"),
+            fleet: None,
+        }
     }
 
     #[test]
@@ -1872,28 +1781,17 @@ mod tests {
         queue.lease("w0", 10).expect("lease").expect("granted");
         queue.complete(0, false, 50).expect("complete");
         queue.lease("w0", 60).expect("lease").expect("granted");
-        let campaign = Campaign {
-            queue: Mutex::new(queue),
-            cache: Mutex::new(CacheStore::new()),
-            fatal: Mutex::new(None),
-            started: Instant::now(),
-            log: CampaignLog::new(),
-            workers: Mutex::new(vec![
-                WorkerSlot {
-                    name: "w0".to_string(),
-                    job: Some((1, 60)),
-                },
-                WorkerSlot {
-                    name: "w1".to_string(),
-                    job: None,
-                },
-            ]),
-            progress: Mutex::new(Progress::new(3)),
-            show_progress: false,
-            flight_seq: AtomicU64::new(1),
-            flight_dir: std::env::temp_dir().join("mlpwin-never-used"),
-            fleet: None,
-        };
+        let campaign = in_memory_campaign(queue);
+        *campaign.workers.lock().expect("worker slots") = vec![
+            WorkerSlot {
+                name: "w0".to_string(),
+                job: Some((1, 60)),
+            },
+            WorkerSlot {
+                name: "w1".to_string(),
+                job: None,
+            },
+        ];
         campaign.log.record(
             60,
             Some(1),
@@ -1971,63 +1869,88 @@ mod tests {
         dir
     }
 
-    /// Settlement reads `done.jsonl` as workers leave it: appends from
-    /// several workers, a torn line from a killed one, a newer build's
-    /// record and a duplicate. Each lookup must find exactly its own
-    /// spec's decodable result, and a spec with no line must find none —
-    /// the "exited clean but journaled no result" death.
+    /// A heartbeat renews only the sender's own lease. Once the job has
+    /// moved to another worker, a late beat from the old holder — a
+    /// local slot or a fleet connection — leaves the expiry alone.
     #[test]
-    fn settlement_finds_each_specs_own_result_in_a_messy_done_journal() {
-        let dir = scratch("settle-read");
-        let path = dir.join("done.jsonl");
-        let runs: Vec<(RunSpec, RunResult)> = (1..=3)
-            .map(|n| {
-                let spec = spec_n(n);
-                let result = crate::runner::run(&spec).expect("tiny run");
-                (spec, result)
-            })
-            .collect();
-        let journal = Journal::new(&path);
-        journal.append(&runs[0].0, &runs[0].1).expect("append");
-        journal.append(&runs[1].0, &runs[1].1).expect("append");
-        journal.append(&runs[0].0, &runs[0].1).expect("duplicate");
-        // A newer build's record of spec 3, then a kill mid-append of it.
-        let line = encode_line(&runs[2].0, &runs[2].1);
-        let newer = line.replacen("\"schema\":2", "\"schema\":99", 1);
-        assert_ne!(newer, line, "schema field rewritten");
-        let mut file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .expect("open");
-        file.write_all(format!("{newer}\n{}", &line[..line.len() / 2]).as_bytes())
-            .expect("torn tail");
-        drop(file);
-
-        let found = |spec: &RunSpec| journal.find_latest(spec).expect("readable");
-        assert_eq!(found(&runs[0].0).as_ref(), Some(&runs[0].1));
-        assert_eq!(found(&runs[1].0).as_ref(), Some(&runs[1].1));
-        assert_eq!(
-            found(&runs[2].0),
-            None,
-            "unknown schema and torn line skipped"
-        );
-        assert_eq!(found(&spec_n(4)), None, "never journaled");
-
-        // The worker's retry appends after the torn line.
-        journal
-            .append(&runs[2].0, &runs[2].1)
-            .expect("fresh append");
-        for (spec, result) in &runs {
-            assert_eq!(found(spec).as_ref(), Some(result));
+    fn a_heartbeat_from_a_former_holder_leaves_the_lease_alone() {
+        for (late, holder) in [("w0", "w1"), ("remote#1", "w0")] {
+            let mut queue = JobQueue::in_memory(QueuePolicy::default());
+            queue.submit(&spec_n(1), Lane::Normal).expect("submit");
+            queue.lease(holder, 0).expect("lease").expect("granted");
+            let campaign = in_memory_campaign(queue);
+            let expiry = || match &campaign.queue.lock().expect("queue").job(0).state {
+                JobState::Leased { expires_ms, .. } => *expires_ms,
+                other => panic!("job not leased: {other:?}"),
+            };
+            let granted = expiry();
+            std::thread::sleep(Duration::from_millis(5));
+            heartbeat(&campaign, late, 0);
+            assert_eq!(expiry(), granted, "{late} renewed {holder}'s lease");
+            heartbeat(&campaign, holder, 0);
+            assert!(expiry() > granted, "{holder}'s own beat must renew");
         }
-        assert_eq!(found(&spec_n(4)), None);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A worker that exits 0 without journaling is a death, charged and
-    /// retried until the job is quarantined — never a completion.
+    /// Settling a result folds its engine counters into the controller's
+    /// metrics, whichever kind of worker sent it, and banks it in
+    /// `done.jsonl` exactly once.
     #[test]
-    fn clean_exit_without_a_journaled_result_is_a_death() {
+    fn settling_a_result_folds_its_engine_counters_into_the_metrics() {
+        let _knob = metrics::KNOB_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        metrics::set_telemetry(true);
+        let spec = spec_n(1);
+        let result = crate::runner::run(&spec).expect("tiny run");
+        let engine = [
+            result.engine.events_posted,
+            result.engine.events_popped,
+            result.engine.skipped_cycles,
+            result.engine.stepped_cycles,
+        ];
+        let counters = || {
+            metrics::flush();
+            let snapshot = metrics::global().snapshot();
+            [
+                METRIC_EVENTS_POSTED,
+                METRIC_EVENTS_POPPED,
+                METRIC_CYCLES_SKIPPED,
+                METRIC_CYCLES_STEPPED,
+            ]
+            .map(|name| snapshot.counters.get(name).copied().unwrap_or(0))
+        };
+        for identity in ["w0", "remote#1"] {
+            let dir = scratch(&format!("engine-{}", identity.replace('#', "-")));
+            let done = dir.join("done.jsonl");
+            let mut queue = JobQueue::in_memory(QueuePolicy::default());
+            queue.submit(&spec, Lane::Normal).expect("submit");
+            queue.lease(identity, 0).expect("lease").expect("granted");
+            let campaign = in_memory_campaign(queue);
+            let before = counters();
+            let reply = settle_result(&campaign, &done, identity, 0, &spec, &result);
+            assert_eq!(reply, Some(Msg::Settled { owned: true }), "{identity}");
+            let after = counters();
+            for i in 0..engine.len() {
+                assert!(
+                    after[i] >= before[i] + engine[i],
+                    "{identity}: counter {i} grew {} < {}",
+                    after[i] - before[i],
+                    engine[i]
+                );
+            }
+            // A duplicate is absorbed: done.jsonl keeps one line.
+            let reply = settle_result(&campaign, &done, identity, 0, &spec, &result);
+            assert_eq!(reply, Some(Msg::Settled { owned: false }), "{identity}");
+            let banked = Journal::new(&done).load().expect("done.jsonl");
+            assert_eq!(banked, vec![(spec.clone(), result.clone())], "{identity}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        metrics::set_telemetry(false);
+    }
+
+    /// A worker that exits 0 without a result frame is a death, charged
+    /// and retried until the job is quarantined — never a completion.
+    #[test]
+    fn clean_exit_without_a_result_frame_is_a_death() {
         let dir = scratch("settle-death");
         let mut cfg = CampaignConfig::new(&dir, "true");
         cfg.workers = 1;
@@ -2041,7 +1964,7 @@ mod tests {
         let queue = JobQueue::open(&cfg.wal_path(), QueuePolicy::default()).expect("reopen WAL");
         match &queue.job(0).state {
             JobState::Quarantined { detail } => assert!(
-                detail.contains("worker exited clean but journaled no result"),
+                detail.contains("worker exited clean but sent no result frame"),
                 "{detail}"
             ),
             other => panic!("job not quarantined: {other:?}"),

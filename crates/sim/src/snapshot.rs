@@ -507,29 +507,23 @@ impl Drop for SnapshotWriter {
 // ------------------------------------------------------------------ hooks
 
 /// Process-global observation/chaos hooks fired at every snapshot-cadence
-/// event — plumbing for the `mlpwin-sim` worker binary (heartbeat lines,
+/// event — plumbing for the worker binaries (wire heartbeats,
 /// deterministic crash injection for the recovery tests). Defaults are
 /// all-off; library users never see them fire.
 pub mod hooks {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Mutex};
 
     /// A shareable snapshot-cadence callback, fired with the cycle.
     pub type HeartbeatFn = Arc<dyn Fn(u64) + Send + Sync>;
 
-    static HEARTBEAT: AtomicBool = AtomicBool::new(false);
     static CHAOS_KILL_AT: AtomicU64 = AtomicU64::new(u64::MAX);
     static HEARTBEAT_FN: Mutex<Option<HeartbeatFn>> = Mutex::new(None);
 
-    /// Emit a `hb <cycle>` line on stdout at every snapshot (the
-    /// supervisor's liveness signal).
-    pub fn set_heartbeat(on: bool) {
-        HEARTBEAT.store(on, Ordering::SeqCst);
-    }
-
     /// Install (or clear) a callback fired with the simulated cycle at
-    /// every snapshot-cadence event — `mlpwin-worker` uses it to send
-    /// wire heartbeats that renew its lease while a run is in flight.
+    /// every snapshot-cadence event — `mlpwin-worker` (over TCP) and
+    /// `mlpwin-sim --wire` (over its stdout pipe) use it to send the
+    /// wire heartbeats that renew a lease while a run is in flight.
     /// Runs on the simulating thread; keep it quick and non-panicking.
     pub fn set_heartbeat_fn(f: Option<HeartbeatFn>) {
         *HEARTBEAT_FN.lock().expect("heartbeat hook lock") = f;
@@ -543,14 +537,8 @@ pub mod hooks {
     }
 
     /// Fired on the simulating thread when an image is offered: the
-    /// heartbeats leave here, before the image reaches the disk.
+    /// heartbeat leaves here, before the image reaches the disk.
     pub(crate) fn on_offer(cycle: u64) {
-        if HEARTBEAT.load(Ordering::SeqCst) {
-            use std::io::Write as _;
-            let mut out = std::io::stdout().lock();
-            writeln!(out, "hb {cycle}").ok();
-            out.flush().ok();
-        }
         let hook = HEARTBEAT_FN.lock().expect("heartbeat hook lock").clone();
         if let Some(f) = hook {
             f(cycle);

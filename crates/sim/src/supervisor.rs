@@ -2,25 +2,23 @@
 //!
 //! In-process isolation (`catch_unwind` in the matrix runner) cannot
 //! survive an aborting worker, a runaway allocation, or an OOM kill. The
-//! [`Supervisor`] closes that gap: it runs each spec in a **child
-//! process** (the `mlpwin-sim` worker binary), watches a heartbeat the
-//! worker prints at every snapshot, enforces memory and wall-clock
-//! budgets by killing the child, and restarts dead workers with
-//! exponential backoff. Restarted workers resume from the latest valid
-//! snapshot on disk, so a crash costs at most one snapshot cadence of
-//! re-simulation — and the final result is bit-identical to an
-//! uninterrupted run (the chaos suite in `tests/recovery.rs` asserts
-//! exactly that).
+//! [`Supervisor`] closes that gap: it runs a spec in a **child process**
+//! (the `mlpwin-sim` worker binary, launched with `--wire`), reads the
+//! [`wire`](crate::wire) frames the worker writes to its stdout — a
+//! `heartbeat` at every snapshot, then one `result` on success — kills
+//! the child when its heartbeat goes stale or its wall-clock budget runs
+//! out, and classifies how it ended. Retrying is not its job: the
+//! campaign queue's lease, backoff and quarantine logic decides that,
+//! and a retried worker resumes from the latest valid snapshot on disk,
+//! so a crash costs at most one snapshot cadence of re-simulation — and
+//! the final result is bit-identical to an uninterrupted run (the chaos
+//! suite in `tests/recovery.rs` asserts exactly that).
 
-use crate::journal::spec_hash;
 use crate::metrics;
-use crate::runner::{
-    FaultSpec, RunSpec, METRIC_CYCLES_SKIPPED, METRIC_CYCLES_STEPPED, METRIC_EVENTS_POPPED,
-    METRIC_EVENTS_POSTED,
-};
+use crate::runner::{FaultSpec, RunSpec};
 use crate::signals::EXIT_INTERRUPTED;
 use crate::snapshot::SnapshotPolicy;
-use mlpwin_ooo::EngineCounters;
+use crate::wire::{self, Msg};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -29,34 +27,26 @@ use std::time::{Duration, Instant};
 
 /// Counter of worker child processes launched.
 pub const METRIC_WORKER_LAUNCHES: &str = "mlpwin_worker_launches_total";
-/// Counter of workers killed for a blown budget (heartbeat staleness,
-/// resident set, or wall clock).
+/// Counter of workers killed for a blown budget (heartbeat staleness or
+/// wall clock).
 pub const METRIC_WORKER_BUDGET_KILLS: &str = "mlpwin_worker_budget_kills_total";
-/// Counter of worker heartbeat lines observed.
+/// Counter of worker heartbeat frames observed.
 pub const METRIC_WORKER_HEARTBEATS: &str = "mlpwin_worker_heartbeats_total";
 
-/// How often a running child's heartbeat, memory and wall-clock budgets
-/// are checked.
+/// How often a running child's heartbeat and wall-clock budgets are
+/// checked.
 const BUDGET_TICK: Duration = Duration::from_millis(20);
 
-/// A callback invoked with the cycle count of every `hb <cycle>` line a
-/// worker prints. The campaign control plane uses it to renew the
-/// worker's job lease — liveness and ownership ride the same signal.
-#[derive(Clone)]
-pub struct HeartbeatHook(pub Arc<dyn Fn(u64) + Send + Sync>);
+/// A callback handed every wire frame a worker writes, on the
+/// supervisor's reader thread. The campaign control plane tags it with
+/// the job it launched and routes heartbeats to lease renewal and the
+/// result to settlement — the same handlers a fleet connection uses.
+pub type FrameHook = Arc<dyn Fn(Msg) + Send + Sync>;
 
-impl std::fmt::Debug for HeartbeatHook {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("<heartbeat hook>")
-    }
-}
-
-/// How a single worker launch ended — the one-attempt verdict behind
-/// [`Supervisor::supervise`]'s retrying loop, exposed for callers (the
-/// campaign control plane) that do their own retry accounting.
+/// How a single worker launch ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WorkerEnd {
-    /// Exit 0: the spec finished and (when configured) journaled.
+    /// Exit 0: the spec finished (and wrote its result frame).
     Clean,
     /// [`EXIT_INTERRUPTED`]: graceful drain; resuming later continues
     /// from the latest snapshot.
@@ -85,113 +75,46 @@ pub enum WorkerEnd {
     },
 }
 
-/// How a supervised spec ended.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SuperviseOutcome {
-    /// The worker exited cleanly (possibly after restarts).
-    Completed {
-        /// Worker launches it took, including the successful one.
-        attempts: u32,
-    },
-    /// The worker reported a graceful interrupt
-    /// ([`EXIT_INTERRUPTED`]); re-supervising the same spec resumes it.
-    Interrupted {
-        /// Worker launches before the interrupt.
-        attempts: u32,
-    },
-    /// The restart budget ran out (or the worker could not launch).
-    Failed {
-        /// Worker launches attempted.
-        attempts: u32,
-        /// The final failure, human-readable.
-        detail: String,
-    },
-}
-
-/// Parses the body of a worker's `eng` stdout line —
-/// `posted=N popped=N skipped=N stepped=N`, any order, unknown keys
-/// ignored so the protocol can grow. `None` when any of the four is
-/// missing or malformed.
-fn parse_engine_line(rest: &str) -> Option<EngineCounters> {
-    let mut engine = EngineCounters::default();
-    let mut seen = 0u8;
-    for field in rest.split_whitespace() {
-        let (key, value) = field.split_once('=')?;
-        let value: u64 = value.parse().ok()?;
-        match key {
-            "posted" => (engine.events_posted, seen) = (value, seen | 1),
-            "popped" => (engine.events_popped, seen) = (value, seen | 2),
-            "skipped" => (engine.skipped_cycles, seen) = (value, seen | 4),
-            "stepped" => (engine.stepped_cycles, seen) = (value, seen | 8),
-            _ => {}
-        }
-    }
-    (seen == 0b1111).then_some(engine)
-}
-
 /// Runs specs in supervised child processes.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Supervisor {
     /// The `mlpwin-sim` worker executable.
     pub worker_exe: PathBuf,
-    /// Snapshot policy forwarded to every worker (and the place
-    /// restarted workers resume from).
+    /// Snapshot policy forwarded to every worker (and the place a
+    /// relaunched worker resumes from).
     pub snapshots: SnapshotPolicy,
-    /// Results journal forwarded to every worker.
-    pub journal: Option<PathBuf>,
-    /// Restarts after the first launch (total launches = 1 + restarts).
-    pub max_restarts: u32,
-    /// First-restart delay; doubles per restart.
-    pub backoff_base: Duration,
-    /// Kill a worker whose last heartbeat is older than this; `None`
+    /// Kill a worker whose last frame is older than this; `None`
     /// disables the liveness check.
     pub heartbeat_timeout: Option<Duration>,
-    /// Kill a worker whose resident set exceeds this many kilobytes.
-    pub memory_budget_kb: Option<u64>,
     /// Kill a worker running longer than this wall-clock budget.
     pub time_budget: Option<Duration>,
     /// Test-only chaos injection forwarded to the worker
     /// (`--chaos-kill-at`): abort at the first snapshot at or past this
-    /// cycle, on fresh starts only — so the supervised restart resumes
-    /// and completes.
+    /// cycle, on fresh starts only — so the next launch resumes and
+    /// completes.
     pub chaos_kill_at: Option<u64>,
-    /// Called with the cycle of every worker heartbeat (lease renewal).
-    pub heartbeat_hook: Option<HeartbeatHook>,
+    /// Handed every frame the worker writes; `None` drops them.
+    pub frame_hook: Option<FrameHook>,
     /// Pipe and keep the tail of worker stderr — attached to
     /// [`WorkerEnd::Death`] so a quarantined job carries its last
     /// diagnostics (StallSnapshot, panic message). Off by default:
     /// inherited stderr streams to the operator live.
     pub capture_stderr: bool,
-    /// The engine-telemetry summary (`eng ...` line) of the most recent
-    /// worker that printed one; workers predating the protocol simply
-    /// never fill it.
-    last_engine: Arc<Mutex<Option<EngineCounters>>>,
 }
 
 impl Supervisor {
-    /// A supervisor with lenient defaults: three restarts, 100 ms base
-    /// backoff, no heartbeat/memory/time budgets.
+    /// A supervisor with lenient defaults: no heartbeat or time budget,
+    /// no frame hook.
     pub fn new(worker_exe: impl Into<PathBuf>, snapshots: SnapshotPolicy) -> Supervisor {
         Supervisor {
             worker_exe: worker_exe.into(),
             snapshots,
-            journal: None,
-            max_restarts: 3,
-            backoff_base: Duration::from_millis(100),
             heartbeat_timeout: None,
-            memory_budget_kb: None,
             time_budget: None,
             chaos_kill_at: None,
-            heartbeat_hook: None,
+            frame_hook: None,
             capture_stderr: false,
-            last_engine: Arc::new(Mutex::new(None)),
         }
-    }
-
-    /// The event-engine counters the most recent supervised worker
-    /// reported on exit, if it spoke the `eng` protocol line.
-    pub fn last_engine(&self) -> Option<EngineCounters> {
-        *self.last_engine.lock().expect("engine slot poisoned")
     }
 
     /// The worker command line for `spec` — the exact inverse of the
@@ -214,7 +137,7 @@ impl Supervisor {
             self.snapshots.cadence_cycles.to_string(),
             "--keep".into(),
             self.snapshots.keep.to_string(),
-            "--heartbeat".into(),
+            "--wire".into(),
         ];
         if let Some(cycles) = spec.watchdog_cycles {
             args.push("--watchdog".into());
@@ -239,10 +162,6 @@ impl Supervisor {
             }
             None => {}
         }
-        if let Some(journal) = &self.journal {
-            args.push("--journal".into());
-            args.push(journal.display().to_string());
-        }
         if let Some(at) = self.chaos_kill_at {
             args.push("--chaos-kill-at".into());
             args.push(at.to_string());
@@ -250,11 +169,13 @@ impl Supervisor {
         args
     }
 
-    /// Launches `spec`'s worker exactly once, watches it against every
-    /// budget, and classifies how it ended. No restarts, no backoff —
-    /// that policy lives in [`supervise`](Supervisor::supervise) (local
-    /// retrying) and in the campaign queue's lease/quarantine machinery
-    /// (distributed retrying), both built on this primitive.
+    /// Launches `spec`'s worker exactly once, hands every frame it
+    /// writes to the [`frame_hook`](Supervisor::frame_hook), watches it
+    /// against every budget, and classifies how it ended. The reader is
+    /// joined before this returns, so the hook has seen the worker's
+    /// result frame by the time the caller looks at a
+    /// [`WorkerEnd::Clean`]. No restarts, no backoff — that policy
+    /// lives in the campaign queue's lease/quarantine machinery.
     pub fn supervise_once(&self, spec: &RunSpec) -> WorkerEnd {
         let mut command = Command::new(&self.worker_exe);
         command.args(self.spec_args(spec)).stdout(Stdio::piped());
@@ -276,33 +197,23 @@ impl Supervisor {
         let (eof_tx, eof_rx) = mpsc::channel::<()>();
         let reader = child.stdout.take().map(|stdout| {
             let last_beat = Arc::clone(&last_beat);
-            let hook = self.heartbeat_hook.clone();
-            let engine_slot = Arc::clone(&self.last_engine);
+            let hook = self.frame_hook.clone();
             std::thread::spawn(move || {
-                use std::io::BufRead as _;
                 let _eof = eof_tx;
-                for line in std::io::BufReader::new(stdout).lines() {
-                    let Ok(line) = line else { break };
-                    if let Some(rest) = line.strip_prefix("hb ") {
-                        *last_beat.lock().expect("heartbeat clock poisoned") = Instant::now();
+                let mut stdout = std::io::BufReader::new(stdout);
+                while let Ok(msg) = wire::read_frame(&mut stdout) {
+                    *last_beat.lock().expect("heartbeat clock poisoned") = Instant::now();
+                    if matches!(msg, Msg::Heartbeat { .. }) {
                         metrics::counter_add(METRIC_WORKER_HEARTBEATS, 1);
-                        if let (Some(hook), Ok(cycle)) = (&hook, rest.trim().parse::<u64>()) {
-                            (hook.0)(cycle);
-                        }
-                    } else if let Some(rest) = line.strip_prefix("eng ") {
-                        // Worker engine telemetry: fold into this
-                        // process's registry so the controller's
-                        // /metrics sees the fleet's event traffic, and
-                        // stash it for the campaign progress line.
-                        if let Some(engine) = parse_engine_line(rest) {
-                            metrics::counter_add(METRIC_EVENTS_POSTED, engine.events_posted);
-                            metrics::counter_add(METRIC_EVENTS_POPPED, engine.events_popped);
-                            metrics::counter_add(METRIC_CYCLES_SKIPPED, engine.skipped_cycles);
-                            metrics::counter_add(METRIC_CYCLES_STEPPED, engine.stepped_cycles);
-                            *engine_slot.lock().expect("engine slot poisoned") = Some(engine);
-                        }
+                    }
+                    if let Some(hook) = &hook {
+                        hook(msg);
                     }
                 }
+                // EOF, or a torn frame from a dying worker: its exit
+                // status tells the rest. Drain so it never blocks on a
+                // full pipe.
+                std::io::copy(&mut stdout, &mut std::io::sink()).ok();
                 // The reader thread owns its own metrics shard: merge
                 // it before the thread vanishes.
                 metrics::flush();
@@ -357,47 +268,6 @@ impl Supervisor {
         }
     }
 
-    /// Runs `spec` to completion under supervision: launch the worker,
-    /// watch heartbeat/memory/time, kill on a blown budget, restart with
-    /// exponential backoff. Restarted workers find the previous
-    /// incarnation's snapshots (same directory, same
-    /// [`spec_hash`]) and resume mid-run.
-    pub fn supervise(&self, spec: &RunSpec) -> SuperviseOutcome {
-        let max_attempts = 1 + self.max_restarts;
-        let mut attempts = 0;
-        let mut last_detail = String::new();
-        while attempts < max_attempts {
-            if attempts > 0 {
-                // Exponential backoff between restarts.
-                let delay = self.backoff_base * 2_u32.saturating_pow(attempts - 1);
-                std::thread::sleep(delay);
-            }
-            attempts += 1;
-            match self.supervise_once(spec) {
-                WorkerEnd::Clean => return SuperviseOutcome::Completed { attempts },
-                WorkerEnd::Interrupted => return SuperviseOutcome::Interrupted { attempts },
-                WorkerEnd::LaunchFailed { detail } => {
-                    return SuperviseOutcome::Failed { attempts, detail }
-                }
-                // Local supervision predates the typed/death split and
-                // retries both: a restart is cheap, and a worker that
-                // fails the same way again exhausts the budget quickly.
-                WorkerEnd::TypedFailure { code, .. } => {
-                    last_detail = format!("worker exited with code {code}");
-                }
-                WorkerEnd::Death { detail, .. } => last_detail = detail,
-            }
-            eprintln!(
-                "supervisor: spec {:016x} attempt {attempts}: {last_detail}; will resume from latest snapshot",
-                spec_hash(spec)
-            );
-        }
-        SuperviseOutcome::Failed {
-            attempts,
-            detail: format!("restart budget exhausted: {last_detail}"),
-        }
-    }
-
     /// Watches the child against every budget until it exits or is
     /// killed. Budgets are checked every [`BUDGET_TICK`]; between checks
     /// the wait ends early when `stdout_eof` reports that the child closed
@@ -422,8 +292,7 @@ impl Supervisor {
                 Ok(None) => {}
                 Err(_) => return Verdict::Died,
             }
-            let kill_reason = self.blown_budget(child.id(), started, last_beat);
-            if let Some(reason) = kill_reason {
+            if let Some(reason) = self.blown_budget(started, last_beat) {
                 child.kill().ok();
                 child.wait().ok();
                 metrics::counter_add(METRIC_WORKER_BUDGET_KILLS, 1);
@@ -446,12 +315,7 @@ impl Supervisor {
         }
     }
 
-    fn blown_budget(
-        &self,
-        pid: u32,
-        started: Instant,
-        last_beat: &Arc<Mutex<Instant>>,
-    ) -> Option<String> {
+    fn blown_budget(&self, started: Instant, last_beat: &Arc<Mutex<Instant>>) -> Option<String> {
         if let Some(timeout) = self.heartbeat_timeout {
             let age = last_beat
                 .lock()
@@ -461,15 +325,6 @@ impl Supervisor {
                 return Some(format!(
                     "heartbeat stale for {age:.1?} (budget {timeout:.1?})"
                 ));
-            }
-        }
-        if let Some(budget_kb) = self.memory_budget_kb {
-            if let Some(rss_kb) = resident_kb(pid) {
-                if rss_kb > budget_kb {
-                    return Some(format!(
-                        "resident set {rss_kb} kB over budget {budget_kb} kB"
-                    ));
-                }
             }
         }
         if let Some(budget) = self.time_budget {
@@ -488,44 +343,10 @@ enum Verdict {
     Died,
 }
 
-/// The process's resident set in kilobytes, from `/proc/<pid>/status`;
-/// `None` off Linux or when the process is gone.
-fn resident_kb(pid: u32) -> Option<u64> {
-    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).ok()?;
-    parse_vmrss_kb(&status)
-}
-
-fn parse_vmrss_kb(status: &str) -> Option<u64> {
-    status
-        .lines()
-        .find(|l| l.starts_with("VmRSS:"))?
-        .split_whitespace()
-        .nth(1)?
-        .parse()
-        .ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::SimModel;
-
-    #[test]
-    fn engine_line_parses_and_rejects() {
-        let engine =
-            parse_engine_line("posted=10 popped=9 skipped=8000 stepped=2000").expect("well-formed");
-        assert_eq!(engine.events_posted, 10);
-        assert_eq!(engine.events_popped, 9);
-        assert_eq!(engine.skipped_cycles, 8000);
-        assert_eq!(engine.stepped_cycles, 2000);
-        assert!((engine.skip_fraction() - 0.8).abs() < 1e-9);
-        // Order-free, unknown keys tolerated.
-        assert!(parse_engine_line("stepped=1 skipped=2 popped=3 posted=4 future=5").is_some());
-        // Missing or malformed fields reject the line.
-        assert!(parse_engine_line("posted=10 popped=9 skipped=8000").is_none());
-        assert!(parse_engine_line("posted=x popped=9 skipped=8 stepped=2").is_none());
-        assert!(parse_engine_line("").is_none());
-    }
 
     #[test]
     fn spec_args_round_trip_every_field() {
@@ -561,20 +382,17 @@ mod tests {
             "/tmp/snaps",
             "--snapshot-cycles",
             "5000",
-            "--heartbeat",
+            "--wire",
         ] {
             assert!(
                 args.iter().any(|a| a == expected),
                 "missing {expected}: {args:?}"
             );
         }
-    }
-
-    #[test]
-    fn vmrss_parses_the_proc_status_format() {
-        let status = "Name:\tmlpwin-sim\nVmPeak:\t  123 kB\nVmRSS:\t    4567 kB\n";
-        assert_eq!(parse_vmrss_kb(status), Some(4567));
-        assert_eq!(parse_vmrss_kb("Name: x\n"), None);
+        assert!(
+            !args.iter().any(|a| a == "--journal"),
+            "the controller alone writes journals: {args:?}"
+        );
     }
 
     #[test]
@@ -589,14 +407,12 @@ mod tests {
 
     #[test]
     fn missing_worker_binary_fails_without_restarts_burning_time() {
-        let mut sup = Supervisor::new(
+        let sup = Supervisor::new(
             "/nonexistent/mlpwin-sim",
             SnapshotPolicy::in_dir("/tmp/never-used"),
         );
-        sup.backoff_base = Duration::from_millis(1);
-        let out = sup.supervise(&RunSpec::new("gcc", SimModel::Base));
-        match out {
-            SuperviseOutcome::Failed { detail, .. } => {
+        match sup.supervise_once(&RunSpec::new("gcc", SimModel::Base)) {
+            WorkerEnd::LaunchFailed { detail } => {
                 assert!(detail.contains("failed to launch"), "{detail}")
             }
             other => panic!("expected launch failure, got {other:?}"),

@@ -85,6 +85,24 @@ fn journal_bytes(dir: &Path) -> Vec<u8> {
     std::fs::read(dir.join("journal.jsonl")).expect("finalized journal")
 }
 
+/// The controller is the only writer of `done.jsonl`, and it banks a
+/// spec's result once: one decodable line per distinct spec.
+fn assert_one_done_line_per_spec(dir: &Path, specs: &[RunSpec]) {
+    let done = Journal::new(dir.join("done.jsonl"))
+        .load()
+        .expect("done.jsonl reads");
+    assert_eq!(done.len(), specs.len(), "done.jsonl lines: {done:?}");
+    for spec in specs {
+        assert_eq!(
+            done.iter().filter(|(s, _)| s == spec).count(),
+            1,
+            "{} {}: one done.jsonl line",
+            spec.profile,
+            spec.model.tag()
+        );
+    }
+}
+
 fn stdout_of(out: &std::process::Output) -> String {
     String::from_utf8_lossy(&out.stdout).to_string()
 }
@@ -164,6 +182,7 @@ fn chaos_worker_kills_converge_to_the_identical_journal() {
         reference,
         "worker SIGKILLs + resumed retries must converge bit-identically"
     );
+    assert_one_done_line_per_spec(&dir, &specs);
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&ref_dir).ok();
 }
@@ -228,6 +247,7 @@ fn controller_sigkill_mid_campaign_resumes_without_losing_or_repeating_jobs() {
         "controller SIGKILL + WAL replay must still produce the \
          bit-identical journal"
     );
+    assert_one_done_line_per_spec(&dir, &specs);
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&ref_dir).ok();
 }

@@ -8,14 +8,15 @@
 //! Also exercises snapshot-corruption healing and the in-process
 //! interrupt/retry paths end to end.
 
+use mlpwin_sim::journal::encode_line;
 use mlpwin_sim::runner::{run_matrix_with, run_recoverable, FaultSpec, RunSpec};
 use mlpwin_sim::snapshot::{SnapshotPolicy, SnapshotStore};
 use mlpwin_sim::split::{run_split, SplitConfig};
-use mlpwin_sim::supervisor::SuperviseOutcome;
-use mlpwin_sim::{signals, spec_hash, Journal, MatrixConfig, SimModel, Supervisor};
+use mlpwin_sim::wire::{read_frame, WireError};
+use mlpwin_sim::{signals, spec_hash, Journal, MatrixConfig, Msg, SimModel, Supervisor, WorkerEnd};
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const WORKER: &str = env!("CARGO_BIN_EXE_mlpwin-sim");
@@ -153,17 +154,15 @@ fn sigterm_exits_resumable_and_the_rerun_completes() {
     let clean_dir = scratch("sigterm-clean");
 
     let mut cmd = worker_cmd(&spec, &dir, 200);
-    cmd.arg("--heartbeat").stdout(std::process::Stdio::piped());
+    cmd.arg("--wire").stdout(std::process::Stdio::piped());
     let mut child = cmd.spawn().expect("spawn worker");
-    // Wait for the first heartbeat so the signal lands mid-run with at
-    // least one snapshot on disk.
+    // Wait for the first heartbeat frame so the signal lands mid-run
+    // with at least one snapshot on disk.
     {
-        use std::io::BufRead as _;
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut lines = std::io::BufReader::new(stdout).lines();
-        let first = lines.next().expect("one line").expect("readable");
+        let mut stdout = child.stdout.take().expect("piped stdout");
+        let first = read_frame(&mut stdout).expect("one frame");
         assert!(
-            first.starts_with("hb "),
+            matches!(first, Msg::Heartbeat { .. }),
             "expected a heartbeat, got {first:?}"
         );
         extern "C" {
@@ -172,7 +171,7 @@ fn sigterm_exits_resumable_and_the_rerun_completes() {
         let rc = unsafe { kill(child.id() as i32, 15) };
         assert_eq!(rc, 0, "kill(SIGTERM) failed");
         // Drain the pipe so the worker never blocks on a full buffer.
-        for _ in lines {}
+        std::io::copy(&mut stdout, &mut std::io::sink()).expect("drain");
     }
     let status = child.wait().expect("wait worker");
     assert_eq!(
@@ -200,6 +199,45 @@ fn sigterm_exits_resumable_and_the_rerun_completes() {
     );
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&clean_dir).ok();
+}
+
+/// `mlpwin-sim --wire` speaks the fleet's frames on stdout: heartbeats
+/// at snapshot cadence, then exactly one result frame carrying the
+/// journal line of the run, then EOF.
+#[test]
+fn wire_worker_writes_heartbeats_then_one_result_frame() {
+    let spec = RunSpec::new("mcf", SimModel::Dynamic).with_budget(2_000, 4_000);
+    let dir = scratch("wire");
+    let out = worker_cmd(&spec, &dir, 400)
+        .arg("--wire")
+        .output()
+        .expect("run worker");
+    assert!(out.status.success(), "worker failed: {out:?}");
+    let mut stdout = out.stdout.as_slice();
+    let mut frames = Vec::new();
+    let eof = loop {
+        match read_frame(&mut stdout) {
+            Ok(msg) => frames.push(msg),
+            Err(e) => break e,
+        }
+    };
+    assert_eq!(
+        eof,
+        WireError::Closed,
+        "stdout must end on a frame boundary"
+    );
+    let (last, beats) = frames.split_last().expect("at least one frame");
+    assert!(!beats.is_empty(), "no heartbeat frame before the result");
+    assert!(
+        beats.iter().all(|m| matches!(m, Msg::Heartbeat { .. })),
+        "only heartbeats precede the result: {beats:?}"
+    );
+    let reference = mlpwin_sim::runner::run(&spec).expect("reference run");
+    match last {
+        Msg::Result { line, .. } => assert_eq!(*line, encode_line(&spec, &reference)),
+        other => panic!("the last frame must be the result, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -492,25 +530,33 @@ fn panicking_spec_with_snapshots_keeps_the_retry_contract() {
 fn supervisor_restarts_a_crashed_worker_which_resumes_to_the_same_result() {
     let dir = scratch("supervised");
     let mut sup = Supervisor::new(WORKER, SnapshotPolicy::in_dir(dir.join("snaps")).every(400));
-    sup.journal = Some(dir.join("journal.jsonl"));
-    sup.backoff_base = Duration::from_millis(10);
     sup.chaos_kill_at = Some(1_200);
+    let results = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&results);
+    sup.frame_hook = Some(Arc::new(move |msg| {
+        if let Msg::Result { line, .. } = msg {
+            sink.lock().expect("results").push(line);
+        }
+    }));
     let spec = RunSpec::new("mcf", SimModel::Dynamic).with_budget(2_000, 4_000);
 
-    let outcome = sup.supervise(&spec);
-    assert_eq!(
-        outcome,
-        SuperviseOutcome::Completed { attempts: 2 },
-        "one chaos crash, one resumed completion"
+    match sup.supervise_once(&spec) {
+        WorkerEnd::Death { .. } => {}
+        other => panic!("the chaos-killed worker must die, got {other:?}"),
+    }
+    assert!(
+        results.lock().expect("results").is_empty(),
+        "a dead worker sends no result frame"
     );
-    let journaled = Journal::new(dir.join("journal.jsonl"))
-        .load()
-        .expect("journal reads");
-    assert_eq!(journaled.len(), 1);
-    let reference = mlpwin_sim::runner::run(&spec).expect("reference run");
-    assert_eq!(journaled[0].0, spec, "spec identity survives the crash");
     assert_eq!(
-        journaled[0].1, reference,
+        sup.supervise_once(&spec),
+        WorkerEnd::Clean,
+        "the relaunch resumes and completes"
+    );
+    let reference = mlpwin_sim::runner::run(&spec).expect("reference run");
+    assert_eq!(
+        *results.lock().expect("results"),
+        vec![encode_line(&spec, &reference)],
         "the supervised, crashed, resumed run is bit-identical"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -525,12 +571,10 @@ fn supervisor_kills_a_worker_with_a_stale_heartbeat() {
         SnapshotPolicy::in_dir(dir.join("snaps")).every(1_000_000_000_000),
     );
     sup.heartbeat_timeout = Some(Duration::from_millis(300));
-    sup.max_restarts = 0;
     let spec = RunSpec::new("mcf", SimModel::Base).with_budget(0, 50_000_000);
 
-    match sup.supervise(&spec) {
-        SuperviseOutcome::Failed { attempts, detail } => {
-            assert_eq!(attempts, 1);
+    match sup.supervise_once(&spec) {
+        WorkerEnd::Death { detail, .. } => {
             assert!(detail.contains("heartbeat"), "{detail}");
         }
         other => panic!("expected a heartbeat kill, got {other:?}"),
@@ -546,12 +590,10 @@ fn supervisor_enforces_the_wall_clock_budget() {
         SnapshotPolicy::in_dir(dir.join("snaps")).every(1_000_000_000_000),
     );
     sup.time_budget = Some(Duration::from_millis(200));
-    sup.max_restarts = 0;
     let spec = RunSpec::new("mcf", SimModel::Base).with_budget(0, 50_000_000);
 
-    match sup.supervise(&spec) {
-        SuperviseOutcome::Failed { attempts, detail } => {
-            assert_eq!(attempts, 1);
+    match sup.supervise_once(&spec) {
+        WorkerEnd::Death { detail, .. } => {
             assert!(detail.contains("budget"), "{detail}");
         }
         other => panic!("expected a time-budget kill, got {other:?}"),
