@@ -255,4 +255,7 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo clippy --features trace -- -D warnings (event-trace hooks)"
+cargo clippy -p mlpwin-ooo --all-targets --features trace -- -D warnings
+
 echo "==> CI green"

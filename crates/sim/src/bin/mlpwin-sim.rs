@@ -12,9 +12,12 @@
 //! [`Supervisor`](mlpwin_sim::Supervisor) launches this binary per
 //! campaign job with `--wire` and settles the result frame the way it
 //! settles a fleet worker's. The frames carry job id 0: the pipe, not
-//! the frame, names the job. Without `--wire`, a human-readable `done`
-//! line ends a clean run; `--journal` appends the result to a journal
-//! for standalone runs.
+//! the frame, names the job. A heartbeat that cannot be written means
+//! the controller is gone: the child stops at that snapshot, keeps it,
+//! and exits 75 like an interrupted run, so a resumed campaign's child
+//! for the same spec picks up from it. Without `--wire`, a
+//! human-readable `done` line ends a clean run; `--journal` appends the
+//! result to a journal for standalone runs.
 //!
 //! ```text
 //! mlpwin-sim --profile mcf --model dynamic [--warmup N] [--insts N]
@@ -132,14 +135,17 @@ fn main() -> ExitCode {
     signals::install();
     if args.wire {
         hooks::set_heartbeat_fn(Some(Arc::new(|cycle| {
-            // A closed pipe means the supervisor is gone; the run goes
-            // on and its snapshots stay resumable.
-            send(&Msg::Heartbeat {
+            // A broken pipe means the controller is gone: an orphan run
+            // to the end would discard the snapshots a resumed
+            // campaign's child shares, so stop here with them kept.
+            let beat = Msg::Heartbeat {
                 job: 0,
                 cycle,
                 rtt_us: 0,
-            })
-            .ok();
+            };
+            if send(&beat).is_err() {
+                signals::request_interrupt();
+            }
         })));
     }
     hooks::set_chaos_kill_at(args.chaos_kill_at);

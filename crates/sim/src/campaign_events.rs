@@ -3,6 +3,9 @@
 //!
 //! Every control-plane transition ([`EventKind`]) lands in a bounded
 //! in-memory ring ([`CampaignLog`]) stamped with the campaign clock.
+//! The job queue is the only producer of job-scoped events: it stamps
+//! each WAL record it appends (see [`JobQueue`](crate::queue::JobQueue));
+//! the controller adds only campaign-scoped ones (start, drain, fatal).
 //! Three consumers read it:
 //!
 //! - the `/jobs/<id>` endpoint attaches a job's events to its JSON
@@ -47,8 +50,6 @@ pub enum EventKind {
         /// The job's lane tag.
         lane: &'static str,
     },
-    /// A submitted job was served from the dedup cache immediately.
-    CacheHit,
     /// A worker took the job's lease.
     Leased {
         /// The owning worker.
@@ -103,7 +104,6 @@ impl EventKind {
     pub fn tag(&self) -> &'static str {
         match self {
             EventKind::Submitted { .. } => "submitted",
-            EventKind::CacheHit => "cache-hit",
             EventKind::Leased { .. } => "leased",
             EventKind::Released { .. } => "released",
             EventKind::Done { .. } => "done",
@@ -146,7 +146,7 @@ impl CampaignEvent {
         ];
         match &self.kind {
             EventKind::Submitted { lane } => pairs.push(("lane", s(*lane))),
-            EventKind::CacheHit | EventKind::Interrupted => {}
+            EventKind::Interrupted => {}
             EventKind::Leased { worker } => pairs.push(("worker", s(worker.clone()))),
             EventKind::Released {
                 worker,
@@ -287,71 +287,52 @@ pub fn derive_spans(events: &[CampaignEvent]) -> Vec<JobSpan> {
     };
     for e in events {
         let Some(job) = e.job else { continue };
-        match &e.kind {
+        // What the event says about the attempt it ends, if it ends one.
+        let outcome = match &e.kind {
             EventKind::Submitted { .. } => {
                 queued.insert(job, e.at_ms);
-            }
-            EventKind::CacheHit => {
-                close_queued(&mut queued, &mut spans, job, e.at_ms, "cache-hit");
+                continue;
             }
             EventKind::Leased { worker } => {
                 close_queued(&mut queued, &mut spans, job, e.at_ms, "queued");
                 let n = attempts.entry(job).or_insert(0);
                 *n += 1;
                 running.insert(job, (worker.clone(), e.at_ms, *n));
+                continue;
             }
             EventKind::Released { reason, kill, .. } => {
-                if let Some((worker, since, n)) = running.remove(&job) {
-                    spans.push(JobSpan {
-                        track: worker,
-                        name: format!("job {job} attempt {n}"),
-                        job,
-                        start_ms: since,
-                        end_ms: e.at_ms.max(since),
-                        args: vec![
-                            ("outcome".to_string(), s("released")),
-                            ("reason".to_string(), s(reason.clone())),
-                            ("kill".to_string(), Json::Bool(*kill)),
-                        ],
-                    });
-                }
                 queued.insert(job, e.at_ms);
+                vec![
+                    ("outcome", s("released")),
+                    ("reason", s(reason.clone())),
+                    ("kill", Json::Bool(*kill)),
+                ]
             }
             EventKind::Done { cached, .. } => {
-                if let Some((worker, since, n)) = running.remove(&job) {
-                    spans.push(JobSpan {
-                        track: worker,
-                        name: format!("job {job} attempt {n}"),
-                        job,
-                        start_ms: since,
-                        end_ms: e.at_ms.max(since),
-                        args: vec![
-                            ("outcome".to_string(), s("done")),
-                            ("cached".to_string(), Json::Bool(*cached)),
-                        ],
-                    });
-                } else {
+                if !running.contains_key(&job) {
                     close_queued(&mut queued, &mut spans, job, e.at_ms, "cache-hit");
                 }
+                vec![("outcome", s("done")), ("cached", Json::Bool(*cached))]
             }
             EventKind::Failed { detail, .. } | EventKind::Quarantined { detail, .. } => {
-                if let Some((worker, since, n)) = running.remove(&job) {
-                    spans.push(JobSpan {
-                        track: worker,
-                        name: format!("job {job} attempt {n}"),
-                        job,
-                        start_ms: since,
-                        end_ms: e.at_ms.max(since),
-                        args: vec![
-                            ("outcome".to_string(), s(self_tag(&e.kind))),
-                            ("detail".to_string(), s(detail.clone())),
-                        ],
-                    });
-                }
+                vec![("outcome", s(e.kind.tag())), ("detail", s(detail.clone()))]
             }
             EventKind::ControllerStart { .. }
             | EventKind::Interrupted
-            | EventKind::Fatal { .. } => {}
+            | EventKind::Fatal { .. } => continue,
+        };
+        if let Some((worker, since, n)) = running.remove(&job) {
+            spans.push(JobSpan {
+                track: worker,
+                name: format!("job {job} attempt {n}"),
+                job,
+                start_ms: since,
+                end_ms: e.at_ms.max(since),
+                args: outcome
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v))
+                    .collect(),
+            });
         }
     }
     for (job, since) in queued {
@@ -376,10 +357,6 @@ pub fn derive_spans(events: &[CampaignEvent]) -> Vec<JobSpan> {
     }
     spans.sort_by_key(|sp| (sp.start_ms, sp.job, sp.end_ms));
     spans
-}
-
-fn self_tag(kind: &EventKind) -> &'static str {
-    kind.tag()
 }
 
 /// Writes one flight-record document — the last events, a metrics
@@ -484,7 +461,7 @@ mod tests {
     fn ring_is_bounded_and_counts_drops() {
         let log = CampaignLog::new();
         for i in 0..(EVENT_CAPACITY as u64 + 10) {
-            log.record(i, Some(0), EventKind::CacheHit);
+            log.record(i, Some(0), EventKind::Submitted { lane: "normal" });
         }
         let events = log.snapshot();
         assert_eq!(events.len(), EVENT_CAPACITY);
@@ -501,7 +478,6 @@ mod tests {
         let log = CampaignLog::new();
         log.record(0, Some(0), EventKind::Submitted { lane: "normal" });
         log.record(0, Some(1), EventKind::Submitted { lane: "normal" });
-        log.record(1, Some(1), EventKind::CacheHit);
         log.record(
             1,
             Some(1),

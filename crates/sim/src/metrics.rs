@@ -589,6 +589,13 @@ pub fn counter_add(name: impl Into<String>, delta: u64) {
     }
 }
 
+/// This thread's unflushed value of gauge `name`: what a call on this
+/// thread just published, free of other threads' flushes.
+#[cfg(test)]
+pub(crate) fn local_gauge(name: &str) -> Option<f64> {
+    SHARD.with(|s| s.borrow().gauges.get(name).copied())
+}
+
 /// Sets a gauge in this thread's shard. No-op with telemetry off.
 pub fn gauge_set(name: impl Into<String>, value: f64) {
     if telemetry_enabled() {

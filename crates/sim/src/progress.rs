@@ -8,21 +8,19 @@
 //! against a scripted clock; the runner writes the returned lines to
 //! stderr so they never pollute a binary's stdout tables.
 
+use crate::queue::QueueTally;
 use std::collections::VecDeque;
 
 /// How many recent completion timestamps the ETA extrapolates from.
 const ETA_WINDOW: usize = 8;
 
-/// Live queue-shape numbers a campaign controller splices into the
-/// progress line next to the MIPS/ETA fields.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// The campaign state a controller hands the progress line: the job
+/// queue's tally supplies the settled and failed counts and the queue
+/// segment next to the MIPS/ETA fields.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CampaignSnapshot {
-    /// Jobs waiting in the queue (pending, possibly in backoff).
-    pub queue_depth: usize,
-    /// Jobs currently leased to workers.
-    pub active_leases: usize,
-    /// Fraction of finished jobs served from the dedup cache, 0..=1.
-    pub cache_hit_ratio: f64,
+    /// The queue's per-state job counts.
+    pub tally: QueueTally,
     /// Remote fleet size: `Some(n)` when a fleet listener is up with
     /// `n` workers connected (`Some(0)` renders as degraded mode —
     /// local threads only); `None` for fleet-less campaigns, which
@@ -69,12 +67,31 @@ impl Progress {
         }
     }
 
-    /// Sets (or refreshes) the campaign queue-shape segment. Once set,
-    /// every rendered line carries queue depth, active leases, and the
-    /// cache-hit percentage; plain matrix runs never call this and keep
-    /// the historical line format.
+    /// Sets (or refreshes) the campaign state. From then on the settled
+    /// and failed counts are the tally's, and every rendered line
+    /// carries queue depth, active leases, and the cache-hit
+    /// percentage; plain matrix runs never call this and keep the
+    /// historical line format.
     pub fn set_campaign(&mut self, snapshot: CampaignSnapshot) {
+        self.completed = snapshot.tally.terminal();
+        self.failed = snapshot.tally.failed + snapshot.tally.quarantined;
         self.campaign = Some(snapshot);
+    }
+
+    /// Records one settled campaign job at `now` seconds: counts come
+    /// from `snapshot` (so a job settled on any path is counted once),
+    /// the rest as in [`record`](Progress::record).
+    pub fn record_campaign(
+        &mut self,
+        now: f64,
+        snapshot: CampaignSnapshot,
+        attempts: u32,
+        insts: u64,
+        cycles: u64,
+    ) -> Option<String> {
+        let before = self.completed;
+        self.set_campaign(snapshot);
+        self.settle(before, now, attempts, insts, cycles)
     }
 
     /// Records one finished spec at `now` seconds since the campaign
@@ -91,10 +108,25 @@ impl Progress {
         insts: u64,
         cycles: u64,
     ) -> Option<String> {
+        let before = self.completed;
         self.completed += 1;
         if !ok {
             self.failed += 1;
         }
+        self.settle(before, now, attempts, insts, cycles)
+    }
+
+    /// Folds one settled spec's work and timestamp in; the line is due
+    /// when the settled count crossed an epoch boundary since `before`
+    /// (or reached the total).
+    fn settle(
+        &mut self,
+        before: usize,
+        now: f64,
+        attempts: u32,
+        insts: u64,
+        cycles: u64,
+    ) -> Option<String> {
         if attempts > 1 {
             self.retried += 1;
         }
@@ -104,7 +136,7 @@ impl Progress {
             self.window.pop_front();
         }
         self.window.push_back(now);
-        let due = self.completed.is_multiple_of(self.epoch) || self.completed == self.total;
+        let due = self.completed / self.epoch > before / self.epoch || self.completed == self.total;
         due.then(|| self.line(now))
     }
 
@@ -170,6 +202,8 @@ impl Progress {
         };
         let campaign = match &self.campaign {
             Some(c) => {
+                let tally = &c.tally;
+                let cache_hit_ratio = tally.cached as f64 / tally.done().max(1) as f64;
                 let fleet = match c.fleet {
                     Some(0) => " | fleet=0 (degraded)".to_string(),
                     Some(n) => format!(" | fleet={n}"),
@@ -177,9 +211,9 @@ impl Progress {
                 };
                 format!(
                     " | q={} leased={} cache {:.0}%{fleet}",
-                    c.queue_depth,
-                    c.active_leases,
-                    c.cache_hit_ratio * 100.0
+                    tally.depth(),
+                    tally.leased,
+                    cache_hit_ratio * 100.0
                 )
             }
             None => String::new(),
@@ -289,18 +323,26 @@ mod tests {
         assert_eq!(p.aggregate_mips(0.0), 0.0, "degenerate clock");
     }
 
+    fn snapshot(tally: QueueTally, fleet: Option<usize>) -> CampaignSnapshot {
+        CampaignSnapshot { tally, fleet }
+    }
+
     #[test]
     fn campaign_segment_appears_only_when_set() {
-        let mut p = Progress::with_epoch(2, 1);
+        let mut p = Progress::with_epoch(8, 1);
         let line = p.record(1.0, true, 1, 0, 0).expect("epoch 1");
         assert!(!line.contains("q="), "plain matrix line unchanged: {line}");
-        p.set_campaign(CampaignSnapshot {
-            queue_depth: 4,
-            active_leases: 2,
-            cache_hit_ratio: 0.5,
-            fleet: None,
-        });
-        let line = p.record(2.0, true, 1, 0, 0).expect("epoch 2");
+        let tally = QueueTally {
+            pending: [0, 4, 0],
+            leased: 2,
+            cached: 1,
+            simulated: 1,
+            ..QueueTally::default()
+        };
+        let line = p
+            .record_campaign(2.0, snapshot(tally, None), 1, 0, 0)
+            .expect("epoch 2");
+        assert!(line.contains("2/8 specs"), "{line}");
         assert!(line.contains("q=4 leased=2 cache 50%"), "{line}");
         assert!(
             !line.contains("fleet"),
@@ -309,23 +351,41 @@ mod tests {
     }
 
     #[test]
+    fn campaign_counts_are_the_tallys() {
+        // Jobs settled on paths that never reported (a lease-expiry
+        // quarantine) still count: the tally, not the reports, decides.
+        let mut p = Progress::with_epoch(6, 2);
+        let tally = QueueTally {
+            pending: [0, 2, 0],
+            simulated: 1,
+            failed: 1,
+            quarantined: 2,
+            ..QueueTally::default()
+        };
+        let line = p
+            .record_campaign(1.0, snapshot(tally, None), 1, 0, 0)
+            .expect("0 -> 4 settled crosses an epoch");
+        assert!(line.contains("4/6 specs (3 failed, 0 retried)"), "{line}");
+    }
+
+    #[test]
     fn fleet_segment_shows_size_and_degraded_mode() {
         let mut p = Progress::with_epoch(3, 1);
-        p.set_campaign(CampaignSnapshot {
-            queue_depth: 1,
-            active_leases: 1,
-            cache_hit_ratio: 0.0,
-            fleet: Some(2),
-        });
-        let line = p.record(1.0, true, 1, 0, 0).expect("epoch 1");
+        let mut tally = QueueTally {
+            pending: [0, 1, 0],
+            leased: 1,
+            simulated: 1,
+            ..QueueTally::default()
+        };
+        let line = p
+            .record_campaign(1.0, snapshot(tally, Some(2)), 1, 0, 0)
+            .expect("epoch 1");
         assert!(line.contains("| fleet=2"), "{line}");
-        p.set_campaign(CampaignSnapshot {
-            queue_depth: 1,
-            active_leases: 1,
-            cache_hit_ratio: 0.0,
-            fleet: Some(0),
-        });
-        let line = p.record(2.0, true, 1, 0, 0).expect("epoch 2");
+        tally.leased = 0;
+        tally.simulated = 2;
+        let line = p
+            .record_campaign(2.0, snapshot(tally, Some(0)), 1, 0, 0)
+            .expect("epoch 2");
         assert!(line.contains("| fleet=0 (degraded)"), "{line}");
     }
 

@@ -40,9 +40,15 @@
 //!   queue's lifetime; a second controller on the same campaign
 //!   directory gets the typed [`SimError::Locked`] and exits instead of
 //!   interleaving records.
+//! - **One source of campaign state.** Every appended record is also
+//!   stamped into the queue's [`CampaignLog`] as its [`EventKind`], and
+//!   the same transition updates the running [`QueueTally`] and the
+//!   queue gauges — nothing outside the queue mirrors a transition or
+//!   recounts the job table.
 
+use crate::campaign_events::{CampaignLog, EventKind};
 use crate::error::SimError;
-use crate::journal::{canonical_spec, decode_spec, encode_spec, spec_hash};
+use crate::journal::{decode_spec, encode_spec, spec_hash};
 use crate::json::{num, s, Json};
 use crate::lock::LockedFile;
 use crate::metrics;
@@ -50,6 +56,7 @@ use crate::runner::RunSpec;
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::Path;
+use std::sync::Arc;
 
 /// The WAL record schema this build writes and replays.
 pub const WAL_SCHEMA: u64 = 1;
@@ -223,7 +230,7 @@ pub struct JobTiming {
     pub attempts: u32,
 }
 
-/// What [`JobQueue::worker_died`] decided.
+/// What [`JobQueue::death`] decided.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DeathVerdict {
     /// The job went back to the queue; schedulable at `not_before_ms`.
@@ -233,6 +240,58 @@ pub enum DeathVerdict {
     },
     /// The job crossed the poison threshold and is quarantined.
     Quarantined,
+}
+
+/// Running job counts per state, updated inside every queue transition
+/// (and WAL replay), so reading them never walks the job table.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueTally {
+    /// Pending jobs (backoff included) per lane, in [`Lane::ALL`] order.
+    pub pending: [usize; 3],
+    /// Jobs leased to workers.
+    pub leased: usize,
+    /// Done jobs served from the dedup cache.
+    pub cached: usize,
+    /// Done jobs that ran a worker.
+    pub simulated: usize,
+    /// Jobs with a deterministic, typed failure.
+    pub failed: usize,
+    /// Jobs quarantined as poison.
+    pub quarantined: usize,
+}
+
+impl QueueTally {
+    /// The counter a job in `state` on `lane` belongs to.
+    fn slot(&mut self, lane: Lane, state: &JobState) -> &mut usize {
+        match state {
+            JobState::Pending { .. } => &mut self.pending[lane as usize],
+            JobState::Leased { .. } => &mut self.leased,
+            JobState::Done { cached: true } => &mut self.cached,
+            JobState::Done { cached: false } => &mut self.simulated,
+            JobState::Failed { .. } => &mut self.failed,
+            JobState::Quarantined { .. } => &mut self.quarantined,
+        }
+    }
+
+    /// Jobs waiting in every lane.
+    pub fn depth(&self) -> usize {
+        self.pending.iter().sum()
+    }
+
+    /// Jobs finished with a journaled result.
+    pub fn done(&self) -> usize {
+        self.cached + self.simulated
+    }
+
+    /// Jobs that need no further scheduling.
+    pub fn terminal(&self) -> usize {
+        self.done() + self.failed + self.quarantined
+    }
+
+    /// Every job in the queue.
+    pub fn jobs(&self) -> usize {
+        self.depth() + self.leased + self.terminal()
+    }
 }
 
 /// FNV-1a over a little-endian id/attempt pair: the deterministic
@@ -427,6 +486,69 @@ pub fn decode_wal_line(line: &str) -> Option<(u64, WalRecord)> {
 }
 
 impl WalRecord {
+    /// The job the record moves.
+    fn job(&self) -> JobId {
+        match self {
+            WalRecord::Enqueue { job, .. }
+            | WalRecord::Lease { job, .. }
+            | WalRecord::Release { job, .. }
+            | WalRecord::Done { job, .. }
+            | WalRecord::Failed { job, .. }
+            | WalRecord::Quarantine { job, .. } => *job,
+        }
+    }
+
+    /// The state the record moves its job to. `deadline` is a lease's
+    /// expiry or a release's backoff end; replay passes zero, since the
+    /// campaign clock restarts with the controller.
+    fn state(&self, deadline: u64) -> JobState {
+        match self {
+            WalRecord::Enqueue { .. } => JobState::Pending { not_before_ms: 0 },
+            WalRecord::Lease { worker, .. } => JobState::Leased {
+                worker: worker.clone(),
+                expires_ms: deadline,
+            },
+            WalRecord::Release { .. } => JobState::Pending {
+                not_before_ms: deadline,
+            },
+            WalRecord::Done { cached, .. } => JobState::Done { cached: *cached },
+            WalRecord::Failed { detail, .. } => JobState::Failed {
+                detail: detail.clone(),
+            },
+            WalRecord::Quarantine { detail, .. } => JobState::Quarantined {
+                detail: detail.clone(),
+            },
+        }
+    }
+
+    /// The record as the campaign event stream shows it. `holder` is
+    /// the lease holder at the transition (`""` for none).
+    fn event(&self, holder: String) -> EventKind {
+        match self {
+            WalRecord::Enqueue { lane, .. } => EventKind::Submitted { lane: lane.tag() },
+            WalRecord::Lease { worker, .. } => EventKind::Leased {
+                worker: worker.clone(),
+            },
+            WalRecord::Release { reason, kill, .. } => EventKind::Released {
+                worker: holder,
+                reason: reason.clone(),
+                kill: *kill,
+            },
+            WalRecord::Done { cached, .. } => EventKind::Done {
+                worker: holder,
+                cached: *cached,
+            },
+            WalRecord::Failed { detail, .. } => EventKind::Failed {
+                worker: holder,
+                detail: detail.clone(),
+            },
+            WalRecord::Quarantine { detail, .. } => EventKind::Quarantined {
+                worker: holder,
+                detail: detail.clone(),
+            },
+        }
+    }
+
     /// Whether losing this record to a crash could lose or double-count
     /// work. `Enqueue` defines the job set, and the terminal records
     /// (`Done`/`Failed`/`Quarantine`) are the claims `finalize` and the
@@ -494,6 +616,8 @@ pub struct JobQueue {
     jobs: Vec<Job>,
     timings: Vec<JobTiming>,
     by_spec: HashMap<RunSpec, JobId>,
+    tally: QueueTally,
+    log: Arc<CampaignLog>,
     wal: Option<Wal>,
 }
 
@@ -506,6 +630,8 @@ impl JobQueue {
             jobs: Vec::new(),
             timings: Vec::new(),
             by_spec: HashMap::new(),
+            tally: QueueTally::default(),
+            log: Arc::new(CampaignLog::new()),
             wal: None,
         }
     }
@@ -540,7 +666,7 @@ impl JobQueue {
             match decode_wal_line(line) {
                 Some((line_seq, rec)) => {
                     seq = seq.max(line_seq);
-                    if let Err(detail) = queue.apply(&rec) {
+                    if let Err(detail) = queue.apply(&rec, 0) {
                         eprintln!(
                             "warning: WAL {}:{}: impossible transition ({detail}); skipped",
                             path.display(),
@@ -556,6 +682,7 @@ impl JobQueue {
             }
         }
         queue.wal = Some(Wal { locked, seq });
+        queue.publish_gauges();
         // Orphaned leases: the old controller's workers are gone. Put
         // the jobs back (logged, so the next replay agrees) without
         // counting a kill — the worker may have been perfectly healthy.
@@ -567,105 +694,113 @@ impl JobQueue {
             .collect();
         for id in orphaned {
             queue.transition(
-                id,
-                JobState::Pending { not_before_ms: 0 },
-                &WalRecord::Release {
+                WalRecord::Release {
                     job: id,
                     reason: "controller restart".to_string(),
                     kill: false,
                 },
+                0,
+                0,
             )?;
             metrics::counter_add(METRIC_WAL_REPLAY_RELEASES, 1);
         }
         Ok(queue)
     }
 
-    /// Applies a replayed record to in-memory state (no re-logging).
-    fn apply(&mut self, rec: &WalRecord) -> Result<(), String> {
-        match rec {
-            WalRecord::Enqueue { job, spec, lane } => {
-                if *job != self.jobs.len() as u64 {
-                    return Err(format!(
-                        "enqueue of job {job} but next id is {}",
-                        self.jobs.len()
-                    ));
-                }
-                self.by_spec.insert(spec.clone(), *job);
-                self.jobs.push(Job {
-                    id: *job,
-                    spec: spec.clone(),
-                    hash: spec_hash(spec),
-                    lane: *lane,
-                    kills: 0,
-                    state: JobState::Pending { not_before_ms: 0 },
-                });
-                self.timings.push(JobTiming::default());
-                Ok(())
+    /// Moves `rec`'s job to the state the record names — the one place
+    /// job state, kill counts and the tally change, shared by live
+    /// transitions and replay. `deadline` as in [`WalRecord::state`].
+    fn apply(&mut self, rec: &WalRecord, deadline: u64) -> Result<(), String> {
+        if let WalRecord::Enqueue { job, spec, lane } = rec {
+            if *job != self.jobs.len() as u64 {
+                return Err(format!(
+                    "enqueue of job {job} but next id is {}",
+                    self.jobs.len()
+                ));
             }
-            WalRecord::Lease { job, worker } => self.replay_transition(*job, |j| {
-                j.state = JobState::Leased {
-                    worker: worker.clone(),
-                    expires_ms: 0,
-                }
-            }),
-            WalRecord::Release { job, kill, .. } => {
-                let kill = *kill;
-                self.replay_transition(*job, |j| {
-                    if kill {
-                        j.kills += 1;
-                    }
-                    j.state = JobState::Pending { not_before_ms: 0 };
-                })
-            }
-            WalRecord::Done { job, cached } => {
-                let cached = *cached;
-                self.replay_transition(*job, |j| j.state = JobState::Done { cached })
-            }
-            WalRecord::Failed { job, detail } => self.replay_transition(*job, |j| {
-                j.state = JobState::Failed {
-                    detail: detail.clone(),
-                }
-            }),
-            WalRecord::Quarantine { job, detail } => self.replay_transition(*job, |j| {
-                // A quarantine IS the job's final worker death: the live
-                // path counts the kill before logging this record, so
-                // replay must too.
-                j.kills += 1;
-                j.state = JobState::Quarantined {
-                    detail: detail.clone(),
-                }
-            }),
+            self.by_spec.insert(spec.clone(), *job);
+            self.jobs.push(Job {
+                id: *job,
+                spec: spec.clone(),
+                hash: spec_hash(spec),
+                lane: *lane,
+                kills: 0,
+                state: rec.state(deadline),
+            });
+            self.timings.push(JobTiming::default());
+            self.tally.pending[*lane as usize] += 1;
+            return Ok(());
         }
-    }
-
-    fn replay_transition(&mut self, id: JobId, f: impl FnOnce(&mut Job)) -> Result<(), String> {
-        match self.jobs.get_mut(id as usize) {
-            Some(job) => {
-                f(job);
-                Ok(())
-            }
-            None => Err(format!("record for unknown job {id}")),
+        let id = rec.job();
+        let Some(job) = self.jobs.get_mut(id as usize) else {
+            return Err(format!("record for unknown job {id}"));
+        };
+        // The replayed kill count comes from these records, so a live
+        // death charges its kill here too, never before the append.
+        if matches!(
+            rec,
+            WalRecord::Release { kill: true, .. } | WalRecord::Quarantine { .. }
+        ) {
+            job.kills += 1;
         }
-    }
-
-    /// Logs (when durable) and applies one transition.
-    fn transition(&mut self, id: JobId, state: JobState, rec: &WalRecord) -> Result<(), SimError> {
-        if let Some(wal) = &mut self.wal {
-            wal.append(rec)?;
-        }
-        self.jobs[id as usize].state = state;
+        let state = rec.state(deadline);
+        *self.tally.slot(job.lane, &job.state) -= 1;
+        *self.tally.slot(job.lane, &state) += 1;
+        job.state = state;
         Ok(())
+    }
+
+    /// Logs (when durable), stamps into the event log and applies one
+    /// transition, then republishes the queue gauges.
+    fn transition(&mut self, rec: WalRecord, deadline: u64, now_ms: u64) -> Result<(), SimError> {
+        if let Some(wal) = &mut self.wal {
+            wal.append(&rec)?;
+        }
+        let id = rec.job();
+        let holder = match self.jobs.get(id as usize).map(|j| &j.state) {
+            Some(JobState::Leased { worker, .. }) => worker.clone(),
+            _ => String::new(),
+        };
+        self.log.record(now_ms, Some(id), rec.event(holder));
+        self.apply(&rec, deadline)
+            .map_err(|detail| SimError::Campaign { detail })?;
+        self.publish_gauges();
+        Ok(())
+    }
+
+    /// Publishes the queue-shape gauges from the tally (no-op with
+    /// telemetry off).
+    fn publish_gauges(&self) {
+        if !metrics::telemetry_enabled() {
+            return;
+        }
+        metrics::gauge_set(METRIC_QUEUE_DEPTH, self.tally.depth() as f64);
+        metrics::gauge_set(METRIC_QUEUE_LEASED, self.tally.leased as f64);
+        for lane in Lane::ALL {
+            metrics::gauge_set(
+                metrics::labeled(METRIC_QUEUE_DEPTH_LANE, &[("lane", lane.tag())]),
+                self.tally.pending[lane as usize] as f64,
+            );
+        }
     }
 
     /// Submits one spec. Identical specs coalesce into one job (the
     /// existing id comes back); the dedup *result* cache is the
-    /// [`CacheStore`](crate::cachestore::CacheStore)'s business.
+    /// [`CacheStore`](crate::cachestore::CacheStore)'s business. Every
+    /// non-terminal job returned is logged as `submitted` at
+    /// campaign-clock zero — a restarted controller's resubmission
+    /// opens a fresh queued phase.
     ///
     /// # Errors
     ///
     /// WAL append failures.
     pub fn submit(&mut self, spec: &RunSpec, lane: Lane) -> Result<JobId, SimError> {
         if let Some(&id) = self.by_spec.get(spec) {
+            let job = &self.jobs[id as usize];
+            if !job.state.is_terminal() {
+                let lane = job.lane.tag();
+                self.log.record(0, Some(id), EventKind::Submitted { lane });
+            }
             return Ok(id);
         }
         let id = self.jobs.len() as JobId;
@@ -674,19 +809,7 @@ impl JobQueue {
             spec: spec.clone(),
             lane,
         };
-        if let Some(wal) = &mut self.wal {
-            wal.append(&rec)?;
-        }
-        self.by_spec.insert(spec.clone(), id);
-        self.jobs.push(Job {
-            id,
-            spec: spec.clone(),
-            hash: spec_hash(spec),
-            lane,
-            kills: 0,
-            state: JobState::Pending { not_before_ms: 0 },
-        });
-        self.timings.push(JobTiming::default());
+        self.transition(rec, 0, 0)?;
         Ok(id)
     }
 
@@ -709,17 +832,11 @@ impl JobQueue {
             }
         }
         let Some(id) = pick else { return Ok(None) };
-        self.transition(
-            id,
-            JobState::Leased {
-                worker: worker.to_string(),
-                expires_ms: now_ms + self.policy.lease_ms,
-            },
-            &WalRecord::Lease {
-                job: id,
-                worker: worker.to_string(),
-            },
-        )?;
+        let rec = WalRecord::Lease {
+            job: id,
+            worker: worker.to_string(),
+        };
+        self.transition(rec, now_ms + self.policy.lease_ms, now_ms)?;
         let timing = &mut self.timings[id as usize];
         metrics::observe(
             METRIC_JOB_QUEUE_WAIT_MS,
@@ -767,6 +884,11 @@ impl JobQueue {
             .map(|j| j.id)
             .collect();
         for &id in &stale {
+            // The controller finds an expiry; no worker reports it, so
+            // its event names none.
+            if let JobState::Leased { worker, .. } = &mut self.jobs[id as usize].state {
+                worker.clear();
+            }
             metrics::counter_add(METRIC_LEASES_EXPIRED, 1);
             self.death(id, "lease expired (heartbeat lost)", now_ms)?;
         }
@@ -779,29 +901,19 @@ impl JobQueue {
     /// # Errors
     ///
     /// WAL append failures.
-    pub fn worker_died(
+    pub fn death(
         &mut self,
         id: JobId,
         detail: &str,
         now_ms: u64,
     ) -> Result<DeathVerdict, SimError> {
-        self.death(id, detail, now_ms)
-    }
-
-    fn death(&mut self, id: JobId, detail: &str, now_ms: u64) -> Result<DeathVerdict, SimError> {
         let kills = self.jobs[id as usize].kills + 1;
-        self.jobs[id as usize].kills = kills;
         if kills >= self.policy.max_kills {
-            self.transition(
-                id,
-                JobState::Quarantined {
-                    detail: detail.to_string(),
-                },
-                &WalRecord::Quarantine {
-                    job: id,
-                    detail: detail.to_string(),
-                },
-            )?;
+            let rec = WalRecord::Quarantine {
+                job: id,
+                detail: detail.to_string(),
+            };
+            self.transition(rec, 0, now_ms)?;
             self.settle_timing(id, now_ms);
             metrics::counter_add(METRIC_JOBS_QUARANTINED, 1);
             return Ok(DeathVerdict::Quarantined);
@@ -809,17 +921,12 @@ impl JobQueue {
         let exp = kills.saturating_sub(1).min(10);
         let base = self.policy.backoff_base_ms;
         let not_before_ms = now_ms + base * (1u64 << exp) + jitter(id, kills, base.max(1));
-        self.transition(
-            id,
-            JobState::Pending { not_before_ms },
-            &WalRecord::Release {
-                job: id,
-                reason: detail.to_string(),
-                // The replayed `kills` count comes from this flag, so
-                // it must stay in lock-step with the +1 above.
-                kill: true,
-            },
-        )?;
+        let rec = WalRecord::Release {
+            job: id,
+            reason: detail.to_string(),
+            kill: true,
+        };
+        self.transition(rec, not_before_ms, now_ms)?;
         self.timings[id as usize].pending_since_ms = now_ms;
         metrics::counter_add(METRIC_JOBS_RETRIED, 1);
         Ok(DeathVerdict::Requeued { not_before_ms })
@@ -842,15 +949,12 @@ impl JobQueue {
     ///
     /// WAL append failures.
     pub fn release(&mut self, id: JobId, reason: &str, now_ms: u64) -> Result<(), SimError> {
-        self.transition(
-            id,
-            JobState::Pending { not_before_ms: 0 },
-            &WalRecord::Release {
-                job: id,
-                reason: reason.to_string(),
-                kill: false,
-            },
-        )?;
+        let rec = WalRecord::Release {
+            job: id,
+            reason: reason.to_string(),
+            kill: false,
+        };
+        self.transition(rec, 0, now_ms)?;
         self.timings[id as usize].pending_since_ms = now_ms;
         Ok(())
     }
@@ -862,11 +966,7 @@ impl JobQueue {
     ///
     /// WAL append failures.
     pub fn complete(&mut self, id: JobId, cached: bool, now_ms: u64) -> Result<(), SimError> {
-        self.transition(
-            id,
-            JobState::Done { cached },
-            &WalRecord::Done { job: id, cached },
-        )?;
+        self.transition(WalRecord::Done { job: id, cached }, 0, now_ms)?;
         self.settle_timing(id, now_ms);
         Ok(())
     }
@@ -877,16 +977,11 @@ impl JobQueue {
     ///
     /// WAL append failures.
     pub fn fail(&mut self, id: JobId, detail: &str, now_ms: u64) -> Result<(), SimError> {
-        self.transition(
-            id,
-            JobState::Failed {
-                detail: detail.to_string(),
-            },
-            &WalRecord::Failed {
-                job: id,
-                detail: detail.to_string(),
-            },
-        )?;
+        let rec = WalRecord::Failed {
+            job: id,
+            detail: detail.to_string(),
+        };
+        self.transition(rec, 0, now_ms)?;
         self.settle_timing(id, now_ms);
         Ok(())
     }
@@ -911,14 +1006,20 @@ impl JobQueue {
         &self.policy
     }
 
-    /// Whether every job is done, failed, or quarantined.
-    pub fn all_terminal(&self) -> bool {
-        self.jobs.iter().all(|j| j.state.is_terminal())
+    /// The running per-state job counts.
+    pub fn tally(&self) -> QueueTally {
+        self.tally
     }
 
-    /// Whether any job still waits or runs.
-    pub fn has_open_work(&self) -> bool {
-        !self.all_terminal()
+    /// The event log every transition is stamped into. Campaign-scoped
+    /// events (controller start, drain, fatal) go here too.
+    pub fn log(&self) -> &Arc<CampaignLog> {
+        &self.log
+    }
+
+    /// Whether every job is done, failed, or quarantined.
+    pub fn all_terminal(&self) -> bool {
+        self.tally.terminal() == self.jobs.len()
     }
 
     /// The earliest campaign-clock ms at which a pending job becomes
@@ -931,62 +1032,6 @@ impl JobQueue {
                 _ => None,
             })
             .min()
-    }
-
-    /// Publishes queue-shape gauges into the metrics shard (no-op with
-    /// telemetry off).
-    pub fn publish_metrics(&self) {
-        let pending = self
-            .jobs
-            .iter()
-            .filter(|j| matches!(j.state, JobState::Pending { .. }))
-            .count();
-        let leased = self
-            .jobs
-            .iter()
-            .filter(|j| matches!(j.state, JobState::Leased { .. }))
-            .count();
-        metrics::gauge_set(METRIC_QUEUE_DEPTH, pending as f64);
-        metrics::gauge_set(METRIC_QUEUE_LEASED, leased as f64);
-        for lane in Lane::ALL {
-            let depth = self
-                .jobs
-                .iter()
-                .filter(|j| j.lane == lane && matches!(j.state, JobState::Pending { .. }))
-                .count();
-            metrics::gauge_set(
-                metrics::labeled(METRIC_QUEUE_DEPTH_LANE, &[("lane", lane.tag())]),
-                depth as f64,
-            );
-        }
-    }
-
-    /// A collision probe used by the serve layer: the job holding
-    /// `spec`'s hash, if any, with full-spec verification — two
-    /// different specs on one hash is the typed
-    /// [`SimError::HashCollision`].
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::HashCollision`] as described.
-    pub fn job_for_spec(&self, spec: &RunSpec) -> Result<Option<&Job>, SimError> {
-        match self.by_spec.get(spec) {
-            Some(&id) => Ok(Some(&self.jobs[id as usize])),
-            None => {
-                let hash = spec_hash(spec);
-                if let Some(other) = self.jobs.iter().find(|j| j.hash == hash) {
-                    return Err(SimError::HashCollision {
-                        hash,
-                        detail: format!(
-                            "queued `{}` vs requested `{}`",
-                            canonical_spec(&other.spec),
-                            canonical_spec(spec)
-                        ),
-                    });
-                }
-                Ok(None)
-            }
-        }
     }
 }
 
@@ -1062,7 +1107,7 @@ mod tests {
         let j = q.lease("w1", 10_000).expect("lease").expect("granted");
         assert_eq!(j.id, id);
         // Second death crosses max_kills = 2: quarantined.
-        let verdict = q.worker_died(id, "abort (chaos)", 10_001).expect("death");
+        let verdict = q.death(id, "abort (chaos)", 10_001).expect("death");
         assert_eq!(verdict, DeathVerdict::Quarantined);
         assert!(matches!(
             &q.job(id).state,
@@ -1101,7 +1146,7 @@ mod tests {
             let j = q.lease("w0", 0).expect("lease").expect("granted");
             q.complete(j.id, false, 1).expect("complete");
             let j = q.lease("w0", 1).expect("lease").expect("granted");
-            q.worker_died(j.id, "killed", 2).expect("death");
+            q.death(j.id, "killed", 2).expect("death");
             let j = q.lease("w1", 10_000).expect("lease").expect("granted");
             jobs_before = j.id;
             kills_before = q.job(j.id).kills;
@@ -1199,7 +1244,7 @@ mod tests {
         assert_eq!(t.attempts, 1);
         q.renew(id, 70);
         assert_eq!(q.timing(id).last_heartbeat_ms, Some(70));
-        q.worker_died(id, "boom", 90).expect("death");
+        q.death(id, "boom", 90).expect("death");
         assert_eq!(q.timing(id).pending_since_ms, 90, "wait restarts at death");
         q.lease("w1", 10_000).expect("lease").expect("granted");
         q.complete(id, false, 10_500).expect("complete");
@@ -1208,6 +1253,66 @@ mod tests {
         assert_eq!(t.first_leased_ms, Some(40), "first lease is sticky");
         assert_eq!(t.last_leased_ms, Some(10_000));
         assert_eq!(t.terminal_ms, Some(10_500));
+    }
+
+    /// Every transition republishes the queue gauges from the tally —
+    /// expiry, release, failure and death included, not only grants.
+    #[test]
+    fn gauges_follow_every_transition() {
+        let _knob = metrics::KNOB_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        metrics::set_telemetry(true);
+        let mut q = JobQueue::in_memory(QueuePolicy {
+            lease_ms: 10,
+            max_kills: 5,
+            backoff_base_ms: 1,
+        });
+        for (n, lane) in [Lane::High, Lane::Normal, Lane::Normal, Lane::Low]
+            .into_iter()
+            .enumerate()
+        {
+            q.submit(&spec("gcc", n as u64), lane).expect("submit");
+        }
+        let check = |q: &JobQueue, what: &str| {
+            let mut recount = QueueTally::default();
+            for j in q.jobs() {
+                *recount.slot(j.lane, &j.state) += 1;
+            }
+            assert_eq!(q.tally(), recount, "{what}: tally");
+            let gauge = metrics::local_gauge;
+            assert_eq!(
+                gauge(METRIC_QUEUE_DEPTH),
+                Some(recount.depth() as f64),
+                "{what}: depth"
+            );
+            assert_eq!(
+                gauge(METRIC_QUEUE_LEASED),
+                Some(recount.leased as f64),
+                "{what}: leased"
+            );
+            for lane in Lane::ALL {
+                let name = metrics::labeled(METRIC_QUEUE_DEPTH_LANE, &[("lane", lane.tag())]);
+                assert_eq!(
+                    gauge(&name),
+                    Some(recount.pending[lane as usize] as f64),
+                    "{what}: {name}"
+                );
+            }
+        };
+        let a = q.lease("w0", 0).expect("lease").expect("granted").id;
+        let b = q.lease("w1", 0).expect("lease").expect("granted").id;
+        let c = q.lease("w2", 0).expect("lease").expect("granted").id;
+        q.renew(b, 15);
+        q.renew(c, 15);
+        assert_eq!(q.expire_stale(20).expect("expire"), vec![a]);
+        check(&q, "expire_stale");
+        q.release(b, "graceful drain", 20).expect("release");
+        check(&q, "release");
+        q.fail(c, "typo", 20).expect("fail");
+        check(&q, "fail");
+        let d = q.lease("w3", 30).expect("lease").expect("granted").id;
+        q.death(d, "boom", 31).expect("death");
+        check(&q, "death");
+        metrics::set_telemetry(false);
     }
 
     #[test]
@@ -1223,7 +1328,7 @@ mod tests {
         for round in 0..4 {
             let now = round * 1_000_000;
             q.lease("w", now).expect("lease").expect("granted");
-            match q.worker_died(id, "boom", now).expect("death") {
+            match q.death(id, "boom", now).expect("death") {
                 DeathVerdict::Requeued { not_before_ms } => delays.push(not_before_ms - now),
                 DeathVerdict::Quarantined => panic!("threshold is 10"),
             }

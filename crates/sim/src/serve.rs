@@ -41,8 +41,11 @@
 //! `/metrics` (Prometheus), `/status` (campaign snapshot), `/jobs` +
 //! `/jobs/<id>` (per-job lifecycle), `/healthz`. The bound address is
 //! written to `obs.addr` in the campaign directory so scripts can
-//! discover an ephemeral port. Every control-plane transition also
-//! lands in a [`CampaignLog`] ring, which feeds three consumers: the
+//! discover an ephemeral port. The job queue stamps every transition
+//! it makes into its [`CampaignLog`] ring and keeps the per-state
+//! tallies the progress line, `/status` and the [`CampaignReport`]
+//! render from; the controller adds only campaign-scoped events. The
+//! ring feeds three consumers: the
 //! `/jobs/<id>` event views, the `--trace-out` Chrome trace (one track
 //! per worker, one span per job phase), and the crash flight recorder
 //! (`flightrec/` dumps on worker death, quarantine, graceful-drain
@@ -61,7 +64,7 @@ use crate::json::{num, obj, s, Json};
 use crate::lock::LockedFile;
 use crate::metrics;
 use crate::progress::{CampaignSnapshot, Progress};
-use crate::queue::{DeathVerdict, JobId, JobQueue, JobState, Lane, QueuePolicy};
+use crate::queue::{DeathVerdict, JobId, JobQueue, JobState, Lane, QueuePolicy, QueueTally};
 use crate::runner::{
     RunResult, RunSpec, METRIC_CYCLES_SKIPPED, METRIC_CYCLES_STEPPED, METRIC_EVENTS_POPPED,
     METRIC_EVENTS_POSTED,
@@ -223,30 +226,20 @@ pub struct CampaignReport {
     pub quarantined: usize,
 }
 
-impl CampaignReport {
-    fn tally(queue: &JobQueue) -> CampaignReport {
-        let mut r = CampaignReport {
-            jobs: queue.jobs().len(),
-            ..CampaignReport::default()
-        };
-        for job in queue.jobs() {
-            match &job.state {
-                JobState::Done { cached: true } => {
-                    r.done += 1;
-                    r.cache_hits += 1;
-                }
-                JobState::Done { cached: false } => {
-                    r.done += 1;
-                    r.simulated += 1;
-                }
-                JobState::Failed { .. } => r.failed += 1,
-                JobState::Quarantined { .. } => r.quarantined += 1,
-                JobState::Pending { .. } | JobState::Leased { .. } => {}
-            }
+impl From<QueueTally> for CampaignReport {
+    fn from(tally: QueueTally) -> CampaignReport {
+        CampaignReport {
+            jobs: tally.jobs(),
+            done: tally.done(),
+            cache_hits: tally.cached,
+            simulated: tally.simulated,
+            failed: tally.failed,
+            quarantined: tally.quarantined,
         }
-        r
     }
+}
 
+impl CampaignReport {
     /// The one-line summary the binary prints.
     pub fn render(&self) -> String {
         format!(
@@ -317,9 +310,9 @@ struct Campaign {
     /// failure); stops the campaign.
     fatal: Mutex<Option<SimError>>,
     started: Instant,
-    /// The campaign event ring: `/jobs/<id>` views, Chrome trace spans,
+    /// The queue's event ring: `/jobs/<id>` views, Chrome trace spans,
     /// flight-recorder dumps.
-    log: CampaignLog,
+    log: Arc<CampaignLog>,
     /// Live worker-slot states for `/status`.
     workers: Mutex<Vec<WorkerSlot>>,
     /// Aggregate MIPS/ETA, shared with the progress line and `/status`.
@@ -342,23 +335,13 @@ impl Campaign {
     }
 
     fn abort(&self, err: SimError) {
-        let recorded = {
+        let first = {
             let mut slot = self.fatal.lock().expect("fatal slot poisoned");
-            if slot.is_none() {
-                *slot = Some(err);
-                true
-            } else {
-                false
-            }
+            let first = slot.is_none().then(|| err.to_string());
+            slot.get_or_insert(err);
+            first
         };
-        if recorded {
-            let detail = self
-                .fatal
-                .lock()
-                .expect("fatal slot poisoned")
-                .as_ref()
-                .map(|e| e.to_string())
-                .unwrap_or_default();
+        if let Some(detail) = first {
             self.log
                 .record(self.now_ms(), None, EventKind::Fatal { detail });
             self.dump_flight("fatal control-plane error");
@@ -374,40 +357,25 @@ impl Campaign {
         }
     }
 
-    /// Records one terminal job into the shared progress state and
-    /// mirrors the line to stderr when enabled.
-    fn record_progress(&self, ok: bool, attempts: u32, insts: u64, cycles: u64, skipped: u64) {
-        let snapshot = {
-            let queue = self.queue.lock().expect("queue poisoned");
-            let report = CampaignReport::tally(&queue);
-            let leased = queue
-                .jobs()
-                .iter()
-                .filter(|j| matches!(j.state, JobState::Leased { .. }))
-                .count();
-            CampaignSnapshot {
-                queue_depth: report.jobs
-                    - report.done
-                    - report.failed
-                    - report.quarantined
-                    - leased,
-                active_leases: leased,
-                cache_hit_ratio: if report.done == 0 {
-                    0.0
-                } else {
-                    report.cache_hits as f64 / report.done as f64
-                },
-                fleet: self
-                    .fleet
-                    .as_ref()
-                    .map(|f| f.connected.load(Ordering::SeqCst)),
-            }
+    /// Records one settled job's work into the shared progress state,
+    /// with the queue's tally as its counts, and mirrors the line to
+    /// stderr when enabled. Never call with the queue lock held.
+    fn record_progress(&self, attempts: u32, insts: u64, cycles: u64, skipped: u64) {
+        // The progress lock is taken before the queue's drops, so
+        // snapshots reach the line in the order they were taken.
+        let queue = self.queue.lock().expect("queue poisoned");
+        let snapshot = CampaignSnapshot {
+            tally: queue.tally(),
+            fleet: self
+                .fleet
+                .as_ref()
+                .map(|f| f.connected.load(Ordering::SeqCst)),
         };
-        let now = self.started.elapsed().as_secs_f64();
         let mut progress = self.progress.lock().expect("progress poisoned");
-        progress.set_campaign(snapshot);
+        drop(queue);
+        let now = self.started.elapsed().as_secs_f64();
         progress.add_skipped(skipped);
-        if let Some(line) = progress.record(now, ok, attempts, insts, cycles) {
+        if let Some(line) = progress.record_campaign(now, snapshot, attempts, insts, cycles) {
             if self.show_progress {
                 eprintln!("{line}");
             }
@@ -440,21 +408,8 @@ impl Campaign {
     /// The `/status` document. Takes each lock briefly, one at a time.
     fn status_json(&self) -> Json {
         let now = self.now_ms();
-        let (report, lanes, leases) = {
+        let (tally, leases) = {
             let queue = self.queue.lock().expect("queue poisoned");
-            let report = CampaignReport::tally(&queue);
-            let lane_depth = |lane: Lane| {
-                queue
-                    .jobs()
-                    .iter()
-                    .filter(|j| j.lane == lane && matches!(j.state, JobState::Pending { .. }))
-                    .count() as u64
-            };
-            let lanes = obj(vec![
-                ("high", num(lane_depth(Lane::High))),
-                ("normal", num(lane_depth(Lane::Normal))),
-                ("low", num(lane_depth(Lane::Low))),
-            ]);
             let leases: Vec<Json> = queue
                 .jobs()
                 .iter()
@@ -480,7 +435,7 @@ impl Campaign {
                     _ => None,
                 })
                 .collect();
-            (report, lanes, leases)
+            (queue.tally(), leases)
         };
         let cache_entries = self.cache.lock().expect("cache poisoned").len();
         let workers: Vec<Json> = self
@@ -510,20 +465,23 @@ impl Campaign {
                 progress.eta_secs(secs),
             )
         };
-        let open = report.jobs - report.done - report.failed - report.quarantined;
+        let lanes = Lane::ALL
+            .iter()
+            .map(|&lane| (lane.tag(), num(tally.pending[lane as usize] as u64)))
+            .collect();
         obj(vec![
             ("mode", s("campaign")),
             ("uptime_ms", num(now)),
-            ("jobs", num(report.jobs as u64)),
-            ("done", num(report.done as u64)),
-            ("failed", num(report.failed as u64)),
-            ("quarantined", num(report.quarantined as u64)),
+            ("jobs", num(tally.jobs() as u64)),
+            ("done", num(tally.done() as u64)),
+            ("failed", num(tally.failed as u64)),
+            ("quarantined", num(tally.quarantined as u64)),
             (
                 "queue",
                 obj(vec![
-                    ("depth", num((open - leases.len().min(open)) as u64)),
-                    ("leased", num(leases.len() as u64)),
-                    ("lanes", lanes),
+                    ("depth", num(tally.depth() as u64)),
+                    ("leased", num(tally.leased as u64)),
+                    ("lanes", obj(lanes)),
                 ]),
             ),
             ("leases", Json::Arr(leases)),
@@ -531,8 +489,8 @@ impl Campaign {
             (
                 "cache",
                 obj(vec![
-                    ("hits", num(report.cache_hits as u64)),
-                    ("simulated", num(report.simulated as u64)),
+                    ("hits", num(tally.cached as u64)),
+                    ("simulated", num(tally.simulated as u64)),
                     ("entries", num(cache_entries as u64)),
                 ]),
             ),
@@ -705,13 +663,11 @@ pub fn run_campaign(
 
     // Submit everything; verified cache hits complete immediately. All
     // of this happens at campaign-clock zero.
-    let log = CampaignLog::new();
     for (spec, lane) in jobs {
         let id = queue.submit(spec, *lane)?;
         if queue.job(id).state.is_terminal() {
             continue; // replayed from the WAL
         }
-        log.record(0, Some(id), EventKind::Submitted { lane: lane.tag() });
         match cache.lookup(spec) {
             Ok(Some(result)) => {
                 // The finalize step (and any restarted controller)
@@ -722,15 +678,6 @@ pub fn run_campaign(
                     in_done_journal.push(spec.clone());
                 }
                 queue.complete(id, true, 0)?;
-                log.record(0, Some(id), EventKind::CacheHit);
-                log.record(
-                    0,
-                    Some(id),
-                    EventKind::Done {
-                        worker: String::new(),
-                        cached: true,
-                    },
-                );
             }
             Ok(None) => {}
             Err(SimError::HashCollision { hash, detail }) => {
@@ -744,6 +691,7 @@ pub fn run_campaign(
             Err(other) => return Err(other),
         }
     }
+    let log = Arc::clone(queue.log());
     log.record(
         0,
         None,
@@ -752,16 +700,14 @@ pub fn run_campaign(
         },
     );
 
-    // Pre-count jobs that are already terminal (WAL replay, cache hits)
-    // so the progress denominator and cache-hit ratio start truthful.
+    // Jobs already terminal (WAL replay, cache hits) count from the
+    // start, so the progress denominator and cache-hit ratio start
+    // truthful; the fleet size arrives with the first settle.
     let mut progress = Progress::new(queue.jobs().len());
-    for job in queue.jobs() {
-        if job.state.is_terminal() {
-            let ok = matches!(job.state, JobState::Done { .. });
-            let _ = progress.record(0.0, ok, 1, 0, 0);
-        }
-    }
-    queue.publish_metrics();
+    progress.set_campaign(CampaignSnapshot {
+        tally: queue.tally(),
+        fleet: None,
+    });
     cache.publish_metrics();
     metrics::flush();
 
@@ -845,16 +791,11 @@ pub fn run_campaign(
             // abort() already flight-recorded this.
             return Err(err);
         }
-        let report = {
+        let (report, all_terminal) = {
             let queue = campaign.queue.lock().expect("queue poisoned");
-            queue.publish_metrics();
-            CampaignReport::tally(&queue)
+            (CampaignReport::from(queue.tally()), queue.all_terminal())
         };
-        metrics::flush();
-        let interrupted = {
-            let queue = campaign.queue.lock().expect("queue poisoned");
-            signals::interrupted() && !queue.all_terminal()
-        };
+        let interrupted = signals::interrupted() && !all_terminal;
         if interrupted {
             campaign
                 .log
@@ -941,15 +882,6 @@ fn worker_loop(me: &str, campaign: &Arc<Campaign>, cfg: &CampaignConfig) {
                 let now = campaign.now_ms();
                 let mut queue = campaign.queue.lock().expect("queue poisoned");
                 let released = if owns(&queue, job, me) {
-                    campaign.log.record(
-                        now,
-                        Some(job),
-                        EventKind::Released {
-                            worker: me.to_string(),
-                            reason: "graceful drain".to_string(),
-                            kill: false,
-                        },
-                    );
                     queue.release(job, "graceful drain", now)
                 } else {
                     Ok(())
@@ -988,72 +920,35 @@ fn worker_loop(me: &str, campaign: &Arc<Campaign>, cfg: &CampaignConfig) {
     }
 }
 
-/// Expires stale leases and logs each reclaim/quarantine. Shared by
-/// the local worker loops, the fleet lease path, and the fleet
-/// janitor; call with the queue lock held.
-fn expire_and_log(campaign: &Campaign, queue: &mut JobQueue, now_ms: u64) -> Result<(), SimError> {
-    for id in queue.expire_stale(now_ms)? {
-        campaign.log.record(
-            now_ms,
-            Some(id),
-            match &queue.job(id).state {
-                JobState::Quarantined { detail } => EventKind::Quarantined {
-                    worker: String::new(),
-                    detail: detail.clone(),
-                },
-                _ => EventKind::Released {
-                    worker: String::new(),
-                    reason: "lease expired (heartbeat lost)".to_string(),
-                    kill: true,
-                },
-            },
-        );
-    }
-    Ok(())
+/// Expires stale leases. Shared by the local and fleet lease path and
+/// the fleet janitor; call with the queue lock held. Returns the
+/// attempts of each job the expiry quarantined, to record on the
+/// progress line once the lock drops.
+fn expire(queue: &mut JobQueue, now_ms: u64) -> Result<Vec<u32>, SimError> {
+    let expired = queue.expire_stale(now_ms)?;
+    Ok(expired
+        .into_iter()
+        .filter(|&id| queue.job(id).state.is_terminal())
+        .map(|id| queue.timing(id).attempts)
+        .collect())
 }
 
-/// The lease attempts charged to `id` so far.
-fn attempts_of(campaign: &Campaign, id: JobId) -> u32 {
-    campaign
-        .queue
-        .lock()
-        .expect("queue poisoned")
-        .timing(id)
-        .attempts
-}
-
-/// Records a worker death against `id` when `me` still owns it, logs
-/// the matching event, and dumps a flight record.
+/// Records a worker death against `id` when `me` still owns it and
+/// dumps a flight record.
 fn settle_death(campaign: &Campaign, id: JobId, me: &str, detail: &str) -> Result<(), SimError> {
     let now = campaign.now_ms();
-    let verdict = {
+    let (verdict, attempts) = {
         let mut queue = campaign.queue.lock().expect("queue poisoned");
         if !owns(&queue, id, me) {
             return Ok(());
         }
-        let verdict = queue.worker_died(id, detail, now)?;
-        campaign.log.record(
-            now,
-            Some(id),
-            match verdict {
-                DeathVerdict::Requeued { .. } => EventKind::Released {
-                    worker: me.to_string(),
-                    reason: detail.to_string(),
-                    kill: true,
-                },
-                DeathVerdict::Quarantined => EventKind::Quarantined {
-                    worker: me.to_string(),
-                    detail: detail.to_string(),
-                },
-            },
-        );
-        verdict
+        (queue.death(id, detail, now)?, queue.timing(id).attempts)
     };
     match verdict {
         DeathVerdict::Requeued { .. } => campaign.dump_flight(&format!("worker death: {detail}")),
         DeathVerdict::Quarantined => {
             campaign.dump_flight(&format!("job {id} quarantined: {detail}"));
-            campaign.record_progress(false, attempts_of(campaign, id), 0, 0, 0);
+            campaign.record_progress(attempts, 0, 0, 0);
         }
     }
     Ok(())
@@ -1064,22 +959,15 @@ fn settle_death(campaign: &Campaign, id: JobId, me: &str, detail: &str) -> Resul
 /// exit 1 or 2) and fleet connections (a `failed` frame).
 fn fail(campaign: &Campaign, identity: &str, id: JobId, detail: String) -> Result<(), SimError> {
     let now = campaign.now_ms();
-    {
+    let attempts = {
         let mut queue = campaign.queue.lock().expect("queue poisoned");
         if !valid_job(&queue, id) || !owns(&queue, id, identity) {
             return Ok(());
         }
         queue.fail(id, &detail, now)?;
-    }
-    campaign.log.record(
-        now,
-        Some(id),
-        EventKind::Failed {
-            worker: identity.to_string(),
-            detail,
-        },
-    );
-    campaign.record_progress(false, attempts_of(campaign, id), 0, 0, 0);
+        queue.timing(id).attempts
+    };
+    campaign.record_progress(attempts, 0, 0, 0);
     Ok(())
 }
 
@@ -1100,21 +988,6 @@ fn heartbeat(campaign: &Campaign, identity: &str, id: JobId) {
 /// worker must not record anything against it.
 fn owns(queue: &JobQueue, id: JobId, me: &str) -> bool {
     matches!(&queue.job(id).state, JobState::Leased { worker, .. } if worker == me)
-}
-
-/// Completes `id` when `me` still owns it; `Ok(true)` when it did.
-fn complete_if_mine(
-    queue: &mut JobQueue,
-    id: JobId,
-    me: &str,
-    cached: bool,
-    now_ms: u64,
-) -> Result<bool, SimError> {
-    if owns(queue, id, me) {
-        queue.complete(id, cached, now_ms)?;
-        return Ok(true);
-    }
-    Ok(false)
 }
 
 fn with_tail(detail: &str, stderr_tail: &str) -> String {
@@ -1252,11 +1125,18 @@ fn start_fleet(
                     }
                     let expired = {
                         let mut queue = campaign.queue.lock().expect("queue poisoned");
-                        expire_and_log(&campaign, &mut queue, campaign.now_ms())
+                        expire(&mut queue, campaign.now_ms())
                     };
-                    if let Err(e) = expired {
-                        campaign.abort(e);
-                        return;
+                    match expired {
+                        Ok(quarantined) => {
+                            for attempts in quarantined {
+                                campaign.record_progress(attempts, 0, 0, 0);
+                            }
+                        }
+                        Err(e) => {
+                            campaign.abort(e);
+                            return;
+                        }
                     }
                     metrics::gauge_set(
                         METRIC_FLEET_CONNECTED,
@@ -1447,17 +1327,21 @@ fn lease(campaign: &Campaign, identity: &str) -> Msg {
     if signals::interrupted() {
         return Msg::Drain;
     }
-    // Cache-served completions performed under the lock are reported
-    // to the progress line after it drops (record_progress re-locks).
-    let mut completions: Vec<u32> = Vec::new();
+    // Jobs settled under the lock (expiry quarantines, cache-served
+    // completions) are reported to the progress line after it drops
+    // (record_progress re-locks).
+    let mut settled: Vec<u32>;
     let reply = {
         let mut queue = campaign.queue.lock().expect("queue poisoned");
         let now = campaign.now_ms();
-        if let Err(e) = expire_and_log(campaign, &mut queue, now) {
-            drop(queue);
-            campaign.abort(e);
-            return Msg::Drain;
-        }
+        settled = match expire(&mut queue, now) {
+            Ok(quarantined) => quarantined,
+            Err(e) => {
+                drop(queue);
+                campaign.abort(e);
+                return Msg::Drain;
+            }
+        };
         loop {
             match queue.lease(identity, now) {
                 Err(e) => {
@@ -1487,35 +1371,14 @@ fn lease(campaign: &Campaign, identity: &str) -> Msg {
                         cache.lookup(&job.spec).ok().flatten().is_some()
                     };
                     if banked {
-                        match complete_if_mine(&mut queue, job.id, identity, true, now) {
-                            Ok(true) => {
-                                campaign.log.record(
-                                    now,
-                                    Some(job.id),
-                                    EventKind::Done {
-                                        worker: identity.to_string(),
-                                        cached: true,
-                                    },
-                                );
-                                completions.push(queue.timing(job.id).attempts);
-                            }
-                            Ok(false) => {}
-                            Err(e) => {
-                                drop(queue);
-                                campaign.abort(e);
-                                break Msg::Drain;
-                            }
+                        if let Err(e) = queue.complete(job.id, true, now) {
+                            drop(queue);
+                            campaign.abort(e);
+                            break Msg::Drain;
                         }
+                        settled.push(queue.timing(job.id).attempts);
                         continue;
                     }
-                    queue.publish_metrics();
-                    campaign.log.record(
-                        now,
-                        Some(job.id),
-                        EventKind::Leased {
-                            worker: identity.to_string(),
-                        },
-                    );
                     break Msg::LeaseGrant {
                         job: job.id,
                         spec: job.spec,
@@ -1525,8 +1388,8 @@ fn lease(campaign: &Campaign, identity: &str) -> Msg {
         }
     };
     metrics::flush();
-    for attempts in completions {
-        campaign.record_progress(true, attempts, 0, 0, 0);
+    for attempts in settled {
+        campaign.record_progress(attempts, 0, 0, 0);
     }
     reply
 }
@@ -1591,31 +1454,19 @@ fn settle_result(
                     cache.insert(spec, result);
                 }
             }
-            match complete_if_mine(&mut queue, job, identity, false, now) {
-                Ok(owned) => {
-                    if owned {
-                        queue.publish_metrics();
-                        campaign.log.record(
-                            now,
-                            Some(job),
-                            EventKind::Done {
-                                worker: identity.to_string(),
-                                cached: false,
-                            },
-                        );
-                        progress = Some(queue.timing(job).attempts);
-                    }
-                    // !owned: the lease expired mid-flight. The result
-                    // is banked; whoever leases the job next completes
-                    // it from cache without re-running.
-                    Msg::Settled { owned }
-                }
-                Err(e) => {
+            // Not owned: the lease expired mid-flight. The result is
+            // banked; whoever leases the job next completes it from
+            // cache without re-running.
+            let owned = owns(&queue, job, identity);
+            if owned {
+                if let Err(e) = queue.complete(job, false, now) {
                     drop(queue);
                     campaign.abort(e);
                     return None;
                 }
+                progress = Some(queue.timing(job).attempts);
             }
+            Msg::Settled { owned }
         }
     };
     if let Some(attempts) = progress {
@@ -1628,7 +1479,6 @@ fn settle_result(
         metrics::counter_add(METRIC_CYCLES_STEPPED, engine.stepped_cycles);
         metrics::flush();
         campaign.record_progress(
-            true,
             attempts,
             result.stats.committed_insts,
             result.stats.cycles,
@@ -1734,11 +1584,11 @@ mod tests {
     fn in_memory_campaign(queue: JobQueue) -> Campaign {
         let jobs = queue.jobs().len();
         Campaign {
+            log: Arc::clone(queue.log()),
             queue: Mutex::new(queue),
             cache: Mutex::new(CacheStore::new()),
             fatal: Mutex::new(None),
             started: Instant::now(),
-            log: CampaignLog::new(),
             workers: Mutex::new(Vec::new()),
             progress: Mutex::new(Progress::new(jobs)),
             show_progress: false,
@@ -1760,7 +1610,7 @@ mod tests {
         queue.complete(1, false, 2).expect("complete");
         queue.lease("w", 0).expect("lease").expect("granted");
         queue.fail(2, "typo", 3).expect("fail");
-        let report = CampaignReport::tally(&queue);
+        let report = CampaignReport::from(queue.tally());
         assert_eq!(report.jobs, 5);
         assert_eq!(report.done, 2);
         assert_eq!(report.cache_hits, 1);
@@ -1792,14 +1642,6 @@ mod tests {
                 job: None,
             },
         ];
-        campaign.log.record(
-            60,
-            Some(1),
-            EventKind::Leased {
-                worker: "w0".to_string(),
-            },
-        );
-
         let status = campaign.status_json();
         let text = status.encode();
         let parsed = Json::parse(&text).expect("status is valid JSON");
@@ -1849,8 +1691,11 @@ mod tests {
             .get("events")
             .and_then(Json::as_arr)
             .expect("events attached");
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].get("kind").and_then(Json::as_str), Some("leased"));
+        let kinds: Vec<&str> = events
+            .iter()
+            .filter_map(|e| e.get("kind").and_then(Json::as_str))
+            .collect();
+        assert_eq!(kinds, ["submitted", "leased"], "the queue's own events");
         let job0 = campaign.job_json(0).expect("job 0 exists");
         assert_eq!(job0.get("state").and_then(Json::as_str), Some("done"));
         assert_eq!(
@@ -1860,6 +1705,24 @@ mod tests {
             Some(50)
         );
         assert!(campaign.job_json(99).is_none(), "unknown id is None");
+    }
+
+    /// A quarantine decided by lease expiry settles the job like any
+    /// other and is counted on the progress line.
+    #[test]
+    fn a_lease_expiry_quarantine_reaches_the_progress_line() {
+        let mut queue = JobQueue::in_memory(QueuePolicy {
+            lease_ms: 0,
+            max_kills: 1,
+            backoff_base_ms: 1,
+        });
+        queue.submit(&spec_n(1), Lane::Normal).expect("submit");
+        queue.lease("w0", 0).expect("lease").expect("granted");
+        let campaign = in_memory_campaign(queue);
+        std::thread::sleep(Duration::from_millis(5));
+        assert_eq!(lease(&campaign, "w1"), Msg::Drain, "nothing left to run");
+        let line = campaign.progress.lock().expect("progress").line(1.0);
+        assert!(line.contains("1/1 specs (1 failed"), "{line}");
     }
 
     fn scratch(tag: &str) -> PathBuf {

@@ -18,9 +18,13 @@
 //! - **Crash-safe** — dropping the queue mid-run and replaying its WAL
 //!   reproduces every terminal state and kill count exactly, with
 //!   in-flight leases released back to pending.
+//! - **One source of state** — the queue's running tally equals a
+//!   from-scratch recount of its jobs (replay included), and its event
+//!   ring holds exactly one job event per appended WAL record, in order.
 
 use mlpwin_sim::queue::{
-    decode_wal_line, DeathVerdict, JobId, JobQueue, JobState, Lane, QueuePolicy, WalRecord,
+    decode_wal_line, DeathVerdict, Job, JobId, JobQueue, JobState, Lane, QueuePolicy, QueueTally,
+    WalRecord,
 };
 use mlpwin_sim::runner::RunSpec;
 use mlpwin_sim::SimModel;
@@ -128,6 +132,69 @@ fn check_agreement(queue: &JobQueue, model: &Model, replayed: bool) {
     }
 }
 
+/// Counts `jobs` per state from scratch; with `replayed`, leases count
+/// as pending (they die with the controller).
+fn recount(jobs: &[Job], replayed: bool) -> QueueTally {
+    let mut t = QueueTally::default();
+    for job in jobs {
+        match &job.state {
+            JobState::Leased { .. } if replayed => t.pending[job.lane as usize] += 1,
+            JobState::Pending { .. } => t.pending[job.lane as usize] += 1,
+            JobState::Leased { .. } => t.leased += 1,
+            JobState::Done { cached: true } => t.cached += 1,
+            JobState::Done { cached: false } => t.simulated += 1,
+            JobState::Failed { .. } => t.failed += 1,
+            JobState::Quarantined { .. } => t.quarantined += 1,
+        }
+    }
+    t
+}
+
+/// The job events a queue must have logged since it was opened: one
+/// per WAL record it appended, plus a `submitted` for every resubmitted
+/// open job.
+struct Ledger {
+    wal_lines: usize,
+    events: Vec<(JobId, &'static str)>,
+}
+
+impl Ledger {
+    /// A ledger for a queue opening the WAL at `wal` now.
+    fn opening(wal: &std::path::Path) -> Ledger {
+        let text = std::fs::read_to_string(wal).unwrap_or_default();
+        Ledger {
+            wal_lines: text.lines().count(),
+            events: Vec::new(),
+        }
+    }
+
+    /// Folds in the records appended since the last check, then holds
+    /// the queue's tally and event ring to them.
+    fn check(&mut self, queue: &JobQueue, wal: &std::path::Path) {
+        let text = std::fs::read_to_string(wal).expect("read WAL");
+        for line in text.lines().skip(self.wal_lines) {
+            let (_, rec) = decode_wal_line(line).expect("an intact WAL record");
+            self.events.push(match rec {
+                WalRecord::Enqueue { job, .. } => (job, "submitted"),
+                WalRecord::Lease { job, .. } => (job, "leased"),
+                WalRecord::Release { job, .. } => (job, "released"),
+                WalRecord::Done { job, .. } => (job, "done"),
+                WalRecord::Failed { job, .. } => (job, "failed"),
+                WalRecord::Quarantine { job, .. } => (job, "quarantined"),
+            });
+        }
+        self.wal_lines = text.lines().count();
+        assert_eq!(queue.tally(), recount(queue.jobs(), false), "tally drift");
+        let ring: Vec<(JobId, &'static str)> = queue
+            .log()
+            .snapshot()
+            .iter()
+            .filter_map(|e| e.job.map(|job| (job, e.kind.tag())))
+            .collect();
+        assert_eq!(ring, self.events, "event ring vs WAL records");
+    }
+}
+
 fn spec_for(n: u64) -> RunSpec {
     let mut s = RunSpec::new("gcc", SimModel::Base).with_budget(1_000, 1_000);
     s.seed = n;
@@ -143,6 +210,7 @@ fn drive(seed: u64, tag: &str) {
     };
     let dir = scratch(tag);
     let wal = dir.join("campaign.wal");
+    let mut ledger = Ledger::opening(&wal);
     let mut queue = JobQueue::open(&wal, policy).expect("open queue");
     let mut model = Model::new();
     let mut rng = Lcg(seed);
@@ -172,6 +240,9 @@ fn drive(seed: u64, tag: &str) {
                         model.states.contains_key(&id),
                         "resubmitting spec {n} must coalesce into a known job"
                     );
+                    if !queue.job(id).state.is_terminal() {
+                        ledger.events.push((id, "submitted"));
+                    }
                 }
             }
             // Lease: must pick a ready job from the best occupied lane.
@@ -250,7 +321,7 @@ fn drive(seed: u64, tag: &str) {
                     continue;
                 }
                 let id = leased[rng.below(leased.len() as u64) as usize];
-                let verdict = queue.worker_died(id, "chaos kill", now_ms).expect("death");
+                let verdict = queue.death(id, "chaos kill", now_ms).expect("death");
                 let kills = model.kills.entry(id).or_insert(0);
                 *kills += 1;
                 if *kills >= policy.max_kills {
@@ -312,8 +383,11 @@ fn drive(seed: u64, tag: &str) {
             }
             // Controller crash: drop the queue, replay the WAL.
             _ => {
+                let want = recount(queue.jobs(), true);
                 drop(queue);
+                ledger = Ledger::opening(&wal);
                 queue = JobQueue::open(&wal, policy).expect("replay");
+                assert_eq!(queue.tally(), want, "replay must reproduce the tally");
                 check_agreement(&queue, &model, true);
                 // The model adopts the replayed reality: leases died
                 // with the controller, backoff windows reset.
@@ -325,6 +399,7 @@ fn drive(seed: u64, tag: &str) {
             }
         }
         check_agreement(&queue, &model, false);
+        ledger.check(&queue, &wal);
     }
 
     // Drain to the end: every job must reach a terminal state. Jump the
@@ -347,9 +422,16 @@ fn drive(seed: u64, tag: &str) {
     );
 
     // And the final state survives one more crash bit-exactly.
+    ledger.check(&queue, &wal);
     let final_jobs: Vec<_> = queue.jobs().to_vec();
+    let final_tally = queue.tally();
     drop(queue);
     let replayed = JobQueue::open(&wal, policy).expect("final replay");
+    assert_eq!(
+        replayed.tally(),
+        final_tally,
+        "terminal tally replays exactly"
+    );
     assert_eq!(
         replayed.jobs(),
         &final_jobs[..],
@@ -440,10 +522,10 @@ fn torn_wal_tail_after_kill_never_regresses_terminal_states() {
         q.lease("w0", 0).expect("lease").expect("granted"); // job 0
         q.complete(0, false, 5).expect("complete");
         q.lease("w1", 10).expect("lease").expect("granted"); // job 1
-        q.worker_died(1, "chaos", 15).expect("death"); // kill 1: requeue
+        q.death(1, "chaos", 15).expect("death"); // kill 1: requeue
         q.expire_stale(1_000).expect("expire");
         q.lease("w1", 1_000).expect("lease").expect("granted"); // job 1
-        q.worker_died(1, "chaos", 1_005).expect("death"); // kill 2: quarantine
+        q.death(1, "chaos", 1_005).expect("death"); // kill 2: quarantine
         q.lease("w2", 1_010).expect("lease").expect("granted"); // job 2
         q.fail(2, "typed failure", 1_015).expect("fail");
         q.lease("w0", 1_020).expect("lease").expect("granted"); // job 3

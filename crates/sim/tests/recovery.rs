@@ -240,6 +240,50 @@ fn wire_worker_writes_heartbeats_then_one_result_frame() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A `--wire` child whose reader goes away is an orphan: its next
+/// heartbeat fails, and it stops there with the snapshot kept and the
+/// resumable exit code, instead of simulating to the end and discarding
+/// the snapshots a resumed campaign's child shares.
+#[test]
+fn wire_worker_whose_reader_goes_away_exits_resumable() {
+    let spec = RunSpec::new("gcc", SimModel::Base).with_budget(1_000, 400_000);
+    let dir = scratch("orphan");
+    let mut cmd = worker_cmd(&spec, &dir, 200);
+    cmd.arg("--wire")
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null());
+    let mut child = cmd.spawn().expect("spawn worker");
+    {
+        let mut stdout = child.stdout.take().expect("piped stdout");
+        let first = read_frame(&mut stdout).expect("one frame");
+        assert!(
+            matches!(first, Msg::Heartbeat { .. }),
+            "expected a heartbeat, got {first:?}"
+        );
+    } // the read end closes here
+    let status = child.wait().expect("wait worker");
+    assert_eq!(
+        status.code(),
+        Some(signals::EXIT_INTERRUPTED),
+        "an orphaned wire worker must exit with the resumable code"
+    );
+    let store = SnapshotStore::new(dir.join("snaps"), spec_hash(&spec), 3);
+    assert!(
+        store.load_latest().is_some(),
+        "the orphan must keep its snapshot"
+    );
+
+    let status = worker_cmd(&spec, &dir, 200).status().expect("spawn worker");
+    assert!(status.success(), "the rerun must resume and complete");
+    let reference = mlpwin_sim::runner::run(&spec).expect("reference run");
+    assert_eq!(
+        journal_bytes(&dir),
+        format!("{}\n", encode_line(&spec, &reference)).into_bytes(),
+        "orphan stop + resume must equal an uninterrupted run"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn in_process_interrupt_leaves_a_resumable_snapshot() {
     let _guard = SIGNAL_LOCK.lock().expect("signal lock");
