@@ -27,6 +27,19 @@ echo "==> golden digests with the trace hooks compiled in"
 # must not move a single journal byte.
 cargo test -q -p mlpwin --features trace --test golden_digests
 
+echo "==> matrix input order through a figure binary (1 vs 4 threads)"
+# run_matrix hands results back in input order whatever the thread
+# count, so a figure binary's stdout (fig9 prints no timings) must not
+# depend on --threads.
+rm -rf target/ci-artifacts/matrix
+mkdir -p target/ci-artifacts/matrix
+for t in 1 4; do
+    target/release/fig9 --warmup 2000 --insts 4000 --threads "$t" \
+        > "target/ci-artifacts/matrix/fig9-t$t.out"
+done
+diff target/ci-artifacts/matrix/fig9-t1.out target/ci-artifacts/matrix/fig9-t4.out
+echo "    fig9 stdout is byte-identical at 1 and 4 threads"
+
 echo "==> mlpwin-benchmark --smoke (result checks only, no timing gate)"
 # Every workload once at tiny budgets: the campaign legs' journals must
 # be byte-identical to in-process runs and the exact split must stitch

@@ -22,7 +22,7 @@
 
 use mlpwin_ooo::CoreStats;
 use mlpwin_sim::report::{cpi_stack_table, pct, try_geomean, ReportError};
-use mlpwin_sim::runner::{RunOutcome, RunResult, RunSpec};
+use mlpwin_sim::runner::{RunResult, RunSpec};
 use mlpwin_workloads::{profiles, Category};
 use std::env;
 
@@ -156,15 +156,15 @@ pub fn expect_run(outcome: Result<RunResult, mlpwin_sim::SimError>) -> RunResult
 /// Unwraps a matrix's outcomes for a report binary: prints every typed
 /// failure to stderr and exits non-zero, so a partially failed campaign
 /// never renders a table from incomplete data.
-pub fn expect_results(outcomes: Vec<RunOutcome>) -> Vec<RunResult> {
+pub fn expect_results(outcomes: Vec<Result<RunResult, mlpwin_sim::SimError>>) -> Vec<RunResult> {
     let mut results = Vec::with_capacity(outcomes.len());
     let mut failures = 0usize;
     for outcome in outcomes {
         match outcome {
-            RunOutcome::Ok(r) => results.push(r),
-            RunOutcome::Failed { error, attempts } => {
+            Ok(r) => results.push(r),
+            Err(error) => {
                 failures += 1;
-                eprintln!("run failed after {attempts} attempt(s): {error}");
+                eprintln!("run failed: {error}");
             }
         }
     }

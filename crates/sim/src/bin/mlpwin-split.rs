@@ -12,7 +12,7 @@
 //! ```text
 //! mlpwin-split --profile mcf --model dynamic --interval-cycles N
 //!              [--warmup N] [--insts N] [--seed N] [--workers N]
-//!              [--sample-every K] [--bleed N] [--dir DIR]
+//!              [--sample-every K] [--dir DIR]
 //!              [--journal PATH] [--chaos-kill-at N] [--listen ADDR]
 //! ```
 //!
@@ -63,7 +63,6 @@ fn parse_args() -> Result<Args, String> {
             "--interval-cycles" => cfg.interval_cycles = parse_u64(&value("cycles")?)?,
             "--workers" => cfg.workers = parse_u64(&value("count")?)?.max(1) as usize,
             "--sample-every" => cfg = cfg.with_sampling(parse_u64(&value("stride")?)?),
-            "--bleed" => cfg.warmup_bleed = parse_u64(&value("intervals")?)?,
             "--dir" => dir = PathBuf::from(value("directory")?),
             "--journal" => journal = Some(PathBuf::from(value("path")?)),
             "--chaos-kill-at" => cfg.chaos_kill_at = Some(parse_u64(&value("cycle")?)?),
@@ -72,7 +71,7 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "usage: mlpwin-split --profile NAME --model TAG --interval-cycles N \
                      [--warmup N] [--insts N] [--seed N] [--intervals N] [--workers N] \
-                     [--sample-every K] [--bleed N] [--dir DIR] [--journal PATH] \
+                     [--sample-every K] [--dir DIR] [--journal PATH] \
                      [--chaos-kill-at N] [--listen ADDR]"
                 );
                 std::process::exit(0);

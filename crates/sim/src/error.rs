@@ -80,16 +80,6 @@ pub enum SimError {
 }
 
 impl SimError {
-    /// Whether a retry could plausibly change the outcome.
-    ///
-    /// Typed failures are deterministic — the same spec produces the
-    /// same stall or config error every time — so only panics (which may
-    /// stem from the environment rather than the model) are worth
-    /// bounded retries.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, SimError::Panic { .. })
-    }
-
     /// Stable one-word tag for logs and the journal.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -170,14 +160,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn only_panics_are_transient() {
+    fn kinds_are_stable_one_word_tags() {
         let p = SimError::Panic {
             message: "boom".into(),
         };
-        assert!(p.is_transient());
         assert_eq!(p.kind(), "panic");
         let c = SimError::Config(ConfigError::EmptyLevels);
-        assert!(!c.is_transient());
         assert_eq!(c.kind(), "config");
     }
 

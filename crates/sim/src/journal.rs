@@ -144,6 +144,17 @@ impl Journal {
             .map_err(|e| self.io_error(format!("append failed: {e}")))
     }
 
+    /// [`append`](Journal::append), synced to disk before it returns
+    /// (through [`append_line_durable`](crate::lock::append_line_durable)).
+    ///
+    /// # Errors
+    ///
+    /// As [`append`](Journal::append), plus a failed `fsync`.
+    pub fn append_durable(&self, spec: &RunSpec, result: &RunResult) -> Result<(), SimError> {
+        crate::lock::append_line_durable(&self.path, &encode_line(spec, result))
+            .map_err(|e| self.io_error(format!("durable append failed: {e}")))
+    }
+
     fn io_error(&self, detail: String) -> SimError {
         SimError::Journal {
             path: self.path.clone(),

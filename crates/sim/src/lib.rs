@@ -22,25 +22,26 @@
 //!   wall-clock timers around each run phase. Off by default; the
 //!   `MLPWIN_TELEMETRY=1` knob (or [`metrics::set_telemetry`]) turns it
 //!   on without perturbing any simulated statistic.
-//! - [`progress`] renders live matrix-campaign status lines
-//!   (completed/failed/retried, aggregate MIPS, rolling-window ETA)
-//!   that [`runner::run_matrix_with`] writes to stderr.
+//! - [`progress`] renders live status lines (completed/failed/retried,
+//!   aggregate MIPS, rolling-window ETA) that [`runner::run_matrix`]
+//!   writes to stderr with telemetry on, and campaign controllers with
+//!   `--progress`.
 //!
 //! ## Resilience
 //!
 //! Every failure is a typed [`SimError`]; nothing in the experiment
-//! layer panics on bad input. The matrix runner isolates each run behind
-//! `catch_unwind` (one crashing spec yields a [`RunOutcome::Failed`]
-//! entry, not a dead campaign), retries transient failures a bounded
-//! number of times, and — via [`MatrixConfig::journal`] — checkpoints
-//! completed results to a JSON-lines [`journal`] so a killed campaign
-//! resumes without re-running finished specs.
+//! layer panics on bad input. [`runner::run_matrix`] isolates each run
+//! behind `catch_unwind`: one crashing spec yields an `Err` in its own
+//! slot, not a dead matrix. It runs each spec once and keeps nothing on
+//! disk — the simulator is deterministic, so a retry in the same process
+//! would repeat the same failure. Surviving process deaths is the
+//! campaign control plane's job (below).
 //!
 //! ## Crash recovery
 //!
-//! The journal bounds lost work to whole specs; [`snapshot`] bounds it
-//! to a *fraction of one run*. With a [`SnapshotPolicy`] (via
-//! [`MatrixConfig::snapshots`] or [`runner::run_recoverable`]) the core
+//! A campaign's [`journal`] bounds lost work to whole specs; [`snapshot`]
+//! bounds it to a *fraction of one run*. With a [`SnapshotPolicy`] (via
+//! [`runner::run_recoverable`], which every worker process uses) the core
 //! serializes its complete state every `cadence_cycles` into
 //! CRC-guarded, atomically-rotated files keyed by [`spec_hash`]; a
 //! killed process resumes from the latest valid image with bit-identical
@@ -135,7 +136,7 @@ pub use metrics::{LocalMetrics, MetricsRegistry, ScopedTimer};
 pub use model::SimModel;
 pub use progress::Progress;
 pub use queue::{JobQueue, JobState, Lane, QueuePolicy};
-pub use runner::{FaultSpec, MatrixConfig, RunOutcome, RunResult, RunSpec};
+pub use runner::{FaultSpec, RunResult, RunSpec};
 pub use serve::{run_campaign, CampaignConfig, CampaignOutcome, CampaignReport};
 pub use snapshot::{SnapshotPolicy, SnapshotStore, SNAPSHOT_SCHEMA};
 pub use split::{run_split, SamplingEstimate, SplitConfig, SplitOutcome};

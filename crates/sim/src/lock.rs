@@ -51,9 +51,23 @@ pub fn lock_exclusive_blocking(file: &File) -> std::io::Result<()> {
 /// mid-append left a partial final line, a newline ends it first, so the
 /// fragment cannot swallow the new record. The check reads the last
 /// byte through the lock-holding handle, so no other appender can slip
-/// in between the check and the write. No fsync: callers that need one
-/// take it themselves.
+/// in between the check and the write. No fsync: a crash of the process
+/// keeps the line, a power loss may not — see
+/// [`append_line_durable`].
 pub fn append_line(path: &Path, line: &str) -> std::io::Result<()> {
+    append(path, line, false)
+}
+
+/// [`append_line`], then `fsync` the file (and, for the line that
+/// created it, its directory) before returning, so the line survives a
+/// power loss. For records that a later durable claim rests on: the
+/// campaign controller appends a result to `done.jsonl` this way before
+/// its WAL says the job is Done.
+pub fn append_line_durable(path: &Path, line: &str) -> std::io::Result<()> {
+    append(path, line, true)
+}
+
+fn append(path: &Path, line: &str, durable: bool) -> std::io::Result<()> {
     use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
     if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
         std::fs::create_dir_all(parent)?;
@@ -64,6 +78,7 @@ pub fn append_line(path: &Path, line: &str) -> std::io::Result<()> {
         .append(true)
         .open(path)?;
     lock_exclusive_blocking(&file)?;
+    let created = durable && file.metadata()?.len() == 0;
     let mut last = [0u8; 1];
     let torn = file.seek(SeekFrom::End(-1)).is_ok()
         && file.read_exact(&mut last).is_ok()
@@ -76,7 +91,26 @@ pub fn append_line(path: &Path, line: &str) -> std::io::Result<()> {
     bytes.push(b'\n');
     // One write: with O_APPEND it lands at the end whatever the read
     // position, so a kill leaves at most one partial line behind.
-    file.write_all(&bytes)
+    file.write_all(&bytes)?;
+    if durable {
+        file.sync_data()?;
+        if created {
+            sync_parent_dir(path);
+        }
+    }
+    Ok(())
+}
+
+/// Fsyncs `path`'s parent directory so a freshly created file's
+/// directory entry survives a crash (a synced file in an unsynced
+/// directory can vanish wholesale on some filesystems). Best-effort:
+/// directories aren't openable for sync on every platform.
+pub(crate) fn sync_parent_dir(path: &Path) {
+    if let Some(parent) = path.parent() {
+        if let Ok(dir) = std::fs::File::open(parent) {
+            dir.sync_all().ok();
+        }
+    }
 }
 
 /// Tries an exclusive lock without blocking. `Ok(false)` means another
@@ -206,6 +240,30 @@ mod tests {
         let dir = scratch("blocking");
         let file = File::create(dir.join("f")).expect("create");
         lock_exclusive_blocking(&file).expect("uncontended blocking lock");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The durable append writes the same bytes as the plain one: it
+    /// creates the file and its directories, and ends a torn tail
+    /// before its own line. (What the sync buys — surviving a power
+    /// cut — cannot be observed from inside the process.)
+    #[test]
+    fn durable_append_writes_what_the_plain_append_writes() {
+        let dir = scratch("durable");
+        let (plain, durable) = (dir.join("a").join("plain"), dir.join("b").join("durable"));
+        for path in [&plain, &durable] {
+            std::fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
+            std::fs::write(path, b"torn").expect("torn tail");
+        }
+        append_line(&plain, "one").expect("plain append");
+        append_line_durable(&durable, "one").expect("durable append");
+        assert_eq!(
+            std::fs::read(&plain).expect("read"),
+            std::fs::read(&durable).expect("read")
+        );
+        let fresh = dir.join("c").join("fresh");
+        append_line_durable(&fresh, "first").expect("creating append");
+        assert_eq!(std::fs::read_to_string(&fresh).expect("read"), "first\n");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -593,18 +593,6 @@ impl Wal {
     }
 }
 
-/// Fsyncs `path`'s parent directory so a freshly created WAL's
-/// directory entry survives a crash (a synced file in an unsynced
-/// directory can vanish wholesale on some filesystems). Best-effort:
-/// directories aren't openable for sync on every platform.
-fn sync_parent_dir(path: &Path) {
-    if let Some(parent) = path.parent() {
-        if let Ok(dir) = std::fs::File::open(parent) {
-            dir.sync_all().ok();
-        }
-    }
-}
-
 // ---------------------------------------------------------------- queue
 
 /// The durable, lease-based job queue (see the module docs for the
@@ -654,7 +642,7 @@ impl JobQueue {
         if text.is_empty() {
             // Freshly created: persist the directory entry too, or a
             // crash could lose the whole (synced) file.
-            sync_parent_dir(path);
+            crate::lock::sync_parent_dir(path);
         }
         let mut queue = JobQueue::in_memory(policy);
         let mut seq = 0;

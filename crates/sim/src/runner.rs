@@ -6,12 +6,12 @@
 //! [`SimError`] when the spec cannot complete. [`run_matrix`] executes
 //! many specs across threads (each run is independent and deterministic,
 //! so parallelism cannot change any result) with per-run isolation: a
-//! panicking or livelocking spec becomes a [`RunOutcome::Failed`] entry
-//! while its siblings keep running. [`run_matrix_with`] adds bounded
-//! retries and a crash-safe results journal for resumable campaigns.
+//! panicking or livelocking spec becomes an `Err` entry while its
+//! siblings keep running. [`run_recoverable`] adds mid-run snapshots for
+//! the worker processes a campaign controller supervises.
 
 use crate::error::{panic_message, SimError};
-use crate::journal::{spec_hash, Journal};
+use crate::journal::spec_hash;
 use crate::metrics::{self, ScopedTimer};
 use crate::model::SimModel;
 use crate::progress::Progress;
@@ -26,9 +26,7 @@ use mlpwin_memsys::ProvenanceStats;
 use mlpwin_ooo::{Core, CoreConfig, CoreStats, EngineCounters, LevelSpec, WindowPolicy};
 use mlpwin_workloads::{profiles, Category, FaultyWorkload, Workload};
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -40,14 +38,10 @@ pub const METRIC_PHASE_BUILD: &str = "mlpwin_phase_build_us";
 pub const METRIC_PHASE_WARMUP: &str = "mlpwin_phase_warmup_us";
 /// Histogram of wall-clock microseconds spent in measured simulation.
 pub const METRIC_PHASE_MEASURE: &str = "mlpwin_phase_measure_us";
-/// Histogram of wall-clock microseconds spent appending to the journal.
-pub const METRIC_PHASE_JOURNAL: &str = "mlpwin_phase_journal_us";
 /// Counter of specs that completed successfully.
 pub const METRIC_SPECS_COMPLETED: &str = "mlpwin_specs_completed_total";
-/// Counter of specs that exhausted their attempts and failed.
+/// Counter of specs that failed.
 pub const METRIC_SPECS_FAILED: &str = "mlpwin_specs_failed_total";
-/// Counter of extra attempts spent on retried specs.
-pub const METRIC_SPECS_RETRIED: &str = "mlpwin_specs_retried_total";
 /// Counter of simulated cycles across all measured phases.
 pub const METRIC_SIM_CYCLES: &str = "mlpwin_sim_cycles_total";
 /// Counter of simulated (committed) instructions across all measured
@@ -271,94 +265,6 @@ impl RunResult {
     }
 }
 
-/// How one spec of a matrix ended.
-///
-/// `Ok` inlines the (large) [`RunResult`] on purpose: matrices hold one
-/// outcome per spec — tens of entries, not thousands — and callers
-/// consume the result by value, so boxing would cost an allocation per
-/// run for no measurable footprint win.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq)]
-pub enum RunOutcome {
-    /// The run completed.
-    Ok(RunResult),
-    /// The run failed with a typed error after `attempts` tries.
-    Failed {
-        /// The final attempt's error.
-        error: SimError,
-        /// How many times the spec was attempted.
-        attempts: u32,
-    },
-}
-
-impl RunOutcome {
-    /// Whether the run completed.
-    pub fn is_ok(&self) -> bool {
-        matches!(self, RunOutcome::Ok(_))
-    }
-
-    /// The result, when the run completed.
-    pub fn result(&self) -> Option<&RunResult> {
-        match self {
-            RunOutcome::Ok(r) => Some(r),
-            RunOutcome::Failed { .. } => None,
-        }
-    }
-
-    /// The error, when the run failed.
-    pub fn error(&self) -> Option<&SimError> {
-        match self {
-            RunOutcome::Ok(_) => None,
-            RunOutcome::Failed { error, .. } => Some(error),
-        }
-    }
-
-    /// Converts into a `Result`, dropping the attempt count.
-    pub fn into_result(self) -> Result<RunResult, SimError> {
-        match self {
-            RunOutcome::Ok(r) => Ok(r),
-            RunOutcome::Failed { error, .. } => Err(error),
-        }
-    }
-}
-
-/// Matrix execution policy: parallelism, retry budget, checkpointing.
-#[derive(Debug, Clone)]
-pub struct MatrixConfig {
-    /// Worker threads (at least 1).
-    pub threads: usize,
-    /// Attempts per spec; only transient errors
-    /// ([`SimError::is_transient`]) are retried.
-    pub max_attempts: u32,
-    /// JSON-lines journal of completed results. Specs already journaled
-    /// are not re-run; freshly completed ones are appended, so a killed
-    /// campaign resumes where it stopped.
-    pub journal: Option<PathBuf>,
-    /// Live progress lines (completed/failed/retried, aggregate MIPS,
-    /// ETA) on stderr. Defaults to the telemetry knob, so
-    /// `MLPWIN_TELEMETRY=1` narrates campaigns without code changes.
-    pub progress: bool,
-    /// Mid-run crash-recovery snapshots. When set, every spec runs
-    /// through [`run_recoverable`]: it resumes from the latest valid
-    /// snapshot (including retries after a transient failure — a
-    /// panicking spec re-pays only the cycles since its last snapshot,
-    /// not the whole run) and snapshots periodically while running.
-    /// `None` (the default) runs snapshot-free, from cycle zero always.
-    pub snapshots: Option<SnapshotPolicy>,
-}
-
-impl Default for MatrixConfig {
-    fn default() -> MatrixConfig {
-        MatrixConfig {
-            threads: RunSpec::threads_from_env(),
-            max_attempts: 2,
-            journal: None,
-            progress: metrics::telemetry_enabled(),
-            snapshots: None,
-        }
-    }
-}
-
 /// Runs one experiment.
 ///
 /// # Errors
@@ -370,20 +276,98 @@ impl Default for MatrixConfig {
 /// [`FaultSpec::PanicAt`] panic propagates — isolation is the matrix
 /// runner's job.
 pub fn run(spec: &RunSpec) -> Result<RunResult, SimError> {
+    run_with(spec, None)
+}
+
+/// Runs one experiment with crash recovery: resume from the latest
+/// valid snapshot when one exists, and snapshot periodically while
+/// running.
+///
+/// Snapshots are keyed by the campaign journal's
+/// [`spec_hash`](crate::journal::spec_hash), so a re-invocation with the
+/// same spec finds its own images and nobody else's. A snapshot that
+/// fails to decode or restore is quarantined and the previous rotation
+/// (or a fresh start) takes over — corruption costs re-simulated cycles,
+/// never the run. On success the spec's snapshots are deleted: a
+/// finished run must not resume from a stale image.
+///
+/// Each attempt saves its images on one background
+/// [`SnapshotWriter`] thread, so the simulation does not wait for
+/// `fsync`. A crash can therefore lose the image still in flight, and
+/// the resume starts from the one before it — still exactly.
+///
+/// Results are bit-identical to [`run`] for the same spec: the snapshot
+/// cadence only adds step-boundary save points and never changes what
+/// the pipeline does (the core's fast-forward pins cadence points
+/// whether or not a sink is installed).
+///
+/// # Errors
+///
+/// The same taxonomy as [`run`].
+pub fn run_recoverable(spec: &RunSpec, snapshots: &SnapshotPolicy) -> Result<RunResult, SimError> {
+    run_with(spec, Some(snapshots))
+}
+
+/// The one run body behind [`run`] and [`run_recoverable`]: builds the
+/// machine, dispatches an injected [`FaultSpec::PanicAt`], and — given a
+/// snapshot policy — resumes from and saves snapshots.
+fn run_with(spec: &RunSpec, snapshots: Option<&SnapshotPolicy>) -> Result<RunResult, SimError> {
     let params = profiles::params_by_name(&spec.profile)?;
-    let (mut config, policy) = spec.model.build();
-    apply_spec_overrides(&mut config, spec);
-    let workload = profiles::by_name(&spec.profile, spec.seed)?;
-    if let Some(FaultSpec::PanicAt(at)) = spec.fault {
-        execute(
-            spec,
-            params.category,
-            config,
-            policy,
-            FaultyWorkload::panic_at(workload, at),
-        )
-    } else {
-        execute(spec, params.category, config, policy, workload)
+    let store = snapshots.map(|p| SnapshotStore::new(&p.dir, spec_hash(spec), p.keep));
+    let store = store.as_ref();
+    let mut resume = store.and_then(SnapshotStore::load_latest);
+    loop {
+        let (mut config, policy) = spec.model.build();
+        apply_spec_overrides(&mut config, spec);
+        if let Some(snapshots) = snapshots {
+            config.snapshot_cycles = Some(snapshots.cadence_cycles.max(1));
+        }
+        let workload = profiles::by_name(&spec.profile, spec.seed)?;
+        let attempt = if let Some(FaultSpec::PanicAt(at)) = spec.fault {
+            execute(
+                spec,
+                params.category,
+                config,
+                policy,
+                FaultyWorkload::panic_at(workload, at),
+                store,
+                resume.as_ref(),
+            )
+        } else {
+            execute(
+                spec,
+                params.category,
+                config,
+                policy,
+                workload,
+                store,
+                resume.as_ref(),
+            )
+        };
+        match attempt {
+            Ok(result) => {
+                if let Some(store) = store {
+                    store.discard();
+                }
+                return Ok(result);
+            }
+            Err(ExecError::Sim(error)) => return Err(error),
+            Err(ExecError::Restore(detail)) => {
+                // Only a resume image can fail to restore, and each
+                // failed restore quarantines exactly one file, so this
+                // loop terminates: eventually `resume` is `None` and the
+                // run starts fresh.
+                let (store, snap) = store
+                    .zip(resume.take())
+                    .expect("restore errors imply a snapshot");
+                eprintln!(
+                    "warning: snapshot {}: {detail}; quarantined, falling back",
+                    snap.path.display()
+                );
+                store.quarantine(&snap.path);
+                resume = store.load_latest();
+            }
+        }
     }
 }
 
@@ -413,37 +397,6 @@ pub(crate) fn apply_spec_overrides(config: &mut CoreConfig, spec: &RunSpec) {
     if spec.interval_cycles.is_some() {
         config.interval_cycles = spec.interval_cycles;
     }
-}
-
-/// The monomorphic run body, generic over the workload so the common
-/// path stays free of dynamic dispatch.
-fn execute<W: Workload>(
-    spec: &RunSpec,
-    category: Category,
-    config: CoreConfig,
-    policy: Box<dyn WindowPolicy>,
-    workload: W,
-) -> Result<RunResult, SimError> {
-    let levels = config.levels.clone();
-    let build_timer = ScopedTimer::start(METRIC_PHASE_BUILD);
-    let mut core = Core::try_new(config, workload, policy)?;
-    build_timer.stop();
-    if spec.warmup > 0 {
-        let warmup_timer = ScopedTimer::start(METRIC_PHASE_WARMUP);
-        core.run_warmup(spec.warmup)?;
-        warmup_timer.stop();
-    }
-    let measure_timer = ScopedTimer::start(METRIC_PHASE_MEASURE);
-    let stats = core.run(spec.insts)?;
-    let measure_secs = measure_timer.stop();
-    Ok(collect_result(
-        spec,
-        category,
-        levels,
-        &mut core,
-        stats,
-        measure_secs,
-    ))
 }
 
 /// The shared run epilogue: throughput metrics, memory-system
@@ -501,93 +454,17 @@ enum ExecError {
     Sim(SimError),
 }
 
-/// Runs one experiment with crash recovery: resume from the latest
-/// valid snapshot when one exists, and snapshot periodically while
-/// running.
-///
-/// Snapshots are keyed by the campaign journal's
-/// [`spec_hash`](crate::journal::spec_hash), so a re-invocation with the
-/// same spec finds its own images and nobody else's. A snapshot that
-/// fails to decode or restore is quarantined and the previous rotation
-/// (or a fresh start) takes over — corruption costs re-simulated cycles,
-/// never the run. On success the spec's snapshots are deleted: a
-/// finished run must not resume from a stale image.
-///
-/// Each attempt saves its images on one background
-/// [`SnapshotWriter`] thread, so the simulation does not wait for
-/// `fsync`. A crash can therefore lose the image still in flight, and
-/// the resume starts from the one before it — still exactly.
-///
-/// Results are bit-identical to [`run`] for the same spec: the snapshot
-/// cadence only adds step-boundary save points and never changes what
-/// the pipeline does (the core's fast-forward pins cadence points
-/// whether or not a sink is installed).
-///
-/// # Errors
-///
-/// The same taxonomy as [`run`].
-pub fn run_recoverable(spec: &RunSpec, snapshots: &SnapshotPolicy) -> Result<RunResult, SimError> {
-    let params = profiles::params_by_name(&spec.profile)?;
-    let store = SnapshotStore::new(&snapshots.dir, spec_hash(spec), snapshots.keep);
-    let mut resume = store.load_latest();
-    loop {
-        let (mut config, policy) = spec.model.build();
-        apply_spec_overrides(&mut config, spec);
-        config.snapshot_cycles = Some(snapshots.cadence_cycles.max(1));
-        let workload = profiles::by_name(&spec.profile, spec.seed)?;
-        let attempt = if let Some(FaultSpec::PanicAt(at)) = spec.fault {
-            execute_recoverable(
-                spec,
-                params.category,
-                config,
-                policy,
-                FaultyWorkload::panic_at(workload, at),
-                &store,
-                resume.as_ref(),
-            )
-        } else {
-            execute_recoverable(
-                spec,
-                params.category,
-                config,
-                policy,
-                workload,
-                &store,
-                resume.as_ref(),
-            )
-        };
-        match attempt {
-            Ok(result) => {
-                store.discard();
-                return Ok(result);
-            }
-            Err(ExecError::Sim(error)) => return Err(error),
-            Err(ExecError::Restore(detail)) => {
-                // Each failed restore quarantines exactly one file, so
-                // this loop terminates: eventually `resume` is `None`
-                // and the run starts fresh.
-                let snap = resume.take().expect("restore errors imply a snapshot");
-                eprintln!(
-                    "warning: snapshot {}: {detail}; quarantined, falling back",
-                    snap.path.display()
-                );
-                store.quarantine(&snap.path);
-                resume = store.load_latest();
-            }
-        }
-    }
-}
-
-/// The recoverable counterpart of [`execute`]: installs the snapshot
-/// sink, restores a resume image when given one, and re-enters the
+/// The monomorphic run body, generic over the workload so the common
+/// path stays free of dynamic dispatch. With a store it installs the
+/// snapshot sink; with a resume image it restores it and re-enters the
 /// driver phase the image was taken in.
-fn execute_recoverable<W: Workload>(
+fn execute<W: Workload>(
     spec: &RunSpec,
     category: Category,
     config: CoreConfig,
     policy: Box<dyn WindowPolicy>,
     workload: W,
-    store: &SnapshotStore,
+    store: Option<&SnapshotStore>,
     resume: Option<&LoadedSnapshot>,
 ) -> Result<RunResult, ExecError> {
     let levels = config.levels.clone();
@@ -601,12 +478,12 @@ fn execute_recoverable<W: Workload>(
     // it before reporting; whichever handle drops last joins its
     // thread, so every offered image is saved before this function
     // returns — on success, error and unwind alike — and thus before
-    // `run_recoverable` discards the store.
+    // `run_with` discards the store.
     let phase = Rc::new(Cell::new(SnapshotPhase::Warmup));
-    let writer = Rc::new(SnapshotWriter::spawn(store.clone(), resume.is_none()));
-    {
+    let writer = store.map(|store| Rc::new(SnapshotWriter::spawn(store.clone(), resume.is_none())));
+    if let Some(writer) = &writer {
         let phase = Rc::clone(&phase);
-        let writer = Rc::clone(&writer);
+        let writer = Rc::clone(writer);
         core.set_snapshot_sink(Box::new(move |cycle, image| {
             snapshot::hooks::on_offer(cycle);
             writer.submit(phase.get(), cycle, image);
@@ -621,8 +498,10 @@ fn execute_recoverable<W: Workload>(
     // The successful epilogue: wait for the last images, then report
     // the writer's save time beside the core's encode-and-handoff time.
     let finish = |core: &mut Core<W>, stats: CoreStats, secs: Option<f64>| {
-        writer.flush();
-        metrics::counter_add(METRIC_SNAPSHOT_WRITE_NS, writer.write_ns());
+        if let Some(writer) = &writer {
+            writer.flush();
+            metrics::counter_add(METRIC_SNAPSHOT_WRITE_NS, writer.write_ns());
+        }
         collect_result(spec, category, levels, core, stats, secs)
     };
 
@@ -673,136 +552,51 @@ fn execute_recoverable<W: Workload>(
     }
 }
 
-/// Runs one spec with panic isolation: a panic anywhere inside the run
-/// becomes [`SimError::Panic`] instead of unwinding the caller. With a
-/// snapshot policy the run goes through [`run_recoverable`], so a
-/// retried spec resumes from its last snapshot instead of cycle zero.
-fn run_isolated_with(
-    spec: &RunSpec,
-    snapshots: Option<&SnapshotPolicy>,
-) -> Result<RunResult, SimError> {
-    catch_unwind(AssertUnwindSafe(|| match snapshots {
-        Some(policy) => run_recoverable(spec, policy),
-        None => run(spec),
-    }))
-    .unwrap_or_else(|payload| {
-        Err(SimError::Panic {
-            message: panic_message(payload),
-        })
-    })
-}
-
-/// Runs one spec with retries; returns the outcome plus how many
-/// attempts it took (`RunOutcome::Ok` does not carry the count itself,
-/// but the progress reporter and retry counter need it). An interrupt
-/// request stops the retry loop — a signal must never be answered with
-/// another attempt.
-fn run_with_retries(
-    spec: &RunSpec,
-    max_attempts: u32,
-    snapshots: Option<&SnapshotPolicy>,
-) -> (RunOutcome, u32) {
-    let max_attempts = max_attempts.max(1);
-    let mut attempts = 0;
-    loop {
-        attempts += 1;
-        match run_isolated_with(spec, snapshots) {
-            Ok(r) => return (RunOutcome::Ok(r), attempts),
-            Err(error)
-                if error.is_transient() && attempts < max_attempts && !signals::interrupted() =>
-            {
-                continue
-            }
-            Err(error) => return (RunOutcome::Failed { error, attempts }, attempts),
-        }
-    }
-}
-
-/// Runs many experiments across `threads` worker threads, preserving the
-/// input order in the output. Every spec yields exactly one
-/// [`RunOutcome`]; a failing spec never disturbs its siblings.
-pub fn run_matrix(specs: &[RunSpec], threads: usize) -> Vec<RunOutcome> {
-    let config = MatrixConfig {
-        threads,
-        ..MatrixConfig::default()
-    };
-    run_matrix_with(specs, &config).expect("journalless matrix cannot hit I/O errors")
-}
-
-/// [`run_matrix`] with an explicit [`MatrixConfig`] — retry budget and
-/// an optional resume journal.
+/// Runs many experiments across `threads` worker threads (at least one)
+/// and returns one result per spec, in input order. Each run is
+/// independent and deterministic, so the thread count cannot change any
+/// result.
 ///
-/// # Errors
-///
-/// Only journal I/O failures surface here (simulation failures are
-/// per-spec [`RunOutcome::Failed`] entries, never a whole-matrix error).
-pub fn run_matrix_with(
-    specs: &[RunSpec],
-    config: &MatrixConfig,
-) -> Result<Vec<RunOutcome>, SimError> {
-    let threads = config.threads.max(1);
-    let journal = config.journal.as_deref().map(Journal::new);
-    let slots: Vec<Mutex<Option<RunOutcome>>> = specs.iter().map(|_| Mutex::new(None)).collect();
-
-    // Resume: pre-fill the slots of journaled specs without re-running.
-    let mut remaining: Vec<usize> = Vec::new();
-    match &journal {
-        Some(journal) => {
-            let mut done: HashMap<RunSpec, RunResult> = HashMap::new();
-            for (spec, result) in journal.load()? {
-                done.insert(spec, result);
-            }
-            for (i, spec) in specs.iter().enumerate() {
-                match done.get(spec) {
-                    Some(result) => {
-                        *slots[i].lock().expect("slot poisoned") =
-                            Some(RunOutcome::Ok(result.clone()))
-                    }
-                    None => remaining.push(i),
-                }
-            }
-        }
-        None => remaining.extend(0..specs.len()),
-    }
-
+/// Every spec runs once, under `catch_unwind`: a panicking spec becomes
+/// [`SimError::Panic`] in its own slot and never disturbs its siblings.
+/// There is no in-process retry — a deterministic simulator repeats the
+/// same panic — and no resume: crash tolerance across process deaths is
+/// the campaign controller's (`mlpwin-serve`). With telemetry on, a
+/// progress line goes to stderr every epoch of completions.
+pub fn run_matrix(specs: &[RunSpec], threads: usize) -> Vec<Result<RunResult, SimError>> {
+    let slots: Vec<Mutex<Option<Result<RunResult, SimError>>>> =
+        specs.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    let journal_error: Mutex<Option<SimError>> = Mutex::new(None);
-    let progress: Option<Mutex<Progress>> = config
-        .progress
-        .then(|| Mutex::new(Progress::new(remaining.len())));
+    let progress = metrics::telemetry_enabled().then(|| Mutex::new(Progress::new(specs.len())));
     let started = Instant::now();
     std::thread::scope(|scope| {
-        let (journal, slots, remaining) = (&journal, &slots, &remaining);
-        let (next, journal_error, progress) = (&next, &journal_error, &progress);
-        for worker in 0..threads.min(remaining.len()) {
+        let (slots, next, progress) = (&slots, &next, &progress);
+        for worker in 0..threads.max(1).min(specs.len()) {
             scope.spawn(move || {
                 let worker_started = Instant::now();
                 let mut worker_insts: u64 = 0;
                 loop {
-                    // Stop claiming work once an interrupt is requested;
-                    // in-flight runs stop themselves at their next
-                    // snapshot point.
-                    if signals::interrupted() {
-                        break;
-                    }
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&i) = remaining.get(k) else { break };
-                    let (outcome, attempts) =
-                        run_with_retries(&specs[i], config.max_attempts, config.snapshots.as_ref());
-                    let (insts, cycles, skipped) = outcome.result().map_or((0, 0, 0), |r| {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(spec) = specs.get(i) else { break };
+                    let outcome =
+                        catch_unwind(AssertUnwindSafe(|| run(spec))).unwrap_or_else(|payload| {
+                            Err(SimError::Panic {
+                                message: panic_message(payload),
+                            })
+                        });
+                    let (insts, cycles, skipped) = outcome.as_ref().map_or((0, 0, 0), |r| {
                         (
                             r.stats.committed_insts,
                             r.stats.cycles,
                             r.engine.skipped_cycles,
                         )
                     });
-                    match &outcome {
-                        RunOutcome::Ok(_) => metrics::counter_add(METRIC_SPECS_COMPLETED, 1),
-                        RunOutcome::Failed { .. } => metrics::counter_add(METRIC_SPECS_FAILED, 1),
-                    }
-                    if attempts > 1 {
-                        metrics::counter_add(METRIC_SPECS_RETRIED, (attempts - 1) as u64);
-                    }
+                    let settled = if outcome.is_ok() {
+                        METRIC_SPECS_COMPLETED
+                    } else {
+                        METRIC_SPECS_FAILED
+                    };
+                    metrics::counter_add(settled, 1);
                     if metrics::telemetry_enabled() {
                         worker_insts += insts;
                         let elapsed = worker_started.elapsed().as_secs_f64();
@@ -816,28 +610,12 @@ pub fn run_matrix_with(
                             );
                         }
                     }
-                    if let (Some(journal), RunOutcome::Ok(result)) = (journal, &outcome) {
-                        let journal_timer = ScopedTimer::start(METRIC_PHASE_JOURNAL);
-                        let appended = journal.append(&specs[i], result);
-                        journal_timer.stop();
-                        if let Err(e) = appended {
-                            journal_error
-                                .lock()
-                                .expect("journal error slot poisoned")
-                                .get_or_insert(e);
-                        }
-                    }
                     metrics::flush();
                     if let Some(progress) = progress {
                         let mut progress = progress.lock().expect("progress poisoned");
                         progress.add_skipped(skipped);
-                        let line = progress.record(
-                            started.elapsed().as_secs_f64(),
-                            outcome.is_ok(),
-                            attempts,
-                            insts,
-                            cycles,
-                        );
+                        let now = started.elapsed().as_secs_f64();
+                        let line = progress.record(now, outcome.is_ok(), 1, insts, cycles);
                         if let Some(line) = line {
                             eprintln!("{line}");
                         }
@@ -847,29 +625,14 @@ pub fn run_matrix_with(
             });
         }
     });
-    if let Some(e) = journal_error
-        .into_inner()
-        .expect("journal error slot poisoned")
-    {
-        return Err(e);
-    }
-    Ok(slots
+    slots
         .into_iter()
         .map(|slot| {
-            // An interrupt drains the queue early: specs never claimed
-            // (or abandoned mid-flight) report as interrupted failures.
-            // Their journal entries are absent, so a re-run resumes
-            // exactly these.
             slot.into_inner()
                 .expect("slot poisoned")
-                .unwrap_or_else(|| RunOutcome::Failed {
-                    error: SimError::Panic {
-                        message: signals::INTERRUPT_PANIC.to_string(),
-                    },
-                    attempts: 0,
-                })
+                .expect("every spec is claimed by a worker")
         })
-        .collect())
+        .collect()
 }
 
 #[cfg(test)]
@@ -902,7 +665,7 @@ mod tests {
         let parallel = run_matrix(&specs, 3);
         assert_eq!(parallel.len(), 3);
         for (spec, outcome) in specs.iter().zip(&parallel) {
-            let result = outcome.result().expect("healthy spec");
+            let result = outcome.as_ref().expect("healthy spec");
             assert_eq!(&result.spec, spec);
             let serial = run(spec).expect("healthy run");
             assert_eq!(serial.stats, result.stats, "{spec:?} must be deterministic");

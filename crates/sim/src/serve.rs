@@ -672,9 +672,10 @@ pub fn run_campaign(
             Ok(Some(result)) => {
                 // The finalize step (and any restarted controller)
                 // recovers results from done.jsonl, so an external
-                // cache hit must land there before the WAL says Done.
+                // cache hit must be on disk there before the WAL says
+                // Done.
                 if !in_done_journal.contains(spec) {
-                    Journal::new(cfg.done_path()).append(spec, result)?;
+                    Journal::new(cfg.done_path()).append_durable(spec, result)?;
                     in_done_journal.push(spec.clone());
                 }
                 queue.complete(id, true, 0)?;
@@ -1445,7 +1446,10 @@ fn settle_result(
             {
                 let mut cache = campaign.cache.lock().expect("cache poisoned");
                 if cache.lookup(spec).ok().flatten().is_none() {
-                    if let Err(e) = Journal::new(done).append(spec, result) {
+                    // Synced before the WAL's Done below: after a power
+                    // loss a Done job's line must still be here for
+                    // `finalize` to find.
+                    if let Err(e) = Journal::new(done).append_durable(spec, result) {
                         drop(cache);
                         drop(queue);
                         campaign.abort(e);

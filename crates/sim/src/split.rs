@@ -83,12 +83,6 @@ pub struct SplitConfig {
     /// `None`: exact mode — simulate every interval and stitch totals
     /// bit-identical to the serial run.
     pub sample_every: Option<u64>,
-    /// Warm-up bleed: restore this many intervals *before* the measured
-    /// one and discard the lead-in. With complete-state snapshots the
-    /// bleed changes nothing (asserted by the equivalence suite); the
-    /// knob exists as an A/B lever for approximate-checkpoint
-    /// experiments.
-    pub warmup_bleed: u64,
     /// Deterministic crash injection: abort the process mid-interval
     /// once the named measured cycle is reached — only when the store
     /// held no interval results at startup, so the relaunch that
@@ -103,7 +97,6 @@ impl SplitConfig {
             interval_cycles,
             workers: 1,
             sample_every: None,
-            warmup_bleed: 0,
             chaos_kill_at: None,
         }
     }
@@ -117,12 +110,6 @@ impl SplitConfig {
     /// Enables systematic sampling with stride `k`.
     pub fn with_sampling(mut self, k: u64) -> SplitConfig {
         self.sample_every = Some(k.max(1));
-        self
-    }
-
-    /// Sets the warm-up bleed in intervals.
-    pub fn with_bleed(mut self, intervals: u64) -> SplitConfig {
-        self.warmup_bleed = intervals;
         self
     }
 }
@@ -542,12 +529,12 @@ struct Phase2<'a> {
     chaos_armed: bool,
 }
 
-/// Phase 2, one interval: restore the start boundary (or an earlier one
-/// when bleeding) into the worker's reusable core, drive to the end
-/// boundary, peel the delta. The final interval drives to the commit
-/// target and assembles the full [`RunResult`] exactly like the serial
-/// epilogue. `core` carries no state across calls — restore overwrites
-/// it completely (the equivalence suite holds this to bit-identity).
+/// Phase 2, one interval: restore the start boundary into the worker's
+/// reusable core, drive to the end boundary, peel the delta. The final
+/// interval drives to the commit target and assembles the full
+/// [`RunResult`] exactly like the serial epilogue. `core` carries no
+/// state across calls — restore overwrites it completely (the
+/// equivalence suite holds this to bit-identity).
 fn simulate_interval(
     ctx: &Phase2<'_>,
     core: &mut Core<ProfileWorkload>,
@@ -558,41 +545,29 @@ fn simulate_interval(
     let timer = ScopedTimer::start(METRIC_SPLIT_INTERVAL);
     let n = manifest.boundary_now.len() as u64;
     let interval = cfg.interval_cycles;
-    let restore_index = index.saturating_sub(cfg.warmup_bleed);
-    let frame_now = match ctx.frames.and_then(|f| f.get(restore_index as usize)) {
+    let frame_now = match ctx.frames.and_then(|f| f.get(index as usize)) {
         Some((now, payload)) => {
             core.restore(payload)
-                .map_err(|e| split_err(format!("boundary {restore_index} restore: {e}")))?;
+                .map_err(|e| split_err(format!("boundary {index} restore: {e}")))?;
             *now
         }
         None => {
             let (now, payload) = ctx
                 .store
-                .load_boundary(restore_index)
-                .map_err(|e| split_err(format!("boundary {restore_index}: {e}")))?;
+                .load_boundary(index)
+                .map_err(|e| split_err(format!("boundary {index}: {e}")))?;
             core.restore(&payload)
-                .map_err(|e| split_err(format!("boundary {restore_index} restore: {e}")))?;
+                .map_err(|e| split_err(format!("boundary {index} restore: {e}")))?;
             now
         }
     };
     if core.cycle() != frame_now {
         return Err(split_err(format!(
-            "boundary {restore_index} restored to cycle {} not {frame_now}",
+            "boundary {index} restored to cycle {} not {frame_now}",
             core.cycle()
         )));
     }
-    // Bleed lead-in: replay up to the measured interval's start and
-    // discard — with complete-state images this is a pure no-op lever.
     let start_cycle = index * interval;
-    if restore_index < index {
-        let done = core.run_to_cycle(start_cycle).map_err(SimError::from)?;
-        if done || core.stats().cycles != start_cycle {
-            return Err(split_err(format!(
-                "bleed lead-in for interval {index} ended at cycle {} (done={done})",
-                core.stats().cycles
-            )));
-        }
-    }
     if core.stats().cycles != start_cycle {
         return Err(split_err(format!(
             "interval {index} starts at measured cycle {} not {start_cycle}",

@@ -6,14 +6,14 @@
 //! and runahead — then asserts the resumed runs are **bit-identical** to
 //! uninterrupted ones: same stats, same journal bytes, same spec hash.
 //! Also exercises snapshot-corruption healing and the in-process
-//! interrupt/retry paths end to end.
+//! interrupt path end to end.
 
 use mlpwin_sim::journal::encode_line;
-use mlpwin_sim::runner::{run_matrix_with, run_recoverable, FaultSpec, RunSpec};
+use mlpwin_sim::runner::{run_recoverable, RunSpec};
 use mlpwin_sim::snapshot::{SnapshotPolicy, SnapshotStore};
 use mlpwin_sim::split::{run_split, SplitConfig};
 use mlpwin_sim::wire::{read_frame, WireError};
-use mlpwin_sim::{signals, spec_hash, Journal, MatrixConfig, Msg, SimModel, Supervisor, WorkerEnd};
+use mlpwin_sim::{signals, spec_hash, Journal, Msg, SimModel, Supervisor, WorkerEnd};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::{Arc, Mutex};
@@ -505,68 +505,6 @@ fn old_schema_split_boundary_is_quarantined_and_the_rerun_journal_is_identical()
         journal_of(&dir, "reference.jsonl", &spec, &reference),
         "the re-swept split must journal byte-identically to a serial run"
     );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn interrupted_matrix_reports_and_resumes() {
-    let _guard = SIGNAL_LOCK.lock().expect("signal lock");
-    let dir = scratch("matrix");
-    let specs = vec![
-        RunSpec::new("gcc", SimModel::Base).with_budget(1_000, 1_000),
-        RunSpec::new("milc", SimModel::Base).with_budget(1_000, 1_000),
-    ];
-    let config = MatrixConfig {
-        threads: 1,
-        journal: Some(dir.join("journal.jsonl")),
-        snapshots: Some(SnapshotPolicy::in_dir(dir.join("snaps")).every(200)),
-        ..MatrixConfig::default()
-    };
-
-    signals::reset();
-    signals::request_interrupt();
-    let outcomes = run_matrix_with(&specs, &config).expect("no journal I/O error");
-    assert!(
-        outcomes.iter().all(|o| !o.is_ok()),
-        "an interrupt before the matrix starts must complete nothing"
-    );
-
-    signals::reset();
-    let outcomes = run_matrix_with(&specs, &config).expect("no journal I/O error");
-    assert!(
-        outcomes.iter().all(|o| o.is_ok()),
-        "the rerun completes all"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn panicking_spec_with_snapshots_keeps_the_retry_contract() {
-    // The runner polls the process-global interrupt flag at every
-    // snapshot; a sibling's interrupt must not cut this run short.
-    let _guard = SIGNAL_LOCK.lock().expect("signal lock");
-    let dir = scratch("retry");
-    let specs = vec![
-        RunSpec::new("gcc", SimModel::Base)
-            .with_budget(1_000, 1_000)
-            .with_fault(FaultSpec::PanicAt(1_500)),
-        RunSpec::new("gcc", SimModel::Base).with_budget(1_000, 1_000),
-    ];
-    let config = MatrixConfig {
-        threads: 1,
-        snapshots: Some(SnapshotPolicy::in_dir(dir.join("snaps")).every(200)),
-        ..MatrixConfig::default()
-    };
-    let outcomes = run_matrix_with(&specs, &config).expect("no journal");
-    match &outcomes[0] {
-        mlpwin_sim::RunOutcome::Failed { attempts, .. } => {
-            assert_eq!(*attempts, 2, "panics stay transient: retried once")
-        }
-        other => panic!("the deterministic panic must still fail: {other:?}"),
-    }
-    let healthy = outcomes[1].result().expect("sibling unharmed");
-    let reference = mlpwin_sim::runner::run(&specs[1]).expect("reference");
-    assert_eq!(healthy.stats, reference.stats);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,26 +1,14 @@
-//! The experiment harness's recovery paths, end to end: panic
-//! isolation, livelock detection, bounded retries, and journal-based
-//! resume after a mid-matrix kill.
+//! The experiment harness's in-process failure paths, end to end:
+//! panic isolation, livelock detection and the per-spec deadline.
 
-use mlpwin_sim::journal::{decode_line, encode_line, Journal};
-use mlpwin_sim::runner::{
-    run_matrix, run_matrix_with, FaultSpec, MatrixConfig, RunOutcome, RunSpec,
-};
+use mlpwin_sim::runner::{run_matrix, FaultSpec, RunSpec};
 use mlpwin_sim::{SimError, SimModel};
-use std::path::PathBuf;
 
 fn healthy(profile: &str) -> RunSpec {
     RunSpec::new(profile, SimModel::Base).with_budget(2_000, 2_000)
 }
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mlpwin-resilience-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("mkdir scratch");
-    dir
-}
-
-/// The issue's headline acceptance scenario: a matrix containing one
+/// The headline acceptance scenario: a matrix containing one
 /// panicking spec, one livelocking spec and N healthy specs completes
 /// with exactly N `Ok` outcomes and typed errors for the two faults.
 #[test]
@@ -39,34 +27,29 @@ fn faulty_specs_fail_typed_while_siblings_complete() {
     assert_eq!(outcomes.len(), specs.len());
 
     match &outcomes[0] {
-        RunOutcome::Failed { error, attempts } => {
+        Err(error) => {
             assert!(matches!(error, SimError::Panic { .. }), "{error:?}");
             assert!(
                 error.to_string().contains("injected workload fault"),
                 "{error}"
             );
-            assert_eq!(*attempts, 2, "panics are transient: retried once");
         }
         other => panic!("panic spec must fail, got {other:?}"),
     }
     match &outcomes[1] {
-        RunOutcome::Failed { error, attempts } => {
+        Err(error) => {
             let SimError::Pipeline(pipeline) = error else {
                 panic!("livelock must surface as a pipeline error: {error:?}");
             };
             let snapshot = pipeline.snapshot();
             assert!(snapshot.stalled_for >= 3_000);
             assert!(snapshot.rob_len > 0, "frozen commit backs the window up");
-            assert_eq!(*attempts, 1, "deterministic stalls are not retried");
         }
         other => panic!("livelock spec must fail, got {other:?}"),
     }
     for (spec, outcome) in specs[2..].iter().zip(&outcomes[2..]) {
-        let result = outcome.result().unwrap_or_else(|| {
-            panic!(
-                "healthy sibling {} must complete: {outcome:?}",
-                spec.profile
-            )
+        let result = outcome.as_ref().unwrap_or_else(|error| {
+            panic!("healthy sibling {} must complete: {error:?}", spec.profile)
         });
         assert!(result.stats.committed_insts >= 2_000);
     }
@@ -75,135 +58,6 @@ fn faulty_specs_fail_typed_while_siblings_complete() {
         healthy_specs.len(),
         "exactly the healthy specs succeed"
     );
-}
-
-/// Killing a campaign mid-matrix and re-invoking it with the same
-/// journal must re-run only the missing specs. Simulated by journaling a
-/// subset first, doctoring a counter in the journaled entry, and then
-/// checking the resumed matrix hands back the doctored value (proof the
-/// spec was served from the journal, not re-run) while the missing spec
-/// runs fresh — even with a truncated trailing line from the "kill".
-#[test]
-fn resumed_matrix_skips_journaled_specs() {
-    let dir = scratch_dir("resume");
-    let journal_path = dir.join("results").join("matrix.jsonl");
-    let specs = [healthy("gcc"), healthy("milc"), healthy("mcf")];
-    let config = MatrixConfig {
-        threads: 2,
-        journal: Some(journal_path.clone()),
-        ..MatrixConfig::default()
-    };
-
-    // First invocation: only the first two specs "finish before the kill".
-    let first = run_matrix_with(&specs[..2], &config).expect("journaled matrix");
-    assert!(first.iter().all(RunOutcome::is_ok));
-
-    // Doctor the journaled gcc entry: bump dram_lines to a sentinel value
-    // a real run could never produce, re-encoding so the line stays valid.
-    let text = std::fs::read_to_string(&journal_path).expect("journal exists");
-    let mut lines: Vec<String> = Vec::new();
-    let mut doctored = false;
-    for line in text.lines() {
-        let (spec, mut result) = decode_line(line).expect("journal line decodes");
-        if spec.profile == "gcc" {
-            result.dram_lines = 999_999_999;
-            doctored = true;
-        }
-        lines.push(encode_line(&spec, &result));
-    }
-    assert!(doctored, "gcc entry must be in the journal");
-    // The kill also left a truncated half-line behind.
-    let mut rewritten = lines.join("\n");
-    rewritten.push('\n');
-    rewritten.push_str(&lines[0][..lines[0].len() / 2]);
-    std::fs::write(&journal_path, rewritten).expect("rewrite journal");
-
-    // Second invocation: the full matrix against the same journal.
-    let resumed = run_matrix_with(&specs, &config).expect("resumed matrix");
-    assert_eq!(resumed.len(), 3);
-    let gcc = resumed[0].result().expect("gcc served from journal");
-    assert_eq!(
-        gcc.dram_lines, 999_999_999,
-        "doctored value must round-trip — gcc was not re-run"
-    );
-    let milc = resumed[1].result().expect("milc served from journal");
-    assert!(milc.stats.committed_insts >= 2_000);
-    let mcf = resumed[2].result().expect("mcf runs fresh");
-    assert!(mcf.stats.committed_insts >= 2_000);
-    assert!(
-        mcf.dram_lines < 999_999_999,
-        "fresh runs produce real counters"
-    );
-
-    // The fresh spec (and only it) was appended; the truncated line is
-    // replaced by nothing.
-    let final_entries = Journal::new(&journal_path).load().expect("final load");
-    let mcf_entries = final_entries
-        .iter()
-        .filter(|(s, _)| s.profile == "mcf")
-        .count();
-    assert_eq!(mcf_entries, 1, "exactly one fresh append");
-    assert_eq!(final_entries.len(), 3);
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A third invocation over a fully journaled matrix runs nothing at all
-/// and leaves the journal byte-identical.
-#[test]
-fn fully_journaled_matrix_is_a_no_op() {
-    let dir = scratch_dir("noop");
-    let journal_path = dir.join("matrix.jsonl");
-    let specs = [healthy("gcc"), healthy("sjeng")];
-    let config = MatrixConfig {
-        threads: 2,
-        journal: Some(journal_path.clone()),
-        ..MatrixConfig::default()
-    };
-    let first = run_matrix_with(&specs, &config).expect("first pass");
-    let bytes_before = std::fs::read(&journal_path).expect("journal");
-    let second = run_matrix_with(&specs, &config).expect("second pass");
-    let bytes_after = std::fs::read(&journal_path).expect("journal");
-    assert_eq!(bytes_before, bytes_after, "no-op pass must not append");
-    for (a, b) in first.iter().zip(&second) {
-        assert_eq!(a.result().expect("ok").stats, b.result().expect("ok").stats);
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Failed specs are never journaled: a faulty spec re-runs (and fails
-/// again) on resume, while its healthy sibling is served from the
-/// journal.
-#[test]
-fn failures_are_not_checkpointed() {
-    let dir = scratch_dir("failures");
-    let journal_path = dir.join("matrix.jsonl");
-    let specs = [
-        healthy("gcc"),
-        healthy("mcf").with_fault(FaultSpec::PanicAt(100)),
-    ];
-    let config = MatrixConfig {
-        threads: 2,
-        journal: Some(journal_path.clone()),
-        ..MatrixConfig::default()
-    };
-    let first = run_matrix_with(&specs, &config).expect("first pass");
-    assert!(first[0].is_ok());
-    assert!(!first[1].is_ok());
-    assert_eq!(
-        Journal::new(&journal_path).load().expect("load").len(),
-        1,
-        "only the success is journaled"
-    );
-    let second = run_matrix_with(&specs, &config).expect("second pass");
-    assert!(second[0].is_ok());
-    match &second[1] {
-        RunOutcome::Failed { error, .. } => {
-            assert!(matches!(error, SimError::Panic { .. }))
-        }
-        other => panic!("fault must fail again on resume: {other:?}"),
-    }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The deadline is a per-spec wall-cycle budget: an over-ambitious spec
@@ -215,7 +69,7 @@ fn deadline_bounds_a_runaway_spec() {
         .with_deadline(20_000);
     let outcomes = run_matrix(&[spec], 1);
     match &outcomes[0] {
-        RunOutcome::Failed { error, .. } => {
+        Err(error) => {
             assert_eq!(error.kind(), "deadline");
             let SimError::Pipeline(p) = error else {
                 panic!("wrong error: {error:?}")

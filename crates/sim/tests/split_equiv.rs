@@ -117,21 +117,6 @@ fn models_by_fast_forward_modes_stitch_identically() {
 }
 
 #[test]
-fn warmup_bleed_is_a_noop_with_complete_snapshots() {
-    let _guard = serialize();
-    // Complete-state boundary images mean the bleed lead-in replays
-    // exactly the trajectory the snapshot already encodes — results
-    // must not move by a bit.
-    for bleed in [1, 3] {
-        let dir = scratch(&format!("bleed-{bleed}"));
-        let spec = spec("mcf", SimModel::Dynamic);
-        let cfg = SplitConfig::new(2_048).with_workers(2).with_bleed(bleed);
-        assert_equivalent(&spec, &cfg, &dir, &format!("mcf bleed={bleed}"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-#[test]
 fn second_run_stitches_entirely_from_the_store() {
     let _guard = serialize();
     let dir = scratch("cache");

@@ -14,10 +14,10 @@ use mlpwin_sim::journal::encode_line;
 use mlpwin_sim::json::Json;
 use mlpwin_sim::metrics::{self, global};
 use mlpwin_sim::runner::{
-    run, run_matrix_with, MatrixConfig, RunSpec, METRIC_PHASE_MEASURE, METRIC_SIM_CYCLES,
-    METRIC_SIM_INSTS, METRIC_SPECS_COMPLETED,
+    run, run_matrix, FaultSpec, RunSpec, METRIC_PHASE_BUILD, METRIC_PHASE_MEASURE,
+    METRIC_SIM_CYCLES, METRIC_SIM_INSTS, METRIC_SPECS_COMPLETED, METRIC_SPECS_FAILED,
 };
-use mlpwin_sim::SimModel;
+use mlpwin_sim::{SimError, SimModel};
 use std::sync::Mutex;
 
 static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
@@ -39,6 +39,15 @@ fn quick(profile: &str, model: SimModel) -> RunSpec {
 /// The current global total of a counter (zero when absent).
 fn counter_total(name: &str) -> u64 {
     global().snapshot().counters.get(name).copied().unwrap_or(0)
+}
+
+/// The current global sample count of a histogram (zero when absent).
+fn histogram_count(name: &str) -> u64 {
+    global()
+        .snapshot()
+        .histograms
+        .get(name)
+        .map_or(0, |h| h.count)
 }
 
 #[test]
@@ -91,12 +100,7 @@ fn scrape_totals_are_independent_of_thread_count() {
             counter_total(METRIC_SIM_INSTS),
             counter_total(METRIC_SPECS_COMPLETED),
         );
-        let config = MatrixConfig {
-            threads,
-            progress: false,
-            ..MatrixConfig::default()
-        };
-        let outcomes = run_matrix_with(&specs, &config).expect("no journal, no I/O");
+        let outcomes = run_matrix(&specs, threads);
         assert!(outcomes.iter().all(|o| o.is_ok()));
         (
             counter_total(METRIC_SIM_CYCLES) - before.0,
@@ -122,12 +126,7 @@ fn prometheus_exposition_is_structurally_valid() {
         quick("libquantum", SimModel::Base),
         quick("gcc", SimModel::Dynamic),
     ];
-    let config = MatrixConfig {
-        threads: 2,
-        progress: false,
-        ..MatrixConfig::default()
-    };
-    let outcomes = run_matrix_with(&specs, &config).expect("no journal, no I/O");
+    let outcomes = run_matrix(&specs, 2);
     assert!(outcomes.iter().all(|o| o.is_ok()));
 
     let text = global().render_prometheus();
@@ -208,17 +207,44 @@ fn disabled_telemetry_records_nothing() {
     metrics::set_telemetry(false);
 
     let before = counter_total(METRIC_SPECS_COMPLETED);
-    let config = MatrixConfig {
-        threads: 2,
-        progress: false,
-        ..MatrixConfig::default()
-    };
-    let outcomes =
-        run_matrix_with(&[quick("gcc", SimModel::Base)], &config).expect("no journal, no I/O");
+    let outcomes = run_matrix(&[quick("gcc", SimModel::Base)], 2);
     assert!(outcomes[0].is_ok());
     assert_eq!(
         counter_total(METRIC_SPECS_COMPLETED),
         before,
         "a disabled knob must leave the registry untouched"
     );
+}
+
+/// The matrix runs every spec exactly once: a panicking spec is built
+/// once and fails typed (a deterministic simulator would repeat the
+/// panic on any retry), and its healthy sibling's result is exactly
+/// `runner::run`'s.
+#[test]
+fn a_panicking_spec_is_built_once() {
+    let _serial = TELEMETRY_LOCK.lock().expect("telemetry lock");
+    let _restore = KnobGuard;
+    metrics::set_telemetry(true);
+
+    let specs = [
+        quick("mcf", SimModel::Base).with_fault(FaultSpec::PanicAt(500)),
+        quick("gcc", SimModel::Dynamic),
+    ];
+    let builds = histogram_count(METRIC_PHASE_BUILD);
+    let failed = counter_total(METRIC_SPECS_FAILED);
+    let outcomes = run_matrix(&specs, 2);
+    assert_eq!(
+        histogram_count(METRIC_PHASE_BUILD) - builds,
+        specs.len() as u64,
+        "one core build per spec: the panicking spec must not be rerun"
+    );
+    assert_eq!(counter_total(METRIC_SPECS_FAILED) - failed, 1);
+    match &outcomes[0] {
+        Err(SimError::Panic { message }) => {
+            assert!(message.contains("injected workload fault"), "{message}")
+        }
+        other => panic!("the injected panic must fail typed, got {other:?}"),
+    }
+    let sibling = outcomes[1].as_ref().expect("healthy sibling completes");
+    assert_eq!(sibling, &run(&specs[1]).expect("reference run"));
 }

@@ -37,8 +37,8 @@ fn thread_count_cannot_change_results() {
     let serial = run_matrix(&specs, 1);
     let parallel = run_matrix(&specs, 4);
     for (s, p) in serial.iter().zip(&parallel) {
-        let s = s.result().expect("healthy spec");
-        let p = p.result().expect("healthy spec");
+        let s = s.as_ref().expect("healthy spec");
+        let p = p.as_ref().expect("healthy spec");
         assert_eq!(
             s.stats, p.stats,
             "{}: thread-count sensitivity",
@@ -57,9 +57,9 @@ fn interval_series_is_deterministic_across_threads_and_repeats() {
     let parallel = run_matrix(&specs, 4);
     let again = run_matrix(&specs, 4);
     for ((s, p), a) in serial.iter().zip(&parallel).zip(&again) {
-        let s = s.result().expect("healthy spec");
-        let p = p.result().expect("healthy spec");
-        let a = a.result().expect("healthy spec");
+        let s = s.as_ref().expect("healthy spec");
+        let p = p.as_ref().expect("healthy spec");
+        let a = a.as_ref().expect("healthy spec");
         assert!(
             !s.stats.intervals.is_empty(),
             "{}: series must be collected",

@@ -25,7 +25,7 @@ fn memory_workload_prefers_large_window_and_res_tracks_it() {
         .map(|m| RunSpec::new("sphinx3", m).with_budget(WARMUP, INSTS))
         .collect();
     let r = run_matrix(&specs, 3);
-    let ipc_of = |i: usize| r[i].result().expect("healthy spec").ipc();
+    let ipc_of = |i: usize| r[i].as_ref().expect("healthy spec").ipc();
     let (fix1, fix3, res) = (ipc_of(0), ipc_of(1), ipc_of(2));
     assert!(
         fix3 > fix1 * 1.3,
