@@ -39,6 +39,15 @@ for t in 1 4; do
 done
 diff target/ci-artifacts/matrix/fig9-t1.out target/ci-artifacts/matrix/fig9-t4.out
 echo "    fig9 stdout is byte-identical at 1 and 4 threads"
+# Every run's spec comes from ExpArgs::spec, so --seed must reach the
+# workloads: seed 2 has to print something other than seed 1 (the
+# default, which the two runs above used).
+target/release/fig9 --warmup 2000 --insts 4000 --seed 2 \
+    > target/ci-artifacts/matrix/fig9-seed2.out
+if cmp -s target/ci-artifacts/matrix/fig9-t1.out target/ci-artifacts/matrix/fig9-seed2.out; then
+    echo "FAIL: fig9 prints the same bytes at --seed 1 and --seed 2"; exit 1
+fi
+echo "    fig9 stdout differs between --seed 1 and --seed 2"
 
 echo "==> mlpwin-benchmark --smoke (result checks only, no timing gate)"
 # Every workload once at tiny budgets: the campaign legs' journals must

@@ -9,71 +9,36 @@
 //! cargo run --release -p mlpwin-bench --bin ablate_maxlevel
 //! ```
 
-use mlpwin_bench::ExpArgs;
-use mlpwin_core::DynamicResizingPolicy;
-use mlpwin_ooo::{Core, CoreConfig, LevelSpec};
-use mlpwin_sim::report::{geomean, pct, TextTable};
+use mlpwin_bench::{grid, try_category_geomean, ExpArgs, GM_GROUPS};
+use mlpwin_sim::report::{pct, TextTable};
+use mlpwin_sim::SimModel;
 use mlpwin_workloads::{profiles, Category};
-
-fn run_one(name: &str, max_level: usize, warmup: u64, insts: u64, seed: u64) -> f64 {
-    let config = CoreConfig {
-        levels: LevelSpec::table2().into_iter().take(max_level).collect(),
-        ..CoreConfig::default()
-    };
-    let latency = config.memory.dram.min_latency;
-    let w = profiles::by_name(name, seed).expect("profile");
-    let mut core = Core::new(config, w, Box::new(DynamicResizingPolicy::new(latency)));
-    core.run_warmup(warmup).expect("warm-up must not stall");
-    core.run(insts).expect("healthy run").ipc()
-}
 
 fn main() {
     let args = ExpArgs::parse(150_000, 40_000);
     let names = profiles::names();
     println!("Ablation: dynamic resizing with the ladder capped at each level\n");
-
-    // (profile, [ipc at max-level 1..=3])
-    let mut rows: Vec<(&str, Category, [f64; 3])> = Vec::new();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<[f64; 3]>> = (0..names.len())
-        .map(|_| std::sync::Mutex::new([0.0; 3]))
-        .collect();
-    std::thread::scope(|scope| {
-        for _ in 0..args.threads.min(names.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= names.len() {
-                    break;
-                }
-                let mut v = [0.0; 3];
-                for (k, slot) in v.iter_mut().enumerate() {
-                    *slot = run_one(names[i], k + 1, args.warmup, args.insts, args.seed);
-                }
-                *slots[i].lock().expect("slot") = v;
-            });
-        }
-    });
-    for (i, s) in slots.into_iter().enumerate() {
-        let cat = profiles::params_by_name(names[i]).expect("known").category;
-        rows.push((names[i], cat, s.into_inner().expect("slot")));
-    }
+    let caps = [1, 2, 3].map(SimModel::TopLevel);
+    let results = args.run_all(grid(&names, &caps));
+    // Each cap's IPC relative to the level-1 cap (the base window).
+    let ratios = |top: usize| -> Vec<(Category, f64)> {
+        names
+            .iter()
+            .map(|p| {
+                let r = results.get(p, SimModel::TopLevel(top));
+                (r.category, r.ipc() / results.ipc(p, SimModel::TopLevel(1)))
+            })
+            .collect()
+    };
 
     let mut t = TextTable::new(vec!["group", "max L1 (=base)", "max L2", "max L3 (paper)"]);
-    for (label, cat) in [
-        ("GM mem", Some(Category::MemoryIntensive)),
-        ("GM comp", Some(Category::ComputeIntensive)),
-        ("GM all", None),
-    ] {
-        let sel: Vec<&(&str, Category, [f64; 3])> = rows
-            .iter()
-            .filter(|(_, c, _)| cat.is_none_or(|x| *c == x))
-            .collect();
-        let gm = |k: usize| geomean(&sel.iter().map(|(_, _, v)| v[k] / v[0]).collect::<Vec<_>>());
+    for (label, cat) in GM_GROUPS {
+        let gm = |top| try_category_geomean(&ratios(top), cat).expect("positive IPCs");
         t.row(vec![
             label.to_string(),
             "1.000".to_string(),
-            format!("{:.3} ({})", gm(1), pct(gm(1) - 1.0)),
             format!("{:.3} ({})", gm(2), pct(gm(2) - 1.0)),
+            format!("{:.3} ({})", gm(3), pct(gm(3) - 1.0)),
         ]);
     }
     println!("{}", t.render());

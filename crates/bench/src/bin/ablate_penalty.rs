@@ -8,53 +8,24 @@
 //! cargo run --release -p mlpwin-bench --bin ablate_penalty
 //! ```
 
-use mlpwin_bench::ExpArgs;
-use mlpwin_core::WindowModel;
-use mlpwin_ooo::{Core, CoreConfig};
+use mlpwin_bench::{grid, ExpArgs};
 use mlpwin_sim::report::{geomean, pct, TextTable};
+use mlpwin_sim::SimModel;
 use mlpwin_workloads::profiles;
-
-fn gm_ipc(penalty: u32, warmup: u64, insts: u64, seed: u64, threads: usize) -> f64 {
-    let names = profiles::names();
-    let mut ratios = vec![0.0f64; names.len()];
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<f64>> = (0..names.len())
-        .map(|_| std::sync::Mutex::new(0.0))
-        .collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(names.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= names.len() {
-                    break;
-                }
-                let base_cfg = CoreConfig {
-                    transition_penalty: penalty,
-                    ..CoreConfig::default()
-                };
-                let (config, policy) = WindowModel::Dynamic.build(base_cfg);
-                let w = profiles::by_name(names[i], seed).expect("profile");
-                let mut core = Core::new(config, w, policy);
-                core.run_warmup(warmup).expect("warm-up must not stall");
-                let s = core.run(insts).expect("healthy run");
-                *slots[i].lock().expect("slot") = s.ipc();
-            });
-        }
-    });
-    for (i, s) in slots.into_iter().enumerate() {
-        ratios[i] = s.into_inner().expect("slot");
-    }
-    geomean(&ratios)
-}
 
 fn main() {
     let args = ExpArgs::parse(150_000, 40_000);
     println!("Ablation: dynamic-resizing GM-all IPC vs level-transition penalty\n");
+    let names = profiles::names();
     let penalties = [0u32, 10, 20, 30, 50];
-    let mut gms = Vec::new();
-    for &p in &penalties {
-        gms.push(gm_ipc(p, args.warmup, args.insts, args.seed, args.threads));
-    }
+    let results = args.run_all(grid(&names, &penalties.map(SimModel::Penalty)));
+    let gms = penalties.map(|p| {
+        let ipcs: Vec<f64> = names
+            .iter()
+            .map(|n| results.ipc(n, SimModel::Penalty(p)))
+            .collect();
+        geomean(&ipcs)
+    });
     let reference = gms[1]; // 10 cycles = the paper's configuration
     let mut t = TextTable::new(vec!["penalty (cycles)", "GM-all IPC", "vs 10-cycle config"]);
     for (&p, &g) in penalties.iter().zip(&gms) {

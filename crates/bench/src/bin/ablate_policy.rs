@@ -10,79 +10,41 @@
 //! cargo run --release -p mlpwin-bench --bin ablate_policy
 //! ```
 
-use mlpwin_bench::ExpArgs;
-use mlpwin_core::DynamicResizingPolicy;
-use mlpwin_ooo::{Core, CoreConfig, LevelSpec};
-use mlpwin_sim::report::{geomean, pct, TextTable};
+use mlpwin_bench::{grid, try_category_geomean, ExpArgs, GM_GROUPS};
+use mlpwin_ooo::CoreConfig;
+use mlpwin_sim::report::{pct, TextTable};
+use mlpwin_sim::SimModel;
 use mlpwin_workloads::{profiles, Category};
-
-fn run_one(name: &str, timeout: u32, warmup: u64, insts: u64, seed: u64) -> f64 {
-    let config = CoreConfig {
-        levels: LevelSpec::table2(),
-        ..CoreConfig::default()
-    };
-    let w = profiles::by_name(name, seed).expect("profile");
-    let mut core = Core::new(config, w, Box::new(DynamicResizingPolicy::new(timeout)));
-    core.run_warmup(warmup).expect("warm-up must not stall");
-    core.run(insts).expect("healthy run").ipc()
-}
 
 fn main() {
     let args = ExpArgs::parse(150_000, 40_000);
     let names = profiles::names();
+    let latency = CoreConfig::default().memory.dram.min_latency as f64;
     let factors = [0.25f64, 0.5, 1.0, 2.0, 4.0];
-    let timeouts: Vec<u32> = factors.iter().map(|f| (300.0 * f) as u32).collect();
+    let models: Vec<SimModel> = factors
+        .iter()
+        .map(|f| SimModel::ShrinkTimeout((latency * f) as u32))
+        .collect();
 
     println!("Ablation: shrink timeout as a multiple of the memory latency\n");
-    let mut per_run: Vec<Vec<f64>> = vec![vec![0.0; timeouts.len()]; names.len()];
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Vec<f64>>> = (0..names.len())
-        .map(|_| std::sync::Mutex::new(vec![0.0; timeouts.len()]))
-        .collect();
-    std::thread::scope(|scope| {
-        for _ in 0..args.threads.min(names.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= names.len() {
-                    break;
-                }
-                let v: Vec<f64> = timeouts
-                    .iter()
-                    .map(|&to| run_one(names[i], to, args.warmup, args.insts, args.seed))
-                    .collect();
-                *slots[i].lock().expect("slot") = v;
-            });
-        }
-    });
-    for (i, s) in slots.into_iter().enumerate() {
-        per_run[i] = s.into_inner().expect("slot");
-    }
+    let results = args.run_all(grid(&names, &models));
+    // Each timeout's IPC relative to the paper's 1x timeout.
+    let ratios = |m: SimModel| -> Vec<(Category, f64)> {
+        names
+            .iter()
+            .map(|p| {
+                let r = results.get(p, m);
+                (r.category, r.ipc() / results.ipc(p, models[2]))
+            })
+            .collect()
+    };
 
     let mut t = TextTable::new(vec!["group", "0.25x", "0.5x", "1x (paper)", "2x", "4x"]);
-    for (label, cat) in [
-        ("GM mem", Some(Category::MemoryIntensive)),
-        ("GM comp", Some(Category::ComputeIntensive)),
-        ("GM all", None),
-    ] {
-        let idx: Vec<usize> = names
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| {
-                cat.is_none_or(|c| profiles::params_by_name(n).expect("known").category == c)
-            })
-            .map(|(i, _)| i)
-            .collect();
-        // Normalize each timeout column to the paper's 1x column.
-        let gm = |k: usize| {
-            geomean(
-                &idx.iter()
-                    .map(|&i| per_run[i][k] / per_run[i][2])
-                    .collect::<Vec<_>>(),
-            )
-        };
+    for (label, cat) in GM_GROUPS {
         let mut cells = vec![label.to_string()];
-        for k in 0..timeouts.len() {
-            cells.push(pct(gm(k) - 1.0).to_string());
+        for &m in &models {
+            let gm = try_category_geomean(&ratios(m), cat).expect("positive IPCs");
+            cells.push(pct(gm - 1.0).to_string());
         }
         t.row(cells);
     }

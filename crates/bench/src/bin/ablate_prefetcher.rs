@@ -10,65 +10,31 @@
 //! cargo run --release -p mlpwin-bench --bin ablate_prefetcher
 //! ```
 
-use mlpwin_bench::ExpArgs;
-use mlpwin_core::WindowModel;
-use mlpwin_ooo::{Core, CoreConfig};
+use mlpwin_bench::{grid, ExpArgs};
 use mlpwin_sim::report::{geomean, pct, TextTable};
-use mlpwin_workloads::{profiles, Category};
-
-fn run_one(name: &str, model: WindowModel, prefetch: bool, args: &ExpArgs) -> f64 {
-    let mut base = CoreConfig::default();
-    base.memory.prefetch.enabled = prefetch;
-    let (config, policy) = model.build(base);
-    let w = profiles::by_name(name, args.seed).expect("profile");
-    let mut core = Core::new(config, w, policy);
-    core.run_warmup(args.warmup)
-        .expect("warm-up must not stall");
-    core.run(args.insts).expect("healthy run").ipc()
-}
+use mlpwin_sim::SimModel;
+use mlpwin_workloads::profiles;
 
 fn main() {
     let args = ExpArgs::parse(150_000, 40_000);
-    let names: Vec<&str> = profiles::all()
-        .iter()
-        .filter(|p| p.category == Category::MemoryIntensive)
-        .map(|p| p.name)
-        .collect();
-
+    let names = profiles::memory_intensive();
     let combos = [
-        ("Base + prefetch", WindowModel::Base, true),
-        ("Base, no prefetch", WindowModel::Base, false),
-        ("Res + prefetch", WindowModel::Dynamic, true),
-        ("Res, no prefetch", WindowModel::Dynamic, false),
+        ("Base + prefetch", SimModel::Base),
+        ("Base, no prefetch", SimModel::BaseNoPrefetch),
+        ("Res + prefetch", SimModel::Dynamic),
+        ("Res, no prefetch", SimModel::DynamicNoPrefetch),
     ];
-    let mut ipcs: Vec<Vec<f64>> = vec![vec![0.0; combos.len()]; names.len()];
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Vec<f64>>> = (0..names.len())
-        .map(|_| std::sync::Mutex::new(vec![0.0; combos.len()]))
-        .collect();
-    std::thread::scope(|scope| {
-        for _ in 0..args.threads.min(names.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= names.len() {
-                    break;
-                }
-                let v: Vec<f64> = combos
-                    .iter()
-                    .map(|(_, m, pf)| run_one(names[i], *m, *pf, &args))
-                    .collect();
-                *slots[i].lock().expect("slot") = v;
-            });
-        }
-    });
-    for (i, s) in slots.into_iter().enumerate() {
-        ipcs[i] = s.into_inner().expect("slot");
-    }
+    let results = args.run_all(grid(&names, &combos.map(|(_, m)| m)));
 
     println!("Ablation: prefetcher x window resizing (memory-intensive GM IPC,\nnormalized to base-with-prefetch)\n");
     let mut t = TextTable::new(vec!["configuration", "GM-mem IPC rel", "delta"]);
-    for (k, (label, _, _)) in combos.iter().enumerate() {
-        let gm = geomean(&ipcs.iter().map(|v| v[k] / v[0]).collect::<Vec<_>>());
+    for (label, m) in combos {
+        let gm = geomean(
+            &names
+                .iter()
+                .map(|p| results.ipc(p, m) / results.ipc(p, SimModel::Base))
+                .collect::<Vec<_>>(),
+        );
         t.row(vec![label.to_string(), format!("{gm:.3}"), pct(gm - 1.0)]);
     }
     println!("{}", t.render());

@@ -9,44 +9,29 @@
 //! cargo run --release -p mlpwin-bench --bin fig10
 //! ```
 
-use mlpwin_bench::ExpArgs;
+use mlpwin_bench::{grid, selected_profiles, ExpArgs};
 use mlpwin_energy::AreaModel;
 use mlpwin_sim::report::{geomean, pct, TextTable};
-use mlpwin_sim::runner::{run_matrix, RunSpec};
 use mlpwin_sim::SimModel;
 use mlpwin_workloads::profiles;
 
 fn main() {
     let args = ExpArgs::parse(250_000, 60_000);
     let names = profiles::names();
-    let mut specs = Vec::new();
-    for p in &names {
-        for m in [SimModel::Base, SimModel::BigL2, SimModel::Dynamic] {
-            specs.push(RunSpec::new(p, m).with_budget(args.warmup, args.insts));
-        }
-    }
-    let results = mlpwin_bench::expect_results(run_matrix(&specs, args.threads));
-    let ipc = |p: &str, m: SimModel| {
-        results
-            .iter()
-            .find(|r| r.spec.profile == p && r.spec.model == m)
-            .expect("ran")
-            .ipc()
-    };
+    let results = args.run_all(grid(
+        &names,
+        &[SimModel::Base, SimModel::BigL2, SimModel::Dynamic],
+    ));
 
     println!("Figure 10: enlarged-L2 model vs dynamic resizing (IPC vs base)\n");
-    let selected: Vec<&str> = profiles::SELECTED_MEM
-        .iter()
-        .chain(profiles::SELECTED_COMP.iter())
-        .copied()
-        .collect();
+    let selected = selected_profiles();
     let mut t = TextTable::new(vec!["program", "2.5MB L2", "Res"]);
     for p in &selected {
-        let base = ipc(p, SimModel::Base);
+        let base = results.ipc(p, SimModel::Base);
         t.row(vec![
             p.to_string(),
-            format!("{:.3}", ipc(p, SimModel::BigL2) / base),
-            format!("{:.3}", ipc(p, SimModel::Dynamic) / base),
+            format!("{:.3}", results.ipc(p, SimModel::BigL2) / base),
+            format!("{:.3}", results.ipc(p, SimModel::Dynamic) / base),
         ]);
     }
     println!("{}", t.render());
@@ -55,7 +40,7 @@ fn main() {
         geomean(
             &names
                 .iter()
-                .map(|p| ipc(p, m) / ipc(p, SimModel::Base))
+                .map(|p| results.ipc(p, m) / results.ipc(p, SimModel::Base))
                 .collect::<Vec<_>>(),
         )
     };

@@ -12,25 +12,14 @@
 //! cargo run --release -p mlpwin-bench --bin fig11
 //! ```
 
-use mlpwin_bench::ExpArgs;
+use mlpwin_bench::{grid, selected_profiles, ExpArgs};
 use mlpwin_sim::report::TextTable;
-use mlpwin_sim::runner::{run_matrix, RunSpec};
 use mlpwin_sim::SimModel;
-use mlpwin_workloads::profiles;
 
 fn main() {
     let args = ExpArgs::parse(250_000, 60_000);
-    let selected: Vec<&str> = profiles::SELECTED_MEM
-        .iter()
-        .chain(profiles::SELECTED_COMP.iter())
-        .copied()
-        .collect();
-    let mut specs = Vec::new();
-    for p in &selected {
-        specs.push(RunSpec::new(p, SimModel::Base).with_budget(args.warmup, args.insts));
-        specs.push(RunSpec::new(p, SimModel::Dynamic).with_budget(args.warmup, args.insts));
-    }
-    let results = mlpwin_bench::expect_results(run_matrix(&specs, args.threads));
+    let selected = selected_profiles();
+    let results = args.run_all(grid(&selected, &[SimModel::Base, SimModel::Dynamic]));
 
     println!("Figure 11: L2 lines brought in, by provenance x usefulness");
     println!("(each pair normalized to the base model's total)\n");
@@ -46,17 +35,9 @@ fn main() {
         "total",
     ]);
     for p in &selected {
-        let base = results
-            .iter()
-            .find(|r| r.spec.profile == *p && r.spec.model == SimModel::Base)
-            .expect("ran");
+        let base = results.get(p, SimModel::Base);
         let norm = base.provenance.total().max(1) as f64;
-        for (label, r) in [("Base", base)].into_iter().chain(
-            results
-                .iter()
-                .find(|r| r.spec.profile == *p && r.spec.model == SimModel::Dynamic)
-                .map(|r| ("Res", r)),
-        ) {
+        for (label, r) in [("Base", base), ("Res", results.get(p, SimModel::Dynamic))] {
             let pv = &r.provenance;
             let f = |v: u64| format!("{:.3}", v as f64 / norm);
             t.row(vec![
@@ -79,7 +60,7 @@ fn main() {
         let mut wrong = 0u64;
         let mut useless = 0u64;
         let mut total = 0u64;
-        for r in results.iter().filter(|r| r.spec.model == model) {
+        for r in results.runs.iter().filter(|r| r.spec.model == model) {
             wrong += r.provenance.wrongpath_total();
             useless += r.provenance.useless_total();
             total += r.provenance.total();

@@ -11,35 +11,21 @@
 //! cargo run --release -p mlpwin-bench --bin fig12
 //! ```
 
-use mlpwin_bench::ExpArgs;
+use mlpwin_bench::{grid, selected_profiles, ExpArgs, GM_GROUPS};
 use mlpwin_sim::report::{geomean, pct, TextTable};
-use mlpwin_sim::runner::{run_matrix, RunSpec};
 use mlpwin_sim::SimModel;
-use mlpwin_workloads::{profiles, Category};
+use mlpwin_workloads::profiles;
 
 fn main() {
     let args = ExpArgs::parse(250_000, 60_000);
     let names = profiles::names();
-    let mut specs = Vec::new();
-    for p in &names {
-        for m in [SimModel::Base, SimModel::Runahead, SimModel::Dynamic] {
-            specs.push(RunSpec::new(p, m).with_budget(args.warmup, args.insts));
-        }
-    }
-    let results = mlpwin_bench::expect_results(run_matrix(&specs, args.threads));
-    let get = |p: &str, m: SimModel| {
-        results
-            .iter()
-            .find(|r| r.spec.profile == p && r.spec.model == m)
-            .expect("ran")
-    };
+    let results = args.run_all(grid(
+        &names,
+        &[SimModel::Base, SimModel::Runahead, SimModel::Dynamic],
+    ));
 
     println!("Figure 12: runahead execution vs dynamic resizing (IPC vs base)\n");
-    let selected: Vec<&str> = profiles::SELECTED_MEM
-        .iter()
-        .chain(profiles::SELECTED_COMP.iter())
-        .copied()
-        .collect();
+    let selected = selected_profiles();
     let mut t = TextTable::new(vec![
         "program",
         "cat",
@@ -49,9 +35,9 @@ fn main() {
         "RA cycles %",
     ]);
     for p in &selected {
-        let base = get(p, SimModel::Base).ipc();
-        let ra = get(p, SimModel::Runahead);
-        let res = get(p, SimModel::Dynamic);
+        let base = results.ipc(p, SimModel::Base);
+        let ra = results.get(p, SimModel::Runahead);
+        let res = results.get(p, SimModel::Dynamic);
         t.row(vec![
             p.to_string(),
             ra.category.label().to_string(),
@@ -66,11 +52,7 @@ fn main() {
     }
     println!("{}", t.render());
 
-    for (label, cat) in [
-        ("GM mem", Some(Category::MemoryIntensive)),
-        ("GM comp", Some(Category::ComputeIntensive)),
-        ("GM all", None),
-    ] {
+    for (label, cat) in GM_GROUPS {
         let sel: Vec<_> = names
             .iter()
             .filter(|n| {
@@ -80,7 +62,7 @@ fn main() {
         let gm = |m: SimModel| {
             geomean(
                 &sel.iter()
-                    .map(|p| get(p, m).ipc() / get(p, SimModel::Base).ipc())
+                    .map(|p| results.ipc(p, m) / results.ipc(p, SimModel::Base))
                     .collect::<Vec<_>>(),
             )
         };

@@ -12,31 +12,19 @@
 //! cargo run --release -p mlpwin-bench --bin fig2
 //! ```
 
-use mlpwin_bench::ExpArgs;
+use mlpwin_bench::{grid, ExpArgs};
 use mlpwin_sim::report::TextTable;
-use mlpwin_sim::runner::{run_matrix, RunSpec};
 use mlpwin_sim::SimModel;
 
 fn main() {
     let args = ExpArgs::parse(250_000, 60_000);
-    let mut specs = Vec::new();
-    for p in ["libquantum", "gcc"] {
-        for l in 1..=3 {
-            specs.push(RunSpec::new(p, SimModel::Fixed(l)).with_budget(args.warmup, args.insts));
-            specs.push(RunSpec::new(p, SimModel::Ideal(l)).with_budget(args.warmup, args.insts));
-        }
-    }
-    let results = mlpwin_bench::expect_results(run_matrix(&specs, args.threads));
-    let ipc = |p: &str, m: SimModel| {
-        results
-            .iter()
-            .find(|r| r.spec.profile == p && r.spec.model == m)
-            .expect("ran above")
-            .ipc()
-    };
+    let models: Vec<SimModel> = (1..=3)
+        .flat_map(|l| [SimModel::Fixed(l), SimModel::Ideal(l)])
+        .collect();
+    let results = args.run_all(grid(&["libquantum", "gcc"], &models));
 
     for p in ["libquantum", "gcc"] {
-        let base = ipc(p, SimModel::Fixed(1));
+        let base = results.ipc(p, SimModel::Fixed(1));
         println!(
             "Figure 2({}): {p} — relative IPC vs window resource level",
             if p == "libquantum" { "a" } else { "b" }
@@ -45,8 +33,8 @@ fn main() {
         for l in 1..=3 {
             t.row(vec![
                 format!("{l}"),
-                format!("{:.2}", ipc(p, SimModel::Fixed(l)) / base),
-                format!("{:.2}", ipc(p, SimModel::Ideal(l)) / base),
+                format!("{:.2}", results.ipc(p, SimModel::Fixed(l)) / base),
+                format!("{:.2}", results.ipc(p, SimModel::Ideal(l)) / base),
             ]);
         }
         println!("{}", t.render());

@@ -12,14 +12,12 @@
 
 use mlpwin_bench::ExpArgs;
 use mlpwin_sim::report::{histogram, intervals, TextTable};
-use mlpwin_sim::runner::{run, RunSpec};
 use mlpwin_sim::SimModel;
 
 fn main() {
     let args = ExpArgs::parse(250_000, 120_000);
-    let r = mlpwin_bench::expect_run(run(
-        &RunSpec::new("soplex", SimModel::Base).with_budget(args.warmup, args.insts)
-    ));
+    let results = args.run_all([("soplex", SimModel::Base)]);
+    let r = results.get("soplex", SimModel::Base);
     let ivals = intervals(&r.l2_miss_cycles);
     println!(
         "Figure 4: histogram of L2 miss intervals, soplex (bin = 8 cycles)\n\

@@ -14,9 +14,10 @@
 //! ```
 
 use mlpwin_bench::ExpArgs;
-use mlpwin_core::{DynamicResizingPolicy, WindowModel};
-use mlpwin_ooo::{Core, CoreConfig, WindowPolicy};
+use mlpwin_core::DynamicResizingPolicy;
+use mlpwin_ooo::{Core, WindowPolicy};
 use mlpwin_sim::report::TextTable;
+use mlpwin_sim::SimModel;
 use mlpwin_workloads::profiles;
 
 fn main() {
@@ -54,9 +55,11 @@ fn main() {
     }
     println!("{}", t1.render());
 
-    // Part 2: live transitions from a real soplex run.
+    // Part 2: live transitions from a real soplex run. This is the one
+    // paper binary that steps a core by hand instead of going through
+    // `ExpArgs::run_all`: it reads the window level after every cycle.
     println!("Figure 6 (live excerpt): dynamic resizing on soplex\n");
-    let (config, policy) = WindowModel::Dynamic.build(CoreConfig::default());
+    let (config, policy) = SimModel::Dynamic.build();
     let workload = profiles::by_name("soplex", args.seed).expect("profile");
     let mut core = Core::new(config, workload, policy);
     core.run_warmup(args.warmup)

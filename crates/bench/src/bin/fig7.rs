@@ -12,12 +12,10 @@
 //! cargo run --release -p mlpwin-bench --bin fig7
 //! ```
 
-use mlpwin_bench::{selected_profiles, try_category_geomean, ExpArgs, GM_GROUPS};
+use mlpwin_bench::{grid, selected_profiles, try_category_geomean, ExpArgs, GM_GROUPS};
 use mlpwin_sim::report::{pct, TextTable};
-use mlpwin_sim::runner::{run_matrix, RunResult, RunSpec};
 use mlpwin_sim::SimModel;
 use mlpwin_workloads::{profiles, Category};
-use std::collections::HashMap;
 
 /// The Fig. 7 model set, in presentation order.
 fn models() -> Vec<SimModel> {
@@ -35,19 +33,7 @@ fn models() -> Vec<SimModel> {
 fn main() {
     let args = ExpArgs::parse(250_000, 60_000);
     let names = profiles::names();
-    let mut specs = Vec::new();
-    for p in &names {
-        for m in models() {
-            specs.push(RunSpec::new(p, m).with_budget(args.warmup, args.insts));
-        }
-    }
-    let results = mlpwin_bench::expect_results(run_matrix(&specs, args.threads));
-    let by_key: HashMap<(String, SimModel), &RunResult> = results
-        .iter()
-        .map(|r| ((r.spec.profile.clone(), r.spec.model), r))
-        .collect();
-
-    let ipc = |p: &str, m: SimModel| by_key[&(p.to_string(), m)].ipc();
+    let results = args.run_all(grid(&names, &models()));
 
     // Per-program normalized series (base = Fix L1).
     println!("Figure 7: IPC normalized to the base (Fix L1) processor\n");
@@ -68,8 +54,8 @@ fn main() {
         if !selected.contains(p) {
             continue;
         }
-        let base = ipc(p, SimModel::Fixed(1));
-        let series: Vec<f64> = models().iter().map(|m| ipc(p, *m) / base).collect();
+        let base = results.ipc(p, SimModel::Fixed(1));
+        let series: Vec<f64> = models().iter().map(|m| results.ipc(p, *m) / base).collect();
         let best_fix = series[0].max(series[1]).max(series[2]);
         let cat = profiles::params_by_name(p).expect("known").category;
         let mut cells = vec![p.to_string(), cat.label().to_string()];
@@ -95,7 +81,7 @@ fn main() {
             .iter()
             .map(|p| {
                 let cat = profiles::params_by_name(p).expect("known").category;
-                (cat, ipc(p, m) / ipc(p, SimModel::Fixed(1)))
+                (cat, results.ipc(p, m) / results.ipc(p, SimModel::Fixed(1)))
             })
             .collect()
     };
@@ -124,6 +110,6 @@ fn main() {
     mlpwin_bench::print_cpi_stacks(
         selected
             .iter()
-            .map(|&p| (p, &by_key[&(p.to_string(), SimModel::Dynamic)].stats)),
+            .map(|&p| (p, &results.get(p, SimModel::Dynamic).stats)),
     );
 }

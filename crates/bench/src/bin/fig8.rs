@@ -9,19 +9,15 @@
 //! cargo run --release -p mlpwin-bench --bin fig8
 //! ```
 
-use mlpwin_bench::{selected_profiles, ExpArgs};
+use mlpwin_bench::{grid, selected_profiles, ExpArgs};
 use mlpwin_sim::report::TextTable;
-use mlpwin_sim::runner::{run_matrix, RunSpec};
 use mlpwin_sim::SimModel;
 
 fn main() {
     let args = ExpArgs::parse(250_000, 60_000);
-    let selected = selected_profiles();
-    let specs: Vec<RunSpec> = selected
-        .iter()
-        .map(|p| RunSpec::new(p, SimModel::Dynamic).with_budget(args.warmup, args.insts))
-        .collect();
-    let results = mlpwin_bench::expect_results(run_matrix(&specs, args.threads));
+    let results = args
+        .run_all(grid(&selected_profiles(), &[SimModel::Dynamic]))
+        .runs;
 
     println!("Figure 8: % of cycles at each window level (dynamic resizing)\n");
     let mut t = TextTable::new(vec![

@@ -11,22 +11,16 @@
 //! cargo run --release -p mlpwin-bench --bin fig9
 //! ```
 
-use mlpwin_bench::{print_geomean_summary, selected_profiles, ExpArgs};
+use mlpwin_bench::{grid, print_geomean_summary, selected_profiles, ExpArgs};
 use mlpwin_energy::EnergyModel;
 use mlpwin_sim::report::TextTable;
-use mlpwin_sim::runner::{run_matrix, RunSpec};
 use mlpwin_sim::SimModel;
 use mlpwin_workloads::{profiles, Category};
 
 fn main() {
     let args = ExpArgs::parse(250_000, 60_000);
     let names = profiles::names();
-    let mut specs = Vec::new();
-    for p in &names {
-        specs.push(RunSpec::new(p, SimModel::Base).with_budget(args.warmup, args.insts));
-        specs.push(RunSpec::new(p, SimModel::Dynamic).with_budget(args.warmup, args.insts));
-    }
-    let results = mlpwin_bench::expect_results(run_matrix(&specs, args.threads));
+    let results = args.run_all(grid(&names, &[SimModel::Base, SimModel::Dynamic]));
     let energy = EnergyModel::default();
 
     println!("Figure 9: energy efficiency (1/EDP) of dynamic resizing vs base\n");
@@ -40,14 +34,8 @@ fn main() {
     let mut per_cat: Vec<(Category, f64)> = Vec::new();
     let selected = selected_profiles();
     for p in &names {
-        let base = results
-            .iter()
-            .find(|r| r.spec.profile == *p && r.spec.model == SimModel::Base)
-            .expect("ran");
-        let dynr = results
-            .iter()
-            .find(|r| r.spec.profile == *p && r.spec.model == SimModel::Dynamic)
-            .expect("ran");
+        let base = results.get(p, SimModel::Base);
+        let dynr = results.get(p, SimModel::Dynamic);
         let bc = base.run_counters().expect("non-empty ladder");
         let dc = dynr.run_counters().expect("non-empty ladder");
         let rel = energy.relative_inverse_edp(&bc, &dc);
@@ -76,12 +64,6 @@ fn main() {
     mlpwin_bench::print_cpi_stacks(
         [profiles::SELECTED_MEM[0], profiles::SELECTED_COMP[0]]
             .into_iter()
-            .map(|p| {
-                let r = results
-                    .iter()
-                    .find(|r| r.spec.profile == p && r.spec.model == SimModel::Dynamic)
-                    .expect("ran");
-                (p, &r.stats)
-            }),
+            .map(|p| (p, &results.get(p, SimModel::Dynamic).stats)),
     );
 }

@@ -18,38 +18,23 @@
 //! cargo run --release -p mlpwin-bench --bin swmlp
 //! ```
 
-use mlpwin_bench::ExpArgs;
+use mlpwin_bench::{grid, ExpArgs};
 use mlpwin_sim::report::TextTable;
-use mlpwin_sim::runner::{run_matrix, RunSpec};
 use mlpwin_sim::SimModel;
 
 fn main() {
     let args = ExpArgs::parse(100_000, 40_000);
     let programs = ["mcf", "chase-batch", "hash-probe"];
     let models = [SimModel::Base, SimModel::Dynamic, SimModel::Runahead];
-    let mut specs = Vec::new();
-    for p in programs {
-        for model in models {
-            let mut spec = RunSpec::new(p, model).with_budget(args.warmup, args.insts);
-            spec.seed = args.seed;
-            specs.push(spec);
-        }
-    }
-    let results = mlpwin_bench::expect_results(run_matrix(&specs, args.threads));
-    let find = |p: &str, m: SimModel| {
-        results
-            .iter()
-            .find(|r| r.spec.profile == p && r.spec.model == m)
-            .expect("ran above")
-    };
+    let results = args.run_all(grid(&programs, &models));
 
     let mut t = TextTable::new(vec![
         "program", "model", "IPC", "vs base", "load lat", "avg lvl", "skip", "ev/kcyc",
     ]);
     for p in programs {
-        let base_ipc = find(p, SimModel::Base).ipc();
+        let base_ipc = results.ipc(p, SimModel::Base);
         for m in models {
-            let r = find(p, m);
+            let r = results.get(p, m);
             let kcycles = (r.stats.cycles as f64 / 1e3).max(1e-9);
             // Residency-weighted mean window level, 1-based like Fig. 2.
             let avg_level = r

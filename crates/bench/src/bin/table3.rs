@@ -9,9 +9,8 @@
 //! cargo run --release -p mlpwin-bench --bin table3
 //! ```
 
-use mlpwin_bench::ExpArgs;
+use mlpwin_bench::{grid, ExpArgs};
 use mlpwin_sim::report::TextTable;
-use mlpwin_sim::runner::{run_matrix, RunSpec};
 use mlpwin_sim::SimModel;
 use mlpwin_workloads::{profiles, Category};
 
@@ -49,11 +48,9 @@ const PAPER_LATENCY: &[(&str, f64)] = &[
 
 fn main() {
     let args = ExpArgs::parse(250_000, 60_000);
-    let specs: Vec<RunSpec> = profiles::names()
-        .iter()
-        .map(|p| RunSpec::new(p, SimModel::Base).with_budget(args.warmup, args.insts))
-        .collect();
-    let results = mlpwin_bench::expect_results(run_matrix(&specs, args.threads));
+    let results = args
+        .run_all(grid(&profiles::names(), &[SimModel::Base]))
+        .runs;
 
     println!("Table 3: benchmark programs and their average load latency");
     println!("(measured on the base processor; category threshold 10 cycles)\n");

@@ -7,10 +7,9 @@
 //! cargo run --release -p mlpwin-bench --bin table4
 //! ```
 
-use mlpwin_bench::ExpArgs;
+use mlpwin_bench::{grid, ExpArgs};
 use mlpwin_energy::AreaModel;
 use mlpwin_sim::report::{geomean, pct, TextTable};
-use mlpwin_sim::runner::{run_matrix, RunSpec};
 use mlpwin_sim::SimModel;
 use mlpwin_workloads::profiles;
 
@@ -18,27 +17,10 @@ fn main() {
     let args = ExpArgs::parse(250_000, 60_000);
     // Measure the GM-all speedup of the dynamic model over the base.
     let names = profiles::names();
-    let mut specs = Vec::new();
-    for p in &names {
-        specs.push(RunSpec::new(p, SimModel::Base).with_budget(args.warmup, args.insts));
-        specs.push(RunSpec::new(p, SimModel::Dynamic).with_budget(args.warmup, args.insts));
-    }
-    let results = mlpwin_bench::expect_results(run_matrix(&specs, args.threads));
+    let results = args.run_all(grid(&names, &[SimModel::Base, SimModel::Dynamic]));
     let ratios: Vec<f64> = names
         .iter()
-        .map(|p| {
-            let b = results
-                .iter()
-                .find(|r| r.spec.profile == *p && r.spec.model == SimModel::Base)
-                .expect("ran")
-                .ipc();
-            let d = results
-                .iter()
-                .find(|r| r.spec.profile == *p && r.spec.model == SimModel::Dynamic)
-                .expect("ran")
-                .ipc();
-            d / b
-        })
+        .map(|p| results.ipc(p, SimModel::Dynamic) / results.ipc(p, SimModel::Base))
         .collect();
     let speedup = geomean(&ratios) - 1.0;
 

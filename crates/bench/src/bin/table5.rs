@@ -13,7 +13,6 @@
 
 use mlpwin_bench::ExpArgs;
 use mlpwin_sim::report::TextTable;
-use mlpwin_sim::runner::{run_matrix, RunSpec};
 use mlpwin_sim::SimModel;
 
 /// The paper's Table 5 values for side-by-side display.
@@ -36,15 +35,11 @@ const PAPER: &[(&str, f64)] = &[
 
 fn main() {
     let args = ExpArgs::parse(250_000, 100_000);
-    let specs: Vec<RunSpec> = PAPER
-        .iter()
-        .map(|(p, _)| RunSpec::new(p, SimModel::Base).with_budget(args.warmup, args.insts))
-        .collect();
-    let results = mlpwin_bench::expect_results(run_matrix(&specs, args.threads));
+    let results = args.run_all(PAPER.iter().map(|&(p, _)| (p, SimModel::Base)));
 
     println!("Table 5: committed instructions between adjacent mispredicted branches\n");
     let mut t = TextTable::new(vec!["program", "cat", "measured", "paper", "mispredicts"]);
-    for ((p, paper), r) in PAPER.iter().zip(&results) {
+    for ((p, paper), r) in PAPER.iter().zip(&results.runs) {
         let d = r.stats.mispredict_distance();
         let measured = if r.stats.committed_mispredicts == 0 {
             format!(">{:.0}", d)
@@ -65,9 +60,7 @@ fn main() {
     // dwarf the branchy ones.
     let dist = |name: &str| {
         results
-            .iter()
-            .find(|r| r.spec.profile == name)
-            .expect("ran")
+            .get(name, SimModel::Base)
             .stats
             .mispredict_distance()
     };

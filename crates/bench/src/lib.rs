@@ -6,7 +6,7 @@
 //! harness (`cargo bench -p mlpwin-bench`), the repository benchmark
 //! (`mlpwin-benchmark`) and its paired same-host gate (`mlpwin-gate`).
 //!
-//! Every binary accepts the same flags:
+//! Every binary that simulates accepts the same flags:
 //!
 //! ```text
 //! --insts N     measured instructions per run   (default per binary)
@@ -16,15 +16,26 @@
 //! --seed N      workload seed                   (default 1)
 //! ```
 //!
+//! and runs its experiments one way: [`ExpArgs::spec`] turns each
+//! `(profile, model)` pair into a [`RunSpec`] carrying those budgets and
+//! that seed, and [`ExpArgs::run_all`] runs the list through
+//! [`run_matrix`] and hands back [`Results`] looked up by pair. The
+//! ablations are [`SimModel`] variants, so they run the same way. Only
+//! `fig6`'s live excerpt steps a core by hand, to watch every cycle.
+//!
 //! Budgets are scaled-down stand-ins for the paper's 16G-skip +
 //! 100M-measure sampling; raising `--insts` tightens every number at
 //! linear cost.
 
 use mlpwin_ooo::CoreStats;
 use mlpwin_sim::report::{cpi_stack_table, pct, try_geomean, ReportError};
-use mlpwin_sim::runner::{RunResult, RunSpec};
+use mlpwin_sim::runner::{run_matrix, RunResult, RunSpec};
+use mlpwin_sim::SimModel;
 use mlpwin_workloads::{profiles, Category};
 use std::env;
+
+/// The usage line a malformed command line prints.
+const USAGE: &str = "usage: [--insts N] [--warmup N] [--threads N] [--seed N]";
 
 /// Command-line arguments shared by every experiment binary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,21 +51,30 @@ pub struct ExpArgs {
 }
 
 impl ExpArgs {
-    /// Parses `std::env::args`, with the given per-binary defaults.
-    ///
-    /// # Panics
-    ///
-    /// Panics (with a usage message) on malformed flags.
+    /// Parses `std::env::args`, with the given per-binary defaults. On a
+    /// malformed command line (an unknown flag, `--help` included) it
+    /// prints the error and the usage line to stderr and exits with
+    /// status 2.
     pub fn parse(default_warmup: u64, default_insts: u64) -> ExpArgs {
-        Self::parse_from(env::args().skip(1), default_warmup, default_insts)
+        Self::parse_from(env::args().skip(1), default_warmup, default_insts).unwrap_or_else(
+            |error| {
+                eprintln!("{error}\n{USAGE}");
+                std::process::exit(2);
+            },
+        )
     }
 
     /// Testable parser core.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the flag on an unknown flag, a missing or
+    /// non-numeric value, or a zero `--insts` or `--threads`.
     pub fn parse_from<I: IntoIterator<Item = String>>(
         args: I,
         default_warmup: u64,
         default_insts: u64,
-    ) -> ExpArgs {
+    ) -> Result<ExpArgs, String> {
         let mut out = ExpArgs {
             insts: default_insts,
             warmup: default_warmup,
@@ -63,23 +83,95 @@ impl ExpArgs {
         };
         let mut it = args.into_iter();
         while let Some(flag) = it.next() {
-            let mut take = |name: &str| -> u64 {
-                it.next()
-                    .unwrap_or_else(|| panic!("{name} requires a value"))
-                    .parse()
-                    .unwrap_or_else(|e| panic!("{name}: {e}"))
+            let value = |v: Option<String>| -> Result<u64, String> {
+                let v = v.ok_or_else(|| format!("{flag} requires a value"))?;
+                v.parse().map_err(|e| format!("{flag} {v}: {e}"))
             };
             match flag.as_str() {
-                "--insts" => out.insts = take("--insts"),
-                "--warmup" => out.warmup = take("--warmup"),
-                "--threads" => out.threads = take("--threads") as usize,
-                "--seed" => out.seed = take("--seed"),
-                other => panic!("unknown flag {other}; expected --insts/--warmup/--threads/--seed"),
+                "--insts" => out.insts = value(it.next())?,
+                "--warmup" => out.warmup = value(it.next())?,
+                "--threads" => out.threads = value(it.next())? as usize,
+                "--seed" => out.seed = value(it.next())?,
+                other => return Err(format!("unknown flag {other}")),
             }
         }
-        assert!(out.insts > 0, "--insts must be positive");
-        assert!(out.threads > 0, "--threads must be positive");
-        out
+        if out.insts == 0 {
+            return Err("--insts must be positive".into());
+        }
+        if out.threads == 0 {
+            return Err("--threads must be positive".into());
+        }
+        Ok(out)
+    }
+
+    /// The experiment spec for one `(profile, model)` pair: these
+    /// arguments' warm-up, measured instructions and seed.
+    pub fn spec(&self, profile: &str, model: SimModel) -> RunSpec {
+        let mut spec = RunSpec::new(profile, model).with_budget(self.warmup, self.insts);
+        spec.seed = self.seed;
+        spec
+    }
+
+    /// Runs every `(profile, model)` pair as [`ExpArgs::spec`] through
+    /// [`run_matrix`] on `threads` workers. A failed run is printed to
+    /// stderr with its typed error, and any failure exits the process
+    /// non-zero, so a report never renders from incomplete data.
+    pub fn run_all<'a, I>(&self, runs: I) -> Results
+    where
+        I: IntoIterator<Item = (&'a str, SimModel)>,
+    {
+        let specs: Vec<RunSpec> = runs.into_iter().map(|(p, m)| self.spec(p, m)).collect();
+        let mut results = Results { runs: Vec::new() };
+        let mut failures = 0usize;
+        for outcome in run_matrix(&specs, self.threads) {
+            match outcome {
+                Ok(r) => results.runs.push(r),
+                Err(error) => {
+                    failures += 1;
+                    eprintln!("run failed: {error}");
+                }
+            }
+        }
+        if failures > 0 {
+            eprintln!("{failures} run(s) failed; aborting report");
+            std::process::exit(1);
+        }
+        results
+    }
+}
+
+/// Every `(profile, model)` pair of `profiles × models`, profile-major:
+/// the run list of an experiment that runs each model on each program.
+pub fn grid<'a>(profiles: &[&'a str], models: &[SimModel]) -> Vec<(&'a str, SimModel)> {
+    profiles
+        .iter()
+        .flat_map(|&p| models.iter().map(move |&m| (p, m)))
+        .collect()
+}
+
+/// One experiment matrix's results.
+#[derive(Debug, Clone)]
+pub struct Results {
+    /// Every run, in the order its pair was given.
+    pub runs: Vec<RunResult>,
+}
+
+impl Results {
+    /// The result of `(profile, model)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if that pair was not part of the matrix.
+    pub fn get(&self, profile: &str, model: SimModel) -> &RunResult {
+        self.runs
+            .iter()
+            .find(|r| r.spec.profile == profile && r.spec.model == model)
+            .unwrap_or_else(|| panic!("{profile} {} was not run", model.tag()))
+    }
+
+    /// The measured IPC of `(profile, model)`.
+    pub fn ipc(&self, profile: &str, model: SimModel) -> f64 {
+        self.get(profile, model).ipc()
     }
 }
 
@@ -144,37 +236,6 @@ where
     }
 }
 
-/// Unwraps a single run for a report binary: prints the typed error to
-/// stderr and exits non-zero on failure.
-pub fn expect_run(outcome: Result<RunResult, mlpwin_sim::SimError>) -> RunResult {
-    outcome.unwrap_or_else(|error| {
-        eprintln!("run failed: {error}");
-        std::process::exit(1);
-    })
-}
-
-/// Unwraps a matrix's outcomes for a report binary: prints every typed
-/// failure to stderr and exits non-zero, so a partially failed campaign
-/// never renders a table from incomplete data.
-pub fn expect_results(outcomes: Vec<Result<RunResult, mlpwin_sim::SimError>>) -> Vec<RunResult> {
-    let mut results = Vec::with_capacity(outcomes.len());
-    let mut failures = 0usize;
-    for outcome in outcomes {
-        match outcome {
-            Ok(r) => results.push(r),
-            Err(error) => {
-                failures += 1;
-                eprintln!("run failed: {error}");
-            }
-        }
-    }
-    if failures > 0 {
-        eprintln!("{failures} run(s) failed; aborting report");
-        std::process::exit(1);
-    }
-    results
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,7 +246,7 @@ mod tests {
 
     #[test]
     fn defaults_apply() {
-        let a = ExpArgs::parse_from(argv(""), 10, 20);
+        let a = ExpArgs::parse_from(argv(""), 10, 20).expect("no flags");
         assert_eq!(a.warmup, 10);
         assert_eq!(a.insts, 20);
         assert_eq!(a.seed, 1);
@@ -197,25 +258,68 @@ mod tests {
         let a = ExpArgs::parse_from(argv("--insts 5 --warmup 7 --threads 2 --seed 9"), 1, 1);
         assert_eq!(
             a,
-            ExpArgs {
+            Ok(ExpArgs {
                 insts: 5,
                 warmup: 7,
                 threads: 2,
                 seed: 9
+            })
+        );
+    }
+
+    #[test]
+    fn rejects_unknown_flags() {
+        for line in ["--bogus 1", "--help"] {
+            let e = ExpArgs::parse_from(argv(line), 1, 1).expect_err(line);
+            assert!(e.contains("unknown flag"), "{line}: {e}");
+        }
+    }
+
+    #[test]
+    fn rejects_missing_value() {
+        let e = ExpArgs::parse_from(argv("--insts"), 1, 1).expect_err("no value");
+        assert!(e.contains("requires a value"), "{e}");
+        let e = ExpArgs::parse_from(argv("--seed x"), 1, 1).expect_err("not a number");
+        assert!(e.contains("--seed x"), "{e}");
+    }
+
+    #[test]
+    fn rejects_zero_insts_and_threads() {
+        let e = ExpArgs::parse_from(argv("--insts 0"), 1, 1).expect_err("zero insts");
+        assert!(e.contains("--insts must be positive"), "{e}");
+        let e = ExpArgs::parse_from(argv("--threads 0"), 1, 1).expect_err("zero threads");
+        assert!(e.contains("--threads must be positive"), "{e}");
+    }
+
+    #[test]
+    fn spec_carries_the_parsed_budget_and_seed() {
+        let a = ExpArgs::parse_from(argv("--warmup 123 --insts 456 --seed 7"), 1, 1)
+            .expect("valid flags");
+        let spec = a.spec("mcf", SimModel::Penalty(30));
+        assert_eq!(
+            (spec.profile.as_str(), spec.model),
+            ("mcf", SimModel::Penalty(30))
+        );
+        assert_eq!((spec.warmup, spec.insts, spec.seed), (123, 456, 7));
+        // Everything else stays the runner's default.
+        assert_eq!(
+            spec,
+            RunSpec {
+                warmup: 123,
+                insts: 456,
+                seed: 7,
+                ..RunSpec::new("mcf", SimModel::Penalty(30))
             }
         );
     }
 
     #[test]
-    #[should_panic(expected = "unknown flag")]
-    fn rejects_unknown_flags() {
-        let _ = ExpArgs::parse_from(argv("--bogus 1"), 1, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "requires a value")]
-    fn rejects_missing_value() {
-        let _ = ExpArgs::parse_from(argv("--insts"), 1, 1);
+    fn grid_is_profile_major() {
+        let (a, b) = (SimModel::Base, SimModel::Dynamic);
+        assert_eq!(
+            grid(&["mcf", "gcc"], &[a, b]),
+            [("mcf", a), ("mcf", b), ("gcc", a), ("gcc", b)]
+        );
     }
 
     #[test]

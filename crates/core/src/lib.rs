@@ -20,29 +20,30 @@
 //! allocation stall and transition penalty are mechanics of the resizable
 //! window itself and live in `mlpwin-ooo`.
 //!
-//! [`WindowModel`] packages the paper's evaluated configurations — the
-//! base processor, the three fixed-size models, the un-pipelined *ideal*
-//! models and the dynamic-resizing proposal — into ready-to-run
-//! `(CoreConfig, policy)` pairs.
+//! The paper's evaluated configurations — the base processor, the
+//! fixed-size and un-pipelined *ideal* windows, the dynamic-resizing
+//! proposal and its ablations — are `mlpwin_sim::SimModel`, which builds
+//! each as a ready-to-run `(CoreConfig, policy)` pair.
 //!
 //! ## Example
 //!
 //! ```
-//! use mlpwin_core::WindowModel;
+//! use mlpwin_core::DynamicResizingPolicy;
 //! use mlpwin_ooo::{Core, CoreConfig};
 //! use mlpwin_workloads::profiles;
 //!
-//! let (config, policy) = WindowModel::Dynamic.build(CoreConfig::default());
+//! // The Table 2 ladder under the Fig. 5 controller, shrinking one
+//! // memory latency after the last L2 miss.
+//! let config = CoreConfig::with_table2_levels();
+//! let policy = DynamicResizingPolicy::new(config.memory.dram.min_latency);
 //! let workload = profiles::by_name("omnetpp", 1).expect("profile");
-//! let mut core = Core::new(config, workload, policy);
+//! let mut core = Core::new(config, workload, Box::new(policy));
 //! let stats = core.run(2_000).expect("healthy run");
 //! assert!(stats.committed_insts >= 2_000);
 //! ```
 
-pub mod model;
 pub mod policy;
 
-pub use model::WindowModel;
 pub use policy::DynamicResizingPolicy;
 
 // Table 2 lives next to the resizable-window mechanics; re-export it here

@@ -5,8 +5,10 @@
 //! and collect everything the tables and figures need.
 //!
 //! - [`SimModel`] is the full model registry: the base processor, the
-//!   fixed/ideal window ladder, dynamic resizing, runahead execution and
-//!   the enlarged-L2 alternative (Fig. 10).
+//!   fixed/ideal window ladder, dynamic resizing, runahead execution,
+//!   the enlarged-L2 alternative (Fig. 10) and the ablation sweeps'
+//!   variants (shrink timeout, top level, transition penalty,
+//!   prefetcher off), each with its own journal tag.
 //! - [`runner`] executes `(profile, model)` pairs — optionally a whole
 //!   matrix in parallel — and returns [`RunResult`]s combining pipeline,
 //!   memory, predictor and provenance statistics.

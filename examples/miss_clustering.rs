@@ -10,13 +10,13 @@
 //! cargo run --release --example miss_clustering
 //! ```
 
-use mlpwin::core::WindowModel;
-use mlpwin::ooo::{Core, CoreConfig};
+use mlpwin::ooo::Core;
 use mlpwin::sim::report::{histogram, intervals};
+use mlpwin::sim::SimModel;
 use mlpwin::workloads::profiles;
 
 fn miss_cycles(profile: &str) -> Vec<u64> {
-    let (config, policy) = WindowModel::Base.build(CoreConfig::default());
+    let (config, policy) = SimModel::Base.build();
     let w = profiles::by_name(profile, 1).expect("profile");
     let mut cpu = Core::new(config, w, policy);
     cpu.run_warmup(150_000).expect("warm-up must not stall");
@@ -26,8 +26,8 @@ fn miss_cycles(profile: &str) -> Vec<u64> {
 
 fn speedup(profile: &str) -> f64 {
     let mut ipcs = Vec::new();
-    for model in [WindowModel::Base, WindowModel::Dynamic] {
-        let (config, policy) = model.build(CoreConfig::default());
+    for model in [SimModel::Base, SimModel::Dynamic] {
+        let (config, policy) = model.build();
         let w = profiles::by_name(profile, 1).expect("profile");
         let mut cpu = Core::new(config, w, policy);
         cpu.run_warmup(150_000).expect("warm-up must not stall");

@@ -10,12 +10,12 @@
 //! cargo run --release --example phase_adaptive
 //! ```
 
-use mlpwin::core::WindowModel;
-use mlpwin::ooo::{Core, CoreConfig};
+use mlpwin::ooo::Core;
+use mlpwin::sim::SimModel;
 use mlpwin::workloads::profiles;
 
 fn main() {
-    let (config, policy) = WindowModel::Dynamic.build(CoreConfig::default());
+    let (config, policy) = SimModel::Dynamic.build();
     let workload = profiles::by_name("omnetpp", 1).expect("profile");
     let mut cpu = Core::new(config, workload, policy);
     cpu.run_warmup(150_000).expect("warm-up must not stall");

@@ -7,12 +7,12 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use mlpwin::core::WindowModel;
-use mlpwin::ooo::{Core, CoreConfig, CoreStats};
+use mlpwin::ooo::{Core, CoreStats};
+use mlpwin::sim::SimModel;
 use mlpwin::workloads::profiles;
 
-fn simulate(profile: &str, model: WindowModel) -> CoreStats {
-    let (config, policy) = model.build(CoreConfig::default());
+fn simulate(profile: &str, model: SimModel) -> CoreStats {
+    let (config, policy) = model.build();
     let workload = profiles::by_name(profile, 1).expect("known profile");
     let mut cpu = Core::new(config, workload, policy);
     cpu.run_warmup(100_000).expect("warm-up must not stall"); // fast-forward: warm caches and predictors
@@ -23,9 +23,9 @@ fn main() {
     println!("mlpwin quickstart: one memory-bound and one compute-bound workload\n");
     for profile in ["sphinx3", "sjeng"] {
         println!("--- {profile} ---");
-        let base = simulate(profile, WindowModel::Base);
-        let fixed3 = simulate(profile, WindowModel::Fixed(3));
-        let dynamic = simulate(profile, WindowModel::Dynamic);
+        let base = simulate(profile, SimModel::Base);
+        let fixed3 = simulate(profile, SimModel::Fixed(3));
+        let dynamic = simulate(profile, SimModel::Dynamic);
         println!(
             "  base (64-entry IQ, back-to-back issue): IPC {:.3}",
             base.ipc()

@@ -12,21 +12,12 @@
 //! cargo run --release --example runahead_duel
 //! ```
 
-use mlpwin::core::WindowModel;
-use mlpwin::ooo::{Core, CoreConfig, CoreStats};
-use mlpwin::runahead::RunaheadModel;
+use mlpwin::ooo::{Core, CoreStats};
+use mlpwin::sim::SimModel;
 use mlpwin::workloads::profiles;
 
-fn run_window(profile: &str, model: WindowModel) -> CoreStats {
-    let (config, policy) = model.build(CoreConfig::default());
-    let w = profiles::by_name(profile, 1).expect("profile");
-    let mut cpu = Core::new(config, w, policy);
-    cpu.run_warmup(150_000).expect("warm-up must not stall");
-    cpu.run(40_000).expect("healthy run")
-}
-
-fn run_runahead(profile: &str) -> CoreStats {
-    let (config, policy) = RunaheadModel::paper().build(CoreConfig::default());
+fn simulate(profile: &str, model: SimModel) -> CoreStats {
+    let (config, policy) = model.build();
     let w = profiles::by_name(profile, 1).expect("profile");
     let mut cpu = Core::new(config, w, policy);
     cpu.run_warmup(150_000).expect("warm-up must not stall");
@@ -36,9 +27,9 @@ fn run_runahead(profile: &str) -> CoreStats {
 fn main() {
     println!("runahead execution vs MLP-aware window resizing\n");
     for profile in ["sphinx3", "mcf", "milc"] {
-        let base = run_window(profile, WindowModel::Base);
-        let ra = run_runahead(profile);
-        let res = run_window(profile, WindowModel::Dynamic);
+        let base = simulate(profile, SimModel::Base);
+        let ra = simulate(profile, SimModel::Runahead);
+        let res = simulate(profile, SimModel::Dynamic);
         println!("--- {profile} ---");
         println!(
             "  base IPC {:.3} | runahead {:.3} ({:+.1}%) | resizing {:.3} ({:+.1}%)",

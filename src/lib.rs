@@ -23,13 +23,13 @@
 //! ## Quick start
 //!
 //! ```
-//! use mlpwin::core::WindowModel;
-//! use mlpwin::ooo::{Core, CoreConfig};
+//! use mlpwin::ooo::Core;
+//! use mlpwin::sim::SimModel;
 //! use mlpwin::workloads::profiles;
 //!
 //! // Build the paper's dynamic-resizing processor over the omnetpp-like
 //! // workload and run a few thousand instructions.
-//! let (config, policy) = WindowModel::Dynamic.build(CoreConfig::default());
+//! let (config, policy) = SimModel::Dynamic.build();
 //! let workload = profiles::by_name("omnetpp", 1).expect("profile");
 //! let mut cpu = Core::new(config, workload, policy);
 //! let stats = cpu.run(5_000).expect("healthy run");

@@ -135,21 +135,7 @@ fn cache_pollution_from_speculation_stays_small() {
 fn transition_penalty_is_not_the_bottleneck() {
     // The paper: 30-cycle transitions cost ~1.3%. On a small budget we
     // assert the direction: tripling the penalty costs < 10%.
-    use mlpwin::core::WindowModel;
-    use mlpwin::ooo::{Core, CoreConfig};
-    use mlpwin::workloads::profiles;
-    let mut ipcs = Vec::new();
-    for penalty in [10u32, 30] {
-        let base = CoreConfig {
-            transition_penalty: penalty,
-            ..CoreConfig::default()
-        };
-        let (config, policy) = WindowModel::Dynamic.build(base);
-        let w = profiles::by_name("soplex", 1).expect("profile");
-        let mut cpu = Core::new(config, w, policy);
-        cpu.run_warmup(WARMUP).expect("warm-up must not stall");
-        ipcs.push(cpu.run(INSTS).expect("healthy run").ipc());
-    }
+    let ipcs = [10, 30].map(|penalty| ipc("soplex", SimModel::Penalty(penalty)));
     let loss = 1.0 - ipcs[1] / ipcs[0];
     assert!(
         loss < 0.10,
