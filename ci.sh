@@ -280,4 +280,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo clippy --features trace -- -D warnings (event-trace hooks)"
 cargo clippy -p mlpwin-ooo --all-targets --features trace -- -D warnings
 
+echo "==> cargo doc -D warnings (intra-doc links)"
+# A broken or private intra-doc link is a rustdoc warning, which no
+# other leg sees.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> CI green"

@@ -120,7 +120,7 @@ impl Btb {
     ///
     /// Each entry is its valid flag, followed by its fields only when
     /// valid: nothing clears `valid`, so an invalid entry still holds
-    /// [`INVALID_ENTRY`]'s fields, and neither lookup nor victim choice
+    /// `INVALID_ENTRY`'s fields, and neither lookup nor victim choice
     /// reads them.
     pub fn save_state(&self, w: &mut mlpwin_isa::snap::SnapWriter) {
         w.put_u64(self.tick);

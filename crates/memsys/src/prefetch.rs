@@ -120,7 +120,7 @@ impl StridePrefetcher {
     ///
     /// Each entry is its valid flag, followed by its fields only when
     /// valid: nothing clears `valid`, so an invalid entry still holds
-    /// [`INVALID_ENTRY`]'s fields, and victim choice reads an invalid
+    /// `INVALID_ENTRY`'s fields, and victim choice reads an invalid
     /// entry's LRU as 0 whatever it holds.
     pub fn save_state(&self, w: &mut mlpwin_isa::snap::SnapWriter) {
         w.put_u64(self.tick);

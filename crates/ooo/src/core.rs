@@ -4,7 +4,7 @@
 //! (writeback → commit → resize → issue → dispatch → fetch) so that
 //! same-cycle hand-offs resolve like hardware's.
 //!
-//! The reorder buffer is the spine: a [`Rob`] ring in allocation order
+//! The reorder buffer is the spine: a `Rob` ring in allocation order
 //! whose entries fuse ROB, issue-queue and LSQ state. Dynamic sequence
 //! numbers are assigned at dispatch, so they are contiguous within the
 //! ROB: `dyn_seq - head` ranks an entry and `dyn_seq mod N` is its slot.

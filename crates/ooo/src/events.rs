@@ -23,10 +23,8 @@ use std::collections::BinaryHeap;
 
 /// Every distinct wake-up source the scheduler tracks. The event queues,
 /// the short-latency ready lane and the ROB head carry the first two;
-/// the rest
-/// are scalar horizons the
-/// [`next_wake`](crate::core::Core::next_wake) plan folds in. Carried
-/// alongside the bound so telemetry can say *what* ends each coast.
+/// the rest are scalar horizons the `Core::next_wake` plan folds in.
+/// Carried alongside the bound so telemetry can say *what* ends each coast.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WakeSource {
     /// An instruction's operands arrive (pending-ready queue or lane).
@@ -35,8 +33,8 @@ pub enum WakeSource {
     /// or the ROB head's completion time).
     Completion,
     /// Reserved: a memory-side fill completing. Never produced — the
-    /// plan needs no memory-side bound (see
-    /// [`next_wake`](crate::core::Core::next_wake)) — but kept so
+    /// plan needs no memory-side bound (see `Core::next_wake`) — but
+    /// kept so
     /// histogram indices and metric labels stay stable.
     MemSystem,
     /// A runahead episode ends.

@@ -39,19 +39,8 @@ impl CacheStore {
         CacheStore::default()
     }
 
-    /// Loads a journal file into a fresh cache. A missing file is an
-    /// empty cache, matching [`Journal::load`].
-    ///
-    /// # Errors
-    ///
-    /// Journal I/O failures.
-    pub fn load(path: &Path) -> Result<CacheStore, SimError> {
-        let mut cache = CacheStore::new();
-        cache.absorb_file(path)?;
-        Ok(cache)
-    }
-
-    /// Merges another journal file into this cache. First-wins on
+    /// Merges a journal file into this cache (a missing file adds
+    /// nothing, matching [`Journal::load`]). First-wins on
     /// conflict: results are deterministic per spec, so an existing
     /// entry is as good as any newcomer.
     ///
@@ -155,7 +144,8 @@ mod tests {
         let a = spec(7);
         let result = run(&a).expect("run");
         Journal::new(&path).append(&a, &result).expect("append");
-        let cache = CacheStore::load(&path).expect("load");
+        let mut cache = CacheStore::new();
+        cache.absorb_file(&path).expect("absorb");
         assert_eq!(cache.len(), 1);
         assert_eq!(
             cache.lookup(&a).expect("no collision").expect("hit"),

@@ -27,9 +27,9 @@
 
 use crate::error::SimError;
 use crate::json::{num, obj, s, Json};
+use crate::lock::write_atomic;
 use crate::queue::JobId;
 use std::collections::VecDeque;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -378,8 +378,6 @@ pub fn write_flight_record(
     metrics_json: Json,
     queue_json: Json,
 ) -> Result<PathBuf, SimError> {
-    let io = |detail: String| SimError::Campaign { detail };
-    std::fs::create_dir_all(dir).map_err(|e| io(format!("create {}: {e}", dir.display())))?;
     let slug: String = reason
         .chars()
         .map(|c| {
@@ -402,19 +400,8 @@ pub fn write_flight_record(
         ("metrics", metrics_json),
         ("queue", queue_json),
     ]);
-    let tmp = path.with_extension("json.tmp");
-    let mut file =
-        std::fs::File::create(&tmp).map_err(|e| io(format!("create {}: {e}", tmp.display())))?;
-    file.write_all(doc.encode().as_bytes())
-        .and_then(|()| file.sync_all())
-        .map_err(|e| io(format!("write {}: {e}", tmp.display())))?;
-    drop(file);
-    std::fs::rename(&tmp, &path).map_err(|e| {
-        io(format!(
-            "rename {} -> {}: {e}",
-            tmp.display(),
-            path.display()
-        ))
+    write_atomic(&path, doc.encode().as_bytes()).map_err(|e| SimError::Campaign {
+        detail: format!("write {}: {e}", path.display()),
     })?;
     rotate(dir);
     Ok(path)

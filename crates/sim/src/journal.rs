@@ -96,35 +96,20 @@ impl Journal {
     ///
     /// Only genuine I/O failures (permissions, unreadable file).
     pub fn load(&self) -> Result<Vec<(RunSpec, RunResult)>, SimError> {
-        let text = match std::fs::read_to_string(&self.path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(self.io_error(format!("read failed: {e}"))),
-        };
         let mut entries = Vec::new();
-        for (n, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
+        crate::lock::replay_lines(&self.path, |n, line| {
+            let Some(line) = line else { return };
+            if let Some(entry) = decode_line(line) {
+                entries.push(entry);
+            } else if let Some(schema) = line_schema(line).filter(|s| !KNOWN_SCHEMAS.contains(s)) {
+                eprintln!(
+                    "warning: {}:{n}: skipping record with unknown schema {schema} \
+                     (this build reads {KNOWN_SCHEMAS:?}); its spec will re-run",
+                    self.path.display(),
+                );
             }
-            match decode_line(line) {
-                Some(entry) => entries.push(entry),
-                None => {
-                    if let Some(schema) = line_schema(line) {
-                        if !KNOWN_SCHEMAS.contains(&schema) {
-                            eprintln!(
-                                "warning: {}:{}: skipping record with unknown schema {} \
-                                 (this build reads {:?}); its spec will re-run",
-                                self.path.display(),
-                                n + 1,
-                                schema,
-                                KNOWN_SCHEMAS,
-                            );
-                        }
-                    }
-                }
-            }
-        }
+        })
+        .map_err(|e| self.io_error(format!("read failed: {e}")))?;
         Ok(entries)
     }
 

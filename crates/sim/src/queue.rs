@@ -54,7 +54,6 @@ use crate::lock::LockedFile;
 use crate::metrics;
 use crate::runner::RunSpec;
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -563,36 +562,6 @@ impl WalRecord {
     }
 }
 
-/// The exclusively-locked append handle of a campaign WAL.
-#[derive(Debug)]
-struct Wal {
-    locked: LockedFile,
-    seq: u64,
-}
-
-impl Wal {
-    fn append(&mut self, rec: &WalRecord) -> Result<(), SimError> {
-        self.seq += 1;
-        let mut line = encode_wal_line(self.seq, rec);
-        line.push('\n');
-        let path = self.locked.path().to_path_buf();
-        let file = self.locked.file_mut();
-        let written = file.write_all(line.as_bytes()).and_then(|()| {
-            if rec.durable() {
-                // A durable fsync also flushes any unsynced lease
-                // traffic written before it — writes are strictly
-                // ordered within one file.
-                file.sync_data()
-            } else {
-                Ok(())
-            }
-        });
-        written.map_err(|e| SimError::Campaign {
-            detail: format!("WAL {} append failed: {e}", path.display()),
-        })
-    }
-}
-
 // ---------------------------------------------------------------- queue
 
 /// The durable, lease-based job queue (see the module docs for the
@@ -606,7 +575,10 @@ pub struct JobQueue {
     by_spec: HashMap<RunSpec, JobId>,
     tally: QueueTally,
     log: Arc<CampaignLog>,
-    wal: Option<Wal>,
+    /// The exclusively locked WAL (`None` in memory) and the sequence
+    /// number of its last record.
+    wal: Option<LockedFile>,
+    seq: u64,
 }
 
 impl JobQueue {
@@ -621,6 +593,7 @@ impl JobQueue {
             tally: QueueTally::default(),
             log: Arc::new(CampaignLog::new()),
             wal: None,
+            seq: 0,
         }
     }
 
@@ -636,40 +609,26 @@ impl JobQueue {
     /// I/O failures reading/appending it.
     pub fn open(path: &Path, policy: QueuePolicy) -> Result<JobQueue, SimError> {
         let locked = LockedFile::try_exclusive(path)?;
-        let text = std::fs::read_to_string(path).map_err(|e| SimError::Campaign {
+        let mut queue = JobQueue::in_memory(policy);
+        crate::lock::replay_lines(path, |n, line| match line.and_then(decode_wal_line) {
+            Some((line_seq, rec)) => {
+                queue.seq = queue.seq.max(line_seq);
+                if let Err(detail) = queue.apply(&rec, 0) {
+                    eprintln!(
+                        "warning: WAL {}:{n}: impossible transition ({detail}); skipped",
+                        path.display()
+                    );
+                }
+            }
+            None => eprintln!(
+                "warning: WAL {}:{n}: corrupt or unknown-schema record skipped",
+                path.display()
+            ),
+        })
+        .map_err(|e| SimError::Campaign {
             detail: format!("WAL {} read failed: {e}", path.display()),
         })?;
-        if text.is_empty() {
-            // Freshly created: persist the directory entry too, or a
-            // crash could lose the whole (synced) file.
-            crate::lock::sync_parent_dir(path);
-        }
-        let mut queue = JobQueue::in_memory(policy);
-        let mut seq = 0;
-        for (n, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            match decode_wal_line(line) {
-                Some((line_seq, rec)) => {
-                    seq = seq.max(line_seq);
-                    if let Err(detail) = queue.apply(&rec, 0) {
-                        eprintln!(
-                            "warning: WAL {}:{}: impossible transition ({detail}); skipped",
-                            path.display(),
-                            n + 1
-                        );
-                    }
-                }
-                None => eprintln!(
-                    "warning: WAL {}:{}: corrupt or unknown-schema record skipped",
-                    path.display(),
-                    n + 1
-                ),
-            }
-        }
-        queue.wal = Some(Wal { locked, seq });
+        queue.wal = Some(locked);
         queue.publish_gauges();
         // Orphaned leases: the old controller's workers are gone. Put
         // the jobs back (logged, so the next replay agrees) without
@@ -742,7 +701,11 @@ impl JobQueue {
     /// transition, then republishes the queue gauges.
     fn transition(&mut self, rec: WalRecord, deadline: u64, now_ms: u64) -> Result<(), SimError> {
         if let Some(wal) = &mut self.wal {
-            wal.append(&rec)?;
+            self.seq += 1;
+            wal.append_line(&encode_wal_line(self.seq, &rec), rec.durable())
+                .map_err(|e| SimError::Campaign {
+                    detail: format!("WAL {} append failed: {e}", wal.path().display()),
+                })?;
         }
         let id = rec.job();
         let holder = match self.jobs.get(id as usize).map(|j| &j.state) {
@@ -1180,8 +1143,27 @@ mod tests {
         let text = std::fs::read_to_string(&wal).expect("read");
         let cut = text.len() - text.len() / 4;
         std::fs::write(&wal, &text[..cut]).expect("truncate");
-        let q = JobQueue::open(&wal, QueuePolicy::default()).expect("reopen");
-        assert_eq!(q.jobs().len(), 1, "the torn enqueue re-runs, nothing dies");
+        {
+            let mut q = JobQueue::open(&wal, QueuePolicy::default()).expect("reopen");
+            assert_eq!(q.jobs().len(), 1, "the torn enqueue re-runs, nothing dies");
+            // The first record after the fragment must not be glued to
+            // it: resubmit the torn job and run both to Done.
+            q.submit(&spec("mcf", 2), Lane::Normal).expect("resubmit");
+            for now in 0..2 {
+                let j = q.lease("w0", now).expect("lease").expect("granted");
+                q.complete(j.id, false, now).expect("complete");
+            }
+        }
+        let q = JobQueue::open(&wal, QueuePolicy::default()).expect("second reopen");
+        assert_eq!(q.jobs().len(), 2, "the resubmitted job survives replay");
+        for job in q.jobs() {
+            assert!(
+                matches!(job.state, JobState::Done { cached: false }),
+                "job {} replayed to {:?}",
+                job.id,
+                job.state
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

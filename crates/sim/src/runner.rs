@@ -178,8 +178,8 @@ impl RunSpec {
 
 /// Everything a finished run reports.
 ///
-/// Equality covers every *result* field but not [`engine`]
-/// (RunResult::engine): that is host-side scheduler telemetry, and two
+/// Equality covers every *result* field but not
+/// [`engine`](RunResult::engine): that is host-side scheduler telemetry, and two
 /// runs of one spec are "the same result" exactly when every simulated
 /// statistic matches — however their skip schedules differed. This is
 /// what lets journal round-trips, the split stitcher, and A/B
@@ -284,7 +284,7 @@ pub fn run(spec: &RunSpec) -> Result<RunResult, SimError> {
 /// running.
 ///
 /// Snapshots are keyed by the campaign journal's
-/// [`spec_hash`](crate::journal::spec_hash), so a re-invocation with the
+/// [`spec_hash`], so a re-invocation with the
 /// same spec finds its own images and nobody else's. A snapshot that
 /// fails to decode or restore is quarantined and the previous rotation
 /// (or a fresh start) takes over — corruption costs re-simulated cycles,
@@ -292,7 +292,7 @@ pub fn run(spec: &RunSpec) -> Result<RunResult, SimError> {
 /// finished run must not resume from a stale image.
 ///
 /// Each attempt saves its images on one background
-/// [`SnapshotWriter`] thread, so the simulation does not wait for
+/// `SnapshotWriter` thread, so the simulation does not wait for
 /// `fsync`. A crash can therefore lose the image still in flight, and
 /// the resume starts from the one before it — still exactly.
 ///

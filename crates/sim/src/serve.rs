@@ -61,7 +61,7 @@ use crate::error::SimError;
 use crate::httpserve::{HttpServer, ObsProvider};
 use crate::journal::{canonical_spec, decode_line, encode_line, Journal};
 use crate::json::{num, obj, s, Json};
-use crate::lock::LockedFile;
+use crate::lock::{write_atomic, LockedFile};
 use crate::metrics;
 use crate::progress::{CampaignSnapshot, Progress};
 use crate::queue::{DeathVerdict, JobId, JobQueue, JobState, Lane, QueuePolicy, QueueTally};
@@ -74,7 +74,6 @@ use crate::snapshot::SnapshotPolicy;
 use crate::supervisor::{Supervisor, WorkerEnd};
 use crate::wire::{Conn, Msg, WireError, WIRE_SCHEMA};
 use std::collections::HashSet;
-use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -650,13 +649,13 @@ pub fn run_campaign(
     let mut queue = JobQueue::open(&cfg.wal_path(), policy)?;
 
     // Warm the dedup cache: this campaign's own completions (restart
-    // path) first, then any external journal.
-    let mut cache = CacheStore::load(&cfg.done_path())?;
-    let mut in_done_journal: Vec<RunSpec> = Journal::new(cfg.done_path())
-        .load()?
-        .into_iter()
-        .map(|(spec, _)| spec)
-        .collect();
+    // path, read once) first, then any external journal.
+    let mut cache = CacheStore::new();
+    let mut in_done_journal: Vec<RunSpec> = Vec::new();
+    for (spec, result) in Journal::new(cfg.done_path()).load()? {
+        cache.insert(&spec, &result);
+        in_done_journal.push(spec);
+    }
     if let Some(external) = &cfg.cache {
         cache.absorb_file(external)?;
     }
@@ -829,19 +828,11 @@ pub fn run_campaign(
     result
 }
 
-/// Publishes `addr` at `path` atomically (write-to-tmp + rename), so a
-/// script polling the file never reads a torn address.
+/// Publishes `addr` at `path` through [`write_atomic`], so a script
+/// polling the file never reads a torn address.
 fn write_addr_file(path: &Path, addr: &std::net::SocketAddr) -> Result<(), SimError> {
-    let tmp = path.with_extension("addr.tmp");
-    let io = |detail: String| SimError::Campaign { detail };
-    std::fs::write(&tmp, format!("{addr}\n"))
-        .map_err(|e| io(format!("write {}: {e}", tmp.display())))?;
-    std::fs::rename(&tmp, path).map_err(|e| {
-        io(format!(
-            "rename {} -> {}: {e}",
-            tmp.display(),
-            path.display()
-        ))
+    write_atomic(path, format!("{addr}\n").as_bytes()).map_err(|e| SimError::Campaign {
+        detail: format!("write {}: {e}", path.display()),
     })
 }
 
@@ -850,7 +841,7 @@ fn write_campaign_trace(path: &Path, campaign: &Campaign) -> Result<(), SimError
     let spans = derive_spans(&campaign.log.snapshot());
     let jobs = campaign.queue.lock().expect("queue poisoned").jobs().len();
     let doc = chrome_trace::campaign_trace_document(&spans, jobs);
-    std::fs::write(path, doc.encode()).map_err(|e| SimError::Campaign {
+    write_atomic(path, doc.encode().as_bytes()).map_err(|e| SimError::Campaign {
         detail: format!("write trace {}: {e}", path.display()),
     })
 }
@@ -1555,22 +1546,9 @@ fn finalize(queue: &JobQueue, cache: &CacheStore, cfg: &CampaignConfig) -> Resul
         text.push('\n');
     }
     let path = cfg.journal_path();
-    let tmp = path.with_extension("jsonl.tmp");
-    let io = |detail: String| SimError::Campaign { detail };
-    let mut file =
-        std::fs::File::create(&tmp).map_err(|e| io(format!("create {}: {e}", tmp.display())))?;
-    file.write_all(text.as_bytes())
-        .and_then(|()| file.sync_all())
-        .map_err(|e| io(format!("write {}: {e}", tmp.display())))?;
-    drop(file);
-    std::fs::rename(&tmp, &path).map_err(|e| {
-        io(format!(
-            "rename {} -> {}: {e}",
-            tmp.display(),
-            path.display()
-        ))
-    })?;
-    Ok(())
+    write_atomic(&path, text.as_bytes()).map_err(|e| SimError::Campaign {
+        detail: format!("write {}: {e}", path.display()),
+    })
 }
 
 #[cfg(test)]

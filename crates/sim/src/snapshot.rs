@@ -21,7 +21,6 @@
 
 use crate::metrics;
 use mlpwin_isa::snap::crc32;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -166,8 +165,9 @@ impl SnapshotStore {
             .join(format!("{:016x}-{:020}.snap", self.spec_hash, cycle))
     }
 
-    /// Persists one image atomically (temp + fsync + rename), then
-    /// prunes generations beyond the rotation depth.
+    /// Persists one image through
+    /// [`write_atomic`](crate::lock::write_atomic), then prunes
+    /// generations beyond the rotation depth.
     ///
     /// # Errors
     ///
@@ -180,19 +180,10 @@ impl SnapshotStore {
         cycle: u64,
         payload: &[u8],
     ) -> Result<PathBuf, String> {
-        std::fs::create_dir_all(&self.dir)
-            .map_err(|e| format!("snapshot dir {} mkdir failed: {e}", self.dir.display()))?;
         let path = self.file_path(cycle);
-        let tmp = path.with_extension("tmp");
         let frame = encode_frame(self.spec_hash, phase, cycle, payload);
-        let mut file = std::fs::File::create(&tmp)
-            .map_err(|e| format!("snapshot {} create failed: {e}", tmp.display()))?;
-        file.write_all(&frame)
-            .and_then(|()| file.sync_all())
-            .map_err(|e| format!("snapshot {} write failed: {e}", tmp.display()))?;
-        drop(file);
-        std::fs::rename(&tmp, &path)
-            .map_err(|e| format!("snapshot {} rename failed: {e}", path.display()))?;
+        crate::lock::write_atomic(&path, &frame)
+            .map_err(|e| format!("snapshot {} write failed: {e}", path.display()))?;
         self.prune();
         Ok(path)
     }

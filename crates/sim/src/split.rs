@@ -49,7 +49,7 @@ use crate::snapshot::{
 use mlpwin_ooo::{Core, CoreStats, LevelSpec, StatsDelta, WindowPolicy, CPI_BUCKETS};
 use mlpwin_workloads::{profiles, ProfileWorkload};
 use std::fs::{self, File};
-use std::io::{Read as _, Write as _};
+use std::io::Read as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -237,25 +237,13 @@ impl SplitStore {
         self.dir.join("intervals.jsonl")
     }
 
-    /// Atomic write: tmp + fsync + rename, the snapshot-store idiom.
-    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<(), SimError> {
-        let err = |detail: String| SimError::Snapshot {
-            path: path.to_path_buf(),
-            detail,
-        };
-        fs::create_dir_all(&self.dir).map_err(|e| err(e.to_string()))?;
-        let tmp = path.with_extension("tmp");
-        let mut f = File::create(&tmp).map_err(|e| err(e.to_string()))?;
-        f.write_all(bytes).map_err(|e| err(e.to_string()))?;
-        f.sync_data().map_err(|e| err(e.to_string()))?;
-        drop(f);
-        fs::rename(&tmp, path).map_err(|e| err(e.to_string()))?;
-        Ok(())
-    }
-
     fn save_boundary(&self, index: u64, now: u64, payload: &[u8]) -> Result<(), SimError> {
         let frame = encode_frame(self.hash, SnapshotPhase::Measure, now, payload);
-        self.write_atomic(&self.boundary_path(index), &frame)
+        let path = self.boundary_path(index);
+        lock::write_atomic(&path, &frame).map_err(|e| SimError::Snapshot {
+            path,
+            detail: e.to_string(),
+        })
     }
 
     fn load_boundary(&self, index: u64) -> Result<(u64, Vec<u8>), String> {
@@ -305,7 +293,11 @@ impl SplitStore {
             ("final_insts", num(m.final_insts)),
         ])
         .encode();
-        self.write_atomic(&self.manifest_path(), line.as_bytes())
+        let path = self.manifest_path();
+        lock::write_atomic(&path, line.as_bytes()).map_err(|e| SimError::Snapshot {
+            path,
+            detail: e.to_string(),
+        })
     }
 
     /// Loads and fully validates a stored manifest: schema, spec hash
@@ -378,16 +370,13 @@ impl SplitStore {
     /// Later lines win (a re-simulated interval supersedes), and every
     /// accepted record re-verifies schema and spec hash.
     fn load_records(&self, spec: &RunSpec) -> Vec<IntervalRecord> {
-        let Ok(text) = fs::read_to_string(self.journal_path()) else {
-            return Vec::new();
-        };
         let mut by_index: std::collections::BTreeMap<u64, IntervalRecord> = Default::default();
-        for line in text.lines() {
-            let Some(rec) = self.decode_record(spec, line) else {
-                continue;
-            };
-            by_index.insert(rec.index, rec);
-        }
+        // A read failure is an empty journal: every interval re-runs.
+        let _ = lock::replay_lines(&self.journal_path(), |_, line| {
+            if let Some(rec) = line.and_then(|line| self.decode_record(spec, line)) {
+                by_index.insert(rec.index, rec);
+            }
+        });
         by_index.into_values().collect()
     }
 
@@ -1022,6 +1011,7 @@ pub fn estimate_for_tests(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write as _;
 
     #[test]
     fn t_table_is_monotone_toward_normal() {

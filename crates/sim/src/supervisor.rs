@@ -4,7 +4,7 @@
 //! survive an aborting worker, a runaway allocation, or an OOM kill. The
 //! [`Supervisor`] closes that gap: it runs a spec in a **child process**
 //! (the `mlpwin-sim` worker binary, launched with `--wire`), reads the
-//! [`wire`](crate::wire) frames the worker writes to its stdout — a
+//! [`wire`] frames the worker writes to its stdout — a
 //! `heartbeat` at every snapshot, then one `result` on success — kills
 //! the child when its heartbeat goes stale or its wall-clock budget runs
 //! out, and classifies how it ended. Retrying is not its job: the

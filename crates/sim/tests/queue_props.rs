@@ -562,7 +562,7 @@ fn torn_wal_tail_after_kill_never_regresses_terminal_states() {
         std::fs::write(&torn, &bytes[..cut]).expect("write torn WAL");
 
         let expected = expected_after_replay(&String::from_utf8_lossy(&bytes[..cut]));
-        let replayed = JobQueue::open(&torn, policy)
+        let mut replayed = JobQueue::open(&torn, policy)
             .unwrap_or_else(|e| panic!("replay of {cut}-byte torn WAL must not error: {e}"));
         assert_eq!(
             replayed.jobs().len(),
@@ -618,6 +618,20 @@ fn torn_wal_tail_after_kill_never_regresses_terminal_states() {
                 prior_terminal.insert(*id, state.clone());
             }
         }
+        // The restarted controller's first records land after the torn
+        // fragment, never glued to it: a job submitted now survives the
+        // next replay.
+        replayed
+            .submit(&spec_for(6), Lane::Normal)
+            .expect("submit after replay");
+        drop(replayed);
+        let reopened = JobQueue::open(&torn, policy).expect("reopen after a submit");
+        assert_eq!(
+            reopened.jobs().len(),
+            expected.len() + 1,
+            "cut at byte {cut}: the job submitted after replay"
+        );
+        drop(reopened);
         std::fs::remove_dir_all(&torn_dir).ok();
     }
     std::fs::remove_dir_all(&dir).ok();

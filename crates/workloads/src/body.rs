@@ -1,7 +1,7 @@
 //! Static loop bodies.
 //!
-//! A phase compiles its [`PhaseParams`](crate::params::PhaseParams) into a
-//! fixed sequence of *static slots* — the synthetic program's loop body.
+//! A phase compiles its [`PhaseParams`] into a fixed sequence of
+//! *static slots* — the synthetic program's loop body.
 //! The dynamic stream is produced by walking the body repeatedly, so each
 //! slot behaves like a static instruction: a stable PC, stable operand
 //! registers, and stable behavioural class. This is what lets the real
