@@ -19,6 +19,11 @@ echo "==> golden digests under the single-stepped engine"
 # leg pins the plain stepped loop to the very same values.
 MLPWIN_NO_FAST_FORWARD=1 cargo test -q -p mlpwin --test golden_digests
 
+echo "==> golden digests in the release profile"
+# The legs above build the test profile; the benchmark and users run
+# release code, whose inlining decisions differ, so pin it too.
+cargo test --release -q -p mlpwin --test golden_digests
+
 echo "==> cargo test -q --features trace (event-trace hooks)"
 cargo test -q -p mlpwin-ooo --features trace
 

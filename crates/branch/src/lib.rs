@@ -158,6 +158,7 @@ impl BranchPredictor {
     ///
     /// Panics if `inst` is not a branch (callers only feed control
     /// transfers to the predictor).
+    #[inline]
     pub fn predict(&mut self, inst: &Instruction) -> PredictionOutcome {
         let info = inst
             .branch
@@ -239,6 +240,7 @@ impl BranchPredictor {
     /// # Panics
     ///
     /// Panics if `inst` is not a branch.
+    #[inline]
     pub fn resolve(&mut self, inst: &Instruction, outcome: &PredictionOutcome) {
         let info = inst
             .branch

@@ -27,6 +27,7 @@ impl MemRef {
     /// # Panics
     ///
     /// Panics if `size` is not one of 1, 2, 4, 8.
+    #[inline]
     pub fn new(addr: Addr, size: u8) -> MemRef {
         assert!(
             matches!(size, 1 | 2 | 4 | 8),
@@ -36,6 +37,7 @@ impl MemRef {
     }
 
     /// True if the two references touch at least one common byte.
+    #[inline]
     pub fn overlaps(&self, other: &MemRef) -> bool {
         let a0 = self.addr;
         let a1 = self.addr + self.size as Addr;
@@ -100,6 +102,7 @@ impl Instruction {
     ///
     /// Panics if `op` is a memory or branch class, or if more than two
     /// sources are given.
+    #[inline]
     pub fn alu(pc: Addr, op: OpClass, dest: ArchReg, srcs: &[ArchReg]) -> Instruction {
         assert!(!op.is_mem() && !op.is_branch(), "alu() given {op}");
         assert!(srcs.len() <= 2, "at most two source registers");
@@ -119,6 +122,7 @@ impl Instruction {
 
     /// Creates a load: `dest = mem[base + imm]` (the base register is the
     /// single source; the address is precomputed by the generator).
+    #[inline]
     pub fn load(pc: Addr, dest: ArchReg, base: ArchReg, mem: MemRef) -> Instruction {
         Instruction {
             pc,
@@ -131,6 +135,7 @@ impl Instruction {
     }
 
     /// Creates a store: `mem[base + imm] = data`.
+    #[inline]
     pub fn store(pc: Addr, data: ArchReg, base: ArchReg, mem: MemRef) -> Instruction {
         Instruction {
             pc,
@@ -143,6 +148,7 @@ impl Instruction {
     }
 
     /// Creates a conditional branch that tests `cond`.
+    #[inline]
     pub fn cond_branch(pc: Addr, cond: ArchReg, taken: bool, target: Addr) -> Instruction {
         Instruction {
             pc,
@@ -164,6 +170,7 @@ impl Instruction {
     ///
     /// Panics if `kind` is [`BranchKind::Conditional`]; use
     /// [`Instruction::cond_branch`] for those.
+    #[inline]
     pub fn jump(pc: Addr, kind: BranchKind, target: Addr) -> Instruction {
         assert!(
             kind != BranchKind::Conditional,

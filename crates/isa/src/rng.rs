@@ -28,6 +28,7 @@ impl SplitMix64 {
     }
 
     /// Returns the next 64-bit value.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -85,6 +86,7 @@ impl Xoshiro256StarStar {
     }
 
     /// Returns the next 64-bit value.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
@@ -102,6 +104,7 @@ impl Xoshiro256StarStar {
     /// # Panics
     ///
     /// Panics if `n == 0`.
+    #[inline]
     pub fn range(&mut self, n: u64) -> u64 {
         assert!(n > 0, "range bound must be positive");
         // Lemire-style rejection-free-enough reduction; the simulator does
@@ -121,12 +124,14 @@ impl Xoshiro256StarStar {
     }
 
     /// Bernoulli trial: true with probability `p` (clamped to [0, 1]).
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         let p = p.clamp(0.0, 1.0);
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < p
     }
 
     /// Uniform `f64` in `[0, 1)`.
+    #[inline]
     pub fn unit_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }

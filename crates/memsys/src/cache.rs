@@ -202,6 +202,7 @@ impl Cache {
     /// Probes the cache. On a hit the line's LRU position refreshes, the
     /// dirty bit is set for writes, and `mark_correct_touch` (if set)
     /// records that a correct-path access used the line.
+    #[inline]
     pub fn access(
         &mut self,
         addr: Addr,
@@ -228,6 +229,7 @@ impl Cache {
     /// Marks the line containing `addr` (if resident) as touched by a
     /// correct-path access. Used to propagate usefulness information from
     /// L1 hits down to the L2 copy for the Fig. 11 accounting.
+    #[inline]
     pub fn mark_touched(&mut self, addr: Addr) {
         let tag = self.line_addr(addr);
         let range = self.set_range(addr);
@@ -240,6 +242,7 @@ impl Cache {
     }
 
     /// Probes without updating any state (used by prefetch filters).
+    #[inline]
     pub fn contains(&self, addr: Addr) -> bool {
         let tag = self.line_addr(addr);
         let range = self.set_range(addr);

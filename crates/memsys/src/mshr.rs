@@ -101,6 +101,7 @@ impl MshrFile {
     }
 
     /// Whether a heap item still describes its entry.
+    #[inline]
     fn is_live(&self, complete_at: Cycle, seq: u64, line_addr: Addr) -> bool {
         self.by_line
             .get(&line_addr)
@@ -132,6 +133,7 @@ impl MshrFile {
     }
 
     /// Looks up an in-flight fill for `line_addr` (without expiring).
+    #[inline]
     pub fn pending(&self, line_addr: Addr) -> Option<Cycle> {
         if self.by_line.is_empty() {
             return None;

@@ -289,6 +289,7 @@ impl MemSystem {
     /// `pc` is the program counter of the accessing instruction (used to
     /// train the stride prefetcher); `path` tags wrong-path accesses for
     /// the pollution analysis.
+    #[inline]
     pub fn access(
         &mut self,
         kind: AccessKind,
@@ -349,6 +350,7 @@ impl MemSystem {
 
     /// Data-side access: L1D with MSHRs, then L2, then memory, training
     /// the prefetcher on every L2 probe.
+    #[inline]
     fn data_access(
         &mut self,
         pc: Addr,

@@ -22,7 +22,7 @@
 
 use crate::config::{ConfigError, CoreConfig};
 use crate::error::{PipelineError, StallSnapshot};
-use crate::events::{EngineCounters, EventQueue, WakeSource};
+use crate::events::{EngineCounters, EventQueue, WakeRing, WakeSource};
 use crate::frontend::{FetchedInst, FrontEnd};
 use crate::fu::FuPool;
 use crate::lsq::{LoadCheck, Lsq};
@@ -96,13 +96,6 @@ struct Episode {
     l2_misses: u32,
 }
 
-/// Operand-ready wakeups due at most this many cycles after they are
-/// posted ride `Core::ready_lane` instead of the heap. Four covers the
-/// short latencies that dominate posts — L1 hits, multiplies and FP
-/// operations, depth-2 and depth-3 issue queues — while keeping the
-/// lane, which `issue` scans every cycle, short.
-const LANE_HORIZON: Cycle = 4;
-
 /// Zeroed statistics shaped for `config`'s level ladder.
 fn fresh_stats(config: &CoreConfig) -> CoreStats {
     CoreStats {
@@ -136,16 +129,11 @@ pub struct Core<W> {
     rename: RenameMap,
     fu: FuPool,
 
-    /// (ready_time, seq) of instructions whose operands will be ready
-    /// more than [`LANE_HORIZON`] cycles out — a heap whose head doubles
-    /// as the fast-forward's operand-wakeup bound.
-    pending_ready: EventQueue,
-    /// (ready_time, seq) operand-ready events due at most
-    /// [`LANE_HORIZON`] cycles after they were posted — nearly all of
-    /// them. The top of `issue` promotes the entries due that cycle and
-    /// keeps the rest. Promotion sets a bit in the age-ordered ready
-    /// ring, so the lane needs no order.
-    ready_lane: Vec<(Cycle, DynSeq)>,
+    /// (ready_time, seq) operand-ready wakeups. The top of `issue`
+    /// drains the ones due that cycle — one per-cycle bucket, plus any
+    /// far wakeup the ring's heap holds — and promotes them; its
+    /// `next_time` doubles as the fast-forward's operand-wakeup bound.
+    wakeups: WakeRing,
     /// Instructions ready to issue now; the select loop walks the ring
     /// in place, oldest first.
     ready: ReadyRing,
@@ -302,8 +290,7 @@ impl<W: Workload> Core<W> {
             iq_occ: 0,
             lsq: Lsq::new(),
             rename: RenameMap::new(),
-            pending_ready: EventQueue::new(),
-            ready_lane: Vec::new(),
+            wakeups: WakeRing::new(),
             ready: ReadyRing::with_capacity(max_rob),
             blocked_loads: VecDeque::new(),
             completions: EventQueue::new(),
@@ -622,8 +609,8 @@ impl<W: Workload> Core<W> {
     /// stepping would have charged.
     ///
     /// The next-event bound comes from [`next_wake`](Core::next_wake) —
-    /// the typed plan over every wake-up source: the two event queues'
-    /// heads, the short-latency lane, the ROB head's completion, the
+    /// the typed plan over every wake-up source: the wakeup ring's and
+    /// the completion queue's next events, the ROB head's completion, the
     /// runahead episode end, the allocation stall's
     /// expiry, fetch's own resume time, the policy's quiet horizon, the
     /// interval/snapshot epoch boundaries, the watchdog / deadline trip
@@ -716,11 +703,11 @@ impl<W: Workload> Core<W> {
     /// fast-forward is its one caller and reads its skip bound here
     /// instead of re-scanning the state ad hoc.
     ///
-    /// The per-instruction sources are the two event queues' heads, the
-    /// short-latency lane and the ROB head's completion time; the rest are
-    /// scalar horizons folded in directly (posting them as queue entries
-    /// would mean re-posting every time one moves, for no gain — the
-    /// fold *is* the pop). The memory system adds no bound of its own:
+    /// The per-instruction sources are the wakeup ring's and the
+    /// completion queue's next events and the ROB head's completion
+    /// time; the rest are scalar horizons folded in directly (posting
+    /// them as queue entries would mean re-posting every time one
+    /// moves, for no gain — the fold *is* the pop). The memory system adds no bound of its own:
     /// a fill an instruction waits on surfaces through the sources
     /// above, and the hierarchy resolves contention by timestamp when
     /// the next access arrives, so a fill nothing waits on (a prefetch,
@@ -746,10 +733,7 @@ impl<W: Workload> Core<W> {
             WakeSource::Watchdog,
         );
         fold(self.deadline_at, WakeSource::Deadline);
-        if let Some(t) = self.pending_ready.next_time() {
-            fold(t, WakeSource::OperandReady);
-        }
-        if let Some(&(t, _)) = self.ready_lane.iter().min() {
+        if let Some(t) = self.wakeups.next_time() {
             fold(t, WakeSource::OperandReady);
         }
         if let Some(t) = self.completions.next_time() {
@@ -805,7 +789,7 @@ impl<W: Workload> Core<W> {
     }
 
     /// Event-engine telemetry: event-queue traffic (heap posts only; the
-    /// short-latency lane is not counted) and the
+    /// wakeup ring's per-cycle buckets are not counted) and the
     /// skipped-versus-stepped cycle split over the core's lifetime
     /// (warm-up included). Host-side diagnostics, deliberately outside
     /// [`CoreStats`] and the snapshot image — like `ff_cycles` — so A/B
@@ -813,8 +797,8 @@ impl<W: Workload> Core<W> {
     /// results.
     pub fn engine_counters(&self) -> EngineCounters {
         EngineCounters {
-            events_posted: self.pending_ready.posted() + self.completions.posted(),
-            events_popped: self.pending_ready.popped() + self.completions.popped(),
+            events_posted: self.wakeups.posted() + self.completions.posted(),
+            events_popped: self.wakeups.popped() + self.completions.popped(),
             skipped_cycles: self.ff_cycles,
             stepped_cycles: self.stepped_cycles,
         }
@@ -1027,11 +1011,9 @@ impl<W: Workload> Core<W> {
         self.lsq.save_state(w);
         self.rename.save_state(w);
         self.fu.save_state(w);
-        // The event queues travel as sorted (time, seq) pairs, the
-        // short-latency lane merged in as ordinary pending-ready events.
-        let mut pending = self.pending_ready.sorted_events();
-        pending.extend_from_slice(&self.ready_lane);
-        pending.sort_unstable();
+        // The wakeups travel as sorted (time, seq) pairs, whether a
+        // ring bucket or the ring's heap holds them.
+        let pending = self.wakeups.sorted_events();
         w.put_seq(pending.iter(), |w, &(t, s)| {
             w.put_u64(t);
             w.put_u64(s);
@@ -1118,11 +1100,10 @@ impl<W: Workload> Core<W> {
         // Snapshots are taken at step boundaries, where every queued
         // event is strictly in the future — so the restored queues'
         // floors sit at the cycle after the restored clock. An event at
-        // or below the clock means a corrupt image. Every pending-ready
-        // event goes to the heap: promotion does not care which holds it.
-        self.ready_lane.clear();
+        // or below the clock means a corrupt image. Every wakeup goes to
+        // the ring's heap: promotion does not care which holds it.
         let pending = r.get_seq(|r| Ok((r.get_u64()?, r.get_u64()?)))?;
-        if !self.pending_ready.restore(self.now + 1, &pending) {
+        if !self.wakeups.restore(self.now + 1, &pending) {
             return Err(SnapError::Mismatch {
                 what: "pending-ready event versus clock",
             });
@@ -1241,32 +1222,15 @@ impl<W: Workload> Core<W> {
         }
     }
 
-    /// Queues an operand-ready promotion: one due within
-    /// [`LANE_HORIZON`] cycles rides the lane, a later one the heap.
-    /// Every post is strictly in the future.
+    /// Queues an operand-ready promotion. Every post is strictly in the
+    /// future.
     fn post_ready(&mut self, t: Cycle, seq: DynSeq) {
         debug_assert!(
             t > self.now,
             "operand-ready post at {t} not after {}",
             self.now
         );
-        if t - self.now <= LANE_HORIZON {
-            self.ready_lane.push((t, seq));
-        } else {
-            self.pending_ready.post(t, seq);
-        }
-    }
-
-    /// Moves `seq` into the ready set if the `(t, seq)` event still
-    /// describes it: stale events (a squashed instruction's, or a time a
-    /// runahead INV override lowered) no longer match its `ready_time`.
-    fn promote(&mut self, t: Cycle, seq: DynSeq) {
-        if let Some(i) = self.rob.idx(seq) {
-            let d = &self.rob[i];
-            if !d.issued && d.unresolved_srcs == 0 && d.ready_time == t {
-                self.ready.insert(seq);
-            }
-        }
+        self.wakeups.post(t, seq);
     }
 
     // ---------------------------------------------------------- writeback
@@ -1342,7 +1306,7 @@ impl<W: Workload> Core<W> {
         // Reuse the squashed sequence numbers so ROB dyn_seqs stay
         // contiguous (the ROB ring relies on it). Stale heap entries naming a
         // reused seq are filtered: completions check complete_at and
-        // pending_ready checks ready_time against the live instruction.
+        // wakeups check ready_time against the live instruction.
         self.next_dyn = seq + 1;
     }
 
@@ -1537,8 +1501,7 @@ impl<W: Workload> Core<W> {
         self.lsq.clear();
         self.blocked_loads.clear();
         self.ready.clear();
-        self.pending_ready.clear();
-        self.ready_lane.clear();
+        self.wakeups.clear();
         self.completions.clear();
         self.fu.flush();
         self.rename = RenameMap::new();
@@ -1639,20 +1602,20 @@ impl<W: Workload> Core<W> {
         // could change a blocked load's outcome on the next retry.
         self.issue_quiesced = true;
 
-        // Promote instructions whose operands have arrived. Lane entries
-        // due next cycle (posted by this cycle's commit stage) stay.
-        let mut lane = std::mem::take(&mut self.ready_lane);
-        lane.retain(|&(t, seq)| {
-            if t > now {
-                return true;
+        // Promote instructions whose operands have arrived: a `(t, seq)`
+        // wakeup moves `seq` into the ready set if it still describes it.
+        // Stale wakeups (a squashed instruction's, or a time a runahead
+        // INV override lowered) no longer match its `ready_time`. Wakeups
+        // due next cycle (posted by this cycle's commit stage) stay
+        // queued.
+        self.wakeups.drain_due(now, |t, seq| {
+            if let Some(i) = self.rob.idx(seq) {
+                let d = &self.rob[i];
+                if !d.issued && d.unresolved_srcs == 0 && d.ready_time == t {
+                    self.ready.insert(seq);
+                }
             }
-            self.promote(t, seq);
-            false
         });
-        self.ready_lane = lane;
-        while let Some((t, seq)) = self.pending_ready.pop_due(now) {
-            self.promote(t, seq);
-        }
 
         // Retry loads blocked behind stores (oldest first); they consume
         // a cache port but not issue-queue bandwidth. Rotating the deque
@@ -1665,8 +1628,7 @@ impl<W: Workload> Core<W> {
             match self.lsq.check_load(seq, &m) {
                 LoadCheck::Blocked => self.blocked_loads.push_back(seq),
                 check => {
-                    if self.fu.can_issue(OpClass::Load) {
-                        self.fu.issue(OpClass::Load, now, 1);
+                    if self.fu.try_issue(OpClass::Load, now, 1) {
                         self.perform_load(seq, now, check);
                     } else {
                         // Port-starved: the ports reset next cycle, so
@@ -1732,10 +1694,9 @@ impl<W: Workload> Core<W> {
                             // No FU consumed; no issue-slot charged.
                         }
                         check => {
-                            if !self.fu.can_issue(op) {
+                            if !self.fu.try_issue(op, now, 1) {
                                 continue;
                             }
-                            self.fu.issue(op, now, 1);
                             self.ready.remove(seq);
                             self.perform_load(seq, now, check);
                             issued += 1;
@@ -1743,10 +1704,9 @@ impl<W: Workload> Core<W> {
                     }
                 }
                 OpClass::Store => {
-                    if !self.fu.can_issue(op) {
+                    if !self.fu.try_issue(op, now, 1) {
                         continue;
                     }
-                    self.fu.issue(op, now, 1);
                     self.ready.remove(seq);
                     self.mark_issued(seq, now);
                     self.lsq.mark_issued(seq);
@@ -1760,11 +1720,10 @@ impl<W: Workload> Core<W> {
                     issued += 1;
                 }
                 _ => {
-                    if !self.fu.can_issue(op) {
+                    let latency = op.exec_latency();
+                    if !self.fu.try_issue(op, now, latency) {
                         continue;
                     }
-                    let latency = op.exec_latency();
-                    self.fu.issue(op, now, latency);
                     self.ready.remove(seq);
                     self.mark_issued(seq, now);
                     let depth = self.iq_depth();
@@ -2397,10 +2356,10 @@ mod tests {
     }
 
     #[test]
-    fn runahead_entry_wakeups_survive_the_same_cycle_lane_drain() {
+    fn runahead_entry_wakeups_survive_the_same_cycle_drain() {
         // Entering runahead at cycle t force-INVs the trigger load in the
-        // commit stage, which wakes its dependents for t + 1 — lane
-        // entries posted *before* that cycle's issue drains the lane.
+        // commit stage, which wakes its dependents for t + 1 — ring
+        // wakeups posted *before* that cycle's issue drains bucket t.
         // They must survive the drain and promote at t + 1.
         let cfg = CoreConfig {
             runahead: Some(crate::config::RunaheadOpts::default()),
@@ -2434,10 +2393,11 @@ mod tests {
                     })
                 })
                 .collect();
+            let queued = core.wakeups.sorted_events();
             for &seq in &woken {
                 assert!(
-                    core.ready_lane.contains(&(t + 1, seq)),
-                    "cycle {t}: the wakeup of {seq} was dropped from the lane"
+                    queued.binary_search(&(t + 1, seq)).is_ok(),
+                    "cycle {t}: the wakeup of {seq} was dropped by the drain"
                 );
             }
             core.step();
@@ -2454,7 +2414,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_with_a_live_lane_and_pending_branch_resumes_bit_identically() {
+    fn snapshot_with_live_ring_and_heap_wakeups_and_a_pending_branch_resumes_bit_identically() {
         let w = profiles::by_name("gobmk", 7).expect("profile");
         let mut core = Core::new(CoreConfig::default(), w, Box::new(FixedLevelPolicy::new(0)));
         core.run_warmup(3_000).expect("warm-up must not stall");
@@ -2464,29 +2424,38 @@ mod tests {
             core.step();
             core.check_progress()
                 .expect("healthy profile must not stall");
-            // A lane entry more than one cycle out exercises the full
-            // horizon, not just next-cycle wakeups.
+            // A bucket wakeup more than one cycle out exercises more of
+            // the ring than next-cycle wakeups do, and a wakeup past the
+            // ring's span exercises its heap.
             let now = core.now;
+            let queued = core.wakeups.sorted_events();
+            let near = queued
+                .iter()
+                .any(|&(t, _)| t > now + 1 && t <= now + WakeRing::SPAN);
             if core.stats.cycles > 500
-                && core.ready_lane.iter().any(|&(t, _)| t > now + 1)
+                && near
+                && core.wakeups.far_len() > 0
                 && !core.completions.is_empty()
             {
                 found = true;
                 break;
             }
         }
-        assert!(found, "no step left a multi-cycle lane entry and a branch");
+        assert!(
+            found,
+            "no step left a multi-cycle ring wakeup, a heap wakeup and a branch"
+        );
         let bytes = core.snapshot();
-        let queued = core.pending_ready.len() + core.ready_lane.len();
+        let queued = core.wakeups.len();
         let reference = core.resume_run().expect("reference run must finish");
 
         let w = profiles::by_name("gobmk", 7).expect("profile");
         let mut resumed = Core::new(CoreConfig::default(), w, Box::new(FixedLevelPolicy::new(0)));
         resumed.restore(&bytes).expect("restore must succeed");
         assert_eq!(
-            resumed.pending_ready.len(),
+            resumed.wakeups.far_len(),
             queued,
-            "lane entries travel as pending-ready events"
+            "every wakeup restores into the ring's heap"
         );
         assert_eq!(resumed.snapshot(), bytes, "re-encoding must be identical");
         let stats = resumed.resume_run().expect("resumed run must finish");

@@ -1,33 +1,39 @@
-//! The core's event queue: a binary min-heap over `(cycle, dyn_seq)`
-//! wake-up events.
+//! The core's wake-up queues: a binary min-heap over `(cycle, dyn_seq)`
+//! events, and the operand-wakeup ring built on it.
 //!
-//! The scheduler keeps two of these: operand-ready promotions due more
-//! than the core's `LANE_HORIZON` cycles out (short-latency promotions
-//! ride a plain lane in the core instead), and branch completions. The stall fast-forward reads
-//! their [`next_time`](EventQueue::next_time) as two legs of its
-//! next-event bound, so single-step pops and bulk skips share one
-//! source of truth for "when does the pipeline wake next".
+//! The scheduler keeps two queues. Operand-ready promotions live in a
+//! [`WakeRing`]: a ring of per-cycle buckets covering the next
+//! [`WakeRing::SPAN`] cycles, which `issue` drains one bucket per cycle,
+//! backed by an [`EventQueue`] heap for the wakeups due further out (the
+//! memory-latency ones). Branch completions live in a plain
+//! [`EventQueue`]. The stall fast-forward reads both queues'
+//! `next_time` as two legs of its next-event bound, so single-step
+//! drains and bulk skips share one source of truth for "when does the
+//! pipeline wake next".
 //!
 //! # Ordering contract
 //!
-//! Pops yield non-decreasing `(time, seq)` pairs, ties broken by
-//! ascending `seq`, and duplicate `(time, seq)` posts pop back to back —
-//! the writeback and wakeup stages' squash/filter logic depends on it.
+//! [`EventQueue`] pops yield non-decreasing `(time, seq)` pairs, ties
+//! broken by ascending `seq`, and duplicate `(time, seq)` posts pop back
+//! to back — the writeback stage's squash/filter logic depends on it.
 //! Since sequence numbers are handed out in program order, ascending
-//! `seq` within a cycle is FIFO over same-cycle posts.
+//! `seq` within a cycle is FIFO over same-cycle posts. A [`WakeRing`]
+//! drain hands out every due wakeup, duplicates included, but in no
+//! particular order: promotion only sets a bit in the age-ordered ready
+//! set, so it needs none.
 
 use crate::types::DynSeq;
 use mlpwin_isa::Cycle;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Every distinct wake-up source the scheduler tracks. The event queues,
-/// the short-latency ready lane and the ROB head carry the first two;
+/// Every distinct wake-up source the scheduler tracks. The wakeup ring,
+/// the completion queue and the ROB head carry the first two;
 /// the rest are scalar horizons the `Core::next_wake` plan folds in.
 /// Carried alongside the bound so telemetry can say *what* ends each coast.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WakeSource {
-    /// An instruction's operands arrive (pending-ready queue or lane).
+    /// An instruction's operands arrive (the operand-wakeup ring).
     OperandReady,
     /// An instruction finishes executing (a branch's completion event,
     /// or the ROB head's completion time).
@@ -114,10 +120,11 @@ impl WakeSource {
 /// steps). Host-side diagnostics — never part of stats or snapshots.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineCounters {
-    /// Events posted into both event queues (the short-latency ready
-    /// lane is not a queue and is not counted).
+    /// Events posted into both heaps: the operand-wakeup ring's far
+    /// heap and the completion queue. Wakeups that land in one of the
+    /// ring's per-cycle buckets are not counted.
     pub events_posted: u64,
-    /// Events popped from both event queues.
+    /// Events popped from both heaps.
     pub events_popped: u64,
     /// Cycles advanced in bulk by the stall fast-forward.
     pub skipped_cycles: u64,
@@ -158,11 +165,13 @@ impl EventQueue {
     }
 
     /// Number of queued events.
+    #[inline]
     pub fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// Whether no event is queued.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
@@ -183,6 +192,7 @@ impl EventQueue {
     ///
     /// Panics if `t` is below the queue's floor (a wake-up in the past:
     /// scheduler posts are always strictly in the future).
+    #[inline]
     pub fn post(&mut self, t: Cycle, seq: DynSeq) {
         assert!(
             t >= self.floor,
@@ -194,12 +204,14 @@ impl EventQueue {
     }
 
     /// Earliest queued event time, if any.
+    #[inline]
     pub fn next_time(&self) -> Option<Cycle> {
         self.heap.peek().map(|&Reverse((t, _))| t)
     }
 
     /// Pops the earliest event if it is due (`time <= now`), raising the
     /// floor to its time.
+    #[inline]
     pub fn pop_due(&mut self, now: Cycle) -> Option<(Cycle, DynSeq)> {
         if self.next_time()? > now {
             return None;
@@ -239,6 +251,190 @@ impl EventQueue {
         self.heap.extend(events.iter().map(|&e| Reverse(e)));
         self.posted += events.len() as u64;
         true
+    }
+}
+
+/// Operand-ready wakeups: a ring of per-cycle buckets for the next
+/// [`WakeRing::SPAN`] cycles, and an [`EventQueue`] for the rest.
+///
+/// Bucket `t % SPAN` holds the sequence numbers due at cycle `t`, for
+/// every `t` in `(drained, drained + SPAN]`, where `drained` is the last
+/// cycle [`drain_due`](WakeRing::drain_due) ran for. Those are `SPAN`
+/// distinct cycles, so each bucket holds exactly one cycle's wakeups and
+/// a drain empties whole buckets without looking at a time. A one-word
+/// occupancy bitmap makes [`next_time`](WakeRing::next_time) a rotate
+/// and a trailing-zero count. A wakeup posted further out than the span
+/// goes to the heap and stays there until it is due: nothing migrates.
+#[derive(Debug, Clone)]
+pub struct WakeRing {
+    buckets: Box<[Vec<DynSeq>]>,
+    /// Bit `b` is set exactly when bucket `b` is non-empty.
+    occupied: u64,
+    /// Every wakeup due at or before this cycle has been drained.
+    drained: Cycle,
+    /// Wakeups posted more than `SPAN` cycles past `drained`.
+    far: EventQueue,
+}
+
+impl Default for WakeRing {
+    fn default() -> WakeRing {
+        WakeRing::new()
+    }
+}
+
+impl WakeRing {
+    /// Cycles the buckets cover: one per bit of the occupancy word.
+    pub const SPAN: Cycle = 64;
+
+    /// An empty ring whose drained point is cycle 0.
+    pub fn new() -> WakeRing {
+        WakeRing {
+            buckets: vec![Vec::new(); WakeRing::SPAN as usize].into_boxed_slice(),
+            occupied: 0,
+            drained: 0,
+            far: EventQueue::new(),
+        }
+    }
+
+    /// Number of queued wakeups.
+    pub fn len(&self) -> usize {
+        self.buckets.iter().map(Vec::len).sum::<usize>() + self.far.len()
+    }
+
+    /// Whether no wakeup is queued.
+    pub fn is_empty(&self) -> bool {
+        self.occupied == 0 && self.far.is_empty()
+    }
+
+    /// Queued wakeups held in the heap rather than the buckets.
+    pub fn far_len(&self) -> usize {
+        self.far.len()
+    }
+
+    /// Lifetime heap posts (telemetry; bucket posts are not counted).
+    pub fn posted(&self) -> u64 {
+        self.far.posted()
+    }
+
+    /// Lifetime heap pops (telemetry; bucket drains are not counted).
+    pub fn popped(&self) -> u64 {
+        self.far.popped()
+    }
+
+    #[inline]
+    fn bucket(t: Cycle) -> usize {
+        (t % WakeRing::SPAN) as usize
+    }
+
+    /// Queues a wakeup of `seq` at cycle `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` lies at or before the last drained cycle (a wakeup
+    /// in the past: scheduler posts are always strictly in the future).
+    #[inline]
+    pub fn post(&mut self, t: Cycle, seq: DynSeq) {
+        if t.wrapping_sub(self.drained + 1) < WakeRing::SPAN {
+            let b = WakeRing::bucket(t);
+            self.buckets[b].push(seq);
+            self.occupied |= 1 << b;
+        } else {
+            self.post_far(t, seq);
+        }
+    }
+
+    /// The heap half of [`post`](WakeRing::post), kept out of line so
+    /// the bucket half inlines into the scheduler.
+    #[inline(never)]
+    fn post_far(&mut self, t: Cycle, seq: DynSeq) {
+        assert!(
+            t > self.drained,
+            "wakeup at {t} posted at or before drained cycle {}",
+            self.drained
+        );
+        self.far.post(t, seq);
+    }
+
+    /// Earliest queued wakeup time, if any.
+    #[inline]
+    pub fn next_time(&self) -> Option<Cycle> {
+        let near = (self.occupied != 0).then(|| {
+            let from = self.drained + 1;
+            let rotated = self.occupied.rotate_right(WakeRing::bucket(from) as u32);
+            from + rotated.trailing_zeros() as Cycle
+        });
+        match (near, self.far.next_time()) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// Hands every wakeup due at or before `now` to `wake` as
+    /// `(time, seq)`, in no particular order, removes them, and marks
+    /// every cycle up to `now` drained. A drain that jumps several
+    /// cycles empties every bucket it passes, so a caller that skips
+    /// idle cycles loses nothing.
+    #[inline]
+    pub fn drain_due(&mut self, now: Cycle, mut wake: impl FnMut(Cycle, DynSeq)) {
+        if now > self.drained {
+            if self.occupied != 0 {
+                let from = self.drained + 1;
+                let cycles = (now - self.drained).min(WakeRing::SPAN);
+                let window = u64::MAX >> (WakeRing::SPAN - cycles);
+                let mut due = self.occupied.rotate_right(WakeRing::bucket(from) as u32) & window;
+                while due != 0 {
+                    let t = from + due.trailing_zeros() as Cycle;
+                    due &= due - 1;
+                    let b = WakeRing::bucket(t);
+                    let bucket = &mut self.buckets[b];
+                    for &seq in bucket.iter() {
+                        wake(t, seq);
+                    }
+                    bucket.clear();
+                    self.occupied &= !(1 << b);
+                }
+            }
+            self.drained = now;
+        }
+        while let Some((t, seq)) = self.far.pop_due(now) {
+            wake(t, seq);
+        }
+    }
+
+    /// Drops every queued wakeup (runahead exit). The drained point and
+    /// the telemetry counters are unaffected.
+    pub fn clear(&mut self) {
+        while self.occupied != 0 {
+            let b = self.occupied.trailing_zeros();
+            self.occupied &= self.occupied - 1;
+            self.buckets[b as usize].clear();
+        }
+        self.far.clear();
+    }
+
+    /// Every queued wakeup as ascending `(time, seq)` pairs — the
+    /// canonical serialized form, independent of where each one is held.
+    pub fn sorted_events(&self) -> Vec<(Cycle, DynSeq)> {
+        let mut out = self.far.sorted_events();
+        let from = self.drained + 1;
+        for (b, bucket) in self.buckets.iter().enumerate() {
+            let t = from + (b as Cycle).wrapping_sub(from) % WakeRing::SPAN;
+            out.extend(bucket.iter().map(|&seq| (t, seq)));
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// Rebuilds the queue from serialized wakeups, all into the heap,
+    /// with every cycle before `floor` drained. Returns `false` (leaving
+    /// the queue cleared) when any wakeup lies below the floor — a
+    /// corrupt image, since snapshots are only taken at step boundaries
+    /// where every queued wakeup is strictly in the future.
+    #[must_use]
+    pub fn restore(&mut self, floor: Cycle, events: &[(Cycle, DynSeq)]) -> bool {
+        self.clear();
+        self.drained = floor.saturating_sub(1);
+        self.far.restore(floor, events)
     }
 }
 
@@ -433,5 +629,184 @@ mod tests {
             }
         }
         assert_eq!(q.sorted_events(), model, "final contents diverged");
+    }
+    fn drain_sorted(r: &mut WakeRing, now: Cycle) -> Vec<(Cycle, DynSeq)> {
+        let mut out = Vec::new();
+        r.drain_due(now, |t, seq| out.push((t, seq)));
+        out.sort_unstable();
+        out
+    }
+
+    #[test]
+    fn ring_drains_each_cycle_and_keeps_far_wakeups_in_the_heap() {
+        let mut r = WakeRing::new();
+        r.post(3, 7);
+        r.post(1, 2);
+        r.post(3, 7); // duplicate: both copies come back
+        r.post(64, 9); // last cycle the buckets cover from cycle 0
+        r.post(65, 4); // one past the span: heap
+        assert_eq!((r.len(), r.far_len()), (5, 1));
+        assert_eq!(r.next_time(), Some(1));
+        assert_eq!(
+            r.sorted_events(),
+            vec![(1, 2), (3, 7), (3, 7), (64, 9), (65, 4)]
+        );
+        assert_eq!(drain_sorted(&mut r, 1), vec![(1, 2)]);
+        assert_eq!(drain_sorted(&mut r, 2), vec![]);
+        assert_eq!(r.next_time(), Some(3));
+        assert_eq!(drain_sorted(&mut r, 3), vec![(3, 7), (3, 7)]);
+        // A jump drains every bucket and heap event it passes.
+        assert_eq!(drain_sorted(&mut r, 100), vec![(64, 9), (65, 4)]);
+        assert!(r.is_empty());
+        assert_eq!(r.next_time(), None);
+        assert_eq!(
+            (r.posted(), r.popped()),
+            (1, 1),
+            "bucket traffic is not counted"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at or before drained cycle")]
+    fn posting_a_drained_cycle_is_a_bug() {
+        let mut r = WakeRing::new();
+        drain_sorted(&mut r, 10);
+        r.post(10, 1);
+    }
+
+    #[test]
+    fn ring_restore_puts_every_wakeup_in_the_heap() {
+        let mut r = WakeRing::new();
+        drain_sorted(&mut r, 50);
+        for (t, s) in [(52, 1), (80, 2), (500, 3)] {
+            r.post(t, s);
+        }
+        let events = r.sorted_events();
+        let mut q = WakeRing::new();
+        assert!(q.restore(51, &events));
+        assert_eq!((q.len(), q.far_len()), (3, 3));
+        assert_eq!(q.sorted_events(), events);
+        q.post(53, 4); // within the span of the restored drained point
+        assert_eq!(q.far_len(), 3);
+        assert!(!q.restore(51, &[(50, 1)]), "a wakeup below the floor");
+        assert!(q.is_empty(), "rejected restore leaves the ring empty");
+    }
+
+    /// An LCG drives the ring and a `BTreeMap` reference model through
+    /// posts 1-300 cycles ahead (duplicates and stale seqs included),
+    /// single steps, coasts to the next wake, jumps past pending
+    /// wakeups, runahead-style clears and snapshot/restore round trips.
+    /// Every cycle, both must hand out the same wakeups and agree on the
+    /// next wake and the sorted snapshot list.
+    #[test]
+    fn ring_matches_a_btreemap_reference_model() {
+        use std::collections::BTreeMap;
+        let mut lcg: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut next = move || {
+            lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            lcg >> 33
+        };
+        let mut ring = WakeRing::new();
+        let mut model: BTreeMap<Cycle, Vec<DynSeq>> = BTreeMap::new();
+        let mut now: Cycle = 0;
+        let mut recent: Vec<DynSeq> = Vec::new();
+        let (mut drained, mut drained_far, mut coasts, mut jumps) = (0, 0, 0, 0);
+        for step in 0..40_000 {
+            match next() % 16 {
+                // Posts, mostly near, sometimes past the ring's span.
+                0..=6 => {
+                    for _ in 0..=next() % 4 {
+                        let ahead = if next() % 5 == 0 {
+                            1 + next() % 300
+                        } else {
+                            1 + next() % 12
+                        };
+                        // A stale seq (one already posted, drained or
+                        // not) now and then, else a fresh one.
+                        let seq = if !recent.is_empty() && next() % 4 == 0 {
+                            recent[(next() % recent.len() as u64) as usize]
+                        } else {
+                            next() % 4096
+                        };
+                        recent.push(seq);
+                        if recent.len() > 32 {
+                            recent.remove(0);
+                        }
+                        ring.post(now + ahead, seq);
+                        model.entry(now + ahead).or_default().push(seq);
+                        if next() % 10 == 0 {
+                            // Exact duplicate post.
+                            ring.post(now + ahead, seq);
+                            model.entry(now + ahead).or_default().push(seq);
+                        }
+                    }
+                }
+                // Coast as the fast-forward does: to just before the
+                // next wake.
+                7 => {
+                    if let Some(t) = ring.next_time() {
+                        now = now.max(t - 1);
+                        coasts += 1;
+                    }
+                }
+                // Jump past pending wakeups: the next drain must hand
+                // out everything the jump passed.
+                8 => {
+                    now += next() % 150;
+                    jumps += 1;
+                }
+                // Runahead exit, now and then.
+                9 if next() % 8 == 0 => {
+                    ring.clear();
+                    model.clear();
+                }
+                // Snapshot and restore at the next cycle's floor, as a
+                // core restore does.
+                10 => {
+                    let events = ring.sorted_events();
+                    let mut fresh = WakeRing::new();
+                    assert!(fresh.restore(now + 1, &events));
+                    drained_far += ring.popped();
+                    ring = fresh;
+                }
+                _ => {}
+            }
+            // One step: advance and drain.
+            now += 1;
+            let got = drain_sorted(&mut ring, now);
+            let mut want = Vec::new();
+            while let Some((&t, _)) = model.first_key_value() {
+                if t > now {
+                    break;
+                }
+                let (t, seqs) = model.pop_first().expect("non-empty");
+                want.extend(seqs.into_iter().map(|s| (t, s)));
+            }
+            want.sort_unstable();
+            assert_eq!(got, want, "drain at cycle {now} (step {step})");
+            drained += got.len() as u64;
+            assert_eq!(
+                ring.next_time(),
+                model.keys().next().copied(),
+                "next wake after cycle {now}"
+            );
+            let mut flat: Vec<(Cycle, DynSeq)> = model
+                .iter()
+                .flat_map(|(&t, seqs)| seqs.iter().map(move |&s| (t, s)))
+                .collect();
+            flat.sort_unstable();
+            let listed = ring.sorted_events();
+            assert_eq!(ring.len(), listed.len());
+            assert_eq!(listed, flat, "sorted snapshot list after cycle {now}");
+        }
+        // Both halves of the ring carried real traffic.
+        drained_far += ring.popped();
+        assert!(
+            drained > 20_000 && drained_far > 1_000 && drained - drained_far > 10_000,
+            "drained {drained}, from the heap {drained_far}"
+        );
+        assert!(coasts > 1_000 && jumps > 1_000, "{coasts} {jumps}");
     }
 }

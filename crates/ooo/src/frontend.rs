@@ -111,7 +111,8 @@ impl<W: Workload> FrontEnd<W> {
         matches!(self.source, Source::Wrong { .. })
     }
 
-    /// Oldest un-dispatched entry's readiness, for stall accounting.
+    /// Whether the fetch queue holds no instruction (fetched or still
+    /// in the decode pipe), for stall accounting.
     pub fn queue_is_empty(&self) -> bool {
         self.queue.is_empty()
     }

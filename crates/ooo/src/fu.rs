@@ -40,6 +40,7 @@ impl FuPool {
 
     /// Starts a new cycle: clears per-cycle issue counts and expires
     /// finished unpipelined reservations.
+    #[inline]
     pub fn begin_cycle(&mut self, now: Cycle) {
         self.issued_this_cycle = [0; 5];
         if self.busy_total > 0 {
@@ -50,21 +51,16 @@ impl FuPool {
         }
     }
 
-    /// Whether an operation of class `op` can issue this cycle.
-    pub fn can_issue(&self, op: OpClass) -> bool {
+    /// Issues `op` at `now` with execution latency `latency` if a unit
+    /// of its pool is free this cycle, reserving the unit until
+    /// `now + latency` for unpipelined classes. Returns `false`, leaving
+    /// the pool unchanged, when every unit is taken.
+    #[inline]
+    pub fn try_issue(&mut self, op: OpClass, now: Cycle, latency: u32) -> bool {
         let k = op.fu_kind().index();
-        self.busy[k].len() + self.issued_this_cycle[k] < self.counts[k]
-    }
-
-    /// Records the issue of `op` at `now` with execution latency
-    /// `latency`; reserves the unit for unpipelined classes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no unit is available (check [`FuPool::can_issue`] first).
-    pub fn issue(&mut self, op: OpClass, now: Cycle, latency: u32) {
-        assert!(self.can_issue(op), "no {} unit free", op.fu_kind());
-        let k = op.fu_kind().index();
+        if self.busy[k].len() + self.issued_this_cycle[k] >= self.counts[k] {
+            return false;
+        }
         if op.is_unpipelined() {
             // The busy reservation itself blocks the unit for the rest of
             // this cycle and beyond; counting it in issued_this_cycle too
@@ -74,6 +70,7 @@ impl FuPool {
         } else {
             self.issued_this_cycle[k] += 1;
         }
+        true
     }
 
     /// Units of `kind` still available this cycle.
@@ -117,51 +114,96 @@ mod tests {
         FuPool::new([4, 2, 2, 4, 2])
     }
 
-    #[test]
-    fn per_cycle_width_limits() {
-        let mut p = pool();
-        p.begin_cycle(0);
-        for _ in 0..4 {
-            assert!(p.can_issue(OpClass::IntAlu));
-            p.issue(OpClass::IntAlu, 0, 1);
-        }
-        assert!(!p.can_issue(OpClass::IntAlu));
-        // Other pools unaffected.
-        assert!(p.can_issue(OpClass::Load));
-        p.begin_cycle(1);
-        assert!(p.can_issue(OpClass::IntAlu));
+    /// Every observable part of the pool's state.
+    fn state(p: &FuPool) -> ([usize; 5], [Vec<Cycle>; 5], usize) {
+        let avail = FuKind::ALL.map(|k| p.available(k));
+        (avail, p.busy.clone(), p.busy_total)
     }
 
     #[test]
-    fn unpipelined_ops_hold_the_unit() {
+    fn pipelined_units_take_one_op_each_per_cycle() {
         let mut p = pool();
-        p.begin_cycle(0);
-        p.issue(OpClass::IntDiv, 0, 20);
-        p.issue(OpClass::IntDiv, 0, 20);
-        assert!(!p.can_issue(OpClass::IntDiv));
-        assert!(!p.can_issue(OpClass::IntMul), "mul shares the div pool");
-        p.begin_cycle(5);
-        assert!(!p.can_issue(OpClass::IntDiv), "still busy at cycle 5");
-        p.begin_cycle(20);
-        assert!(p.can_issue(OpClass::IntDiv), "freed when latency elapsed");
+        for now in 0..3 {
+            p.begin_cycle(now);
+            for _ in 0..4 {
+                assert!(p.try_issue(OpClass::IntAlu, now, 1));
+            }
+            assert!(!p.try_issue(OpClass::IntAlu, now, 1), "cycle {now}");
+            // Other pools unaffected.
+            assert_eq!(p.available(FuKind::MemPort), 2);
+            assert!(p.try_issue(OpClass::Load, now, 1));
+            assert!(p.try_issue(OpClass::Store, now, 1));
+            assert!(!p.try_issue(OpClass::Load, now, 1), "two ports per cycle");
+        }
     }
 
     #[test]
     fn pipelined_multiplies_issue_every_cycle() {
         let mut p = pool();
         p.begin_cycle(0);
-        p.issue(OpClass::IntMul, 0, 3);
-        p.issue(OpClass::IntMul, 0, 3);
-        assert!(!p.can_issue(OpClass::IntMul));
+        assert!(p.try_issue(OpClass::IntMul, 0, 3));
+        assert!(p.try_issue(OpClass::IntMul, 0, 3));
+        assert!(!p.try_issue(OpClass::IntMul, 0, 3));
         p.begin_cycle(1);
-        assert!(p.can_issue(OpClass::IntMul), "pipelined: next cycle free");
+        assert!(
+            p.try_issue(OpClass::IntMul, 1, 3),
+            "pipelined: next cycle free"
+        );
+    }
+
+    #[test]
+    fn unpipelined_reservations_span_cycles() {
+        let mut p = pool();
+        p.begin_cycle(0);
+        assert!(p.try_issue(OpClass::IntDiv, 0, 20));
+        assert!(p.try_issue(OpClass::IntDiv, 0, 20));
+        assert!(!p.try_issue(OpClass::IntDiv, 0, 20));
+        assert!(
+            !p.try_issue(OpClass::IntMul, 0, 3),
+            "mul shares the div pool"
+        );
+        p.begin_cycle(5);
+        assert!(
+            !p.try_issue(OpClass::IntDiv, 5, 20),
+            "still busy at cycle 5"
+        );
+        assert_eq!(p.available(FuKind::IntMulDiv), 0);
+        p.begin_cycle(20);
+        assert_eq!(
+            p.available(FuKind::IntMulDiv),
+            2,
+            "freed when latency elapsed"
+        );
+        // A reservation blocks its unit in its own issue cycle too.
+        assert!(p.try_issue(OpClass::IntDiv, 20, 20));
+        assert_eq!(p.available(FuKind::IntMulDiv), 1);
+        assert!(p.try_issue(OpClass::IntMul, 20, 3));
+        assert_eq!(p.available(FuKind::IntMulDiv), 0);
+        p.begin_cycle(21);
+        assert_eq!(
+            p.available(FuKind::IntMulDiv),
+            1,
+            "only the divide holds on"
+        );
+    }
+
+    #[test]
+    fn a_refusal_leaves_the_pool_unchanged() {
+        let mut p = pool();
+        p.begin_cycle(0);
+        assert!(p.try_issue(OpClass::FpDiv, 0, 12));
+        assert!(p.try_issue(OpClass::FpMul, 0, 4));
+        let before = state(&p);
+        assert!(!p.try_issue(OpClass::FpDiv, 0, 12));
+        assert!(!p.try_issue(OpClass::FpMul, 0, 4));
+        assert_eq!(state(&p), before);
     }
 
     #[test]
     fn flush_releases_reservations() {
         let mut p = pool();
         p.begin_cycle(0);
-        p.issue(OpClass::FpDiv, 0, 12);
+        assert!(p.try_issue(OpClass::FpDiv, 0, 12));
         p.flush();
         p.begin_cycle(1);
         assert_eq!(p.available(FuKind::FpMulDiv), 2);
@@ -172,7 +214,7 @@ mod tests {
         let mut p = pool();
         p.begin_cycle(0);
         assert_eq!(p.available(FuKind::MemPort), 2);
-        p.issue(OpClass::Load, 0, 1);
+        assert!(p.try_issue(OpClass::Load, 0, 1));
         assert_eq!(p.available(FuKind::MemPort), 1);
     }
 }

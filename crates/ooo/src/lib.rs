@@ -101,7 +101,7 @@ pub use config::{
 };
 pub use core::Core;
 pub use error::{PipelineError, StallSnapshot};
-pub use events::{EngineCounters, EventQueue, WakeSource};
+pub use events::{EngineCounters, EventQueue, WakeRing, WakeSource};
 pub use policy::{FixedLevelPolicy, WindowPolicy};
 pub use ready::ReadyRing;
 pub use stats::{CoreStats, CpiBucket, DeltaError, IntervalSample, StatsDelta, CPI_BUCKETS};

@@ -100,14 +100,17 @@ impl Lsq {
     }
 
     /// Current occupancy.
+    #[inline]
     pub fn occupancy(&self) -> usize {
         self.entries.len()
     }
 
+    #[inline]
     fn filter_add(&mut self, mem: &MemRef) {
         for_each_bucket(mem, |b| self.store_filter[b] += 1);
     }
 
+    #[inline]
     fn filter_remove(&mut self, mem: &MemRef) {
         for_each_bucket(mem, |b| {
             debug_assert!(self.store_filter[b] > 0, "filter underflow");
@@ -116,6 +119,7 @@ impl Lsq {
     }
 
     /// Whether any filter bucket touched by `mem` holds a store.
+    #[inline]
     fn filter_hit(&self, mem: &MemRef) -> bool {
         let mut hit = false;
         for_each_bucket(mem, |b| hit |= self.store_filter[b] != 0);
@@ -127,6 +131,7 @@ impl Lsq {
     /// # Panics
     ///
     /// Panics if `dyn_seq` is not younger than every current entry.
+    #[inline]
     pub fn allocate(&mut self, dyn_seq: DynSeq, is_store: bool, mem: MemRef) {
         if let Some(back) = self.entries.back() {
             assert!(back.dyn_seq < dyn_seq, "LSQ allocation out of order");
@@ -147,6 +152,7 @@ impl Lsq {
     /// executed), so overlapping younger loads forward from it. Only
     /// stores need marking: [`check_load`](Lsq::check_load) never reads a
     /// load entry's flag.
+    #[inline]
     pub fn mark_issued(&mut self, dyn_seq: DynSeq) {
         if let Ok(i) = self.entries.binary_search_by_key(&dyn_seq, |e| e.dyn_seq) {
             self.entries[i].issued = true;
@@ -154,6 +160,7 @@ impl Lsq {
     }
 
     /// Disambiguation scan for the load `dyn_seq` with reference `mem`.
+    #[inline]
     pub fn check_load(&self, dyn_seq: DynSeq, mem: &MemRef) -> LoadCheck {
         // Early-outs: no resident store at all, or none in this load's
         // address granules.
@@ -180,6 +187,7 @@ impl Lsq {
     /// # Panics
     ///
     /// Panics if the head is not `dyn_seq` (commit must be in order).
+    #[inline]
     pub fn commit(&mut self, dyn_seq: DynSeq) {
         let head = self.entries.pop_front().expect("commit from empty LSQ");
         assert_eq!(head.dyn_seq, dyn_seq, "LSQ commit out of order");
@@ -190,6 +198,7 @@ impl Lsq {
     }
 
     /// Drops every entry younger than `dyn_seq` (squash).
+    #[inline]
     pub fn squash_younger(&mut self, dyn_seq: DynSeq) {
         while let Some(back) = self.entries.back() {
             if back.dyn_seq > dyn_seq {

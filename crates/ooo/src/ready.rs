@@ -38,11 +38,13 @@ impl ReadyRing {
     }
 
     /// Number of ready sequence numbers currently set.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
 
     /// Whether the set is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -54,6 +56,7 @@ impl ReadyRing {
     }
 
     /// Inserts `seq`; returns whether it was newly set.
+    #[inline]
     pub fn insert(&mut self, seq: DynSeq) -> bool {
         let (w, bit) = self.locate(seq);
         let fresh = self.words[w] & bit == 0;
@@ -63,6 +66,7 @@ impl ReadyRing {
     }
 
     /// Removes `seq`; returns whether it was present.
+    #[inline]
     pub fn remove(&mut self, seq: DynSeq) -> bool {
         let (w, bit) = self.locate(seq);
         let present = self.words[w] & bit != 0;
@@ -72,6 +76,7 @@ impl ReadyRing {
     }
 
     /// Whether `seq` is in the set.
+    #[inline]
     pub fn contains(&self, seq: DynSeq) -> bool {
         let (w, bit) = self.locate(seq);
         self.words[w] & bit != 0
@@ -110,6 +115,7 @@ impl ReadyRing {
     /// `slots` consecutive sequence numbers (the ROB guarantees this);
     /// bits belonging to slots outside `[from, end)` are never reported.
     /// Scans whole words, so a sparse set costs a handful of loads.
+    #[inline]
     pub fn next_at_or_after(&self, from: DynSeq, end: DynSeq) -> Option<DynSeq> {
         if self.len == 0 || from >= end {
             return None;

@@ -31,18 +31,21 @@ impl RenameMap {
 
     /// The current producer of `reg`, or `None` when the architectural
     /// value is current.
+    #[inline]
     pub fn producer(&self, reg: ArchReg) -> Option<DynSeq> {
         self.map[reg.index()]
     }
 
     /// Installs `dyn_seq` as the producer of `reg`, returning the
     /// previous mapping for rollback.
+    #[inline]
     pub fn define(&mut self, reg: ArchReg, dyn_seq: DynSeq) -> Option<DynSeq> {
         self.map[reg.index()].replace(dyn_seq)
     }
 
     /// At commit: if `reg` still maps to `dyn_seq`, the committed value
     /// becomes architectural and the mapping clears.
+    #[inline]
     pub fn commit(&mut self, reg: ArchReg, dyn_seq: DynSeq) {
         if self.map[reg.index()] == Some(dyn_seq) {
             self.map[reg.index()] = None;
@@ -51,6 +54,7 @@ impl RenameMap {
 
     /// Squash rollback: restores the mapping of register index `reg_idx`
     /// to `prev` (recorded at rename time).
+    #[inline]
     pub fn rollback(&mut self, reg_idx: usize, prev: Option<DynSeq>) {
         self.map[reg_idx] = prev;
     }

@@ -49,11 +49,13 @@ impl Rob {
     }
 
     /// The ring's slot count: the most entries it can hold.
+    #[inline]
     pub fn capacity(&self) -> usize {
         self.mask as usize + 1
     }
 
     /// Number of live entries.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
@@ -77,11 +79,13 @@ impl Rob {
     }
 
     /// The oldest entry.
+    #[inline]
     pub fn front(&self) -> Option<&DynInst> {
         (self.len > 0).then(|| &self.slots[self.slot(self.head)])
     }
 
     /// The youngest entry.
+    #[inline]
     pub fn back(&self) -> Option<&DynInst> {
         (self.len > 0).then(|| &self.slots[self.slot(self.head + self.len as u64 - 1)])
     }
@@ -94,6 +98,7 @@ impl Rob {
     ///
     /// Panics if the ring is full. `seq` must follow the youngest entry
     /// directly; an empty ROB accepts any `seq` as its new head.
+    #[inline]
     pub fn push_back(&mut self, seq: DynSeq) -> &mut DynInst {
         assert!(self.len < self.capacity(), "ROB ring overflow");
         if self.len == 0 {
@@ -105,15 +110,26 @@ impl Rob {
             "ROB seqs must be contiguous"
         );
         let s = self.slot(seq);
-        while self.slots.len() <= s {
-            self.slots.push(vacant());
+        if s >= self.slots.len() {
+            self.materialize(s);
         }
         self.len += 1;
         &mut self.slots[s]
     }
 
+    /// Materializes every slot up to and including `s` (each slot's
+    /// first use only, so kept out of line).
+    #[cold]
+    #[inline(never)]
+    fn materialize(&mut self, s: usize) {
+        while self.slots.len() <= s {
+            self.slots.push(vacant());
+        }
+    }
+
     /// Removes the oldest entry and returns its vacated slot, readable
     /// in place until the next push.
+    #[inline]
     pub fn pop_front(&mut self) -> Option<&DynInst> {
         if self.len == 0 {
             return None;
@@ -126,6 +142,7 @@ impl Rob {
 
     /// Removes the youngest entry and returns its vacated slot, readable
     /// in place until the next push.
+    #[inline]
     pub fn pop_back(&mut self) -> Option<&DynInst> {
         if self.len == 0 {
             return None;

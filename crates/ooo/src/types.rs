@@ -25,6 +25,7 @@ impl SeqList {
     const INLINE: usize = 4;
 
     /// Appends a waiter.
+    #[inline]
     pub fn push(&mut self, seq: DynSeq) {
         let n = self.inline_len as usize;
         if n < SeqList::INLINE {
@@ -35,12 +36,26 @@ impl SeqList {
         }
     }
 
+    /// Empties the list in place. A spilled buffer is dropped rather
+    /// than kept for the next occupant of the ROB slot: holding every
+    /// slot's largest fan-out ever seen raised `sim-comp`'s peak RSS by
+    /// about 0.4 MB.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.inline_len = 0;
+        if self.spill.capacity() != 0 {
+            self.spill = Vec::new();
+        }
+    }
+
     /// Number of waiters recorded.
+    #[inline]
     pub fn len(&self) -> usize {
         self.inline_len as usize + self.spill.len()
     }
 
     /// Whether no waiter is recorded.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.inline_len == 0
     }
@@ -60,6 +75,7 @@ impl SeqList {
     }
 
     /// Iterates the waiters in insertion order.
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = DynSeq> + '_ {
         self.inline[..self.inline_len as usize]
             .iter()
@@ -219,6 +235,7 @@ impl DynInst {
     /// Re-initializes a recycled ROB slot to the state
     /// [`DynInst::new`] builds, field by field and in place, so
     /// dispatch never builds a record and moves it into the ROB.
+    #[inline]
     pub fn reset(
         &mut self,
         dyn_seq: DynSeq,
@@ -248,10 +265,7 @@ impl DynInst {
         self.value_ready_at = Cycle::MAX;
         self.complete_at = Cycle::MAX;
         self.completed = false;
-        // Drop any spill rather than keep it for the slot's next
-        // occupant: holding every slot's largest fan-out ever seen
-        // raised `sim-comp`'s peak RSS by about 0.4 MB.
-        self.waiters = SeqList::default();
+        self.waiters.clear();
         self.mem_latency = 0;
         self.l2_miss = false;
         self.bp_outcome = None;
@@ -261,11 +275,13 @@ impl DynInst {
     }
 
     /// True for loads and stores.
+    #[inline]
     pub fn is_mem(&self) -> bool {
         self.inst.op.is_mem()
     }
 
     /// True for control transfers.
+    #[inline]
     pub fn is_branch(&self) -> bool {
         self.inst.op.is_branch()
     }
@@ -424,6 +440,11 @@ mod tests {
         // Positional reads agree with iteration across the spill edge.
         let by_pos: Vec<DynSeq> = (0..l.len()).map(|k| l.get(k)).collect();
         assert_eq!(by_pos, collected);
+        // Clearing drops the spill buffer, and the list is reusable.
+        l.clear();
+        assert!(l.is_empty() && l.spill.capacity() == 0);
+        l.push(42);
+        assert_eq!(l.iter().collect::<Vec<_>>(), vec![42]);
     }
 
     #[test]
@@ -466,5 +487,6 @@ mod tests {
         d.encode(&mut a);
         fresh.encode(&mut b);
         assert_eq!(a.into_bytes(), b.into_bytes());
+        assert_eq!(d.waiters.spill.capacity(), 0, "the spill buffer is dropped");
     }
 }

@@ -90,12 +90,14 @@ impl ProfileWorkload {
         &self.params
     }
 
+    #[inline]
     fn pc(&self) -> Addr {
         self.phases[self.phase_idx].code_base + 4 * self.slot_idx as Addr
     }
 
     /// Draws the next data address for a load or store in the current
     /// phase. `is_store` selects the independent store cursor.
+    #[inline]
     fn next_addr(&mut self, is_store: bool, chase: bool) -> Addr {
         let pattern = self.params.phases[self.phase_idx].pattern;
         let ws = self.params.phases[self.phase_idx].working_set;
@@ -175,6 +177,7 @@ impl ProfileWorkload {
         Instruction::jump(pc, BranchKind::Unconditional, self.pc())
     }
 
+    #[inline]
     fn emit_slot(&mut self, slot: StaticSlot, pc: Addr) -> Instruction {
         match slot.kind {
             SlotKind::Alu(op) => {
@@ -244,6 +247,7 @@ impl Workload for ProfileWorkload {
         self.params.name
     }
 
+    #[inline]
     fn next_inst(&mut self) -> Instruction {
         let pc = self.pc();
         if self.phase_insts_left == 0 && self.phases.len() > 1 {

@@ -43,6 +43,7 @@ impl<W: Workload> TraceWindow<W> {
     ///
     /// Panics if `seq` is below the retirement frontier (the caller
     /// discarded it with [`TraceWindow::retire_below`]).
+    #[inline]
     pub fn get(&mut self, seq: SeqNum) -> &Instruction {
         assert!(
             seq >= self.base,
@@ -59,6 +60,7 @@ impl<W: Workload> TraceWindow<W> {
 
     /// Discards buffered instructions with sequence numbers below `seq`.
     /// Calls with a `seq` at or below the current frontier are no-ops.
+    #[inline]
     pub fn retire_below(&mut self, seq: SeqNum) {
         while self.base < seq && !self.buf.is_empty() {
             self.buf.pop_front();

@@ -55,6 +55,7 @@ impl WrongPathGen {
 
     /// Synthesizes the wrong-path instruction `offset` instructions past
     /// `start_pc` (the mispredicted fetch target).
+    #[inline]
     pub fn inst(&self, start_pc: Addr, offset: u64) -> Instruction {
         let pc = start_pc + 4 * offset;
         let mut h = SplitMix64::new(self.seed ^ pc.rotate_left(17));
