@@ -32,6 +32,7 @@ pub use btb::{Btb, BtbConfig};
 pub use gshare::{Gshare, GshareConfig, HistoryCheckpoint};
 pub use ras::ReturnAddressStack;
 
+use mlpwin_isa::snap::Snap;
 use mlpwin_isa::{Addr, BranchKind, Instruction};
 
 /// Configuration of the full branch-prediction unit.
@@ -93,21 +94,23 @@ impl PredictionOutcome {
     }
 }
 
-/// Counters maintained by the prediction unit.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PredictorStats {
-    /// Conditional branches predicted.
-    pub conditional_branches: u64,
-    /// Unconditional transfers (jump/call/return) seen.
-    pub unconditional_branches: u64,
-    /// Direction mispredictions on conditional branches.
-    pub direction_mispredicts: u64,
-    /// Target mispredictions (BTB/RAS misses or wrong target).
-    pub target_mispredicts: u64,
-    /// BTB lookups that hit.
-    pub btb_hits: u64,
-    /// BTB lookups that missed.
-    pub btb_misses: u64,
+mlpwin_isa::counters! {
+    /// Counters maintained by the prediction unit.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct PredictorStats {
+        /// Conditional branches predicted.
+        pub conditional_branches: u64,
+        /// Unconditional transfers (jump/call/return) seen.
+        pub unconditional_branches: u64,
+        /// Direction mispredictions on conditional branches.
+        pub direction_mispredicts: u64,
+        /// Target mispredictions (BTB/RAS misses or wrong target).
+        pub target_mispredicts: u64,
+        /// BTB lookups that hit.
+        pub btb_hits: u64,
+        /// BTB lookups that missed.
+        pub btb_misses: u64,
+    }
 }
 
 impl PredictorStats {
@@ -169,13 +172,7 @@ impl BranchPredictor {
                 self.stats.conditional_branches += 1;
                 let (pred_taken, checkpoint) = self.gshare.predict_and_push(inst.pc);
                 let pred_target = if pred_taken {
-                    let t = self.btb.lookup(inst.pc);
-                    if t.is_some() {
-                        self.stats.btb_hits += 1;
-                    } else {
-                        self.stats.btb_misses += 1;
-                    }
-                    t
+                    self.btb_lookup(inst.pc)
                 } else {
                     None
                 };
@@ -197,12 +194,7 @@ impl BranchPredictor {
             }
             BranchKind::Unconditional | BranchKind::Call => {
                 self.stats.unconditional_branches += 1;
-                let pred_target = self.btb.lookup(inst.pc);
-                if pred_target.is_some() {
-                    self.stats.btb_hits += 1;
-                } else {
-                    self.stats.btb_misses += 1;
-                }
+                let pred_target = self.btb_lookup(inst.pc);
                 if info.kind == BranchKind::Call {
                     self.ras.push(inst.next_pc());
                 }
@@ -232,6 +224,18 @@ impl BranchPredictor {
                 }
             }
         }
+    }
+
+    /// Looks `pc` up in the BTB, counting the hit or miss.
+    #[inline]
+    fn btb_lookup(&mut self, pc: Addr) -> Option<Addr> {
+        let target = self.btb.lookup(pc);
+        if target.is_some() {
+            self.stats.btb_hits += 1;
+        } else {
+            self.stats.btb_misses += 1;
+        }
+        target
     }
 
     /// Resolves a branch at execute: trains the PHT and BTB with the
@@ -274,12 +278,7 @@ impl BranchPredictor {
         self.gshare.save_state(w);
         self.btb.save_state(w);
         self.ras.save_state(w);
-        w.put_u64(self.stats.conditional_branches);
-        w.put_u64(self.stats.unconditional_branches);
-        w.put_u64(self.stats.direction_mispredicts);
-        w.put_u64(self.stats.target_mispredicts);
-        w.put_u64(self.stats.btb_hits);
-        w.put_u64(self.stats.btb_misses);
+        self.stats.save(w);
     }
 
     /// Restores the state written by [`BranchPredictor::save_state`] into
@@ -291,12 +290,7 @@ impl BranchPredictor {
         self.gshare.load_state(r)?;
         self.btb.load_state(r)?;
         self.ras.load_state(r)?;
-        self.stats.conditional_branches = r.get_u64()?;
-        self.stats.unconditional_branches = r.get_u64()?;
-        self.stats.direction_mispredicts = r.get_u64()?;
-        self.stats.target_mispredicts = r.get_u64()?;
-        self.stats.btb_hits = r.get_u64()?;
-        self.stats.btb_misses = r.get_u64()?;
+        self.stats = PredictorStats::load(r)?;
         Ok(())
     }
 }

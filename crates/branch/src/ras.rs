@@ -58,7 +58,7 @@ impl ReturnAddressStack {
 
     /// Serializes the stack contents and cursor.
     pub fn save_state(&self, w: &mut mlpwin_isa::snap::SnapWriter) {
-        w.put_u64_slice(&self.slots);
+        mlpwin_isa::snap::Snap::save(&self.slots, w);
         w.put_usize(self.top);
         w.put_usize(self.depth);
     }
@@ -68,7 +68,7 @@ impl ReturnAddressStack {
         &mut self,
         r: &mut mlpwin_isa::snap::SnapReader<'_>,
     ) -> Result<(), mlpwin_isa::snap::SnapError> {
-        let slots = r.get_u64_vec()?;
+        let slots: Vec<u64> = mlpwin_isa::snap::Snap::load(r)?;
         if slots.len() != self.slots.len() {
             return Err(mlpwin_isa::snap::SnapError::Mismatch { what: "RAS depth" });
         }

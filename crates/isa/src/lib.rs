@@ -25,17 +25,19 @@
 //! assert!(add.writes_register());
 //! ```
 
+pub mod counters;
 pub mod inst;
 pub mod op;
 pub mod reg;
 pub mod rng;
 pub mod snap;
 
+pub use counters::Counters;
 pub use inst::{BranchInfo, BranchKind, Instruction, MemRef};
 pub use op::{FuKind, OpClass};
 pub use reg::ArchReg;
 pub use rng::{SplitMix64, Xoshiro256StarStar};
-pub use snap::{crc32, SnapError, SnapReader, SnapWriter};
+pub use snap::{crc32, Snap, SnapError, SnapReader, SnapWriter};
 
 /// Global dynamic-instruction sequence number (program order on the
 /// committed path; wrong-path instructions use a disjoint high range).

@@ -184,14 +184,12 @@ impl SnapWriter {
         self.buf.push(v);
     }
 
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -209,20 +207,10 @@ impl SnapWriter {
         self.buf.push(v as u8);
     }
 
-    /// `f64` travels as raw IEEE-754 bits: bit-exact round-trip.
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
     /// Raw bytes with a `u64` length prefix.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_usize(v.len());
         self.buf.extend_from_slice(v);
-    }
-
-    /// UTF-8 string with a `u64` length prefix.
-    pub fn put_str(&mut self, v: &str) {
-        self.put_bytes(v.as_bytes());
     }
 
     /// Option discriminant (0 = None, 1 = Some) followed by the payload.
@@ -244,14 +232,6 @@ impl SnapWriter {
                 self.put_u8(1);
                 f(self, x);
             }
-        }
-    }
-
-    /// `u64` slice with a length prefix.
-    pub fn put_u64_slice(&mut self, v: &[u64]) {
-        self.put_usize(v.len());
-        for &x in v {
-            self.put_u64(x);
         }
     }
 
@@ -304,6 +284,7 @@ impl<'a> SnapReader<'a> {
         }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
         if self.remaining() < n {
             return Err(SnapError::ShortRead {
@@ -320,14 +301,12 @@ impl<'a> SnapReader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    pub fn get_u16(&mut self) -> Result<u16, SnapError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
+    #[inline]
     pub fn get_u32(&mut self) -> Result<u32, SnapError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
+    #[inline]
     pub fn get_u64(&mut self) -> Result<u64, SnapError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
@@ -359,10 +338,6 @@ impl<'a> SnapReader<'a> {
         }
     }
 
-    pub fn get_f64(&mut self) -> Result<f64, SnapError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
     /// Length-prefixed raw bytes. The length is validated against the
     /// remaining stream before any allocation.
     pub fn get_bytes(&mut self) -> Result<&'a [u8], SnapError> {
@@ -376,17 +351,6 @@ impl<'a> SnapReader<'a> {
             });
         }
         self.take(len)
-    }
-
-    /// Length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<String, SnapError> {
-        let offset = self.pos;
-        let bytes = self.get_bytes()?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| SnapError::BadTag {
-            offset,
-            tag: 0,
-            what: "utf-8 string",
-        })
     }
 
     pub fn get_opt_u64(&mut self) -> Result<Option<u64>, SnapError> {
@@ -420,11 +384,6 @@ impl<'a> SnapReader<'a> {
         }
     }
 
-    /// Length-prefixed `Vec<u64>`.
-    pub fn get_u64_vec(&mut self) -> Result<Vec<u64>, SnapError> {
-        self.get_seq(|r| r.get_u64())
-    }
-
     /// Generic sequence: reads the length prefix, then decodes each
     /// element with `f`. The count is sanity-checked against the
     /// remaining bytes (every element costs at least one byte) so a
@@ -450,6 +409,64 @@ impl<'a> SnapReader<'a> {
     }
 }
 
+/// A value with one fixed snapshot encoding, so records built of such
+/// values can save and load field by field (see
+/// [`counters!`](crate::counters!)).
+pub trait Snap: Sized {
+    /// Appends the value's encoding.
+    fn save(&self, w: &mut SnapWriter);
+    /// Decodes a value written by [`Snap::save`].
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
+}
+
+impl Snap for u64 {
+    #[inline]
+    fn save(&self, w: &mut SnapWriter) {
+        w.put_u64(*self);
+    }
+    #[inline]
+    fn load(r: &mut SnapReader<'_>) -> Result<u64, SnapError> {
+        r.get_u64()
+    }
+}
+
+impl Snap for u32 {
+    #[inline]
+    fn save(&self, w: &mut SnapWriter) {
+        w.put_u32(*self);
+    }
+    #[inline]
+    fn load(r: &mut SnapReader<'_>) -> Result<u32, SnapError> {
+        r.get_u32()
+    }
+}
+
+/// A fixed-size row: its elements, no length prefix.
+impl<const N: usize> Snap for [u64; N] {
+    fn save(&self, w: &mut SnapWriter) {
+        for v in self {
+            w.put_u64(*v);
+        }
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<[u64; N], SnapError> {
+        let mut row = [0u64; N];
+        for v in &mut row {
+            *v = r.get_u64()?;
+        }
+        Ok(row)
+    }
+}
+
+/// A sequence: a length prefix, then each element.
+impl<T: Snap> Snap for Vec<T> {
+    fn save(&self, w: &mut SnapWriter) {
+        w.put_seq(self.iter(), |w, v| v.save(w));
+    }
+    fn load(r: &mut SnapReader<'_>) -> Result<Vec<T>, SnapError> {
+        r.get_seq(T::load)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,36 +475,30 @@ mod tests {
     fn round_trips_every_primitive() {
         let mut w = SnapWriter::new();
         w.put_u8(0xAB);
-        w.put_u16(0xBEEF);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 7);
         w.put_i64(-42);
         w.put_usize(12345);
         w.put_bool(true);
         w.put_bool(false);
-        w.put_f64(3.25);
         w.put_bytes(b"hello");
-        w.put_str("snapshot");
         w.put_opt_u64(Some(9));
         w.put_opt_u64(None);
-        w.put_u64_slice(&[1, 2, 3]);
+        vec![1u64, 2, 3].save(&mut w);
         let bytes = w.into_bytes();
 
         let mut r = SnapReader::new(&bytes);
         assert_eq!(r.get_u8().unwrap(), 0xAB);
-        assert_eq!(r.get_u16().unwrap(), 0xBEEF);
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 7);
         assert_eq!(r.get_i64().unwrap(), -42);
         assert_eq!(r.get_usize().unwrap(), 12345);
         assert!(r.get_bool().unwrap());
         assert!(!r.get_bool().unwrap());
-        assert_eq!(r.get_f64().unwrap(), 3.25);
         assert_eq!(r.get_bytes().unwrap(), b"hello");
-        assert_eq!(r.get_str().unwrap(), "snapshot");
         assert_eq!(r.get_opt_u64().unwrap(), Some(9));
         assert_eq!(r.get_opt_u64().unwrap(), None);
-        assert_eq!(r.get_u64_vec().unwrap(), vec![1, 2, 3]);
+        assert_eq!(Vec::<u64>::load(&mut r).unwrap(), vec![1, 2, 3]);
         assert!(r.finish().is_ok());
     }
 

@@ -5,6 +5,7 @@
 //! information used by the Fig. 11 pollution analysis.
 
 use crate::provenance::Provenance;
+use mlpwin_isa::snap::Snap;
 use mlpwin_isa::Addr;
 
 /// Geometry and latency of one cache level.
@@ -108,30 +109,20 @@ const INVALID_LINE: Line = Line {
     },
 };
 
-/// Counters for one cache level.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Probes that hit.
-    pub hits: u64,
-    /// Probes that missed.
-    pub misses: u64,
-    /// Lines filled.
-    pub fills: u64,
-    /// Valid lines evicted to make room.
-    pub evictions: u64,
-    /// Dirty lines evicted (writebacks).
-    pub writebacks: u64,
-}
-
-impl CacheStats {
-    /// Miss ratio over all probes; 0.0 when no probe has been made.
-    pub fn miss_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
+mlpwin_isa::counters! {
+    /// Counters for one cache level.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct CacheStats {
+        /// Probes that hit.
+        pub hits: u64,
+        /// Probes that missed.
+        pub misses: u64,
+        /// Lines filled.
+        pub fills: u64,
+        /// Valid lines evicted to make room.
+        pub evictions: u64,
+        /// Dirty lines evicted (writebacks).
+        pub writebacks: u64,
     }
 }
 
@@ -327,11 +318,7 @@ impl Cache {
                 w.put_bool(l.meta.touched_by_correct_path);
             }
         });
-        w.put_u64(self.stats.hits);
-        w.put_u64(self.stats.misses);
-        w.put_u64(self.stats.fills);
-        w.put_u64(self.stats.evictions);
-        w.put_u64(self.stats.writebacks);
+        self.stats.save(w);
     }
 
     /// Restores the state written by [`Cache::save_state`].
@@ -361,11 +348,7 @@ impl Cache {
             });
         }
         self.lines = lines;
-        self.stats.hits = r.get_u64()?;
-        self.stats.misses = r.get_u64()?;
-        self.stats.fills = r.get_u64()?;
-        self.stats.evictions = r.get_u64()?;
-        self.stats.writebacks = r.get_u64()?;
+        self.stats = CacheStats::load(r)?;
         Ok(())
     }
 }

@@ -16,6 +16,7 @@
 //! computation is precisely the memory-level parallelism the paper's
 //! mechanism exposes.
 
+use mlpwin_isa::snap::Snap;
 use mlpwin_isa::Cycle;
 
 /// Main-memory channel configuration.
@@ -36,16 +37,18 @@ impl Default for DramConfig {
     }
 }
 
-/// Counters for the memory channel.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DramStats {
-    /// Line requests served.
-    pub requests: u64,
-    /// Total latency (issue to completion) summed over requests.
-    pub total_latency: u64,
-    /// Total cycles requests spent queued behind the bus beyond the
-    /// latency floor.
-    pub total_queue_delay: u64,
+mlpwin_isa::counters! {
+    /// Counters for the memory channel.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct DramStats {
+        /// Line requests served.
+        pub requests: u64,
+        /// Total latency (issue to completion) summed over requests.
+        pub total_latency: u64,
+        /// Total cycles requests spent queued behind the bus beyond the
+        /// latency floor.
+        pub total_queue_delay: u64,
+    }
 }
 
 impl DramStats {
@@ -101,9 +104,7 @@ impl Dram {
     /// Serializes the bus state and counters.
     pub fn save_state(&self, w: &mut mlpwin_isa::snap::SnapWriter) {
         w.put_u64(self.bus_free);
-        w.put_u64(self.stats.requests);
-        w.put_u64(self.stats.total_latency);
-        w.put_u64(self.stats.total_queue_delay);
+        self.stats.save(w);
     }
 
     /// Restores the state written by [`Dram::save_state`].
@@ -112,9 +113,7 @@ impl Dram {
         r: &mut mlpwin_isa::snap::SnapReader<'_>,
     ) -> Result<(), mlpwin_isa::snap::SnapError> {
         self.bus_free = r.get_u64()?;
-        self.stats.requests = r.get_u64()?;
-        self.stats.total_latency = r.get_u64()?;
-        self.stats.total_queue_delay = r.get_u64()?;
+        self.stats = DramStats::load(r)?;
         Ok(())
     }
 

@@ -7,6 +7,7 @@
 //! (initial → transient → steady); prefetches are issued only in the
 //! steady state.
 
+use mlpwin_isa::snap::Snap;
 use mlpwin_isa::Addr;
 
 /// Prefetcher configuration.
@@ -62,15 +63,17 @@ const INVALID_ENTRY: RptEntry = RptEntry {
     valid: false,
 };
 
-/// Counters for the prefetcher.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PrefetchStats {
-    /// Demand accesses observed for training.
-    pub trains: u64,
-    /// Prefetch addresses proposed (before dedup against cache/MSHR).
-    pub proposed: u64,
-    /// Triggering misses that found a steady stride.
-    pub triggers: u64,
+mlpwin_isa::counters! {
+    /// Counters for the prefetcher.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct PrefetchStats {
+        /// Demand accesses observed for training.
+        pub trains: u64,
+        /// Prefetch addresses proposed (before dedup against cache/MSHR).
+        pub proposed: u64,
+        /// Triggering misses that found a steady stride.
+        pub triggers: u64,
+    }
 }
 
 /// The stride prefetcher.
@@ -138,9 +141,7 @@ impl StridePrefetcher {
                 w.put_u64(e.lru);
             }
         });
-        w.put_u64(self.stats.trains);
-        w.put_u64(self.stats.proposed);
-        w.put_u64(self.stats.triggers);
+        self.stats.save(w);
     }
 
     /// Restores the state written by [`StridePrefetcher::save_state`].
@@ -182,9 +183,7 @@ impl StridePrefetcher {
             });
         }
         self.table = table;
-        self.stats.trains = r.get_u64()?;
-        self.stats.proposed = r.get_u64()?;
-        self.stats.triggers = r.get_u64()?;
+        self.stats = PrefetchStats::load(r)?;
         Ok(())
     }
 

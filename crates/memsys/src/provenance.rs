@@ -73,24 +73,26 @@ pub struct LineClass {
     pub useful: bool,
 }
 
-/// Aggregated Fig. 11 counters: lines brought into the L2 by class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProvenanceStats {
-    /// Correct-path demand fills later touched by the correct path (the
-    /// demand access itself counts as a touch).
-    pub corrpath_useful: u64,
-    /// Correct-path demand fills never touched again (possible when the
-    /// triggering access was squashed between probe and fill accounting —
-    /// rare, but tracked for completeness).
-    pub corrpath_useless: u64,
-    /// Wrong-path demand fills that the correct path later used.
-    pub wrongpath_useful: u64,
-    /// Wrong-path demand fills never used by the correct path.
-    pub wrongpath_useless: u64,
-    /// Prefetched lines the correct path later used.
-    pub prefetch_useful: u64,
-    /// Prefetched lines never used by the correct path.
-    pub prefetch_useless: u64,
+mlpwin_isa::counters! {
+    /// Aggregated Fig. 11 counters: lines brought into the L2 by class.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ProvenanceStats {
+        /// Correct-path demand fills later touched by the correct path (the
+        /// demand access itself counts as a touch).
+        pub corrpath_useful: u64,
+        /// Correct-path demand fills never touched again (possible when the
+        /// triggering access was squashed between probe and fill accounting —
+        /// rare, but tracked for completeness).
+        pub corrpath_useless: u64,
+        /// Wrong-path demand fills that the correct path later used.
+        pub wrongpath_useful: u64,
+        /// Wrong-path demand fills never used by the correct path.
+        pub wrongpath_useless: u64,
+        /// Prefetched lines the correct path later used.
+        pub prefetch_useful: u64,
+        /// Prefetched lines never used by the correct path.
+        pub prefetch_useless: u64,
+    }
 }
 
 impl ProvenanceStats {
@@ -126,45 +128,12 @@ impl ProvenanceStats {
     pub fn useless_total(&self) -> u64 {
         self.corrpath_useless + self.wrongpath_useless + self.prefetch_useless
     }
-
-    /// Serializes the six class counters.
-    pub fn save_state(&self, w: &mut mlpwin_isa::snap::SnapWriter) {
-        w.put_u64(self.corrpath_useful);
-        w.put_u64(self.corrpath_useless);
-        w.put_u64(self.wrongpath_useful);
-        w.put_u64(self.wrongpath_useless);
-        w.put_u64(self.prefetch_useful);
-        w.put_u64(self.prefetch_useless);
-    }
-
-    /// Restores the counters written by [`ProvenanceStats::save_state`].
-    pub fn load_state(
-        &mut self,
-        r: &mut mlpwin_isa::snap::SnapReader<'_>,
-    ) -> Result<(), mlpwin_isa::snap::SnapError> {
-        self.corrpath_useful = r.get_u64()?;
-        self.corrpath_useless = r.get_u64()?;
-        self.wrongpath_useful = r.get_u64()?;
-        self.wrongpath_useless = r.get_u64()?;
-        self.prefetch_useful = r.get_u64()?;
-        self.prefetch_useless = r.get_u64()?;
-        Ok(())
-    }
-
-    /// Merges another set of counters into this one.
-    pub fn merge(&mut self, other: &ProvenanceStats) {
-        self.corrpath_useful += other.corrpath_useful;
-        self.corrpath_useless += other.corrpath_useless;
-        self.wrongpath_useful += other.wrongpath_useful;
-        self.wrongpath_useless += other.wrongpath_useless;
-        self.prefetch_useful += other.prefetch_useful;
-        self.prefetch_useless += other.prefetch_useless;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlpwin_isa::Counters;
 
     #[test]
     fn record_routes_to_the_right_counter() {
@@ -199,7 +168,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counters() {
+    fn add_counters_adds_each_class() {
         let mut a = ProvenanceStats {
             corrpath_useful: 1,
             prefetch_useless: 2,
@@ -210,7 +179,7 @@ mod tests {
             wrongpath_useful: 4,
             ..Default::default()
         };
-        a.merge(&b);
+        a.add_counters(&b);
         assert_eq!(a.corrpath_useful, 4);
         assert_eq!(a.wrongpath_useful, 4);
         assert_eq!(a.prefetch_useless, 2);

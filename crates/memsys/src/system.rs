@@ -18,6 +18,7 @@ use crate::dram::{Dram, DramConfig};
 use crate::mshr::{MshrFile, MshrOutcome};
 use crate::prefetch::{StrideConfig, StridePrefetcher};
 use crate::provenance::{LineClass, PathKind, Provenance, ProvenanceStats};
+use mlpwin_isa::snap::Snap;
 use mlpwin_isa::{Addr, Cycle};
 
 /// What kind of access the core is making.
@@ -89,23 +90,25 @@ impl Default for MemSystemConfig {
     }
 }
 
-/// Aggregate counters for the hierarchy.
-#[derive(Debug, Clone, Default)]
-pub struct MemStats {
-    /// Demand loads observed.
-    pub loads: u64,
-    /// Demand stores observed.
-    pub stores: u64,
-    /// Instruction fetch accesses observed.
-    pub ifetches: u64,
-    /// Summed end-to-end load latency (for the Table 3 average).
-    pub total_load_latency: u64,
-    /// Fresh demand misses at the L2 (the controller's trigger events).
-    pub l2_demand_misses: u64,
-    /// Cycle of each recorded demand L2 miss (Fig. 4 histogram input).
-    pub l2_demand_miss_cycles: Vec<Cycle>,
-    /// Prefetch line fills actually issued to memory.
-    pub prefetch_fills: u64,
+mlpwin_isa::counters! {
+    /// Aggregate counters for the hierarchy.
+    #[derive(Debug, Clone, Default)]
+    pub struct MemStats {
+        /// Demand loads observed.
+        pub loads: u64,
+        /// Demand stores observed.
+        pub stores: u64,
+        /// Instruction fetch accesses observed.
+        pub ifetches: u64,
+        /// Summed end-to-end load latency (for the Table 3 average).
+        pub total_load_latency: u64,
+        /// Fresh demand misses at the L2 (the controller's trigger events).
+        pub l2_demand_misses: u64,
+        /// Cycle of each recorded demand L2 miss (Fig. 4 histogram input).
+        pub l2_demand_miss_cycles: Vec<Cycle>,
+        /// Prefetch line fills actually issued to memory.
+        pub prefetch_fills: u64,
+    }
 }
 
 impl MemStats {
@@ -248,14 +251,8 @@ impl MemSystem {
         self.prefetcher.save_state(w);
         self.l1d_mshr.save_state(w);
         self.l2_mshr.save_state(w);
-        self.provenance.save_state(w);
-        w.put_u64(self.stats.loads);
-        w.put_u64(self.stats.stores);
-        w.put_u64(self.stats.ifetches);
-        w.put_u64(self.stats.total_load_latency);
-        w.put_u64(self.stats.l2_demand_misses);
-        w.put_u64_slice(&self.stats.l2_demand_miss_cycles);
-        w.put_u64(self.stats.prefetch_fills);
+        self.provenance.save(w);
+        self.stats.save(w);
         w.put_bool(self.finalized);
     }
 
@@ -272,14 +269,8 @@ impl MemSystem {
         self.prefetcher.load_state(r)?;
         self.l1d_mshr.load_state(r)?;
         self.l2_mshr.load_state(r)?;
-        self.provenance.load_state(r)?;
-        self.stats.loads = r.get_u64()?;
-        self.stats.stores = r.get_u64()?;
-        self.stats.ifetches = r.get_u64()?;
-        self.stats.total_load_latency = r.get_u64()?;
-        self.stats.l2_demand_misses = r.get_u64()?;
-        self.stats.l2_demand_miss_cycles = r.get_u64_vec()?;
-        self.stats.prefetch_fills = r.get_u64()?;
+        self.provenance = ProvenanceStats::load(r)?;
+        self.stats = MemStats::load(r)?;
         self.finalized = r.get_bool()?;
         Ok(())
     }

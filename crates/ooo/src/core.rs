@@ -36,7 +36,7 @@ use crate::stats::{CoreStats, CpiBucket, IntervalSample, CPI_BUCKETS};
 use crate::trace::{TraceEventKind, Tracer};
 use crate::types::{DynInst, DynSeq, MemState};
 use mlpwin_branch::BranchPredictor;
-use mlpwin_isa::snap::{SnapError, SnapReader, SnapWriter};
+use mlpwin_isa::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use mlpwin_isa::{Addr, Cycle, OpClass, SeqNum};
 use mlpwin_memsys::{AccessKind, MemSystem, PathKind};
 use mlpwin_workloads::Workload;
@@ -1055,7 +1055,7 @@ impl<W: Workload> Core<W> {
         w.put_usize(self.last_target);
         w.put_bool(self.level_changed);
         w.put_u64(self.interval_last_insts);
-        self.stats.save_state(w);
+        self.stats.save(w);
         w.put_u64(self.last_commit_cycle);
         w.put_u64(self.total_committed);
         self.mem.save_state(w);
@@ -1109,7 +1109,7 @@ impl<W: Workload> Core<W> {
             });
         }
         self.ready.load_state(r)?;
-        let blocked = r.get_u64_vec()?;
+        let blocked = Vec::<u64>::load(r)?;
         self.blocked_loads.clear();
         self.blocked_loads.extend(blocked);
         let completions = r.get_seq(|r| Ok((r.get_u64()?, r.get_u64()?)))?;

@@ -13,7 +13,7 @@
 //! [`FrontEnd::redirect`].
 
 use mlpwin_branch::{BranchPredictor, PredictionOutcome};
-use mlpwin_isa::snap::{SnapError, SnapReader, SnapWriter};
+use mlpwin_isa::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use mlpwin_isa::{Addr, Cycle, Instruction, SeqNum};
 use mlpwin_memsys::{AccessKind, MemSystem, PathKind};
 use mlpwin_workloads::{TraceWindow, Workload, WrongPathGen};
@@ -45,17 +45,19 @@ enum Source {
     Wrong { start_pc: Addr, offset: u64 },
 }
 
-/// Fetch statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FrontEndStats {
-    /// Committed-path instructions fetched.
-    pub trace_fetched: u64,
-    /// Wrong-path instructions fetched.
-    pub wrongpath_fetched: u64,
-    /// Cycles fetch was stalled waiting on the I-cache.
-    pub icache_stall_cycles: u64,
-    /// Redirects received (mispredict recoveries + runahead exits).
-    pub redirects: u64,
+mlpwin_isa::counters! {
+    /// Fetch statistics.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct FrontEndStats {
+        /// Committed-path instructions fetched.
+        pub trace_fetched: u64,
+        /// Wrong-path instructions fetched.
+        pub wrongpath_fetched: u64,
+        /// Cycles fetch was stalled waiting on the I-cache.
+        pub icache_stall_cycles: u64,
+        /// Redirects received (mispredict recoveries + runahead exits).
+        pub redirects: u64,
+    }
 }
 
 /// The fetch front end.
@@ -217,10 +219,7 @@ impl<W: Workload> FrontEnd<W> {
         w.put_u64(self.stall_until);
         w.put_u64(self.recovery_until);
         w.put_opt_u64(self.last_line);
-        w.put_u64(self.stats.trace_fetched);
-        w.put_u64(self.stats.wrongpath_fetched);
-        w.put_u64(self.stats.icache_stall_cycles);
-        w.put_u64(self.stats.redirects);
+        self.stats.save(w);
     }
 
     /// Restores the state written by [`FrontEnd::save_state`].
@@ -266,10 +265,7 @@ impl<W: Workload> FrontEnd<W> {
         self.stall_until = r.get_u64()?;
         self.recovery_until = r.get_u64()?;
         self.last_line = r.get_opt_u64()?;
-        self.stats.trace_fetched = r.get_u64()?;
-        self.stats.wrongpath_fetched = r.get_u64()?;
-        self.stats.icache_stall_cycles = r.get_u64()?;
-        self.stats.redirects = r.get_u64()?;
+        self.stats = FrontEndStats::load(r)?;
         Ok(())
     }
 

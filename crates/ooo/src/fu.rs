@@ -4,7 +4,7 @@
 //! units (integer/FP divide, FP sqrt) are reserved until their operation
 //! completes.
 
-use mlpwin_isa::snap::{SnapError, SnapReader, SnapWriter};
+use mlpwin_isa::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use mlpwin_isa::{Cycle, FuKind, OpClass};
 
 /// The five function-unit pools of the core.
@@ -92,14 +92,14 @@ impl FuPool {
     /// decision, and snapshots are only taken between steps.
     pub fn save_state(&self, w: &mut SnapWriter) {
         for pool in &self.busy {
-            w.put_u64_slice(pool);
+            pool.save(w);
         }
     }
 
     /// Restores the reservations written by [`FuPool::save_state`].
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         for pool in &mut self.busy {
-            *pool = r.get_u64_vec()?;
+            *pool = Vec::<u64>::load(r)?;
         }
         self.busy_total = self.busy.iter().map(Vec::len).sum();
         Ok(())

@@ -13,7 +13,7 @@
 //! insert/remove and no per-cycle allocation.
 
 use crate::types::DynSeq;
-use mlpwin_isa::snap::{SnapError, SnapReader, SnapWriter};
+use mlpwin_isa::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// A fixed-capacity ready set over a contiguous `DynSeq` window,
 /// iterated oldest-first in place.
@@ -84,13 +84,13 @@ impl ReadyRing {
 
     /// Serializes the raw bitmap words.
     pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u64_slice(&self.words);
+        w.put_seq(self.words.iter(), |w, v| w.put_u64(*v));
     }
 
     /// Restores the bitmap written by [`ReadyRing::save_state`] into a
     /// ring of the same geometry; the population count is recomputed.
     pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let words = r.get_u64_vec()?;
+        let words = Vec::<u64>::load(r)?;
         if words.len() != self.words.len() {
             return Err(SnapError::Mismatch {
                 what: "ready-ring geometry",

@@ -1,6 +1,7 @@
 //! Core simulation statistics.
 
-use mlpwin_isa::snap::{SnapError, SnapReader, SnapWriter};
+use mlpwin_isa::snap::{Snap, SnapError, SnapReader};
+use mlpwin_isa::Counters;
 use mlpwin_isa::Cycle;
 
 /// Where one cycle of execution went. Every simulated cycle is charged
@@ -87,123 +88,101 @@ impl CpiBucket {
     }
 }
 
-/// One entry of the interval time series: counters sampled at the end
-/// of each fixed-length cycle epoch (enabled by
-/// [`CoreConfig::interval_cycles`](crate::CoreConfig)). All fields are
-/// integers so the series is bit-exact across runs and thread counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IntervalSample {
-    /// Measured cycle the epoch ended at (multiples of the epoch length).
-    pub end_cycle: Cycle,
-    /// Instructions committed during this epoch (per-epoch IPC is
-    /// `committed_insts / epoch`).
-    pub committed_insts: u64,
-    /// Window level at the sample point (0-based).
-    pub level: u32,
-    /// ROB occupancy at the sample point.
-    pub rob_occ: u32,
-    /// Issue-queue occupancy at the sample point.
-    pub iq_occ: u32,
-    /// Load/store-queue occupancy at the sample point.
-    pub lsq_occ: u32,
-    /// Outstanding cache misses (MSHR occupancy) at the sample point.
-    pub outstanding_misses: u32,
-}
-
-impl IntervalSample {
-    /// Serializes one sample.
-    pub fn encode(&self, w: &mut SnapWriter) {
-        w.put_u64(self.end_cycle);
-        w.put_u64(self.committed_insts);
-        w.put_u32(self.level);
-        w.put_u32(self.rob_occ);
-        w.put_u32(self.iq_occ);
-        w.put_u32(self.lsq_occ);
-        w.put_u32(self.outstanding_misses);
-    }
-
-    /// Decodes a sample written by [`IntervalSample::encode`].
-    pub fn decode(r: &mut SnapReader<'_>) -> Result<IntervalSample, SnapError> {
-        Ok(IntervalSample {
-            end_cycle: r.get_u64()?,
-            committed_insts: r.get_u64()?,
-            level: r.get_u32()?,
-            rob_occ: r.get_u32()?,
-            iq_occ: r.get_u32()?,
-            lsq_occ: r.get_u32()?,
-            outstanding_misses: r.get_u32()?,
-        })
+mlpwin_isa::counters! {
+    /// One entry of the interval time series: counters sampled at the end
+    /// of each fixed-length cycle epoch (enabled by
+    /// [`CoreConfig::interval_cycles`](crate::CoreConfig)). All fields are
+    /// integers so the series is bit-exact across runs and thread counts.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct IntervalSample {
+        /// Measured cycle the epoch ended at (multiples of the epoch length).
+        pub end_cycle: Cycle,
+        /// Instructions committed during this epoch (per-epoch IPC is
+        /// `committed_insts / epoch`).
+        pub committed_insts: u64,
+        /// Window level at the sample point (0-based).
+        pub level: u32,
+        /// ROB occupancy at the sample point.
+        pub rob_occ: u32,
+        /// Issue-queue occupancy at the sample point.
+        pub iq_occ: u32,
+        /// Load/store-queue occupancy at the sample point.
+        pub lsq_occ: u32,
+        /// Outstanding cache misses (MSHR occupancy) at the sample point.
+        pub outstanding_misses: u32,
     }
 }
 
-/// Counters accumulated over a simulation run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CoreStats {
-    /// Simulated cycles.
-    pub cycles: u64,
-    /// Committed-path instructions retired.
-    pub committed_insts: u64,
-    /// Committed loads.
-    pub committed_loads: u64,
-    /// Committed stores.
-    pub committed_stores: u64,
-    /// Committed control transfers.
-    pub committed_branches: u64,
-    /// Committed conditional branches.
-    pub committed_cond_branches: u64,
-    /// Committed branches that had been mispredicted.
-    pub committed_mispredicts: u64,
-    /// Summed end-to-end latency of committed loads (cycles).
-    pub load_latency_sum: u64,
+mlpwin_isa::counters! {
+    /// Counters accumulated over a simulation run.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct CoreStats {
+        /// Simulated cycles.
+        pub cycles: u64,
+        /// Committed-path instructions retired.
+        pub committed_insts: u64,
+        /// Committed loads.
+        pub committed_loads: u64,
+        /// Committed stores.
+        pub committed_stores: u64,
+        /// Committed control transfers.
+        pub committed_branches: u64,
+        /// Committed conditional branches.
+        pub committed_cond_branches: u64,
+        /// Committed branches that had been mispredicted.
+        pub committed_mispredicts: u64,
+        /// Summed end-to-end latency of committed loads (cycles).
+        pub load_latency_sum: u64,
 
-    /// Cycles spent at each resource level (index 0 = level 1) — Fig. 8.
-    pub level_cycles: Vec<u64>,
-    /// Per-level CPI stack: `cpi_stack[level][bucket]` cycles, indexed
-    /// by [`CpiBucket`]. Each row sums to `level_cycles[level]`; the
-    /// whole matrix sums to `cycles` (the conservation invariant).
-    pub cpi_stack: Vec<[u64; CPI_BUCKETS]>,
-    /// Interval time series; empty unless
-    /// [`CoreConfig::interval_cycles`](crate::CoreConfig) is set.
-    pub intervals: Vec<IntervalSample>,
-    /// Completed enlargements.
-    pub transitions_up: u64,
-    /// Completed shrinks.
-    pub transitions_down: u64,
+        /// Cycles spent at each resource level (index 0 = level 1) — Fig. 8.
+        pub level_cycles: Vec<u64>,
+        /// Per-level CPI stack: `cpi_stack[level][bucket]` cycles, indexed
+        /// by [`CpiBucket`]. Each row sums to `level_cycles[level]`; the
+        /// whole matrix sums to `cycles` (the conservation invariant).
+        pub cpi_stack: Vec<[u64; CPI_BUCKETS]>,
+        /// Interval time series; empty unless
+        /// [`CoreConfig::interval_cycles`](crate::CoreConfig) is set.
+        pub intervals: Vec<IntervalSample>,
+        /// Completed enlargements.
+        pub transitions_up: u64,
+        /// Completed shrinks.
+        pub transitions_down: u64,
 
-    /// Cycles allocation was stalled by a level-transition penalty.
-    pub stall_transition: u64,
-    /// Cycles allocation was stalled waiting for a shrink region to drain.
-    pub stall_shrink_wait: u64,
-    /// Cycles allocation was blocked by a full ROB.
-    pub stall_rob_full: u64,
-    /// Cycles allocation was blocked by a full issue queue.
-    pub stall_iq_full: u64,
-    /// Cycles allocation was blocked by a full LSQ.
-    pub stall_lsq_full: u64,
-    /// Cycles nothing was ready to dispatch (fetch-limited).
-    pub stall_fetch_empty: u64,
+        /// Cycles allocation was stalled by a level-transition penalty.
+        pub stall_transition: u64,
+        /// Cycles allocation was stalled waiting for a shrink region to drain.
+        pub stall_shrink_wait: u64,
+        /// Cycles allocation was blocked by a full ROB.
+        pub stall_rob_full: u64,
+        /// Cycles allocation was blocked by a full issue queue.
+        pub stall_iq_full: u64,
+        /// Cycles allocation was blocked by a full LSQ.
+        pub stall_lsq_full: u64,
+        /// Cycles nothing was ready to dispatch (fetch-limited).
+        pub stall_fetch_empty: u64,
 
-    /// Total instructions dispatched into the window (committed-path,
-    /// wrong-path and runahead replays alike) — the energy model's
-    /// activity base.
-    pub dispatched_total: u64,
-    /// Total instructions issued to function units.
-    pub issued_total: u64,
-    /// Pipeline squashes from branch recovery.
-    pub squashes: u64,
-    /// Wrong-path instructions that entered the pipeline.
-    pub wrongpath_dispatched: u64,
+        /// Total instructions dispatched into the window (committed-path,
+        /// wrong-path and runahead replays alike) — the energy model's
+        /// activity base.
+        pub dispatched_total: u64,
+        /// Total instructions issued to function units.
+        pub issued_total: u64,
+        /// Pipeline squashes from branch recovery.
+        pub squashes: u64,
+        /// Wrong-path instructions that entered the pipeline.
+        pub wrongpath_dispatched: u64,
 
-    /// Runahead episodes entered.
-    pub runahead_episodes: u64,
-    /// Cycles spent in runahead mode.
-    pub runahead_cycles: u64,
-    /// Episodes suppressed by the cause status table.
-    pub runahead_suppressed: u64,
-    /// Entries skipped because too little of the miss latency remained.
-    pub runahead_short_skips: u64,
-    /// Episodes that overlapped at least one additional L2 miss.
-    pub runahead_useful_episodes: u64,
+        /// Runahead episodes entered.
+        pub runahead_episodes: u64,
+        /// Cycles spent in runahead mode.
+        pub runahead_cycles: u64,
+        /// Episodes suppressed by the cause status table.
+        pub runahead_suppressed: u64,
+        /// Entries skipped because too little of the miss latency remained.
+        pub runahead_short_skips: u64,
+        /// Episodes that overlapped at least one additional L2 miss.
+        pub runahead_useful_episodes: u64,
+    }
 }
 
 impl CoreStats {
@@ -264,93 +243,27 @@ impl CoreStats {
         }
     }
 
-    /// Serializes every counter, the per-level CPI stack and the
-    /// interval time series.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u64(self.cycles);
-        w.put_u64(self.committed_insts);
-        w.put_u64(self.committed_loads);
-        w.put_u64(self.committed_stores);
-        w.put_u64(self.committed_branches);
-        w.put_u64(self.committed_cond_branches);
-        w.put_u64(self.committed_mispredicts);
-        w.put_u64(self.load_latency_sum);
-        w.put_u64_slice(&self.level_cycles);
-        w.put_seq(self.cpi_stack.iter(), |w, row| {
-            for c in row {
-                w.put_u64(*c);
-            }
-        });
-        w.put_seq(self.intervals.iter(), |w, s| s.encode(w));
-        w.put_u64(self.transitions_up);
-        w.put_u64(self.transitions_down);
-        w.put_u64(self.stall_transition);
-        w.put_u64(self.stall_shrink_wait);
-        w.put_u64(self.stall_rob_full);
-        w.put_u64(self.stall_iq_full);
-        w.put_u64(self.stall_lsq_full);
-        w.put_u64(self.stall_fetch_empty);
-        w.put_u64(self.dispatched_total);
-        w.put_u64(self.issued_total);
-        w.put_u64(self.squashes);
-        w.put_u64(self.wrongpath_dispatched);
-        w.put_u64(self.runahead_episodes);
-        w.put_u64(self.runahead_cycles);
-        w.put_u64(self.runahead_suppressed);
-        w.put_u64(self.runahead_short_skips);
-        w.put_u64(self.runahead_useful_episodes);
+    /// Restores stats written by [`Snap::save`] into stats shaped for
+    /// the same level ladder.
+    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let loaded = CoreStats::load(r)?;
+        if let Some(what) = self.ladder_mismatch(&loaded) {
+            return Err(SnapError::Mismatch { what });
+        }
+        *self = loaded;
+        Ok(())
     }
 
-    /// Restores the counters written by [`CoreStats::save_state`] into
-    /// stats shaped for the same level ladder.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.cycles = r.get_u64()?;
-        self.committed_insts = r.get_u64()?;
-        self.committed_loads = r.get_u64()?;
-        self.committed_stores = r.get_u64()?;
-        self.committed_branches = r.get_u64()?;
-        self.committed_cond_branches = r.get_u64()?;
-        self.committed_mispredicts = r.get_u64()?;
-        self.load_latency_sum = r.get_u64()?;
-        let level_cycles = r.get_u64_vec()?;
-        if level_cycles.len() != self.level_cycles.len() {
-            return Err(SnapError::Mismatch {
-                what: "level-cycle ladder",
-            });
+    /// The per-level vector whose length differs from `other`'s, if any:
+    /// stats from machines with different level ladders.
+    fn ladder_mismatch(&self, other: &CoreStats) -> Option<&'static str> {
+        if self.level_cycles.len() != other.level_cycles.len() {
+            Some("level-cycle ladder")
+        } else if self.cpi_stack.len() != other.cpi_stack.len() {
+            Some("CPI-stack ladder")
+        } else {
+            None
         }
-        self.level_cycles = level_cycles;
-        let cpi_stack = r.get_seq(|r| {
-            let mut row = [0u64; CPI_BUCKETS];
-            for c in &mut row {
-                *c = r.get_u64()?;
-            }
-            Ok(row)
-        })?;
-        if cpi_stack.len() != self.cpi_stack.len() {
-            return Err(SnapError::Mismatch {
-                what: "CPI-stack ladder",
-            });
-        }
-        self.cpi_stack = cpi_stack;
-        self.intervals = r.get_seq(IntervalSample::decode)?;
-        self.transitions_up = r.get_u64()?;
-        self.transitions_down = r.get_u64()?;
-        self.stall_transition = r.get_u64()?;
-        self.stall_shrink_wait = r.get_u64()?;
-        self.stall_rob_full = r.get_u64()?;
-        self.stall_iq_full = r.get_u64()?;
-        self.stall_lsq_full = r.get_u64()?;
-        self.stall_fetch_empty = r.get_u64()?;
-        self.dispatched_total = r.get_u64()?;
-        self.issued_total = r.get_u64()?;
-        self.squashes = r.get_u64()?;
-        self.wrongpath_dispatched = r.get_u64()?;
-        self.runahead_episodes = r.get_u64()?;
-        self.runahead_cycles = r.get_u64()?;
-        self.runahead_suppressed = r.get_u64()?;
-        self.runahead_short_skips = r.get_u64()?;
-        self.runahead_useful_episodes = r.get_u64()?;
-        Ok(())
     }
 }
 
@@ -439,15 +352,8 @@ impl StatsDelta {
     /// [`DeltaError::SeriesMismatch`] when `end`'s interval series is
     /// not an extension of `start`'s.
     pub fn between(start: &CoreStats, end: &CoreStats) -> Result<StatsDelta, DeltaError> {
-        if start.level_cycles.len() != end.level_cycles.len() {
-            return Err(DeltaError::ShapeMismatch {
-                what: "level-cycle ladder",
-            });
-        }
-        if start.cpi_stack.len() != end.cpi_stack.len() {
-            return Err(DeltaError::ShapeMismatch {
-                what: "CPI-stack ladder",
-            });
+        if let Some(what) = start.ladder_mismatch(end) {
+            return Err(DeltaError::ShapeMismatch { what });
         }
         if end.intervals.len() < start.intervals.len()
             || end.intervals[..start.intervals.len()] != start.intervals[..]
@@ -466,126 +372,18 @@ impl StatsDelta {
             }
             cpi_stack.push(row);
         }
-        Ok(StatsDelta {
-            stats: CoreStats {
-                cycles: sub_counter("cycles", end.cycles, start.cycles)?,
-                committed_insts: sub_counter(
-                    "committed_insts",
-                    end.committed_insts,
-                    start.committed_insts,
-                )?,
-                committed_loads: sub_counter(
-                    "committed_loads",
-                    end.committed_loads,
-                    start.committed_loads,
-                )?,
-                committed_stores: sub_counter(
-                    "committed_stores",
-                    end.committed_stores,
-                    start.committed_stores,
-                )?,
-                committed_branches: sub_counter(
-                    "committed_branches",
-                    end.committed_branches,
-                    start.committed_branches,
-                )?,
-                committed_cond_branches: sub_counter(
-                    "committed_cond_branches",
-                    end.committed_cond_branches,
-                    start.committed_cond_branches,
-                )?,
-                committed_mispredicts: sub_counter(
-                    "committed_mispredicts",
-                    end.committed_mispredicts,
-                    start.committed_mispredicts,
-                )?,
-                load_latency_sum: sub_counter(
-                    "load_latency_sum",
-                    end.load_latency_sum,
-                    start.load_latency_sum,
-                )?,
-                level_cycles,
-                cpi_stack,
-                intervals: end.intervals[start.intervals.len()..].to_vec(),
-                transitions_up: sub_counter(
-                    "transitions_up",
-                    end.transitions_up,
-                    start.transitions_up,
-                )?,
-                transitions_down: sub_counter(
-                    "transitions_down",
-                    end.transitions_down,
-                    start.transitions_down,
-                )?,
-                stall_transition: sub_counter(
-                    "stall_transition",
-                    end.stall_transition,
-                    start.stall_transition,
-                )?,
-                stall_shrink_wait: sub_counter(
-                    "stall_shrink_wait",
-                    end.stall_shrink_wait,
-                    start.stall_shrink_wait,
-                )?,
-                stall_rob_full: sub_counter(
-                    "stall_rob_full",
-                    end.stall_rob_full,
-                    start.stall_rob_full,
-                )?,
-                stall_iq_full: sub_counter(
-                    "stall_iq_full",
-                    end.stall_iq_full,
-                    start.stall_iq_full,
-                )?,
-                stall_lsq_full: sub_counter(
-                    "stall_lsq_full",
-                    end.stall_lsq_full,
-                    start.stall_lsq_full,
-                )?,
-                stall_fetch_empty: sub_counter(
-                    "stall_fetch_empty",
-                    end.stall_fetch_empty,
-                    start.stall_fetch_empty,
-                )?,
-                dispatched_total: sub_counter(
-                    "dispatched_total",
-                    end.dispatched_total,
-                    start.dispatched_total,
-                )?,
-                issued_total: sub_counter("issued_total", end.issued_total, start.issued_total)?,
-                squashes: sub_counter("squashes", end.squashes, start.squashes)?,
-                wrongpath_dispatched: sub_counter(
-                    "wrongpath_dispatched",
-                    end.wrongpath_dispatched,
-                    start.wrongpath_dispatched,
-                )?,
-                runahead_episodes: sub_counter(
-                    "runahead_episodes",
-                    end.runahead_episodes,
-                    start.runahead_episodes,
-                )?,
-                runahead_cycles: sub_counter(
-                    "runahead_cycles",
-                    end.runahead_cycles,
-                    start.runahead_cycles,
-                )?,
-                runahead_suppressed: sub_counter(
-                    "runahead_suppressed",
-                    end.runahead_suppressed,
-                    start.runahead_suppressed,
-                )?,
-                runahead_short_skips: sub_counter(
-                    "runahead_short_skips",
-                    end.runahead_short_skips,
-                    start.runahead_short_skips,
-                )?,
-                runahead_useful_episodes: sub_counter(
-                    "runahead_useful_episodes",
-                    end.runahead_useful_episodes,
-                    start.runahead_useful_episodes,
-                )?,
-            },
-        })
+        // The scalar counters: 0 + end - start.
+        let mut stats = CoreStats {
+            level_cycles,
+            cpi_stack,
+            intervals: end.intervals[start.intervals.len()..].to_vec(),
+            ..CoreStats::default()
+        };
+        stats.add_counters(end);
+        stats
+            .sub_counters(start)
+            .map_err(|counter| DeltaError::Underflow { counter })?;
+        Ok(StatsDelta { stats })
     }
 
     /// Wraps already-validated per-interval counters (journal decode);
@@ -618,24 +416,10 @@ impl StatsDelta {
     /// [`DeltaError::ShapeMismatch`] when the ladders disagree.
     pub fn apply_to(&self, total: &mut CoreStats) -> Result<(), DeltaError> {
         let d = &self.stats;
-        if total.level_cycles.len() != d.level_cycles.len() {
-            return Err(DeltaError::ShapeMismatch {
-                what: "level-cycle ladder",
-            });
+        if let Some(what) = total.ladder_mismatch(d) {
+            return Err(DeltaError::ShapeMismatch { what });
         }
-        if total.cpi_stack.len() != d.cpi_stack.len() {
-            return Err(DeltaError::ShapeMismatch {
-                what: "CPI-stack ladder",
-            });
-        }
-        total.cycles += d.cycles;
-        total.committed_insts += d.committed_insts;
-        total.committed_loads += d.committed_loads;
-        total.committed_stores += d.committed_stores;
-        total.committed_branches += d.committed_branches;
-        total.committed_cond_branches += d.committed_cond_branches;
-        total.committed_mispredicts += d.committed_mispredicts;
-        total.load_latency_sum += d.load_latency_sum;
+        total.add_counters(d);
         for (t, v) in total.level_cycles.iter_mut().zip(&d.level_cycles) {
             *t += v;
         }
@@ -645,23 +429,6 @@ impl StatsDelta {
             }
         }
         total.intervals.extend(d.intervals.iter().copied());
-        total.transitions_up += d.transitions_up;
-        total.transitions_down += d.transitions_down;
-        total.stall_transition += d.stall_transition;
-        total.stall_shrink_wait += d.stall_shrink_wait;
-        total.stall_rob_full += d.stall_rob_full;
-        total.stall_iq_full += d.stall_iq_full;
-        total.stall_lsq_full += d.stall_lsq_full;
-        total.stall_fetch_empty += d.stall_fetch_empty;
-        total.dispatched_total += d.dispatched_total;
-        total.issued_total += d.issued_total;
-        total.squashes += d.squashes;
-        total.wrongpath_dispatched += d.wrongpath_dispatched;
-        total.runahead_episodes += d.runahead_episodes;
-        total.runahead_cycles += d.runahead_cycles;
-        total.runahead_suppressed += d.runahead_suppressed;
-        total.runahead_short_skips += d.runahead_short_skips;
-        total.runahead_useful_episodes += d.runahead_useful_episodes;
         Ok(())
     }
 }

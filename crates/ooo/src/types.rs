@@ -1,7 +1,7 @@
 //! Dynamic-instruction state carried through the pipeline.
 
 use mlpwin_branch::PredictionOutcome;
-use mlpwin_isa::snap::{SnapError, SnapReader, SnapWriter};
+use mlpwin_isa::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use mlpwin_isa::{Cycle, Instruction, SeqNum};
 
 /// Identifier of a dynamic instruction: a monotonically increasing
@@ -93,7 +93,7 @@ impl SeqList {
 
     /// Decodes a waiter list written by [`SeqList::encode`].
     pub fn decode(r: &mut SnapReader<'_>) -> Result<SeqList, SnapError> {
-        let seqs = r.get_u64_vec()?;
+        let seqs = Vec::<u64>::load(r)?;
         let mut list = SeqList::default();
         for s in seqs {
             list.push(s);

@@ -59,41 +59,31 @@ fn parse_args() -> Result<Args, String> {
     let mut campaign: Option<PathBuf> = None;
     let mut worker_exe: Option<PathBuf> = None;
     let mut jobs = Vec::new();
-    let mut workers = 2usize;
-    let mut lease = Duration::from_secs(5);
-    let mut max_kills = 3u32;
-    let mut backoff = Duration::from_millis(100);
-    let mut snapshot_cycles = 25_000u64;
-    let mut keep = 3usize;
-    let mut time_budget = None;
-    let mut cache = None;
-    let mut chaos_kill_at = None;
-    let mut listen = None;
-    let mut fleet_listen = None;
-    let mut trace_out = None;
-    let mut progress = false;
+    // Flags assign onto the library's defaults; the directory and the
+    // worker are filled in once every flag is read.
+    let mut cfg = CampaignConfig::new(PathBuf::new(), PathBuf::new());
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |what: &str| it.next().ok_or_else(|| format!("{flag} needs a {what}"));
         match flag.as_str() {
             "--campaign" => campaign = Some(PathBuf::from(value("directory")?)),
             "--job" => jobs.push(parse_job(&value("job spec")?)?),
-            "--workers" => workers = parse_u64(&value("count")?)? as usize,
-            "--lease-ms" => lease = Duration::from_millis(parse_u64(&value("ms")?)?),
-            "--max-kills" => max_kills = parse_u64(&value("count")?)? as u32,
-            "--backoff-ms" => backoff = Duration::from_millis(parse_u64(&value("ms")?)?),
-            "--snapshot-cycles" => snapshot_cycles = parse_u64(&value("cycles")?)?,
-            "--keep" => keep = parse_u64(&value("count")?)? as usize,
+            "--workers" => cfg.workers = (parse_u64(&value("count")?)? as usize).max(1),
+            "--lease-ms" => cfg.lease = Duration::from_millis(parse_u64(&value("ms")?)?),
+            "--max-kills" => cfg.max_kills = (parse_u64(&value("count")?)? as u32).max(1),
+            "--backoff-ms" => cfg.backoff_base = Duration::from_millis(parse_u64(&value("ms")?)?),
+            "--snapshot-cycles" => cfg.snapshot_cycles = parse_u64(&value("cycles")?)?,
+            "--keep" => cfg.keep = parse_u64(&value("count")?)? as usize,
             "--time-budget-ms" => {
-                time_budget = Some(Duration::from_millis(parse_u64(&value("ms")?)?))
+                cfg.job_time_budget = Some(Duration::from_millis(parse_u64(&value("ms")?)?))
             }
-            "--cache" => cache = Some(PathBuf::from(value("path")?)),
+            "--cache" => cfg.cache = Some(PathBuf::from(value("path")?)),
             "--worker-exe" => worker_exe = Some(PathBuf::from(value("path")?)),
-            "--chaos-kill-at" => chaos_kill_at = Some(parse_u64(&value("cycle")?)?),
-            "--listen" => listen = Some(value("address")?),
-            "--fleet-listen" => fleet_listen = Some(value("address")?),
-            "--trace-out" => trace_out = Some(PathBuf::from(value("path")?)),
-            "--progress" => progress = true,
+            "--chaos-kill-at" => cfg.chaos_kill_at = Some(parse_u64(&value("cycle")?)?),
+            "--listen" => cfg.listen = Some(value("address")?),
+            "--fleet-listen" => cfg.fleet_listen = Some(value("address")?),
+            "--trace-out" => cfg.trace_out = Some(PathBuf::from(value("path")?)),
+            "--progress" => cfg.progress = true,
             "--help" | "-h" => {
                 println!(
                     "usage: mlpwin-serve --campaign DIR \
@@ -114,26 +104,13 @@ fn parse_args() -> Result<Args, String> {
         return Err("at least one --job is required".to_string());
     }
     // The worker ships next to the controller unless pointed elsewhere.
-    let worker_exe = match worker_exe {
+    cfg.worker_exe = match worker_exe {
         Some(path) => path,
         None => std::env::current_exe()
             .map_err(|e| format!("cannot locate own executable: {e}"))?
             .with_file_name("mlpwin-sim"),
     };
-    let mut cfg = CampaignConfig::new(campaign, worker_exe);
-    cfg.workers = workers.max(1);
-    cfg.lease = lease;
-    cfg.max_kills = max_kills.max(1);
-    cfg.backoff_base = backoff;
-    cfg.snapshot_cycles = snapshot_cycles;
-    cfg.keep = keep;
-    cfg.job_time_budget = time_budget;
-    cfg.cache = cache;
-    cfg.chaos_kill_at = chaos_kill_at;
-    cfg.listen = listen;
-    cfg.fleet_listen = fleet_listen;
-    cfg.trace_out = trace_out;
-    cfg.progress = progress;
+    cfg.dir = campaign;
     Ok(Args { jobs, cfg })
 }
 

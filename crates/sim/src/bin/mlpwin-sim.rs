@@ -71,7 +71,7 @@ fn parse_args() -> Result<Args, String> {
             "--watchdog" => spec.watchdog_cycles = Some(parse_u64(&value("cycles")?)?),
             "--deadline" => spec.deadline_cycles = Some(parse_u64(&value("cycles")?)?),
             "--intervals" => spec.interval_cycles = Some(parse_u64(&value("cycles")?)?),
-            "--fault" => spec.fault = Some(parse_fault(&value("fault spec")?)?),
+            "--fault" => spec.fault = Some(value("fault spec")?.parse::<FaultSpec>()?),
             "--snapshot-dir" => snapshots.dir = PathBuf::from(value("directory")?),
             "--snapshot-cycles" => snapshots.cadence_cycles = parse_u64(&value("cycles")?)?,
             "--keep" => snapshots.keep = parse_u64(&value("count")?)? as usize,
@@ -105,18 +105,6 @@ fn parse_args() -> Result<Args, String> {
 
 fn parse_u64(s: &str) -> Result<u64, String> {
     s.parse().map_err(|_| format!("`{s}` is not a number"))
-}
-
-fn parse_fault(s: &str) -> Result<FaultSpec, String> {
-    let (kind, at) = s
-        .split_once('@')
-        .ok_or_else(|| format!("fault `{s}` is not kind@count"))?;
-    let at = parse_u64(at)?;
-    match kind {
-        "panic" => Ok(FaultSpec::PanicAt(at)),
-        "livelock" => Ok(FaultSpec::LivelockAt(at)),
-        other => Err(format!("unknown fault kind `{other}`")),
-    }
 }
 
 /// Writes one wire frame to stdout.

@@ -20,6 +20,7 @@ use crate::json::{num, s, Json};
 use crate::model::SimModel;
 use crate::runner::{FaultSpec, RunResult, RunSpec};
 use mlpwin_branch::PredictorStats;
+use mlpwin_isa::Counters;
 use mlpwin_memsys::ProvenanceStats;
 use mlpwin_ooo::{CoreStats, IntervalSample, LevelSpec, CPI_BUCKETS};
 use mlpwin_workloads::Category;
@@ -40,11 +41,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// covers. Every field participates: two specs differing anywhere get
 /// different strings (and almost surely different hashes).
 pub(crate) fn canonical_spec(spec: &RunSpec) -> String {
-    let fault = match spec.fault {
-        None => "-".to_string(),
-        Some(FaultSpec::PanicAt(n)) => format!("panic@{n}"),
-        Some(FaultSpec::LivelockAt(n)) => format!("livelock@{n}"),
-    };
     format!(
         "{}|{}|{}|{}|{}|{}|{}|{}|{}",
         spec.profile,
@@ -54,7 +50,7 @@ pub(crate) fn canonical_spec(spec: &RunSpec) -> String {
         spec.seed,
         spec.watchdog_cycles.map_or("-".into(), |v| v.to_string()),
         spec.deadline_cycles.map_or("-".into(), |v| v.to_string()),
-        fault,
+        spec.fault.map_or("-".into(), |f| f.to_string()),
         spec.interval_cycles.map_or("-".into(), |v| v.to_string()),
     )
 }
@@ -182,74 +178,47 @@ pub(crate) fn encode_spec(spec: &RunSpec) -> Json {
     ])
 }
 
+/// The `(name, value)` pairs of a record's scalar counters.
+fn counter_pairs(record: &impl Counters) -> Vec<(&'static str, Json)> {
+    let mut pairs = Vec::new();
+    record.for_each_counter(|name, v| pairs.push((name, num(v))));
+    pairs
+}
+
+/// A record whose scalar counters are read from the object `v`, one key
+/// per counter; the other fields keep `record`'s values.
+fn decode_counters<R: Counters>(mut record: R, v: &Json) -> Option<R> {
+    record.read_counters(|name| get_u64(v, name))?;
+    Some(record)
+}
+
 pub(crate) fn encode_stats(stats: &CoreStats) -> Json {
-    obj(vec![
-        ("cycles", num(stats.cycles)),
-        ("committed_insts", num(stats.committed_insts)),
-        ("committed_loads", num(stats.committed_loads)),
-        ("committed_stores", num(stats.committed_stores)),
-        ("committed_branches", num(stats.committed_branches)),
-        (
-            "committed_cond_branches",
-            num(stats.committed_cond_branches),
+    let mut pairs = counter_pairs(stats);
+    pairs.push((
+        "level_cycles",
+        Json::Arr(stats.level_cycles.iter().copied().map(num).collect()),
+    ));
+    pairs.push((
+        "cpi_stack",
+        Json::Arr(
+            stats
+                .cpi_stack
+                .iter()
+                .map(|row| Json::Arr(row.iter().copied().map(num).collect()))
+                .collect(),
         ),
-        ("committed_mispredicts", num(stats.committed_mispredicts)),
-        ("load_latency_sum", num(stats.load_latency_sum)),
-        (
-            "level_cycles",
-            Json::Arr(stats.level_cycles.iter().copied().map(num).collect()),
+    ));
+    pairs.push((
+        "intervals",
+        Json::Arr(
+            stats
+                .intervals
+                .iter()
+                .map(|i| Json::Arr(counter_pairs(i).into_iter().map(|(_, v)| v).collect()))
+                .collect(),
         ),
-        (
-            "cpi_stack",
-            Json::Arr(
-                stats
-                    .cpi_stack
-                    .iter()
-                    .map(|row| Json::Arr(row.iter().copied().map(num).collect()))
-                    .collect(),
-            ),
-        ),
-        (
-            "intervals",
-            Json::Arr(
-                stats
-                    .intervals
-                    .iter()
-                    .map(|i| {
-                        Json::Arr(vec![
-                            num(i.end_cycle),
-                            num(i.committed_insts),
-                            num(i.level as u64),
-                            num(i.rob_occ as u64),
-                            num(i.iq_occ as u64),
-                            num(i.lsq_occ as u64),
-                            num(i.outstanding_misses as u64),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("transitions_up", num(stats.transitions_up)),
-        ("transitions_down", num(stats.transitions_down)),
-        ("stall_transition", num(stats.stall_transition)),
-        ("stall_shrink_wait", num(stats.stall_shrink_wait)),
-        ("stall_rob_full", num(stats.stall_rob_full)),
-        ("stall_iq_full", num(stats.stall_iq_full)),
-        ("stall_lsq_full", num(stats.stall_lsq_full)),
-        ("stall_fetch_empty", num(stats.stall_fetch_empty)),
-        ("dispatched_total", num(stats.dispatched_total)),
-        ("issued_total", num(stats.issued_total)),
-        ("squashes", num(stats.squashes)),
-        ("wrongpath_dispatched", num(stats.wrongpath_dispatched)),
-        ("runahead_episodes", num(stats.runahead_episodes)),
-        ("runahead_cycles", num(stats.runahead_cycles)),
-        ("runahead_suppressed", num(stats.runahead_suppressed)),
-        ("runahead_short_skips", num(stats.runahead_short_skips)),
-        (
-            "runahead_useful_episodes",
-            num(stats.runahead_useful_episodes),
-        ),
-    ])
+    ));
+    obj(pairs)
 }
 
 pub(crate) fn encode_result(result: &RunResult) -> Json {
@@ -260,43 +229,8 @@ pub(crate) fn encode_result(result: &RunResult) -> Json {
     obj(vec![
         ("category", s(category)),
         ("stats", encode_stats(&result.stats)),
-        (
-            "predictor",
-            obj(vec![
-                (
-                    "conditional_branches",
-                    num(result.predictor.conditional_branches),
-                ),
-                (
-                    "unconditional_branches",
-                    num(result.predictor.unconditional_branches),
-                ),
-                (
-                    "direction_mispredicts",
-                    num(result.predictor.direction_mispredicts),
-                ),
-                (
-                    "target_mispredicts",
-                    num(result.predictor.target_mispredicts),
-                ),
-                ("btb_hits", num(result.predictor.btb_hits)),
-                ("btb_misses", num(result.predictor.btb_misses)),
-            ]),
-        ),
-        (
-            "provenance",
-            obj(vec![
-                ("corrpath_useful", num(result.provenance.corrpath_useful)),
-                ("corrpath_useless", num(result.provenance.corrpath_useless)),
-                ("wrongpath_useful", num(result.provenance.wrongpath_useful)),
-                (
-                    "wrongpath_useless",
-                    num(result.provenance.wrongpath_useless),
-                ),
-                ("prefetch_useful", num(result.provenance.prefetch_useful)),
-                ("prefetch_useless", num(result.provenance.prefetch_useless)),
-            ]),
-        ),
+        ("predictor", obj(counter_pairs(&result.predictor))),
+        ("provenance", obj(counter_pairs(&result.provenance))),
         (
             "l2_miss_cycles",
             Json::Arr(result.l2_miss_cycles.iter().copied().map(num).collect()),
@@ -407,66 +341,34 @@ fn decode_cpi_stack(v: &Json) -> Option<Vec<[u64; CPI_BUCKETS]>> {
         .collect()
 }
 
+/// An interval sample is an array of its counters in declaration order.
 fn decode_intervals(v: &Json) -> Option<Vec<IntervalSample>> {
     v.as_arr()?
         .iter()
         .map(|sample| {
-            let f: Vec<u64> = sample
-                .as_arr()?
-                .iter()
-                .map(Json::as_u64)
-                .collect::<Option<_>>()?;
-            let [end_cycle, committed_insts, level, rob_occ, iq_occ, lsq_occ, outstanding] =
-                <[u64; 7]>::try_from(f).ok()?;
-            Some(IntervalSample {
-                end_cycle,
-                committed_insts,
-                level: u32::try_from(level).ok()?,
-                rob_occ: u32::try_from(rob_occ).ok()?,
-                iq_occ: u32::try_from(iq_occ).ok()?,
-                lsq_occ: u32::try_from(lsq_occ).ok()?,
-                outstanding_misses: u32::try_from(outstanding).ok()?,
-            })
+            let values = sample.as_arr()?;
+            if values.len() != IntervalSample::COUNTERS.len() {
+                return None;
+            }
+            let mut values = values.iter();
+            let mut sample = IntervalSample::default();
+            sample.read_counters(|_| values.next()?.as_u64())?;
+            Some(sample)
         })
         .collect()
 }
 
 pub(crate) fn decode_stats(v: &Json) -> Option<CoreStats> {
-    Some(CoreStats {
-        cycles: get_u64(v, "cycles")?,
-        committed_insts: get_u64(v, "committed_insts")?,
-        committed_loads: get_u64(v, "committed_loads")?,
-        committed_stores: get_u64(v, "committed_stores")?,
-        committed_branches: get_u64(v, "committed_branches")?,
-        committed_cond_branches: get_u64(v, "committed_cond_branches")?,
-        committed_mispredicts: get_u64(v, "committed_mispredicts")?,
-        load_latency_sum: get_u64(v, "load_latency_sum")?,
+    let stats = CoreStats {
         level_cycles: decode_u64_arr(v, "level_cycles")?,
         cpi_stack: decode_cpi_stack(v.get("cpi_stack")?)?,
         intervals: decode_intervals(v.get("intervals")?)?,
-        transitions_up: get_u64(v, "transitions_up")?,
-        transitions_down: get_u64(v, "transitions_down")?,
-        stall_transition: get_u64(v, "stall_transition")?,
-        stall_shrink_wait: get_u64(v, "stall_shrink_wait")?,
-        stall_rob_full: get_u64(v, "stall_rob_full")?,
-        stall_iq_full: get_u64(v, "stall_iq_full")?,
-        stall_lsq_full: get_u64(v, "stall_lsq_full")?,
-        stall_fetch_empty: get_u64(v, "stall_fetch_empty")?,
-        dispatched_total: get_u64(v, "dispatched_total")?,
-        issued_total: get_u64(v, "issued_total")?,
-        squashes: get_u64(v, "squashes")?,
-        wrongpath_dispatched: get_u64(v, "wrongpath_dispatched")?,
-        runahead_episodes: get_u64(v, "runahead_episodes")?,
-        runahead_cycles: get_u64(v, "runahead_cycles")?,
-        runahead_suppressed: get_u64(v, "runahead_suppressed")?,
-        runahead_short_skips: get_u64(v, "runahead_short_skips")?,
-        runahead_useful_episodes: get_u64(v, "runahead_useful_episodes")?,
-    })
+        ..CoreStats::default()
+    };
+    decode_counters(stats, v)
 }
 
 pub(crate) fn decode_result(v: &Json, spec: RunSpec) -> Option<RunResult> {
-    let p = v.get("predictor")?;
-    let pr = v.get("provenance")?;
     Some(RunResult {
         spec,
         category: match v.get("category")?.as_str()? {
@@ -475,22 +377,8 @@ pub(crate) fn decode_result(v: &Json, spec: RunSpec) -> Option<RunResult> {
             _ => return None,
         },
         stats: decode_stats(v.get("stats")?)?,
-        predictor: PredictorStats {
-            conditional_branches: get_u64(p, "conditional_branches")?,
-            unconditional_branches: get_u64(p, "unconditional_branches")?,
-            direction_mispredicts: get_u64(p, "direction_mispredicts")?,
-            target_mispredicts: get_u64(p, "target_mispredicts")?,
-            btb_hits: get_u64(p, "btb_hits")?,
-            btb_misses: get_u64(p, "btb_misses")?,
-        },
-        provenance: ProvenanceStats {
-            corrpath_useful: get_u64(pr, "corrpath_useful")?,
-            corrpath_useless: get_u64(pr, "corrpath_useless")?,
-            wrongpath_useful: get_u64(pr, "wrongpath_useful")?,
-            wrongpath_useless: get_u64(pr, "wrongpath_useless")?,
-            prefetch_useful: get_u64(pr, "prefetch_useful")?,
-            prefetch_useless: get_u64(pr, "prefetch_useless")?,
-        },
+        predictor: decode_counters(PredictorStats::default(), v.get("predictor")?)?,
+        provenance: decode_counters(ProvenanceStats::default(), v.get("provenance")?)?,
         l2_miss_cycles: decode_u64_arr(v, "l2_miss_cycles")?,
         l1_accesses: get_u64(v, "l1_accesses")?,
         l2_accesses: get_u64(v, "l2_accesses")?,

@@ -50,10 +50,12 @@
 //! results. Corrupt snapshots are quarantined and older generations (or
 //! a fresh start) take over. [`signals`] gives the binaries graceful
 //! SIGINT/SIGTERM: stop at the next snapshot point, flush everything,
-//! exit [`signals::EXIT_INTERRUPTED`]. [`supervisor`] runs specs in
-//! child processes with heartbeat, memory and wall-clock budgets,
-//! restarting crashed workers with exponential backoff so they resume
-//! where they died.
+//! exit [`signals::EXIT_INTERRUPTED`]. [`supervisor`] runs one spec in
+//! a child process, kills it when its heartbeat goes stale or its
+//! wall-clock budget runs out, and reports how it ended; it never
+//! restarts a worker itself. Retries, with their backoff, are the
+//! campaign queue's decision, and a retried worker resumes from its
+//! latest snapshot.
 //!
 //! ## Campaign control plane
 //!

@@ -21,7 +21,9 @@
 //! SIGKILL'd controller never leaves a stale lock. Two grades:
 //! - [`LockedFile::try_exclusive`] — non-blocking; a held lock is the
 //!   typed [`SimError::Locked`], so a second controller on the same
-//!   campaign directory fails fast instead of corrupting state;
+//!   campaign directory fails fast instead of corrupting state
+//!   ([`LockedFile::try_claim`] also records the holder's pid, and
+//!   waits out a lock whose recorded holder is dead);
 //! - [`lock_exclusive_blocking`] — blocking; used around single-line
 //!   appends, where many workers serialize briefly instead of failing.
 
@@ -30,14 +32,22 @@ use std::fs::File;
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::os::unix::io::AsRawFd as _;
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 const LOCK_EX: i32 = 2;
 const LOCK_NB: i32 = 4;
+const ESRCH: i32 = 3;
+
+/// How long [`LockedFile::try_claim`] waits for a lock whose recorded
+/// holder has died to be let go.
+pub(crate) const DEAD_HOLDER_WAIT: Duration = Duration::from_secs(2);
 
 extern "C" {
     // POSIX flock(2): advisory whole-file locks tied to the open file
     // description — released on close or process death.
     fn flock(fd: i32, operation: i32) -> i32;
+    // POSIX kill(2); signal 0 only checks that the process exists.
+    fn kill(pid: i32, sig: i32) -> i32;
 }
 
 /// Takes an exclusive lock, blocking until it is granted. The lock lives
@@ -210,6 +220,35 @@ fn try_lock_exclusive(file: &File) -> std::io::Result<bool> {
     Err(err)
 }
 
+/// The error for a lock another process holds.
+fn held(path: PathBuf) -> SimError {
+    SimError::Locked {
+        path,
+        detail: "held by another process (two controllers/workers on one \
+                 campaign directory?)"
+            .to_string(),
+    }
+}
+
+/// Whether the pid recorded in the lock file at `path` is a live
+/// process. A file without a pid counts as live, so a holder that never
+/// records one (or has not yet) still gets the fail-fast answer.
+fn holder_alive(path: &Path) -> bool {
+    let pid = std::fs::read_to_string(path)
+        .ok()
+        .and_then(|text| text.trim().parse::<i32>().ok());
+    match pid {
+        Some(pid) if pid > 0 => {
+            // SAFETY: kill(2) with signal 0 sends nothing and touches
+            // no memory of this process; it only checks that `pid` exists.
+            let alive = unsafe { kill(pid, 0) } == 0;
+            // EPERM: the process exists but belongs to someone else.
+            alive || std::io::Error::last_os_error().raw_os_error() != Some(ESRCH)
+        }
+        _ => true,
+    }
+}
+
 /// An exclusively flock'd file, held for the lifetime of the value.
 /// Dropping it (or dying with it) releases the lock.
 #[derive(Debug)]
@@ -230,36 +269,70 @@ impl LockedFile {
     /// using the same campaign artifacts — or on genuine I/O failure.
     pub fn try_exclusive(path: impl Into<PathBuf>) -> Result<LockedFile, SimError> {
         let path = path.into();
+        LockedFile::open_locked(&path)?.ok_or_else(|| held(path))
+    }
+
+    /// [`try_exclusive`](LockedFile::try_exclusive) for a file that
+    /// holds only the lock, such as a campaign's `LOCK`: the holder's
+    /// pid is written into it. A lock held while its recorded holder is
+    /// dead is about to be let go — an flock belongs to the open file
+    /// description, so a child the holder forked keeps it until the
+    /// child execs or exits — and is retried for up to 2 s. A live
+    /// holder still fails at once.
+    ///
+    /// # Errors
+    ///
+    /// As [`try_exclusive`](LockedFile::try_exclusive), plus a failed
+    /// pid write.
+    pub fn try_claim(path: impl Into<PathBuf>) -> Result<LockedFile, SimError> {
+        let path = path.into();
+        let deadline = Instant::now() + DEAD_HOLDER_WAIT;
+        let mut locked = loop {
+            match LockedFile::open_locked(&path)? {
+                Some(locked) => break locked,
+                None if Instant::now() < deadline && !holder_alive(&path) => {
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                None => return Err(held(path)),
+            }
+        };
+        locked
+            .file
+            .set_len(0)
+            .and_then(|()| writeln!(locked.file, "{}", std::process::id()))
+            .map_err(|e| SimError::Locked {
+                path: path.clone(),
+                detail: format!("pid write failed: {e}"),
+            })?;
+        Ok(locked)
+    }
+
+    /// Opens (creating if needed) `path` and tries its lock: `None`
+    /// when another open file description holds it.
+    fn open_locked(path: &Path) -> Result<Option<LockedFile>, SimError> {
+        let fail = |detail: String| SimError::Locked {
+            path: path.to_path_buf(),
+            detail,
+        };
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(|e| SimError::Locked {
-                    path: path.clone(),
-                    detail: format!("mkdir failed: {e}"),
-                })?;
+                std::fs::create_dir_all(parent).map_err(|e| fail(format!("mkdir failed: {e}")))?;
             }
         }
         let file = std::fs::OpenOptions::new()
             .create(true)
             .read(true)
             .append(true)
-            .open(&path)
-            .map_err(|e| SimError::Locked {
-                path: path.clone(),
-                detail: format!("open failed: {e}"),
-            })?;
-        let tail = Tail::Unchecked;
+            .open(path)
+            .map_err(|e| fail(format!("open failed: {e}")))?;
         match try_lock_exclusive(&file) {
-            Ok(true) => Ok(LockedFile { file, path, tail }),
-            Ok(false) => Err(SimError::Locked {
-                path,
-                detail: "held by another process (two controllers/workers on one \
-                         campaign directory?)"
-                    .to_string(),
-            }),
-            Err(e) => Err(SimError::Locked {
-                path,
-                detail: format!("flock failed: {e}"),
-            }),
+            Ok(true) => Ok(Some(LockedFile {
+                file,
+                path: path.to_path_buf(),
+                tail: Tail::Unchecked,
+            })),
+            Ok(false) => Ok(None),
+            Err(e) => Err(fail(format!("flock failed: {e}"))),
         }
     }
 
@@ -319,6 +392,45 @@ mod tests {
         let lock = LockedFile::try_exclusive(&path).expect("nested lock");
         assert!(lock.path().exists());
         drop(lock);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn claim_records_its_pid_and_fails_fast_on_a_live_holder() {
+        let dir = scratch("claim-live");
+        let path = dir.join("LOCK");
+        let held = LockedFile::try_claim(&path).expect("first claim");
+        let recorded = std::fs::read_to_string(&path).expect("read pid");
+        assert_eq!(recorded.trim(), std::process::id().to_string());
+        let started = Instant::now();
+        assert!(matches!(
+            LockedFile::try_claim(&path),
+            Err(SimError::Locked { .. })
+        ));
+        assert!(
+            started.elapsed() < DEAD_HOLDER_WAIT,
+            "a live holder fails at once"
+        );
+        drop(held);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn claim_waits_for_a_dead_holders_lock_to_be_let_go() {
+        let dir = scratch("claim-dead");
+        let path = dir.join("LOCK");
+        // A reaped child's pid stands for a holder that has died while
+        // something it forked still holds the lock.
+        let mut child = std::process::Command::new("true").spawn().expect("spawn");
+        child.wait().expect("reap");
+        let straggler = LockedFile::try_exclusive(&path).expect("straggler lock");
+        std::fs::write(&path, format!("{}\n", child.id())).expect("record dead pid");
+        let release = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(100));
+            drop(straggler);
+        });
+        LockedFile::try_claim(&path).expect("claimed once the straggler lets go");
+        release.join().expect("release thread");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -84,6 +84,33 @@ pub enum FaultSpec {
     LivelockAt(u64),
 }
 
+/// The text form `panic@N` / `livelock@N`: the `--fault` flag's value
+/// and the fault's part of the spec hash.
+impl std::fmt::Display for FaultSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FaultSpec::PanicAt(n) => write!(f, "panic@{n}"),
+            FaultSpec::LivelockAt(n) => write!(f, "livelock@{n}"),
+        }
+    }
+}
+
+impl std::str::FromStr for FaultSpec {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<FaultSpec, String> {
+        let (kind, at) = s
+            .split_once('@')
+            .ok_or_else(|| format!("fault `{s}` is not kind@count"))?;
+        let at = at.parse().map_err(|_| format!("`{at}` is not a number"))?;
+        match kind {
+            "panic" => Ok(FaultSpec::PanicAt(at)),
+            "livelock" => Ok(FaultSpec::LivelockAt(at)),
+            other => Err(format!("unknown fault kind `{other}`")),
+        }
+    }
+}
+
 /// One experiment to run.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RunSpec {

@@ -61,7 +61,7 @@ use crate::error::SimError;
 use crate::httpserve::{HttpServer, ObsProvider};
 use crate::journal::{canonical_spec, decode_line, encode_line, Journal};
 use crate::json::{num, obj, s, Json};
-use crate::lock::{write_atomic, LockedFile};
+use crate::lock::{write_atomic, LockedFile, DEAD_HOLDER_WAIT};
 use crate::metrics;
 use crate::progress::{CampaignSnapshot, Progress};
 use crate::queue::{DeathVerdict, JobId, JobQueue, JobState, Lane, QueuePolicy, QueueTally};
@@ -639,14 +639,26 @@ pub fn run_campaign(
     cfg: &CampaignConfig,
 ) -> Result<CampaignOutcome, SimError> {
     // One controller per campaign directory — fail fast, don't
-    // interleave. The lock rides the process: a SIGKILL releases it.
-    let _lock = LockedFile::try_exclusive(cfg.lock_path())?;
+    // interleave. The lock rides the process: a SIGKILL releases it,
+    // once any child forked from the killed controller has exec'd.
+    let _lock = LockedFile::try_claim(cfg.lock_path())?;
     let policy = QueuePolicy {
         lease_ms: cfg.lease.as_millis() as u64,
         max_kills: cfg.max_kills,
         backoff_base_ms: cfg.backoff_base.as_millis().max(1) as u64,
     };
-    let mut queue = JobQueue::open(&cfg.wal_path(), policy)?;
+    // Holding LOCK, only a dead controller's straggler (see `try_claim`)
+    // can hold the WAL: exec closes the straggler's descriptors in
+    // order, LOCK's first, so the WAL can stay held a moment longer.
+    let deadline = Instant::now() + DEAD_HOLDER_WAIT;
+    let mut queue = loop {
+        match JobQueue::open(&cfg.wal_path(), policy) {
+            Err(SimError::Locked { .. }) if Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            opened => break opened?,
+        }
+    };
 
     // Warm the dedup cache: this campaign's own completions (restart
     // path, read once) first, then any external journal.

@@ -15,7 +15,7 @@
 //! suite in `tests/recovery.rs` asserts exactly that).
 
 use crate::metrics;
-use crate::runner::{FaultSpec, RunSpec};
+use crate::runner::RunSpec;
 use crate::signals::EXIT_INTERRUPTED;
 use crate::snapshot::SnapshotPolicy;
 use crate::wire::{self, Msg};
@@ -151,16 +151,9 @@ impl Supervisor {
             args.push("--intervals".into());
             args.push(epoch.to_string());
         }
-        match spec.fault {
-            Some(FaultSpec::PanicAt(at)) => {
-                args.push("--fault".into());
-                args.push(format!("panic@{at}"));
-            }
-            Some(FaultSpec::LivelockAt(at)) => {
-                args.push("--fault".into());
-                args.push(format!("livelock@{at}"));
-            }
-            None => {}
+        if let Some(fault) = spec.fault {
+            args.push("--fault".into());
+            args.push(fault.to_string());
         }
         if let Some(at) = self.chaos_kill_at {
             args.push("--chaos-kill-at".into());
@@ -346,6 +339,7 @@ enum Verdict {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::FaultSpec;
     use crate::SimModel;
 
     #[test]

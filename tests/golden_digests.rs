@@ -11,9 +11,16 @@
 //! to the same values (`ci.sh` runs the default engine, the stepped
 //! loop, and the build with trace hooks).
 //!
-//! A deliberate model change must regenerate the table: the failure
+//! A second table pins the bytes of `Core::snapshot()` images taken at
+//! a fixed measured cycle. The journal line covers only what a run
+//! reports; the image also covers the byte order of every counter
+//! record's snapshot codec, so two swapped counters fail here even when
+//! both hold the same value at the end of the run.
+//!
+//! A deliberate model change must regenerate the tables: the failure
 //! message prints the complete replacement.
 
+use mlpwin::ooo::Core;
 use mlpwin::sim::journal::encode_line;
 use mlpwin::sim::runner::{run_matrix, RunSpec};
 use mlpwin::sim::SimModel;
@@ -151,7 +158,13 @@ fn journal_lines_match_the_golden_digests() {
             (spec.profile.clone(), spec.model.tag(), digest)
         })
         .collect();
-    let expected: Vec<(String, String, u64)> = EXPECTED
+    check_table("journal lines", &actual, EXPECTED);
+}
+
+/// Fails with the complete replacement table when `actual` differs
+/// from `expected`.
+fn check_table(what: &str, actual: &[(String, String, u64)], expected: &[(&str, &str, u64)]) {
+    let expected: Vec<(String, String, u64)> = expected
         .iter()
         .map(|&(p, m, d)| (p.to_string(), m.to_string(), d))
         .collect();
@@ -166,11 +179,65 @@ fn journal_lines_match_the_golden_digests() {
             .map(|(p, m, _)| format!("{p}/{m}"))
             .collect();
         panic!(
-            "simulated results moved for {} of {} runs ({}); \
-             if the change is deliberate, replace EXPECTED with:\n{table}",
+            "{what} moved for {} of {} runs ({}); \
+             if the change is deliberate, replace the table with:\n{table}",
             moved.len(),
             actual.len(),
             moved.join(", ")
         );
     }
+}
+
+/// Measured cycle the snapshot images are taken at. It is the snapshot
+/// cadence too, so the fast-forward stops exactly on it.
+const SNAPSHOT_CYCLE: u64 = 1_500;
+/// Interval epoch of the imaged runs, so the interval series is in the
+/// image.
+const SNAPSHOT_EPOCH: u64 = 250;
+/// Commit target armed for the imaged runs: far past what
+/// [`SNAPSHOT_CYCLE`] cycles commit, so every run is paused mid-way.
+const SNAPSHOT_INSTS: u64 = 100_000;
+
+/// `(profile, model tag, FNV-1a of the snapshot image)`.
+const EXPECTED_SNAPSHOTS: &[(&str, &str, u64)] = &[
+    ("mcf", "base", 0xbf381b3183dd9b79),
+    ("mcf", "dynamic", 0x168db367a1740309),
+    ("mcf", "runahead", 0x7cac2caa359f139a),
+    ("gcc", "base", 0xc47b47a9da02bb30),
+    ("gcc", "dynamic", 0xe95c03386be03fc5),
+    ("gcc", "runahead", 0x6cd8d348758e7bfc),
+    ("lbm", "base", 0xb3cd570f3a4a9442),
+    ("lbm", "dynamic", 0x63263889eefbcdfd),
+    ("lbm", "runahead", 0x828df82daeb6ddef),
+];
+
+/// The core of `profile` under `model` after warm-up, paused at
+/// [`SNAPSHOT_CYCLE`] measured cycles into its measurement run.
+fn snapshot_image(profile: &str, model: SimModel) -> Vec<u8> {
+    let (mut config, policy) = model.build();
+    config.fast_forward = std::env::var_os("MLPWIN_NO_FAST_FORWARD").is_none();
+    config.snapshot_cycles = Some(SNAPSHOT_CYCLE);
+    config.interval_cycles = Some(SNAPSHOT_EPOCH);
+    let workload = profiles::by_name(profile, SEED).expect("known profile");
+    let mut core = Core::try_new(config, workload, policy).expect("valid config");
+    core.run_warmup(WARMUP).expect("healthy warm-up");
+    core.arm_run(SNAPSHOT_INSTS);
+    let finished = core.run_to_cycle(SNAPSHOT_CYCLE).expect("healthy run");
+    assert!(
+        !finished,
+        "{profile}/{}: finished before the snapshot",
+        model.tag()
+    );
+    assert_eq!(core.stats().cycles, SNAPSHOT_CYCLE);
+    core.snapshot()
+}
+
+#[test]
+fn snapshot_images_match_the_golden_digests() {
+    let actual: Vec<(String, String, u64)> = ["mcf", "gcc", "lbm"]
+        .into_iter()
+        .flat_map(|p| MODELS.map(|m| (p, m)))
+        .map(|(p, m)| (p.to_string(), m.tag(), fnv1a(&snapshot_image(p, m))))
+        .collect();
+    check_table("snapshot images", &actual, EXPECTED_SNAPSHOTS);
 }
