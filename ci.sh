@@ -54,6 +54,28 @@ if cmp -s target/ci-artifacts/matrix/fig9-t1.out target/ci-artifacts/matrix/fig9
 fi
 echo "    fig9 stdout differs between --seed 1 and --seed 2"
 
+echo "==> every paper binary and root example exits zero"
+# All 19 figure, table and ablation binaries at tiny budgets, plus the
+# four root examples: a panic or a nonzero exit fails the leg. Each
+# stdout and an md5sum list land in target/ci-artifacts/outputs/, so two
+# revisions' outputs diff directly.
+cargo build --release --examples -p mlpwin
+rm -rf target/ci-artifacts/outputs
+mkdir -p target/ci-artifacts/outputs
+for bin in ablate_maxlevel ablate_penalty ablate_policy ablate_prefetcher \
+    fig2 fig4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 swmlp table3 table4 table5; do
+    target/release/"$bin" --warmup 2000 --insts 4000 --threads 2 \
+        > "target/ci-artifacts/outputs/$bin.out"
+done
+for bin in table1 table2; do # no flags: these two simulate nothing
+    target/release/"$bin" > "target/ci-artifacts/outputs/$bin.out"
+done
+for example in miss_clustering phase_adaptive quickstart runahead_duel; do
+    target/release/examples/"$example" > "target/ci-artifacts/outputs/example-$example.out"
+done
+(cd target/ci-artifacts/outputs && md5sum -- *.out > md5sums.txt)
+echo "    19 paper binaries and 4 examples ran; outputs in target/ci-artifacts/outputs"
+
 echo "==> mlpwin-benchmark --smoke (result checks only, no timing gate)"
 # Every workload once at tiny budgets: the campaign legs' journals must
 # be byte-identical to in-process runs and the exact split must stitch

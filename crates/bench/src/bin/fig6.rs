@@ -14,8 +14,7 @@
 //! ```
 
 use mlpwin_bench::ExpArgs;
-use mlpwin_core::DynamicResizingPolicy;
-use mlpwin_ooo::{Core, WindowPolicy};
+use mlpwin_ooo::{Core, DynamicResizingPolicy, WindowPolicy};
 use mlpwin_sim::report::TextTable;
 use mlpwin_sim::SimModel;
 use mlpwin_workloads::profiles;

@@ -5,7 +5,8 @@
 //! 64K-entry pattern history table, a 2K-set 4-way branch target buffer,
 //! and a return address stack. The base misprediction penalty is 10
 //! cycles; the out-of-order core adds level-dependent extra cycles for the
-//! pipelined issue queue and reorder buffer (see `mlpwin-core`).
+//! pipelined issue queue and reorder buffer (see `mlpwin-ooo`'s
+//! `LevelSpec`).
 //!
 //! The predictor makes *genuine* predictions: workload generators supply
 //! the ground-truth outcome, the predictor guesses from its tables, and a

@@ -1,6 +1,6 @@
 //! Area model and the Table 4 cost accounting.
 
-use mlpwin_core::LevelSpec;
+use mlpwin_ooo::LevelSpec;
 
 /// Published 32 nm anchors from the paper (§5.5).
 pub mod anchors {

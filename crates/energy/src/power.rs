@@ -9,7 +9,7 @@
 //! plausible relative magnitudes, which is all the normalized Fig. 9
 //! comparison consumes.
 
-use mlpwin_core::LevelSpec;
+use mlpwin_ooo::LevelSpec;
 
 /// Per-run activity counters the energy model consumes. Populated by
 /// `mlpwin-sim` from the core and memory statistics.

@@ -75,25 +75,6 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Test-support fault injection, simulating the failure modes a
-/// resilient experiment harness must contain. `None` everywhere (the
-/// default) means a faithful simulation.
-///
-/// Livelock is injected here rather than in a workload because a correct
-/// core cannot be livelocked by any well-formed instruction stream —
-/// only a modelling bug stops commit, and that is what the freeze
-/// simulates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FaultInjection {
-    /// Stop committing (silently, like a lost wakeup) once this many
-    /// instructions have committed since construction — an injected
-    /// livelock the watchdog must catch.
-    pub freeze_commit_after: Option<u64>,
-    /// Panic at commit once this many instructions have committed since
-    /// construction — an injected crash the matrix runner must isolate.
-    pub panic_after: Option<u64>,
-}
-
 /// Size and pipelining of the window resources at one resource level
 /// (one row of the paper's Table 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,39 +152,22 @@ impl LevelSpec {
     }
 }
 
-/// Runahead-execution options (paper §5.7 comparison).
+/// Runahead-execution options (paper §5.7 comparison). The runahead
+/// cache and cause-status-table sizes, the usefulness threshold and the
+/// entry gate are the paper's, fixed as constants in
+/// [`runahead`](crate::runahead).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunaheadOpts {
-    /// Runahead cache size in bytes (512 B in the paper's configuration).
-    pub cache_bytes: usize,
-    /// Runahead cache associativity (4-way in the paper).
-    pub cache_ways: usize,
-    /// Line size of the runahead cache.
-    pub cache_line: usize,
     /// Enables the runahead cause status table, which suppresses entry
     /// into runahead episodes predicted useless.
     pub use_cause_status_table: bool,
-    /// Cause-status-table entries.
-    pub cst_entries: usize,
-    /// Minimum L2 misses observed during an episode for the CST to deem
-    /// the triggering load useful.
-    pub cst_useful_threshold: u32,
-    /// Do not enter runahead unless at least this many cycles of the
-    /// triggering miss remain — short episodes cannot overlap anything
-    /// (one of the ISCA 2005 efficiency techniques).
-    pub min_entry_remaining: u32,
 }
 
 impl Default for RunaheadOpts {
+    /// The paper's configuration: the cause status table on.
     fn default() -> RunaheadOpts {
         RunaheadOpts {
-            cache_bytes: 512,
-            cache_ways: 4,
-            cache_line: 8,
             use_cause_status_table: true,
-            cst_entries: 256,
-            cst_useful_threshold: 1,
-            min_entry_remaining: 150,
         }
     }
 }
@@ -253,8 +217,13 @@ pub struct CoreConfig {
     /// stats with it on and off); the knob exists for those A/B tests
     /// and for debugging. Default `true`.
     pub fast_forward: bool,
-    /// Fault injection for harness tests; `None` (the default) disables.
-    pub fault: Option<FaultInjection>,
+    /// Test-support fault injection: stop committing (silently, like a
+    /// lost wakeup) once this many instructions have committed since
+    /// construction — an injected livelock the watchdog must catch.
+    /// `None` (the default) means a faithful simulation. Livelock is
+    /// injected here rather than in a workload because a correct core
+    /// cannot be livelocked by any well-formed instruction stream.
+    pub freeze_commit_after: Option<u64>,
     /// Interval time-series epoch length in cycles; `None` (the
     /// default) disables collection. When set, the core appends one
     /// [`IntervalSample`](crate::stats::IntervalSample) to
@@ -294,7 +263,7 @@ impl Default for CoreConfig {
             watchdog_cycles: DEFAULT_WATCHDOG_CYCLES,
             deadline_cycles: None,
             fast_forward: true,
-            fault: None,
+            freeze_commit_after: None,
             interval_cycles: None,
             trace: None,
             snapshot_cycles: None,

@@ -30,7 +30,7 @@ use crate::policy::WindowPolicy;
 use crate::ready::ReadyRing;
 use crate::rename::RenameMap;
 use crate::rob::Rob;
-use crate::runahead::{CauseStatusTable, RaLookup, RunaheadCache};
+use crate::runahead::{self, CauseStatusTable, RaLookup, RunaheadCache};
 use crate::stats::{CoreStats, CpiBucket, IntervalSample, CPI_BUCKETS};
 #[cfg(feature = "trace")]
 use crate::trace::{TraceEventKind, Tracer};
@@ -261,12 +261,12 @@ impl<W: Workload> Core<W> {
         let (ra_cache, cst) = match &config.runahead {
             Some(opts) => (
                 Some(RunaheadCache::new(
-                    opts.cache_bytes,
-                    opts.cache_ways,
-                    opts.cache_line,
+                    runahead::CACHE_BYTES,
+                    runahead::CACHE_WAYS,
+                    runahead::CACHE_LINE,
                 )),
                 opts.use_cause_status_table
-                    .then(|| CauseStatusTable::new(opts.cst_entries)),
+                    .then(|| CauseStatusTable::new(runahead::CST_ENTRIES)),
             ),
             None => (None, None),
         };
@@ -1313,24 +1313,14 @@ impl<W: Workload> Core<W> {
     // ------------------------------------------------------------- commit
 
     fn commit(&mut self, now: Cycle) {
-        // Test-only fault injection: simulate the modelling bugs the
-        // harness must survive. A frozen commit stage livelocks the core
-        // (the watchdog's job to catch); a panic models a crash.
-        if let Some(fault) = &self.cfg.fault {
-            if let Some(at) = fault.panic_after {
-                if self.total_committed >= at {
-                    panic!(
-                        "injected core fault: panic after {at} committed instructions \
-                         (cycle {now})"
-                    );
-                }
-            }
-            if fault
-                .freeze_commit_after
-                .is_some_and(|at| self.total_committed >= at)
-            {
-                return;
-            }
+        // Test-only fault injection: a frozen commit stage livelocks the
+        // core, the modelling bug the watchdog must catch.
+        if self
+            .cfg
+            .freeze_commit_after
+            .is_some_and(|at| self.total_committed >= at)
+        {
+            return;
         }
         for _ in 0..self.cfg.commit_width {
             let Some(head) = self.rob.front() else { break };
@@ -1354,11 +1344,10 @@ impl<W: Workload> Core<W> {
             if self.cfg.runahead.is_some() && head_blocked_l2_load && !head.wrong_path {
                 let pc = head.inst.pc;
                 let seq = head.dyn_seq;
-                let opts = self.cfg.runahead.as_ref().expect("checked is_some");
                 // A nearly-resolved miss cannot buy a useful episode
                 // (ISCA 2005 efficiency technique): stall normally.
                 let remaining = head.value_ready_at.saturating_sub(now);
-                if remaining < opts.min_entry_remaining as Cycle {
+                if remaining < runahead::MIN_ENTRY_REMAINING {
                     if self.last_suppressed != Some(seq) {
                         self.last_suppressed = Some(seq);
                         self.stats.runahead_short_skips += 1;
@@ -1509,12 +1498,7 @@ impl<W: Workload> Core<W> {
         if let Some(cache) = self.ra_cache.as_mut() {
             cache.clear();
         }
-        let threshold = self
-            .cfg
-            .runahead
-            .as_ref()
-            .map_or(1, |o| o.cst_useful_threshold);
-        let useful = ep.l2_misses >= threshold;
+        let useful = ep.l2_misses >= runahead::CST_USEFUL_THRESHOLD;
         if useful {
             self.stats.runahead_useful_episodes += 1;
         }
@@ -2114,10 +2098,7 @@ mod tests {
     fn frozen_commit_trips_the_watchdog_with_a_snapshot() {
         let cfg = CoreConfig {
             watchdog_cycles: 2_000, // keep the test fast
-            fault: Some(crate::config::FaultInjection {
-                freeze_commit_after: Some(500),
-                panic_after: None,
-            }),
+            freeze_commit_after: Some(500),
             ..CoreConfig::default()
         };
         let w = profiles::by_name("gcc", 7).expect("profile");
@@ -2156,28 +2137,6 @@ mod tests {
             }
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn injected_panic_counts_lifetime_commits_across_warmup() {
-        let cfg = CoreConfig {
-            fault: Some(crate::config::FaultInjection {
-                freeze_commit_after: None,
-                panic_after: Some(1_000),
-            }),
-            ..CoreConfig::default()
-        };
-        let w = profiles::by_name("gcc", 7).expect("profile");
-        let mut core = Core::new(cfg, w, Box::new(FixedLevelPolicy::new(0)));
-        // The trigger lands inside warm-up: reset_counters must not
-        // restart the fault countdown.
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            core.run_warmup(700).expect("below trigger");
-            core.run_warmup(700).expect("crosses trigger")
-        }))
-        .unwrap_err();
-        let msg = err.downcast_ref::<String>().expect("string payload");
-        assert!(msg.contains("injected core fault"), "{msg}");
     }
 
     type TakenSnapshots = std::rc::Rc<std::cell::RefCell<Vec<(Cycle, Vec<u8>)>>>;

@@ -26,9 +26,10 @@
 //! issues no earlier than `issue + max(L, d)`. Levels ≥ 2 also lengthen
 //! the branch-misprediction penalty (pipelined IQ and pipelined ROB
 //! register read). A [`WindowPolicy`] decides each cycle which level the
-//! window should be at; this crate ships the trivial
-//! [`FixedLevelPolicy`], and `mlpwin-core` implements the paper's
-//! MLP-aware dynamic policy.
+//! window should be at: [`FixedLevelPolicy`] pins it, and
+//! [`DynamicResizingPolicy`] is the paper's contribution — the Fig. 5
+//! MLP-aware controller, which enlarges on an L2 miss and shrinks once a
+//! full memory latency passes without one (see [`policy`]).
 //!
 //! Shrinking obeys the paper's protocol: the level drops only when the
 //! doomed tail regions of ROB, IQ and LSQ are simultaneously vacant; until
@@ -40,9 +41,10 @@
 //! The runahead-execution comparison (paper §5.7) shares this pipeline:
 //! commit-stage checkpointing, INV propagation, the runahead cache and the
 //! cause-status table are implemented in [`runahead`] and enabled through
-//! [`CoreConfig::runahead`]. The `mlpwin-runahead` crate curates the
-//! configuration and analysis; the mechanics live here because they are
-//! interleaved with the commit stage.
+//! [`CoreConfig::runahead`], whose one option switches the cause-status
+//! table; the structure sizes are the paper's, fixed as constants in
+//! [`runahead`]. The mechanics live here because they are interleaved
+//! with the commit stage.
 //!
 //! ## Example
 //!
@@ -64,8 +66,8 @@
 //! a watchdog converts a commit-less stretch of `watchdog_cycles` into
 //! [`PipelineError::Stall`] with a [`StallSnapshot`] of the machine
 //! state, and an optional `deadline_cycles` budget bounds each call's
-//! wall cycles. [`CoreConfig::fault`] injects commit-stage faults
-//! (freeze or panic) so harnesses can test their recovery paths.
+//! wall cycles. [`CoreConfig::freeze_commit_after`] injects a commit-stage
+//! freeze so harnesses can test their livelock recovery path.
 //!
 //! ## Observability
 //!
@@ -96,13 +98,11 @@ pub mod stats;
 pub mod trace;
 pub mod types;
 
-pub use config::{
-    ConfigError, CoreConfig, FaultInjection, LevelSpec, RunaheadOpts, DEFAULT_WATCHDOG_CYCLES,
-};
+pub use config::{ConfigError, CoreConfig, LevelSpec, RunaheadOpts, DEFAULT_WATCHDOG_CYCLES};
 pub use core::Core;
 pub use error::{PipelineError, StallSnapshot};
 pub use events::{EngineCounters, EventQueue, WakeRing, WakeSource};
-pub use policy::{FixedLevelPolicy, WindowPolicy};
+pub use policy::{DynamicResizingPolicy, FixedLevelPolicy, WindowPolicy};
 pub use ready::ReadyRing;
 pub use stats::{CoreStats, CpiBucket, DeltaError, IntervalSample, StatsDelta, CPI_BUCKETS};
 pub use trace::{TraceConfig, TraceEvent, TraceEventKind, Tracer};

@@ -19,7 +19,23 @@
 //! the crate docs for why.
 
 use mlpwin_isa::snap::{SnapError, SnapReader, SnapWriter};
-use mlpwin_isa::Addr;
+use mlpwin_isa::{Addr, Cycle};
+
+/// Runahead-cache capacity in bytes (512 B in the paper's §5.7).
+pub const CACHE_BYTES: usize = 512;
+/// Runahead-cache associativity (4-way in the paper).
+pub const CACHE_WAYS: usize = 4;
+/// Runahead-cache line size in bytes: word-granular store forwarding.
+pub const CACHE_LINE: usize = 8;
+/// Cause-status-table entries.
+pub const CST_ENTRIES: usize = 256;
+/// Minimum L2 misses observed during an episode for the cause status
+/// table to deem the triggering load useful.
+pub const CST_USEFUL_THRESHOLD: u32 = 1;
+/// Do not enter runahead unless at least this many cycles of the
+/// triggering miss remain — short episodes cannot overlap anything (one
+/// of the ISCA 2005 efficiency techniques).
+pub const MIN_ENTRY_REMAINING: Cycle = 150;
 
 /// Outcome of a runahead-cache load lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

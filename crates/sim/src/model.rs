@@ -17,10 +17,10 @@
 //! penalty, prefetcher off) are models too, so every run of the
 //! evaluation is a [`RunSpec`](crate::runner::RunSpec).
 
-use mlpwin_core::DynamicResizingPolicy;
 use mlpwin_memsys::CacheConfig;
-use mlpwin_ooo::{CoreConfig, FixedLevelPolicy, LevelSpec, WindowPolicy};
-use mlpwin_runahead::RunaheadModel;
+use mlpwin_ooo::{
+    CoreConfig, DynamicResizingPolicy, FixedLevelPolicy, LevelSpec, RunaheadOpts, WindowPolicy,
+};
 
 /// Every processor configuration the paper evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -172,8 +172,14 @@ impl SimModel {
             SimModel::Fixed(l) => fixed(config, ladder[l - 1]),
             SimModel::Ideal(l) => fixed(config, ladder[l - 1].idealized()),
             SimModel::Dynamic => resizing(config, ladder.len(), memory_latency),
-            SimModel::Runahead => RunaheadModel::paper().build(config),
-            SimModel::RunaheadNoCst => RunaheadModel::without_cause_status_table().build(config),
+            // The §5.7 comparator: the base window plus runahead, never
+            // resizing; the ablation drops the cause status table.
+            SimModel::Runahead | SimModel::RunaheadNoCst => {
+                config.runahead = Some(RunaheadOpts {
+                    use_cause_status_table: *self == SimModel::Runahead,
+                });
+                fixed(config, ladder[0])
+            }
             SimModel::BigL2 => {
                 config.memory.l2 = CacheConfig::l2_enlarged();
                 fixed(config, ladder[0])
@@ -344,11 +350,27 @@ mod tests {
     fn runahead_models_differ_in_cst_only() {
         let (a, _) = SimModel::Runahead.build();
         let (b, _) = SimModel::RunaheadNoCst.build();
-        let oa = a.runahead.unwrap();
-        let ob = b.runahead.unwrap();
-        assert!(oa.use_cause_status_table);
-        assert!(!ob.use_cause_status_table);
-        assert_eq!(oa.cache_bytes, ob.cache_bytes);
+        // §5.7: runahead keeps the small window, with the CST on.
+        assert_eq!(a.levels, vec![LevelSpec::level1()]);
+        assert_eq!(
+            a.runahead,
+            Some(RunaheadOpts {
+                use_cause_status_table: true
+            })
+        );
+        assert_eq!(SimModel::Runahead.label(), "Runahead");
+        // The ablation differs in the CST alone.
+        assert_eq!(
+            b.runahead,
+            Some(RunaheadOpts {
+                use_cause_status_table: false
+            })
+        );
+        let b_with_cst = CoreConfig {
+            runahead: a.runahead,
+            ..b
+        };
+        assert_eq!(format!("{b_with_cst:?}"), format!("{a:?}"));
     }
 
     #[test]

@@ -417,9 +417,7 @@ pub(crate) fn apply_spec_overrides(config: &mut CoreConfig, spec: &RunSpec) {
         config.deadline_cycles = spec.deadline_cycles;
     }
     if let Some(FaultSpec::LivelockAt(at)) = spec.fault {
-        let mut fault = config.fault.unwrap_or_default();
-        fault.freeze_commit_after = Some(at);
-        config.fault = Some(fault);
+        config.freeze_commit_after = Some(at);
     }
     if spec.interval_cycles.is_some() {
         config.interval_cycles = spec.interval_cycles;

@@ -79,3 +79,27 @@ fn deadline_bounds_a_runaway_spec() {
         other => panic!("deadline must fire, got {other:?}"),
     }
 }
+
+/// An injected panic counts instructions across warm-up and measurement
+/// alike: the warm-up's counter reset does not restart the countdown.
+#[test]
+fn panic_countdown_crossing_the_warmup_reset_still_fires() {
+    let spec = |insts| {
+        RunSpec::new("gcc", SimModel::Base)
+            .with_budget(1_000, insts)
+            .with_fault(FaultSpec::PanicAt(2_000))
+    };
+    // The front end fetches at most a window ahead of commit, so 500
+    // measured instructions stay short of the trigger: it does not fire
+    // inside warm-up.
+    let outcomes = run_matrix(&[spec(500), spec(1_500)], 2);
+    assert!(outcomes[0].is_ok(), "{:?}", outcomes[0]);
+    // 1,500 measured instructions reach it only if warm-up counts too.
+    match &outcomes[1] {
+        Err(error) => assert!(
+            error.to_string().contains("injected workload fault"),
+            "{error}"
+        ),
+        other => panic!("the countdown must fire after warm-up, got {other:?}"),
+    }
+}

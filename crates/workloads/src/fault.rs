@@ -7,10 +7,11 @@
 //! against exactly this wrapper.
 //!
 //! Livelock injection lives in the core instead
-//! (`mlpwin_ooo::FaultInjection`): a correct out-of-order core cannot be
-//! livelocked by any well-formed instruction stream — every instruction
-//! completes in bounded time — so a livelock can only be simulated by
-//! freezing the commit stage the way a real modelling bug would.
+//! (`mlpwin_ooo::CoreConfig::freeze_commit_after`): a correct
+//! out-of-order core cannot be livelocked by any well-formed instruction
+//! stream — every instruction completes in bounded time — so a livelock
+//! can only be simulated by freezing the commit stage the way a real
+//! modelling bug would.
 
 use crate::Workload;
 use mlpwin_isa::Instruction;

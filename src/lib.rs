@@ -14,9 +14,7 @@
 //! | [`workloads`] | `mlpwin-workloads` | 28 SPEC2006-like deterministic workload profiles |
 //! | [`branch`] | `mlpwin-branch` | gshare + BTB + RAS front end |
 //! | [`memsys`] | `mlpwin-memsys` | caches, MSHRs, DRAM, stride prefetcher, provenance |
-//! | [`ooo`] | `mlpwin-ooo` | the P6-style out-of-order core with a resizable window |
-//! | [`core`] | `mlpwin-core` | **the paper's contribution**: the Fig. 5 resizing policy |
-//! | [`runahead`] | `mlpwin-runahead` | the runahead-execution comparison baseline |
+//! | [`ooo`] | `mlpwin-ooo` | the P6-style out-of-order core with a resizable window, **the paper's contribution** (the Fig. 5 resizing policy, [`ooo::DynamicResizingPolicy`]) and the runahead-execution comparison baseline ([`ooo::runahead`]) |
 //! | [`energy`] | `mlpwin-energy` | McPAT-substitute energy/area model |
 //! | [`sim`] | `mlpwin-sim` | model registry, experiment runner, report helpers |
 //!
@@ -42,11 +40,9 @@
 //! inventory and substitution rationale.
 
 pub use mlpwin_branch as branch;
-pub use mlpwin_core as core;
 pub use mlpwin_energy as energy;
 pub use mlpwin_isa as isa;
 pub use mlpwin_memsys as memsys;
 pub use mlpwin_ooo as ooo;
-pub use mlpwin_runahead as runahead;
 pub use mlpwin_sim as sim;
 pub use mlpwin_workloads as workloads;

@@ -7,10 +7,9 @@
 //! so a reproduction is one constant away.
 
 use mlpwin::branch::{BranchPredictor, PredictorConfig};
-use mlpwin::core::DynamicResizingPolicy;
 use mlpwin::isa::{Instruction, Xoshiro256StarStar};
 use mlpwin::memsys::{AccessKind, Cache, CacheConfig, MemSystem, MemSystemConfig, PathKind};
-use mlpwin::ooo::WindowPolicy;
+use mlpwin::ooo::{DynamicResizingPolicy, WindowPolicy};
 use mlpwin::workloads::{
     MemPattern, PhaseParams, ProfileParams, ProfileWorkload, TraceWindow, Workload,
 };
