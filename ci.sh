@@ -133,8 +133,10 @@ echo "==> campaign smoke (worker kills + live observability scrape + cached reru
 # publishes obs.addr, `mlpwin-serve --probe` (a self-contained client,
 # no curl needed) fetches every endpoint mid-campaign and validates the
 # Prometheus exposition and JSON payloads. Afterwards: the Chrome trace
-# and flight-recorder dumps must exist, an identical campaign run with
-# the listener off must finalize a bit-identical journal (the
+# and flight-recorder dumps must exist, the progress line must count
+# the three specs as settled and retried (every first attempt was
+# killed; the counts come from the job queue), an identical campaign
+# run with the listener off must finalize a bit-identical journal (the
 # zero-cost contract), and a cached rerun must simulate nothing.
 rm -rf target/ci-artifacts/campaign
 mkdir -p target/ci-artifacts/campaign
@@ -143,7 +145,7 @@ jobs=(--job gcc,base,2000,4000,1 --job mcf,dynamic,2000,4000,1 --job milc,base,2
 "$controller" --campaign target/ci-artifacts/campaign/first "${jobs[@]}" \
     --workers 2 --backoff-ms 30 --snapshot-cycles 400 --chaos-kill-at 1200 \
     --listen 127.0.0.1:0 --trace-out target/ci-artifacts/campaign/trace.json \
-    --worker-exe "$worker" \
+    --worker-exe "$worker" --progress \
     > target/ci-artifacts/campaign/first.out \
     2> target/ci-artifacts/campaign/first.err &
 ctl_pid=$!
@@ -174,7 +176,8 @@ wait "$ctl_pid"
 grep -q 'done=3' target/ci-artifacts/campaign/first.out
 grep -q '"ph":"X"' target/ci-artifacts/campaign/trace.json
 ls target/ci-artifacts/campaign/first/flightrec/*.json > /dev/null
-echo "    live probe passed; trace and flight records written"
+grep -qF '3/3 specs (0 failed, 3 retried)' target/ci-artifacts/campaign/first.err
+echo "    live probe passed; trace, flight records and progress line written"
 "$controller" --campaign target/ci-artifacts/campaign/silent "${jobs[@]}" \
     --workers 2 --backoff-ms 30 --snapshot-cycles 400 --chaos-kill-at 1200 \
     --worker-exe "$worker" > target/ci-artifacts/campaign/silent.out

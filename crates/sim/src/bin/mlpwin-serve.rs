@@ -10,7 +10,7 @@
 //! ```text
 //! mlpwin-serve --campaign DIR --job PROFILE,MODEL[,WARMUP,INSTS,SEED[,LANE]] ...
 //!              [--workers N] [--lease-ms N] [--max-kills N] [--backoff-ms N]
-//!              [--snapshot-cycles N] [--keep N] [--time-budget-ms N]
+//!              [--snapshot-cycles N] [--time-budget-ms N]
 //!              [--cache PATH] [--worker-exe PATH] [--chaos-kill-at N]
 //!              [--listen ADDR] [--fleet-listen ADDR] [--trace-out PATH]
 //!              [--progress]
@@ -73,7 +73,6 @@ fn parse_args() -> Result<Args, String> {
             "--max-kills" => cfg.max_kills = (parse_u64(&value("count")?)? as u32).max(1),
             "--backoff-ms" => cfg.backoff_base = Duration::from_millis(parse_u64(&value("ms")?)?),
             "--snapshot-cycles" => cfg.snapshot_cycles = parse_u64(&value("cycles")?)?,
-            "--keep" => cfg.keep = parse_u64(&value("count")?)? as usize,
             "--time-budget-ms" => {
                 cfg.job_time_budget = Some(Duration::from_millis(parse_u64(&value("ms")?)?))
             }
@@ -89,7 +88,7 @@ fn parse_args() -> Result<Args, String> {
                     "usage: mlpwin-serve --campaign DIR \
                      --job PROFILE,MODEL[,WARMUP,INSTS,SEED[,LANE]] ... \
                      [--workers N] [--lease-ms N] [--max-kills N] [--backoff-ms N] \
-                     [--snapshot-cycles N] [--keep N] [--time-budget-ms N] \
+                     [--snapshot-cycles N] [--time-budget-ms N] \
                      [--cache PATH] [--worker-exe PATH] [--chaos-kill-at N] \
                      [--listen ADDR] [--fleet-listen ADDR] [--trace-out PATH] \
                      [--progress] | --probe ADDR_OR_DIR"

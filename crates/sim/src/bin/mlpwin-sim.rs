@@ -23,7 +23,7 @@
 //! mlpwin-sim --profile mcf --model dynamic [--warmup N] [--insts N]
 //!            [--seed N] [--watchdog N] [--deadline N] [--intervals N]
 //!            [--fault panic@N|livelock@N]
-//!            [--snapshot-dir DIR] [--snapshot-cycles N] [--keep N]
+//!            [--snapshot-dir DIR] [--snapshot-cycles N]
 //!            [--journal PATH] [--wire] [--chaos-kill-at N]
 //! ```
 
@@ -74,7 +74,6 @@ fn parse_args() -> Result<Args, String> {
             "--fault" => spec.fault = Some(value("fault spec")?.parse::<FaultSpec>()?),
             "--snapshot-dir" => snapshots.dir = PathBuf::from(value("directory")?),
             "--snapshot-cycles" => snapshots.cadence_cycles = parse_u64(&value("cycles")?)?,
-            "--keep" => snapshots.keep = parse_u64(&value("count")?)? as usize,
             "--journal" => journal = Some(PathBuf::from(value("path")?)),
             "--wire" => wire = true,
             "--chaos-kill-at" => chaos_kill_at = Some(parse_u64(&value("cycle")?)?),
@@ -83,7 +82,7 @@ fn parse_args() -> Result<Args, String> {
                     "usage: mlpwin-sim --profile NAME --model TAG [--warmup N] [--insts N] \
                      [--seed N] [--watchdog N] [--deadline N] [--intervals N] \
                      [--fault panic@N|livelock@N] [--snapshot-dir DIR] \
-                     [--snapshot-cycles N] [--keep N] [--journal PATH] [--wire] \
+                     [--snapshot-cycles N] [--journal PATH] [--wire] \
                      [--chaos-kill-at N]"
                 );
                 std::process::exit(0);
@@ -141,7 +140,6 @@ fn main() -> ExitCode {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         run_recoverable(&args.spec, &args.snapshots)
     }));
-    mlpwin_sim::metrics::flush();
     match outcome {
         Ok(Ok(result)) => {
             if let Some(path) = &args.journal {

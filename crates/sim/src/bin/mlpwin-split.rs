@@ -124,7 +124,6 @@ fn main() -> ExitCode {
         None => None,
     };
     let outcome = run_split(&args.spec, &args.cfg, &args.dir);
-    mlpwin_sim::metrics::flush();
     if let Some(server) = server {
         server.shutdown();
     }

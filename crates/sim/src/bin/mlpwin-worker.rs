@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! mlpwin-worker --connect ADDR [--name NAME]
-//!               [--snapshot-dir DIR] [--snapshot-cycles N] [--keep N]
+//!               [--snapshot-dir DIR] [--snapshot-cycles N]
 //!               [--reconnect-attempts N] [--backoff-ms N]
 //!               [--netfault seed=N,drop=N,dup=N,trunc=N,delay=N,partition=N]
 //! ```
@@ -62,14 +62,13 @@ fn parse_args() -> Result<Args, String> {
             "--name" => name = value("worker name")?,
             "--snapshot-dir" => snapshots.dir = PathBuf::from(value("directory")?),
             "--snapshot-cycles" => snapshots.cadence_cycles = parse_u64(&value("cycles")?)?,
-            "--keep" => snapshots.keep = parse_u64(&value("count")?)? as usize,
             "--reconnect-attempts" => reconnect_attempts = parse_u64(&value("count")?)? as u32,
             "--backoff-ms" => backoff_ms = parse_u64(&value("milliseconds")?)?,
             "--netfault" => netfault = Some(NetFault::parse(&value("fault spec")?)?),
             "--help" | "-h" => {
                 println!(
                     "usage: mlpwin-worker --connect ADDR [--name NAME] \
-                     [--snapshot-dir DIR] [--snapshot-cycles N] [--keep N] \
+                     [--snapshot-dir DIR] [--snapshot-cycles N] \
                      [--reconnect-attempts N] [--backoff-ms N] [--netfault SPEC]"
                 );
                 std::process::exit(0);

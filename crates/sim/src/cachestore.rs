@@ -105,7 +105,7 @@ impl CacheStore {
         self.by_hash.is_empty()
     }
 
-    /// Publishes the entry-count gauge into the metrics shard (no-op
+    /// Publishes the entry-count gauge into the metrics registry (no-op
     /// with telemetry off).
     pub fn publish_metrics(&self) {
         metrics::gauge_set(METRIC_CACHE_ENTRIES, self.by_hash.len() as f64);

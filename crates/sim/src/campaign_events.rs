@@ -362,8 +362,9 @@ pub fn derive_spans(events: &[CampaignEvent]) -> Vec<JobSpan> {
 /// Writes one flight-record document — the last events, a metrics
 /// snapshot, and the caller's queue-state JSON — atomically into
 /// `dir/flight-NNNN-<reason>.json`, rotating so at most
-/// [`FLIGHTREC_KEEP`] records survive. `seq` distinguishes successive
-/// dumps in one controller process.
+/// [`FLIGHTREC_KEEP`] records survive. `seq` orders the records: a
+/// controller starts at [`next_flight_seq`], so a restarted one's
+/// records rank above its predecessors'.
 ///
 /// # Errors
 ///
@@ -407,25 +408,40 @@ pub fn write_flight_record(
     Ok(path)
 }
 
-/// Keeps the newest [`FLIGHTREC_KEEP`] `flight-*.json` files (by name —
-/// the zero-padded sequence number sorts chronologically within a
-/// controller run). Best-effort: rotation failures are ignored.
+/// The sequence number in a `flight-NNNN-<reason>.json` file name.
+fn flight_seq(path: &Path) -> Option<u64> {
+    let name = path.file_name()?.to_str()?;
+    let rest = name.strip_prefix("flight-")?.strip_suffix(".json")?;
+    rest.split('-').next()?.parse().ok()
+}
+
+/// The sequence number a controller's first flight record in `dir`
+/// takes: one above every record already there (1 in an empty or
+/// missing directory).
+pub fn next_flight_seq(dir: &Path) -> u64 {
+    std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .filter_map(|e| flight_seq(&e.ok()?.path()))
+        .max()
+        .map_or(1, |seq| seq + 1)
+}
+
+/// Keeps the [`FLIGHTREC_KEEP`] flight records with the highest
+/// sequence numbers. Best-effort: rotation failures are ignored.
 fn rotate(dir: &Path) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
     };
-    let mut names: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("flight-") && n.ends_with(".json"))
+    let mut records: Vec<(u64, PathBuf)> = entries
+        .filter_map(|e| {
+            let path = e.ok()?.path();
+            Some((flight_seq(&path)?, path))
         })
         .collect();
-    names.sort();
-    while names.len() > FLIGHTREC_KEEP {
-        let oldest = names.remove(0);
+    records.sort();
+    let excess = records.len().saturating_sub(FLIGHTREC_KEEP);
+    for (_, oldest) in records.drain(..excess) {
         std::fs::remove_file(oldest).ok();
     }
 }
@@ -560,6 +576,36 @@ mod tests {
         }
         let kept = std::fs::read_dir(&dir).expect("dir").count();
         assert_eq!(kept, FLIGHTREC_KEEP, "rotation bounds the directory");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A restarted controller numbers its records above the previous
+    /// run's, so rotation drops the old ones, never its newest.
+    #[test]
+    fn a_restarted_controllers_record_survives_rotation() {
+        let dir = std::env::temp_dir().join(format!("mlpwin-flightseq-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(next_flight_seq(&dir), 1, "a missing directory starts at 1");
+        let log = CampaignLog::new();
+        let dump = |seq: u64, reason: &str| {
+            write_flight_record(&dir, seq, reason, 0, &log, Json::Null, Json::Null).expect("dump")
+        };
+        for seq in 1..=20 {
+            dump(seq, "worker death");
+        }
+        let seq = next_flight_seq(&dir);
+        assert_eq!(seq, 21);
+        let newest = dump(seq, "job 0 quarantined");
+        assert!(
+            newest.exists(),
+            "the restarted controller's record was rotated away"
+        );
+        let mut kept: Vec<u64> = std::fs::read_dir(&dir)
+            .expect("dir")
+            .filter_map(|e| flight_seq(&e.expect("entry").path()))
+            .collect();
+        kept.sort_unstable();
+        assert_eq!(kept, (6..=21).collect::<Vec<_>>());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -14,19 +14,10 @@
 //! verifiable by [`Json::parse`].
 
 use crate::campaign_events::JobSpan;
-use crate::json::{num, s, Json};
+use crate::json::{num, obj, s, Json};
 use crate::runner::RunResult;
 use mlpwin_ooo::{CoreStats, TraceEvent, TraceEventKind};
 use std::collections::BTreeMap;
-
-fn obj(pairs: Vec<(&str, Json)>) -> Json {
-    Json::Obj(
-        pairs
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect::<BTreeMap<_, _>>(),
-    )
-}
 
 /// One counter event (`ph: "C"`): the value of named series at a cycle.
 fn counter(name: &str, cycle: u64, series: Vec<(&str, Json)>) -> Json {

@@ -7,7 +7,7 @@
 //! | route        | body                                               |
 //! |--------------|----------------------------------------------------|
 //! | `/healthz`   | `ok` (text/plain)                                  |
-//! | `/metrics`   | Prometheus text exposition of the global registry  |
+//! | `/metrics`   | Prometheus text of the provider's metrics snapshot |
 //! | `/status`    | JSON campaign snapshot from the [`ObsProvider`]    |
 //! | `/jobs`      | JSON array of per-job lifecycle views              |
 //! | `/jobs/<id>` | one job's lifecycle view, or 404                   |
@@ -50,6 +50,11 @@ pub trait ObsProvider: Send + Sync {
     fn jobs(&self) -> Json;
     /// The `/jobs/<id>` document, `None` for unknown ids.
     fn job(&self, id: u64) -> Option<Json>;
+    /// The `/metrics` snapshot: the global registry, plus whatever
+    /// gauges the provider derives from its own state at read time.
+    fn metrics(&self) -> metrics::MetricsSnapshot {
+        metrics::global().snapshot()
+    }
 }
 
 /// Provider for processes with metrics but no campaign (mlpwin-split):
@@ -200,7 +205,7 @@ fn respond(request_line: &str, provider: &dyn ObsProvider) -> (&'static str, &'s
         "/metrics" => (
             "200 OK",
             "text/plain; version=0.0.4; charset=utf-8",
-            metrics::global().render_prometheus(),
+            provider.metrics().render_prometheus(),
         ),
         "/status" => ("200 OK", "application/json", provider.status().encode()),
         "/jobs" => ("200 OK", "application/json", provider.jobs().encode()),

@@ -16,7 +16,7 @@
 //!   re-run so they produce fresh diagnostics.
 
 use crate::error::SimError;
-use crate::json::{num, s, Json};
+use crate::json::{num, obj, s, Json};
 use crate::model::SimModel;
 use crate::runner::{FaultSpec, RunResult, RunSpec};
 use mlpwin_branch::PredictorStats;
@@ -24,7 +24,6 @@ use mlpwin_isa::Counters;
 use mlpwin_memsys::ProvenanceStats;
 use mlpwin_ooo::{CoreStats, IntervalSample, LevelSpec, CPI_BUCKETS};
 use mlpwin_workloads::Category;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// FNV-1a, 64-bit: tiny, dependency-free, stable everywhere.
@@ -145,15 +144,6 @@ impl Journal {
 }
 
 // --------------------------------------------------------------- encoding
-
-pub(crate) fn obj(pairs: Vec<(&str, Json)>) -> Json {
-    Json::Obj(
-        pairs
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect::<BTreeMap<_, _>>(),
-    )
-}
 
 fn opt_num(v: Option<u64>) -> Json {
     v.map_or(Json::Null, num)

@@ -18,16 +18,20 @@
 //! - [`chrome_trace`] exports a run's interval time series and
 //!   structured trace events as Chrome `trace_event` JSON for
 //!   `chrome://tracing` / Perfetto.
-//! - [`metrics`] is the *host-side* telemetry layer: per-thread metric
-//!   shards (counters, gauges, log2 histograms) merged into a global
-//!   registry with Prometheus text and JSON exposition, plus scoped
-//!   wall-clock timers around each run phase. Off by default; the
+//! - [`metrics`] is the *host-side* telemetry layer: one process-wide
+//!   registry of counters, gauges and log2 histograms that every
+//!   recording helper writes directly, with Prometheus text and JSON
+//!   exposition, plus scoped wall-clock timers around each run phase.
+//!   Gauges another structure already holds (the job queue's depth) are
+//!   computed when a scrape reads them. Off by default; the
 //!   `MLPWIN_TELEMETRY=1` knob (or [`metrics::set_telemetry`]) turns it
 //!   on without perturbing any simulated statistic.
 //! - [`progress`] renders live status lines (completed/failed/retried,
 //!   aggregate MIPS, rolling-window ETA) that [`runner::run_matrix`]
 //!   writes to stderr with telemetry on, and campaign controllers with
-//!   `--progress`.
+//!   `--progress`; the caller supplies the job counts (a campaign reads
+//!   them from its queue), and [`Progress`] keeps only the simulated
+//!   work and the ETA window.
 //!
 //! ## Resilience
 //!
@@ -136,7 +140,7 @@ pub use error::SimError;
 pub use httpserve::{HttpServer, ObsProvider};
 pub use journal::{spec_hash, Journal};
 pub use lock::LockedFile;
-pub use metrics::{LocalMetrics, MetricsRegistry, ScopedTimer};
+pub use metrics::{MetricsRegistry, MetricsSnapshot, ScopedTimer};
 pub use model::SimModel;
 pub use progress::Progress;
 pub use queue::{JobQueue, JobState, Lane, QueuePolicy};

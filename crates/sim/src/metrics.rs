@@ -6,30 +6,28 @@
 //! simulated kilocycles/sec the hot loop sustains, how a matrix campaign
 //! spends its time. Design rules:
 //!
-//! - **Zero atomics on the hot path.** Every thread records into its own
-//!   [`LocalMetrics`] shard (a `thread_local!` `RefCell`); the shard is
-//!   merged into the global [`MetricsRegistry`] behind a mutex only at
-//!   [`flush`] points (end of a run, end of a matrix slice). The hot
-//!   path touches nothing shared.
-//! - **Associative merges.** Counters and histograms merge by addition,
-//!   so the registry total after any sequence of flushes is independent
-//!   of thread count and interleaving. Gauges are last-write-wins
-//!   samples (a throughput reading, not a total) and are exempt from
-//!   that guarantee.
+//! - **One registry, written directly.** [`counter_add`], [`gauge_set`],
+//!   [`observe`] and [`ScopedTimer`] write the process-wide
+//!   [`MetricsRegistry`] behind one mutex. Every write is per run, job,
+//!   frame or queue transition — never per simulated cycle — so the lock
+//!   costs nothing measurable, and a scrape sees every write that
+//!   returned before it.
+//! - **Gauges derived from state are computed at read time.** A value
+//!   another structure already holds (the job queue's depth, say) is not
+//!   copied in on every change: the reader adds it to its
+//!   [`MetricsSnapshot`] before rendering.
 //! - **Off by default, bit-identical when off.** Every recording helper
 //!   is a no-op unless the telemetry knob is on (`MLPWIN_TELEMETRY=1`
 //!   or [`set_telemetry`]); simulated statistics never depend on the
 //!   knob either way — telemetry only *reads* the simulation.
 //!
-//! Scrape the registry with [`MetricsRegistry::render_prometheus`]
-//! (Prometheus text exposition format) or
-//! [`MetricsRegistry::to_json`].
+//! Render a snapshot with [`MetricsSnapshot::render_prometheus`]
+//! (Prometheus text exposition format) or [`MetricsSnapshot::to_json`].
 
 use crate::json::{num, Json};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 // ------------------------------------------------------------- the knob
@@ -73,8 +71,7 @@ pub const HIST_BUCKETS: usize = 65;
 
 /// A fixed-bucket log2 histogram of `u64` observations. Bucket `i`
 /// holds values of bit-length `i` (bucket 0 holds only zero), so the
-/// bucket layout never depends on the data and two histograms merge by
-/// element-wise addition.
+/// bucket layout never depends on the data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     /// Per-bucket observation counts, indexed by bit-length.
@@ -116,26 +113,14 @@ impl Histogram {
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
     }
-
-    /// Adds another histogram's observations into this one. Addition is
-    /// associative and commutative, so any merge order yields the same
-    /// totals.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-    }
 }
 
-// ------------------------------------------------------------ the shard
+// --------------------------------------------------------- the snapshot
 
-/// One thread's (or one test's) private metric shard. All mutation is
-/// plain `&mut self` — no locks, no atomics; shards meet only in
-/// [`LocalMetrics::merge`].
+/// Every recorded metric at one moment: what [`MetricsRegistry::snapshot`]
+/// copies out, what readers add derived gauges to, and what renders.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct LocalMetrics {
+pub struct MetricsSnapshot {
     /// Monotonic counters, by metric name.
     pub counters: BTreeMap<String, u64>,
     /// Point-in-time samples, by metric name (last write wins).
@@ -144,7 +129,7 @@ pub struct LocalMetrics {
     pub histograms: BTreeMap<String, Histogram>,
 }
 
-impl LocalMetrics {
+impl MetricsSnapshot {
     /// Adds `delta` to a counter (created at zero).
     pub fn counter_add(&mut self, name: impl Into<String>, delta: u64) {
         *self.counters.entry(name.into()).or_insert(0) += delta;
@@ -163,58 +148,6 @@ impl LocalMetrics {
             .observe(value);
     }
 
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Folds another shard into this one: counters and histograms add
-    /// (associatively — scrape totals cannot depend on which thread
-    /// flushed first), gauges take the incoming sample.
-    pub fn merge(&mut self, other: &LocalMetrics) {
-        for (name, delta) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += delta;
-        }
-        for (name, value) in &other.gauges {
-            self.gauges.insert(name.clone(), *value);
-        }
-        for (name, hist) in &other.histograms {
-            self.histograms.entry(name.clone()).or_default().merge(hist);
-        }
-    }
-}
-
-// --------------------------------------------------------- the registry
-
-/// The merge point for every thread's shard, and the scrape surface.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    merged: Mutex<LocalMetrics>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry (tests use private registries; production code
-    /// uses [`global`]).
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// Merges a shard in. The only lock in the subsystem, taken once per
-    /// flush — never per sample.
-    pub fn merge(&self, shard: &LocalMetrics) {
-        self.merged.lock().expect("metrics poisoned").merge(shard);
-    }
-
-    /// A copy of the current merged state.
-    pub fn snapshot(&self) -> LocalMetrics {
-        self.merged.lock().expect("metrics poisoned").clone()
-    }
-
-    /// Drops everything recorded so far.
-    pub fn clear(&self) {
-        *self.merged.lock().expect("metrics poisoned") = LocalMetrics::default();
-    }
-
     /// Renders the Prometheus text exposition format: a `# TYPE` line
     /// per metric family, one sample line per counter/gauge, and
     /// cumulative `_bucket{le="..."}`/`_sum`/`_count` lines per
@@ -225,7 +158,6 @@ impl MetricsRegistry {
     /// escaped per the text-format spec, so no recorded name — however
     /// adversarial — can corrupt the exposition.
     pub fn render_prometheus(&self) -> String {
-        let m = self.merged.lock().expect("metrics poisoned");
         let mut out = String::new();
         let mut last_family = String::new();
         let mut type_line = |out: &mut String, family: &str, kind: &str| {
@@ -244,17 +176,17 @@ impl MetricsRegistry {
                 .collect();
             format!("{{{}}}", inner.join(","))
         };
-        for (name, value) in &m.counters {
+        for (name, value) in &self.counters {
             let (family, labels) = split_labels(name);
             type_line(&mut out, &family, "counter");
             out.push_str(&format!("{family}{} {value}\n", render_labels(&labels)));
         }
-        for (name, value) in &m.gauges {
+        for (name, value) in &self.gauges {
             let (family, labels) = split_labels(name);
             type_line(&mut out, &family, "gauge");
             out.push_str(&format!("{family}{} {value}\n", render_labels(&labels)));
         }
-        for (name, hist) in &m.histograms {
+        for (name, hist) in &self.histograms {
             let (family, labels) = split_labels(name);
             type_line(&mut out, &family, "histogram");
             // Cumulative buckets, as the spec demands: every emitted
@@ -295,23 +227,22 @@ impl MetricsRegistry {
         out
     }
 
-    /// The merged state as a JSON document: `counters` and `gauges` as
+    /// The snapshot as a JSON document: `counters` and `gauges` as
     /// flat objects, each histogram as `{count, sum, buckets}` where
     /// `buckets` lists `[upper_bound, count]` pairs for non-empty
     /// buckets only.
     pub fn to_json(&self) -> Json {
-        let m = self.merged.lock().expect("metrics poisoned");
-        let counters: BTreeMap<String, Json> = m
+        let counters: BTreeMap<String, Json> = self
             .counters
             .iter()
             .map(|(k, &v)| (k.clone(), num(v)))
             .collect();
-        let gauges: BTreeMap<String, Json> = m
+        let gauges: BTreeMap<String, Json> = self
             .gauges
             .iter()
             .map(|(k, &v)| (k.clone(), Json::Num(v)))
             .collect();
-        let histograms: BTreeMap<String, Json> = m
+        let histograms: BTreeMap<String, Json> = self
             .histograms
             .iter()
             .map(|(k, h)| {
@@ -337,13 +268,41 @@ impl MetricsRegistry {
     }
 }
 
+// --------------------------------------------------------- the registry
+
+/// The process-wide store every recording helper writes, and the source
+/// of every scrape.
+#[derive(Debug, Default)]
+pub struct MetricsRegistry {
+    metrics: Mutex<MetricsSnapshot>,
+}
+
+impl MetricsRegistry {
+    /// The recorded state, for one write. A write that panicked (a
+    /// debug-build counter overflow) left the maps consistent, so a
+    /// poisoned lock is used as is.
+    fn lock(&self) -> MutexGuard<'_, MetricsSnapshot> {
+        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A copy of everything recorded so far.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        self.lock().clone()
+    }
+
+    /// Drops everything recorded so far.
+    pub fn clear(&self) {
+        *self.lock() = MetricsSnapshot::default();
+    }
+}
+
 // ------------------------------------------------- exposition hygiene
 
 /// Builds a labeled metric name — `family{key="value",...}` — with the
 /// label values escaped per the Prometheus text-format spec (backslash,
 /// double-quote and newline). Use this instead of `format!` so an
 /// adversarial value (a worker name, a profile string) cannot break the
-/// exposition; [`MetricsRegistry::render_prometheus`] re-parses and
+/// exposition; [`MetricsSnapshot::render_prometheus`] re-parses and
 /// re-escapes the suffix on output either way.
 pub fn labeled(family: &str, labels: &[(&str, &str)]) -> String {
     if labels.is_empty() {
@@ -572,55 +531,33 @@ pub fn validate_prometheus(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// The process-wide registry the runner's instrumentation flushes into.
+/// The process-wide registry every recording helper writes.
 pub fn global() -> &'static MetricsRegistry {
     static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-    GLOBAL.get_or_init(MetricsRegistry::new)
+    GLOBAL.get_or_init(MetricsRegistry::default)
 }
 
-thread_local! {
-    static SHARD: RefCell<LocalMetrics> = RefCell::new(LocalMetrics::default());
-}
-
-/// Adds to a counter in this thread's shard. No-op with telemetry off.
+/// Adds to a counter in the [`global`] registry. No-op with telemetry
+/// off.
 pub fn counter_add(name: impl Into<String>, delta: u64) {
     if telemetry_enabled() {
-        SHARD.with(|s| s.borrow_mut().counter_add(name, delta));
+        global().lock().counter_add(name, delta);
     }
 }
 
-/// This thread's unflushed value of gauge `name`: what a call on this
-/// thread just published, free of other threads' flushes.
-#[cfg(test)]
-pub(crate) fn local_gauge(name: &str) -> Option<f64> {
-    SHARD.with(|s| s.borrow().gauges.get(name).copied())
-}
-
-/// Sets a gauge in this thread's shard. No-op with telemetry off.
+/// Sets a gauge in the [`global`] registry. No-op with telemetry off.
 pub fn gauge_set(name: impl Into<String>, value: f64) {
     if telemetry_enabled() {
-        SHARD.with(|s| s.borrow_mut().gauge_set(name, value));
+        global().lock().gauge_set(name, value);
     }
 }
 
-/// Records a histogram observation in this thread's shard. No-op with
-/// telemetry off.
+/// Records a histogram observation in the [`global`] registry. No-op
+/// with telemetry off.
 pub fn observe(name: impl Into<String>, value: u64) {
     if telemetry_enabled() {
-        SHARD.with(|s| s.borrow_mut().observe(name, value));
+        global().lock().observe(name, value);
     }
-}
-
-/// Merges this thread's shard into the [`global`] registry and empties
-/// it. Cheap when the shard is empty, so call sites need no knob check.
-pub fn flush() {
-    SHARD.with(|s| {
-        let mut shard = s.borrow_mut();
-        if !shard.is_empty() {
-            global().merge(&shard);
-            *shard = LocalMetrics::default();
-        }
-    });
 }
 
 // ------------------------------------------------------------ the timer
@@ -653,7 +590,7 @@ impl ScopedTimer {
     fn record(&mut self) -> Option<f64> {
         let started = self.start.take()?;
         let secs = started.elapsed().as_secs_f64();
-        SHARD.with(|s| s.borrow_mut().observe(self.name, (secs * 1e6) as u64));
+        global().lock().observe(self.name, (secs * 1e6) as u64);
         Some(secs)
     }
 }
@@ -667,7 +604,6 @@ impl Drop for ScopedTimer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlpwin_isa::Xoshiro256StarStar;
 
     #[test]
     fn histogram_buckets_by_bit_length() {
@@ -687,98 +623,52 @@ mod tests {
     }
 
     #[test]
-    fn histogram_observe_and_merge() {
-        let mut a = Histogram::default();
-        a.observe(0);
-        a.observe(5);
-        let mut b = Histogram::default();
-        b.observe(5);
-        b.observe(1000);
-        a.merge(&b);
-        assert_eq!(a.count, 4);
-        assert_eq!(a.sum, 1010);
-        assert_eq!(a.buckets[Histogram::bucket_index(5)], 2);
-    }
-
-    /// Random op streams partitioned into shards merge to the same
-    /// totals regardless of how the stream was split or the shards were
-    /// combined — the property the thread-count independence of scrape
-    /// totals rests on.
-    #[test]
-    fn shard_merge_is_associative_and_partition_independent() {
-        for case in 0..32u64 {
-            let mut rng = Xoshiro256StarStar::seed_from(0xA11CE + case);
-            let ops: Vec<(u8, u64, u64)> = (0..200)
-                .map(|_| {
-                    let kind = (rng.next_u64() % 2) as u8; // counter or histogram
-                    let which = rng.next_u64() % 4;
-                    let value = rng.next_u64() % 10_000;
-                    (kind, which, value)
-                })
-                .collect();
-            let apply = |m: &mut LocalMetrics, op: &(u8, u64, u64)| match op.0 {
-                0 => m.counter_add(format!("c{}", op.1), op.2),
-                _ => m.observe(format!("h{}", op.1), op.2),
-            };
-
-            // Serial reference: one shard sees the whole stream.
-            let mut reference = LocalMetrics::default();
-            for op in &ops {
-                apply(&mut reference, op);
-            }
-
-            // Random partition into 1..=5 shards, merged in two
-            // different groupings: left fold and pairwise tree.
-            let shard_count = 1 + (rng.next_u64() % 5) as usize;
-            let mut shards = vec![LocalMetrics::default(); shard_count];
-            for op in &ops {
-                let k = (rng.next_u64() % shard_count as u64) as usize;
-                apply(&mut shards[k], op);
-            }
-            let mut left = LocalMetrics::default();
-            for shard in &shards {
-                left.merge(shard);
-            }
-            let mut tree = shards.clone();
-            while tree.len() > 1 {
-                let right = tree.pop().expect("len > 1");
-                let last = tree.len() - 1;
-                tree[last].merge(&right);
-            }
-            assert_eq!(left, reference, "case {case}: left fold diverged");
-            assert_eq!(tree[0], reference, "case {case}: tree merge diverged");
+    fn histogram_observe_counts_and_sums() {
+        let mut h = Histogram::default();
+        for v in [0, 5, 5, 1000] {
+            h.observe(v);
         }
+        assert_eq!(h.count, 4);
+        assert_eq!(h.sum, 1010);
+        assert_eq!(h.buckets[Histogram::bucket_index(5)], 2);
     }
 
+    /// Writers on any number of threads land in the one registry: the
+    /// totals cannot depend on which thread recorded what.
     #[test]
-    fn registry_merges_and_snapshots() {
-        let reg = MetricsRegistry::new();
-        let mut a = LocalMetrics::default();
-        a.counter_add("runs", 2);
-        a.gauge_set("mips", 1.5);
-        let mut b = LocalMetrics::default();
-        b.counter_add("runs", 3);
-        b.gauge_set("mips", 2.5);
-        reg.merge(&a);
-        reg.merge(&b);
+    fn registry_records_and_snapshots() {
+        let reg = MetricsRegistry::default();
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let reg = &reg;
+                scope.spawn(move || {
+                    for _ in 0..100 {
+                        reg.lock().counter_add("runs", 1);
+                        reg.lock().observe("lat_us", t);
+                    }
+                });
+            }
+        });
+        reg.lock().gauge_set("mips", 1.5);
+        reg.lock().gauge_set("mips", 2.5);
         let snap = reg.snapshot();
-        assert_eq!(snap.counters["runs"], 5);
+        assert_eq!(snap.counters["runs"], 400);
+        assert_eq!(snap.histograms["lat_us"].count, 400);
+        assert_eq!(snap.histograms["lat_us"].sum, 100 * (1 + 2 + 3));
         assert_eq!(snap.gauges["mips"], 2.5, "gauges are last-write-wins");
         reg.clear();
-        assert!(reg.snapshot().is_empty());
+        assert_eq!(reg.snapshot(), MetricsSnapshot::default());
     }
 
     #[test]
     fn prometheus_rendering_is_structurally_valid() {
-        let reg = MetricsRegistry::new();
-        let mut m = LocalMetrics::default();
+        let mut m = MetricsSnapshot::default();
         m.counter_add("mlpwin_specs_completed_total", 7);
         m.counter_add("mlpwin_worker_mips{worker=\"0\"}", 1);
         m.gauge_set("mlpwin_run_kcps", 1234.5);
         m.observe("mlpwin_phase_measure_us", 900);
         m.observe("mlpwin_phase_measure_us", 40_000);
-        reg.merge(&m);
-        let text = reg.render_prometheus();
+        let text = m.render_prometheus();
         assert!(text.contains("# TYPE mlpwin_specs_completed_total counter"));
         assert!(text.contains("# TYPE mlpwin_worker_mips counter"));
         assert!(text.contains("# TYPE mlpwin_run_kcps gauge"));
@@ -801,16 +691,14 @@ mod tests {
 
     #[test]
     fn prometheus_rendering_passes_its_own_validator() {
-        let reg = MetricsRegistry::new();
-        let mut m = LocalMetrics::default();
+        let mut m = MetricsSnapshot::default();
         m.counter_add("mlpwin_specs_completed_total", 7);
         m.counter_add(labeled("mlpwin_worker_mips", &[("worker", "0")]), 1);
         m.gauge_set("mlpwin_run_kcps", 1234.5);
         m.observe("mlpwin_phase_measure_us", 900);
         m.observe("mlpwin_phase_measure_us", 40_000);
         m.observe(labeled("mlpwin_wait_ms", &[("lane", "high")]), 3);
-        reg.merge(&m);
-        let text = reg.render_prometheus();
+        let text = m.render_prometheus();
         validate_prometheus(&text).expect("conformant exposition");
         assert!(text.contains("mlpwin_wait_ms_bucket{lane=\"high\",le=\"+Inf\"} 1"));
         assert!(text.contains("mlpwin_wait_ms_sum{lane=\"high\"} 3"));
@@ -819,8 +707,7 @@ mod tests {
 
     #[test]
     fn adversarial_names_and_label_values_render_safely() {
-        let reg = MetricsRegistry::new();
-        let mut m = LocalMetrics::default();
+        let mut m = MetricsSnapshot::default();
         // Illegal metric-name characters, an embedded newline, a label
         // value with every escape-worthy character, and a suffix that
         // is not a parsable label block.
@@ -828,8 +715,7 @@ mod tests {
         m.counter_add("9starts_with_digit", 2);
         m.counter_add(labeled("mlpwin_evil", &[("who", "a\\b\"c\nd")]), 3);
         m.gauge_set("mlpwin_ok{not a label block", 4.0);
-        reg.merge(&m);
-        let text = reg.render_prometheus();
+        let text = m.render_prometheus();
         validate_prometheus(&text).expect("sanitized exposition must validate");
         // No raw newline survives inside any sample line, and the
         // escaped label value round-trips the spec's escapes.
@@ -878,12 +764,10 @@ mod tests {
 
     #[test]
     fn json_export_parses_and_carries_values() {
-        let reg = MetricsRegistry::new();
-        let mut m = LocalMetrics::default();
+        let mut m = MetricsSnapshot::default();
         m.counter_add("a_total", 3);
         m.observe("lat_us", 12);
-        reg.merge(&m);
-        let text = reg.to_json().encode();
+        let text = m.to_json().encode();
         let doc = Json::parse(&text).expect("valid JSON");
         assert_eq!(
             doc.get("counters")
@@ -906,7 +790,6 @@ mod tests {
         let t = ScopedTimer::start("test_disabled_timer_us");
         assert!(t.stop().is_none());
         counter_add("test_disabled_counter", 1);
-        flush();
         assert!(!global()
             .snapshot()
             .counters

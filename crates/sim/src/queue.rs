@@ -42,16 +42,17 @@
 //!   interleaving records.
 //! - **One source of campaign state.** Every appended record is also
 //!   stamped into the queue's [`CampaignLog`] as its [`EventKind`], and
-//!   the same transition updates the running [`QueueTally`] and the
-//!   queue gauges — nothing outside the queue mirrors a transition or
-//!   recounts the job table.
+//!   the same transition updates the running [`QueueTally`]. Nothing
+//!   outside the queue mirrors a transition: the progress line,
+//!   `/status`, the queue gauges and the final report all render from a
+//!   [`tally`](JobQueue::tally) read when they are read.
 
 use crate::campaign_events::{CampaignLog, EventKind};
 use crate::error::SimError;
 use crate::journal::{decode_spec, encode_spec, spec_hash};
 use crate::json::{num, s, Json};
 use crate::lock::LockedFile;
-use crate::metrics;
+use crate::metrics::{self, MetricsSnapshot};
 use crate::runner::RunSpec;
 use std::collections::HashMap;
 use std::path::Path;
@@ -261,7 +262,7 @@ pub struct QueueTally {
 
 impl QueueTally {
     /// The counter a job in `state` on `lane` belongs to.
-    fn slot(&mut self, lane: Lane, state: &JobState) -> &mut usize {
+    pub(crate) fn slot(&mut self, lane: Lane, state: &JobState) -> &mut usize {
         match state {
             JobState::Pending { .. } => &mut self.pending[lane as usize],
             JobState::Leased { .. } => &mut self.leased,
@@ -290,6 +291,23 @@ impl QueueTally {
     /// Every job in the queue.
     pub fn jobs(&self) -> usize {
         self.depth() + self.leased + self.terminal()
+    }
+
+    /// Sets the queue-shape gauges in `metrics` (a scrape's or flight
+    /// record's copy of the registry) from these counts. No-op with
+    /// telemetry off, like every other metric write.
+    pub fn set_gauges(&self, metrics: &mut MetricsSnapshot) {
+        if !metrics::telemetry_enabled() {
+            return;
+        }
+        metrics.gauge_set(METRIC_QUEUE_DEPTH, self.depth() as f64);
+        metrics.gauge_set(METRIC_QUEUE_LEASED, self.leased as f64);
+        for lane in Lane::ALL {
+            metrics.gauge_set(
+                metrics::labeled(METRIC_QUEUE_DEPTH_LANE, &[("lane", lane.tag())]),
+                self.pending[lane as usize] as f64,
+            );
+        }
     }
 }
 
@@ -629,7 +647,6 @@ impl JobQueue {
             detail: format!("WAL {} read failed: {e}", path.display()),
         })?;
         queue.wal = Some(locked);
-        queue.publish_gauges();
         // Orphaned leases: the old controller's workers are gone. Put
         // the jobs back (logged, so the next replay agrees) without
         // counting a kill — the worker may have been perfectly healthy.
@@ -698,7 +715,7 @@ impl JobQueue {
     }
 
     /// Logs (when durable), stamps into the event log and applies one
-    /// transition, then republishes the queue gauges.
+    /// transition.
     fn transition(&mut self, rec: WalRecord, deadline: u64, now_ms: u64) -> Result<(), SimError> {
         if let Some(wal) = &mut self.wal {
             self.seq += 1;
@@ -714,25 +731,7 @@ impl JobQueue {
         };
         self.log.record(now_ms, Some(id), rec.event(holder));
         self.apply(&rec, deadline)
-            .map_err(|detail| SimError::Campaign { detail })?;
-        self.publish_gauges();
-        Ok(())
-    }
-
-    /// Publishes the queue-shape gauges from the tally (no-op with
-    /// telemetry off).
-    fn publish_gauges(&self) {
-        if !metrics::telemetry_enabled() {
-            return;
-        }
-        metrics::gauge_set(METRIC_QUEUE_DEPTH, self.tally.depth() as f64);
-        metrics::gauge_set(METRIC_QUEUE_LEASED, self.tally.leased as f64);
-        for lane in Lane::ALL {
-            metrics::gauge_set(
-                metrics::labeled(METRIC_QUEUE_DEPTH_LANE, &[("lane", lane.tag())]),
-                self.tally.pending[lane as usize] as f64,
-            );
-        }
+            .map_err(|detail| SimError::Campaign { detail })
     }
 
     /// Submits one spec. Identical specs coalesce into one job (the
@@ -960,6 +959,17 @@ impl JobQueue {
     /// The running per-state job counts.
     pub fn tally(&self) -> QueueTally {
         self.tally
+    }
+
+    /// Terminal jobs this controller leased more than once — the
+    /// progress line's retried count. Walks the job table, so read it
+    /// only when a line is rendered.
+    pub fn retried(&self) -> usize {
+        self.jobs
+            .iter()
+            .zip(&self.timings)
+            .filter(|(job, timing)| job.state.is_terminal() && timing.attempts > 1)
+            .count()
     }
 
     /// The event log every transition is stamped into. Campaign-scoped
@@ -1223,66 +1233,6 @@ mod tests {
         assert_eq!(t.first_leased_ms, Some(40), "first lease is sticky");
         assert_eq!(t.last_leased_ms, Some(10_000));
         assert_eq!(t.terminal_ms, Some(10_500));
-    }
-
-    /// Every transition republishes the queue gauges from the tally —
-    /// expiry, release, failure and death included, not only grants.
-    #[test]
-    fn gauges_follow_every_transition() {
-        let _knob = metrics::KNOB_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        metrics::set_telemetry(true);
-        let mut q = JobQueue::in_memory(QueuePolicy {
-            lease_ms: 10,
-            max_kills: 5,
-            backoff_base_ms: 1,
-        });
-        for (n, lane) in [Lane::High, Lane::Normal, Lane::Normal, Lane::Low]
-            .into_iter()
-            .enumerate()
-        {
-            q.submit(&spec("gcc", n as u64), lane).expect("submit");
-        }
-        let check = |q: &JobQueue, what: &str| {
-            let mut recount = QueueTally::default();
-            for j in q.jobs() {
-                *recount.slot(j.lane, &j.state) += 1;
-            }
-            assert_eq!(q.tally(), recount, "{what}: tally");
-            let gauge = metrics::local_gauge;
-            assert_eq!(
-                gauge(METRIC_QUEUE_DEPTH),
-                Some(recount.depth() as f64),
-                "{what}: depth"
-            );
-            assert_eq!(
-                gauge(METRIC_QUEUE_LEASED),
-                Some(recount.leased as f64),
-                "{what}: leased"
-            );
-            for lane in Lane::ALL {
-                let name = metrics::labeled(METRIC_QUEUE_DEPTH_LANE, &[("lane", lane.tag())]);
-                assert_eq!(
-                    gauge(&name),
-                    Some(recount.pending[lane as usize] as f64),
-                    "{what}: {name}"
-                );
-            }
-        };
-        let a = q.lease("w0", 0).expect("lease").expect("granted").id;
-        let b = q.lease("w1", 0).expect("lease").expect("granted").id;
-        let c = q.lease("w2", 0).expect("lease").expect("granted").id;
-        q.renew(b, 15);
-        q.renew(c, 15);
-        assert_eq!(q.expire_stale(20).expect("expire"), vec![a]);
-        check(&q, "expire_stale");
-        q.release(b, "graceful drain", 20).expect("release");
-        check(&q, "release");
-        q.fail(c, "typo", 20).expect("fail");
-        check(&q, "fail");
-        let d = q.lease("w3", 30).expect("lease").expect("granted").id;
-        q.death(d, "boom", 31).expect("death");
-        check(&q, "death");
-        metrics::set_telemetry(false);
     }
 
     #[test]

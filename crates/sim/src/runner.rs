@@ -18,6 +18,7 @@ use crate::progress::Progress;
 use crate::signals;
 use crate::snapshot::{
     self, LoadedSnapshot, SnapshotPhase, SnapshotPolicy, SnapshotStore, SnapshotWriter,
+    DEFAULT_SNAPSHOT_KEEP,
 };
 use mlpwin_branch::PredictorStats;
 use mlpwin_energy::RunCounters;
@@ -340,7 +341,8 @@ pub fn run_recoverable(spec: &RunSpec, snapshots: &SnapshotPolicy) -> Result<Run
 /// snapshot policy — resumes from and saves snapshots.
 fn run_with(spec: &RunSpec, snapshots: Option<&SnapshotPolicy>) -> Result<RunResult, SimError> {
     let params = profiles::params_by_name(&spec.profile)?;
-    let store = snapshots.map(|p| SnapshotStore::new(&p.dir, spec_hash(spec), p.keep));
+    let store =
+        snapshots.map(|p| SnapshotStore::new(&p.dir, spec_hash(spec), DEFAULT_SNAPSHOT_KEEP));
     let store = store.as_ref();
     let mut resume = store.and_then(SnapshotStore::load_latest);
     loop {
@@ -448,9 +450,6 @@ pub(crate) fn collect_result<W: Workload>(
     metrics::gauge_set(METRIC_SKIP_FRACTION, engine.skip_fraction());
     metrics::counter_add(METRIC_SNAPSHOT_HOST_NS, core.snapshot_host_ns());
     core.mem_mut().finalize();
-    // Publish this run's shard; with telemetry off the shard is empty
-    // and this is a single thread-local branch.
-    metrics::flush();
     let mem = core.mem();
     RunResult {
         spec: spec.clone(),
@@ -515,7 +514,7 @@ fn execute<W: Workload>(
             if signals::interrupted() {
                 // Unwind only once the image for this very cycle is on
                 // disk: the next invocation resumes from here.
-                writer.flush();
+                writer.sync();
                 std::panic::panic_any(signals::INTERRUPT_PANIC);
             }
         }));
@@ -524,7 +523,7 @@ fn execute<W: Workload>(
     // the writer's save time beside the core's encode-and-handoff time.
     let finish = |core: &mut Core<W>, stats: CoreStats, secs: Option<f64>| {
         if let Some(writer) = &writer {
-            writer.flush();
+            writer.sync();
             metrics::counter_add(METRIC_SNAPSHOT_WRITE_NS, writer.write_ns());
         }
         collect_result(spec, category, levels, core, stats, secs)
@@ -592,7 +591,9 @@ pub fn run_matrix(specs: &[RunSpec], threads: usize) -> Vec<Result<RunResult, Si
     let slots: Vec<Mutex<Option<Result<RunResult, SimError>>>> =
         specs.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    let progress = metrics::telemetry_enabled().then(|| Mutex::new(Progress::new(specs.len())));
+    // The line's counts are this matrix's own: (progress, settled, failed).
+    let progress =
+        metrics::telemetry_enabled().then(|| Mutex::new((Progress::new(specs.len()), 0, 0)));
     let started = Instant::now();
     std::thread::scope(|scope| {
         let (slots, next, progress) = (&slots, &next, &progress);
@@ -635,14 +636,15 @@ pub fn run_matrix(specs: &[RunSpec], threads: usize) -> Vec<Result<RunResult, Si
                             );
                         }
                     }
-                    metrics::flush();
                     if let Some(progress) = progress {
-                        let mut progress = progress.lock().expect("progress poisoned");
-                        progress.add_skipped(skipped);
+                        let (progress, settled, failed) =
+                            &mut *progress.lock().expect("progress poisoned");
+                        *settled += 1;
+                        *failed += usize::from(outcome.is_err());
+                        progress.add_work(insts, cycles, skipped);
                         let now = started.elapsed().as_secs_f64();
-                        let line = progress.record(now, outcome.is_ok(), 1, insts, cycles);
-                        if let Some(line) = line {
-                            eprintln!("{line}");
+                        if progress.settle(now, *settled) {
+                            eprintln!("{}", progress.line(now, *settled, *failed, 0));
                         }
                     }
                     *slots[i].lock().expect("slot poisoned") = Some(outcome);

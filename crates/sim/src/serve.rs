@@ -43,8 +43,10 @@
 //! written to `obs.addr` in the campaign directory so scripts can
 //! discover an ephemeral port. The job queue stamps every transition
 //! it makes into its [`CampaignLog`] ring and keeps the per-state
-//! tallies the progress line, `/status` and the [`CampaignReport`]
-//! render from; the controller adds only campaign-scoped events. The
+//! tallies that the progress line, `/status`, the queue gauges of a
+//! `/metrics` scrape or flight record, and the [`CampaignReport`] all
+//! render from when they are read — no surface keeps a copy of its
+//! own. The controller adds only campaign-scoped events. The
 //! ring feeds three consumers: the
 //! `/jobs/<id>` event views, the `--trace-out` Chrome trace (one track
 //! per worker, one span per job phase), and the crash flight recorder
@@ -55,15 +57,17 @@
 //! listener on or off (`tests/observability_http.rs` asserts that).
 
 use crate::cachestore::CacheStore;
-use crate::campaign_events::{derive_spans, write_flight_record, CampaignLog, EventKind};
+use crate::campaign_events::{
+    derive_spans, next_flight_seq, write_flight_record, CampaignLog, EventKind,
+};
 use crate::chrome_trace;
 use crate::error::SimError;
 use crate::httpserve::{HttpServer, ObsProvider};
 use crate::journal::{canonical_spec, decode_line, encode_line, Journal};
 use crate::json::{num, obj, s, Json};
 use crate::lock::{write_atomic, LockedFile, DEAD_HOLDER_WAIT};
-use crate::metrics;
-use crate::progress::{CampaignSnapshot, Progress};
+use crate::metrics::{self, MetricsSnapshot};
+use crate::progress::Progress;
 use crate::queue::{DeathVerdict, JobId, JobQueue, JobState, Lane, QueuePolicy, QueueTally};
 use crate::runner::{
     RunResult, RunSpec, METRIC_CYCLES_SKIPPED, METRIC_CYCLES_STEPPED, METRIC_EVENTS_POPPED,
@@ -116,8 +120,6 @@ pub struct CampaignConfig {
     /// Snapshot cadence forwarded to workers (also the heartbeat
     /// cadence — keep it comfortably under `lease`).
     pub snapshot_cycles: u64,
-    /// Snapshot rotation depth forwarded to workers.
-    pub keep: usize,
     /// Per-job wall-clock deadline; the supervisor kills a worker that
     /// exceeds it (counts as a death).
     pub job_time_budget: Option<Duration>,
@@ -157,7 +159,6 @@ impl CampaignConfig {
             max_kills: 3,
             backoff_base: Duration::from_millis(100),
             snapshot_cycles: 25_000,
-            keep: 3,
             job_time_budget: None,
             cache: None,
             chaos_kill_at: None,
@@ -299,7 +300,8 @@ impl FleetInfo {
 /// The shared mutable state one campaign's worker threads drive.
 ///
 /// Lock ordering: `queue` may be held while taking `cache`, `workers`,
-/// `progress`, or the event log's internal mutex — never the reverse.
+/// `progress`, the event log's internal mutex or the metrics registry's
+/// — never the reverse.
 /// The HTTP snapshot builders take locks one at a time and release
 /// before the next, so they can never participate in a cycle.
 struct Campaign {
@@ -318,7 +320,8 @@ struct Campaign {
     progress: Mutex<Progress>,
     /// Mirror progress lines to stderr.
     show_progress: bool,
-    /// Flight-record sequence within this controller process.
+    /// The next flight record's sequence number, above every record
+    /// already in `flight_dir` when the controller started.
     flight_seq: AtomicU64,
     /// Where flight records land.
     flight_dir: PathBuf,
@@ -356,29 +359,33 @@ impl Campaign {
         }
     }
 
-    /// Records one settled job's work into the shared progress state,
-    /// with the queue's tally as its counts, and mirrors the line to
-    /// stderr when enabled. Never call with the queue lock held.
-    fn record_progress(&self, attempts: u32, insts: u64, cycles: u64, skipped: u64) {
-        // The progress lock is taken before the queue's drops, so
-        // snapshots reach the line in the order they were taken.
-        let queue = self.queue.lock().expect("queue poisoned");
-        let snapshot = CampaignSnapshot {
-            tally: queue.tally(),
-            fleet: self
-                .fleet
-                .as_ref()
-                .map(|f| f.connected.load(Ordering::SeqCst)),
+    /// Folds the queue's settled count into the progress state and, when
+    /// that crossed an epoch, mirrors the line to stderr if enabled.
+    /// Every path that may settle a job calls this after the queue lock
+    /// drops; a call that finds nothing newly settled does nothing.
+    fn record_progress(&self) {
+        // Both locks are held while the count is folded in, so counts
+        // reach the ETA window in the order they were read.
+        let line = {
+            let queue = self.queue.lock().expect("queue poisoned");
+            let mut progress = self.progress.lock().expect("progress poisoned");
+            let now = self.started.elapsed().as_secs_f64();
+            let due = progress.settle(now, queue.tally().terminal());
+            (due && self.show_progress).then(|| self.progress_line(&queue, &progress, now))
         };
-        let mut progress = self.progress.lock().expect("progress poisoned");
-        drop(queue);
-        let now = self.started.elapsed().as_secs_f64();
-        progress.add_skipped(skipped);
-        if let Some(line) = progress.record_campaign(now, snapshot, attempts, insts, cycles) {
-            if self.show_progress {
-                eprintln!("{line}");
-            }
+        if let Some(line) = line {
+            eprintln!("{line}");
         }
+    }
+
+    /// The progress line: job counts from `queue`, throughput and ETA
+    /// from `progress`.
+    fn progress_line(&self, queue: &JobQueue, progress: &Progress, now: f64) -> String {
+        let fleet = self
+            .fleet
+            .as_ref()
+            .map(|f| f.connected.load(Ordering::SeqCst));
+        progress.campaign_line(now, &queue.tally(), queue.retried(), fleet)
     }
 
     /// Dumps a flight record (events + metrics snapshot + queue state).
@@ -386,18 +393,17 @@ impl Campaign {
     /// continues. Never call with the queue lock held.
     fn dump_flight(&self, reason: &str) {
         let seq = self.flight_seq.fetch_add(1, Ordering::SeqCst);
-        let queue_json = {
+        let (queue_json, tally) = {
             let queue = self.queue.lock().expect("queue poisoned");
-            jobs_json(&queue, self.now_ms())
+            (jobs_json(&queue, self.now_ms()), queue.tally())
         };
-        metrics::flush();
         if let Err(e) = write_flight_record(
             &self.flight_dir,
             seq,
             reason,
             self.now_ms(),
             &self.log,
-            metrics::global().to_json(),
+            scrape(&tally).to_json(),
             queue_json,
         ) {
             eprintln!("warning: flight record for `{reason}` not written: {e}");
@@ -609,6 +615,14 @@ fn job_view(queue: &JobQueue, id: JobId, now_ms: u64) -> Json {
     ])
 }
 
+/// The metrics registry plus the queue gauges computed from `tally` —
+/// what a `/metrics` scrape and a flight record show.
+fn scrape(tally: &QueueTally) -> MetricsSnapshot {
+    let mut snapshot = metrics::global().snapshot();
+    tally.set_gauges(&mut snapshot);
+    snapshot
+}
+
 /// [`ObsProvider`] over a live campaign.
 struct CampaignObs(Arc<Campaign>);
 
@@ -623,6 +637,10 @@ impl ObsProvider for CampaignObs {
 
     fn job(&self, id: u64) -> Option<Json> {
         self.0.job_json(id)
+    }
+
+    fn metrics(&self) -> MetricsSnapshot {
+        scrape(&self.0.queue.lock().expect("queue poisoned").tally())
     }
 }
 
@@ -712,16 +730,10 @@ pub fn run_campaign(
         },
     );
 
-    // Jobs already terminal (WAL replay, cache hits) count from the
-    // start, so the progress denominator and cache-hit ratio start
-    // truthful; the fleet size arrives with the first settle.
-    let mut progress = Progress::new(queue.jobs().len());
-    progress.set_campaign(CampaignSnapshot {
-        tally: queue.tally(),
-        fleet: None,
-    });
+    // Jobs already terminal (WAL replay, cache hits) count toward the
+    // total from the start but not toward the ETA's rate.
+    let progress = Progress::new(queue.jobs().len()).starting_at(queue.tally().terminal());
     cache.publish_metrics();
-    metrics::flush();
 
     let campaign = Campaign {
         queue: Mutex::new(queue),
@@ -739,7 +751,7 @@ pub fn run_campaign(
         ),
         progress: Mutex::new(progress),
         show_progress: cfg.progress,
-        flight_seq: AtomicU64::new(1),
+        flight_seq: AtomicU64::new(next_flight_seq(&cfg.flightrec_dir())),
         flight_dir: cfg.flightrec_dir(),
         fleet: cfg
             .fleet_listen
@@ -789,7 +801,6 @@ pub fn run_campaign(
                             message: format!("campaign worker {me} panicked: {message}"),
                         });
                     }
-                    metrics::flush();
                 })
                 .expect("spawn campaign worker")
         })
@@ -920,41 +931,25 @@ fn worker_loop(me: &str, campaign: &Arc<Campaign>, cfg: &CampaignConfig) {
             campaign.abort(e);
             return;
         }
-        metrics::flush();
     }
-}
-
-/// Expires stale leases. Shared by the local and fleet lease path and
-/// the fleet janitor; call with the queue lock held. Returns the
-/// attempts of each job the expiry quarantined, to record on the
-/// progress line once the lock drops.
-fn expire(queue: &mut JobQueue, now_ms: u64) -> Result<Vec<u32>, SimError> {
-    let expired = queue.expire_stale(now_ms)?;
-    Ok(expired
-        .into_iter()
-        .filter(|&id| queue.job(id).state.is_terminal())
-        .map(|id| queue.timing(id).attempts)
-        .collect())
 }
 
 /// Records a worker death against `id` when `me` still owns it and
 /// dumps a flight record.
 fn settle_death(campaign: &Campaign, id: JobId, me: &str, detail: &str) -> Result<(), SimError> {
     let now = campaign.now_ms();
-    let (verdict, attempts) = {
+    let verdict = {
         let mut queue = campaign.queue.lock().expect("queue poisoned");
         if !owns(&queue, id, me) {
             return Ok(());
         }
-        (queue.death(id, detail, now)?, queue.timing(id).attempts)
+        queue.death(id, detail, now)?
     };
-    match verdict {
-        DeathVerdict::Requeued { .. } => campaign.dump_flight(&format!("worker death: {detail}")),
-        DeathVerdict::Quarantined => {
-            campaign.dump_flight(&format!("job {id} quarantined: {detail}"));
-            campaign.record_progress(attempts, 0, 0, 0);
-        }
-    }
+    campaign.dump_flight(&match verdict {
+        DeathVerdict::Requeued { .. } => format!("worker death: {detail}"),
+        DeathVerdict::Quarantined => format!("job {id} quarantined: {detail}"),
+    });
+    campaign.record_progress();
     Ok(())
 }
 
@@ -963,15 +958,14 @@ fn settle_death(campaign: &Campaign, id: JobId, me: &str, detail: &str) -> Resul
 /// exit 1 or 2) and fleet connections (a `failed` frame).
 fn fail(campaign: &Campaign, identity: &str, id: JobId, detail: String) -> Result<(), SimError> {
     let now = campaign.now_ms();
-    let attempts = {
+    {
         let mut queue = campaign.queue.lock().expect("queue poisoned");
         if !valid_job(&queue, id) || !owns(&queue, id, identity) {
             return Ok(());
         }
         queue.fail(id, &detail, now)?;
-        queue.timing(id).attempts
-    };
-    campaign.record_progress(attempts, 0, 0, 0);
+    }
+    campaign.record_progress();
     Ok(())
 }
 
@@ -1097,7 +1091,6 @@ fn start_fleet(
                                     ),
                                 });
                             }
-                            metrics::flush();
                         });
                     if spawned.is_err() {
                         // Thread exhaustion: drop the connection; the
@@ -1127,26 +1120,21 @@ fn start_fleet(
                     ) {
                         return;
                     }
-                    let expired = {
-                        let mut queue = campaign.queue.lock().expect("queue poisoned");
-                        expire(&mut queue, campaign.now_ms())
-                    };
-                    match expired {
-                        Ok(quarantined) => {
-                            for attempts in quarantined {
-                                campaign.record_progress(attempts, 0, 0, 0);
-                            }
-                        }
-                        Err(e) => {
-                            campaign.abort(e);
-                            return;
-                        }
+                    let now = campaign.now_ms();
+                    let expired = campaign
+                        .queue
+                        .lock()
+                        .expect("queue poisoned")
+                        .expire_stale(now);
+                    if let Err(e) = expired {
+                        campaign.abort(e);
+                        return;
                     }
+                    campaign.record_progress();
                     metrics::gauge_set(
                         METRIC_FLEET_CONNECTED,
                         info.connected.load(Ordering::SeqCst) as f64,
                     );
-                    metrics::flush();
                 }
             })
             .map_err(|e| SimError::Campaign {
@@ -1255,7 +1243,6 @@ fn serve_fleet_conn(
     }
     let connected = info.connected.fetch_add(1, Ordering::SeqCst) + 1;
     metrics::gauge_set(METRIC_FLEET_CONNECTED, connected as f64);
-    metrics::flush();
     let _guard = ConnectedGuard(info);
     eprintln!("fleet: {identity} connected from {}", conn.peer());
 
@@ -1276,7 +1263,6 @@ fn serve_fleet_conn(
             },
             Err(WireError::Corrupt { detail }) => {
                 metrics::counter_add(METRIC_FLEET_FRAMES_CORRUPT, 1);
-                metrics::flush();
                 eprintln!("fleet: {identity}: corrupt frame ({detail}); closing");
                 return;
             }
@@ -1331,21 +1317,14 @@ fn lease(campaign: &Campaign, identity: &str) -> Msg {
     if signals::interrupted() {
         return Msg::Drain;
     }
-    // Jobs settled under the lock (expiry quarantines, cache-served
-    // completions) are reported to the progress line after it drops
-    // (record_progress re-locks).
-    let mut settled: Vec<u32>;
     let reply = {
         let mut queue = campaign.queue.lock().expect("queue poisoned");
         let now = campaign.now_ms();
-        settled = match expire(&mut queue, now) {
-            Ok(quarantined) => quarantined,
-            Err(e) => {
-                drop(queue);
-                campaign.abort(e);
-                return Msg::Drain;
-            }
-        };
+        if let Err(e) = queue.expire_stale(now) {
+            drop(queue);
+            campaign.abort(e);
+            return Msg::Drain;
+        }
         loop {
             match queue.lease(identity, now) {
                 Err(e) => {
@@ -1380,7 +1359,6 @@ fn lease(campaign: &Campaign, identity: &str) -> Msg {
                             campaign.abort(e);
                             break Msg::Drain;
                         }
-                        settled.push(queue.timing(job.id).attempts);
                         continue;
                     }
                     break Msg::LeaseGrant {
@@ -1391,10 +1369,9 @@ fn lease(campaign: &Campaign, identity: &str) -> Msg {
             }
         }
     };
-    metrics::flush();
-    for attempts in settled {
-        campaign.record_progress(attempts, 0, 0, 0);
-    }
+    // Expiry quarantines and cache-served completions settle under the
+    // lock; the progress line counts them once it drops.
+    campaign.record_progress();
     reply
 }
 
@@ -1410,7 +1387,6 @@ fn lease(campaign: &Campaign, identity: &str) -> Msg {
 fn settle(campaign: &Campaign, done: &Path, identity: &str, job: JobId, line: &str) -> Option<Msg> {
     let Some((spec, result)) = decode_line(line) else {
         metrics::counter_add(METRIC_FLEET_FRAMES_CORRUPT, 1);
-        metrics::flush();
         eprintln!("campaign: {identity}: result line failed hash verification");
         return None;
     };
@@ -1430,7 +1406,6 @@ fn settle_result(
     result: &RunResult,
 ) -> Option<Msg> {
     let now = campaign.now_ms();
-    let mut progress: Option<u32> = None;
     let reply = {
         let mut queue = campaign.queue.lock().expect("queue poisoned");
         if !valid_job(&queue, job) || queue.job(job).spec != *spec {
@@ -1438,7 +1413,6 @@ fn settle_result(
             // (or adversarial) peer.
             drop(queue);
             metrics::counter_add(METRIC_FLEET_FRAMES_CORRUPT, 1);
-            metrics::flush();
             return None;
         }
         if queue.job(job).state.is_terminal() {
@@ -1471,29 +1445,30 @@ fn settle_result(
                     campaign.abort(e);
                     return None;
                 }
-                progress = Some(queue.timing(job).attempts);
+                // Added under the queue lock, so a line that counts
+                // this job carries its work.
+                let engine = &result.engine;
+                campaign
+                    .progress
+                    .lock()
+                    .expect("progress poisoned")
+                    .add_work(
+                        result.stats.committed_insts,
+                        result.stats.cycles,
+                        engine.skipped_cycles,
+                    );
+                // The worker's engine traffic, once per completed job:
+                // the controller's /metrics sees what its whole fleet
+                // simulated.
+                metrics::counter_add(METRIC_EVENTS_POSTED, engine.events_posted);
+                metrics::counter_add(METRIC_EVENTS_POPPED, engine.events_popped);
+                metrics::counter_add(METRIC_CYCLES_SKIPPED, engine.skipped_cycles);
+                metrics::counter_add(METRIC_CYCLES_STEPPED, engine.stepped_cycles);
             }
             Msg::Settled { owned }
         }
     };
-    if let Some(attempts) = progress {
-        // The worker's engine traffic, once per completed job: the
-        // controller's /metrics sees what its whole fleet simulated.
-        let engine = &result.engine;
-        metrics::counter_add(METRIC_EVENTS_POSTED, engine.events_posted);
-        metrics::counter_add(METRIC_EVENTS_POPPED, engine.events_popped);
-        metrics::counter_add(METRIC_CYCLES_SKIPPED, engine.skipped_cycles);
-        metrics::counter_add(METRIC_CYCLES_STEPPED, engine.stepped_cycles);
-        metrics::flush();
-        campaign.record_progress(
-            attempts,
-            result.stats.committed_insts,
-            result.stats.cycles,
-            engine.skipped_cycles,
-        );
-    } else {
-        metrics::flush();
-    }
+    campaign.record_progress();
     Some(reply)
 }
 
@@ -1518,7 +1493,6 @@ fn supervisor_for(
         SnapshotPolicy {
             dir: cfg.dir.join("snapshots"),
             cadence_cycles: cfg.snapshot_cycles,
-            keep: cfg.keep,
         },
     );
     sup.heartbeat_timeout = Some(cfg.lease);
@@ -1701,22 +1675,132 @@ mod tests {
         assert!(campaign.job_json(99).is_none(), "unknown id is None");
     }
 
-    /// A quarantine decided by lease expiry settles the job like any
-    /// other and is counted on the progress line.
+    /// One in-memory queue through submit, lease, death, release,
+    /// fail, lease expiry and completion: after each, the `/status`
+    /// counts, the progress line, the final report and the queue gauges
+    /// of a `/metrics` scrape all equal a recount of the job table.
     #[test]
-    fn a_lease_expiry_quarantine_reaches_the_progress_line() {
+    fn every_surface_renders_a_recount_of_the_job_table() {
+        let _knob = metrics::KNOB_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        metrics::set_telemetry(true);
         let mut queue = JobQueue::in_memory(QueuePolicy {
-            lease_ms: 0,
-            max_kills: 1,
+            lease_ms: 10,
+            max_kills: 2,
             backoff_base_ms: 1,
         });
-        queue.submit(&spec_n(1), Lane::Normal).expect("submit");
-        queue.lease("w0", 0).expect("lease").expect("granted");
-        let campaign = in_memory_campaign(queue);
-        std::thread::sleep(Duration::from_millis(5));
-        assert_eq!(lease(&campaign, "w1"), Msg::Drain, "nothing left to run");
-        let line = campaign.progress.lock().expect("progress").line(1.0);
-        assert!(line.contains("1/1 specs (1 failed"), "{line}");
+        let lanes = [
+            Lane::High,
+            Lane::Normal,
+            Lane::Normal,
+            Lane::Low,
+            Lane::Normal,
+        ];
+        for (n, &lane) in lanes.iter().enumerate() {
+            queue.submit(&spec_n(n as u64), lane).expect("submit");
+        }
+        let mut campaign = in_memory_campaign(queue);
+        // Explicit transitions run at campaign-clock 0..=301 ms; the
+        // clock itself reads 10 s, so `lease` expires every older lease.
+        campaign.started = Instant::now() - Duration::from_secs(10);
+        let campaign = Arc::new(campaign);
+        let obs = CampaignObs(Arc::clone(&campaign));
+        let check = |what: &str| {
+            let queue = campaign.queue.lock().expect("queue");
+            let mut recount = QueueTally::default();
+            for job in queue.jobs() {
+                *recount.slot(job.lane, &job.state) += 1;
+            }
+            let retried = (queue.jobs().iter())
+                .filter(|j| j.state.is_terminal() && queue.timing(j.id).attempts > 1)
+                .count();
+            let line = campaign.progress_line(&queue, &campaign.progress.lock().expect("p"), 1.0);
+            let report = CampaignReport::from(queue.tally());
+            drop(queue);
+            assert_eq!(report, CampaignReport::from(recount), "{what}: report");
+            let (failed, [high, normal, low]) =
+                (recount.failed + recount.quarantined, recount.pending);
+            for segment in [
+                format!("{}/{} specs", recount.terminal(), recount.jobs()),
+                format!("({failed} failed, {retried} retried)"),
+                format!("q={} leased={}", recount.depth(), recount.leased),
+            ] {
+                assert!(line.contains(&segment), "{what}: {line} lacks {segment}");
+            }
+            let status = campaign.status_json();
+            for (path, want) in [
+                ("jobs", recount.jobs()),
+                ("done", recount.done()),
+                ("failed", recount.failed),
+                ("quarantined", recount.quarantined),
+                ("queue.depth", recount.depth()),
+                ("queue.leased", recount.leased),
+                ("queue.lanes.high", high),
+                ("queue.lanes.normal", normal),
+                ("queue.lanes.low", low),
+                ("cache.hits", recount.cached),
+                ("cache.simulated", recount.simulated),
+            ] {
+                let got = (path.split('.')).try_fold(&status, |v, key| v.get(key));
+                assert_eq!(
+                    got.and_then(Json::as_u64),
+                    Some(want as u64),
+                    "{what}: {path}"
+                );
+            }
+            let text = obs.metrics().render_prometheus();
+            metrics::validate_prometheus(&text).expect("valid exposition");
+            for (series, want) in [
+                ("mlpwin_queue_depth", recount.depth()),
+                ("mlpwin_queue_leased", recount.leased),
+                ("mlpwin_queue_depth_lane{lane=\"high\"}", high),
+                ("mlpwin_queue_depth_lane{lane=\"normal\"}", normal),
+                ("mlpwin_queue_depth_lane{lane=\"low\"}", low),
+            ] {
+                let sample = format!("\n{series} {want}\n");
+                assert!(
+                    text.contains(&sample),
+                    "{what}: no {series} {want} in\n{text}"
+                );
+            }
+        };
+        let lease_at = |worker: &str, now: u64| {
+            let granted = campaign.queue.lock().expect("queue").lease(worker, now);
+            granted.expect("lease").expect("granted").id
+        };
+        let with_queue = |f: &dyn Fn(&mut JobQueue)| f(&mut campaign.queue.lock().expect("queue"));
+        check("submit");
+        assert_eq!([0, 1, 2].map(|_| lease_at("w", 0)), [0, 1, 2]);
+        check("lease");
+        with_queue(&|q| {
+            assert!(matches!(
+                q.death(0, "boom", 1),
+                Ok(DeathVerdict::Requeued { .. })
+            ))
+        });
+        check("death");
+        with_queue(&|q| q.release(1, "graceful drain", 1).expect("release"));
+        check("release");
+        with_queue(&|q| q.fail(2, "typo", 1).expect("fail"));
+        check("fail");
+        assert_eq!(lease_at("w0", 100), 0, "the high lane first");
+        // The controller's lease path expires job 0's second lease (its
+        // second death: quarantined) and grants job 1 its second attempt.
+        let grant = Msg::LeaseGrant {
+            job: 1,
+            spec: spec_n(1),
+        };
+        assert_eq!(lease(&campaign, "w1"), grant);
+        // ...and has already folded the failure and the quarantine into
+        // the progress state, so the line reports them when due.
+        let pending = campaign.progress.lock().expect("p").settle(1.0, 2);
+        assert!(!pending, "the lease path left settled jobs out of progress");
+        check("lease expiry");
+        with_queue(&|q| q.complete(1, false, 201).expect("complete"));
+        check("complete");
+        assert_eq!(lease_at("w2", 300), 4);
+        with_queue(&|q| q.complete(4, true, 301).expect("complete"));
+        check("cached complete");
+        metrics::set_telemetry(false);
     }
 
     fn scratch(tag: &str) -> PathBuf {
@@ -1765,7 +1849,6 @@ mod tests {
             result.engine.stepped_cycles,
         ];
         let counters = || {
-            metrics::flush();
             let snapshot = metrics::global().snapshot();
             [
                 METRIC_EVENTS_POSTED,

@@ -55,7 +55,8 @@ pub const DEFAULT_SNAPSHOT_DIR: &str = "results/snapshots";
 /// slowest, compute-bound runs.
 pub const DEFAULT_SNAPSHOT_CADENCE: u64 = 500_000;
 
-/// Default rotation depth: how many snapshot generations to keep.
+/// Rotation depth of every recoverable run: how many snapshot
+/// generations survive pruning.
 pub const DEFAULT_SNAPSHOT_KEEP: usize = 3;
 
 /// Which driver phase a snapshot was taken in — the restore side must
@@ -85,15 +86,14 @@ impl SnapshotPhase {
     }
 }
 
-/// How the recoverable runner snapshots: where, how often, how deep.
+/// How the recoverable runner snapshots: where and how often. Every
+/// run keeps [`DEFAULT_SNAPSHOT_KEEP`] generations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotPolicy {
     /// Directory holding the snapshot files.
     pub dir: PathBuf,
     /// Snapshot cadence in measured cycles (clamped to at least 1).
     pub cadence_cycles: u64,
-    /// Rotation depth (how many generations survive pruning).
-    pub keep: usize,
 }
 
 impl Default for SnapshotPolicy {
@@ -101,13 +101,12 @@ impl Default for SnapshotPolicy {
         SnapshotPolicy {
             dir: PathBuf::from(DEFAULT_SNAPSHOT_DIR),
             cadence_cycles: DEFAULT_SNAPSHOT_CADENCE,
-            keep: DEFAULT_SNAPSHOT_KEEP,
         }
     }
 }
 
 impl SnapshotPolicy {
-    /// A policy rooted at `dir` with the default cadence and depth.
+    /// A policy rooted at `dir` with the default cadence.
     pub fn in_dir(dir: impl Into<PathBuf>) -> SnapshotPolicy {
         SnapshotPolicy {
             dir: dir.into(),
@@ -467,7 +466,7 @@ impl SnapshotWriter {
     }
 
     /// Blocks until every image submitted so far has been saved.
-    pub(crate) fn flush(&self) {
+    pub(crate) fn sync(&self) {
         let (ack, done) = mpsc::channel();
         if let Some(requests) = &self.requests {
             if requests.send(WriteRequest::Flush(ack)).is_ok() {

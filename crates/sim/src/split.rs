@@ -35,10 +35,9 @@
 
 use crate::error::SimError;
 use crate::journal::{
-    decode_result, decode_spec, decode_stats, encode_result, encode_spec, encode_stats, obj,
-    spec_hash,
+    decode_result, decode_spec, decode_stats, encode_result, encode_spec, encode_stats, spec_hash,
 };
-use crate::json::{num, s, Json};
+use crate::json::{num, obj, s, Json};
 use crate::lock;
 use crate::metrics::{self, ScopedTimer};
 use crate::runner::{apply_spec_overrides, collect_result, RunResult, RunSpec};

@@ -135,8 +135,6 @@ impl Supervisor {
             self.snapshots.dir.display().to_string(),
             "--snapshot-cycles".into(),
             self.snapshots.cadence_cycles.to_string(),
-            "--keep".into(),
-            self.snapshots.keep.to_string(),
             "--wire".into(),
         ];
         if let Some(cycles) = spec.watchdog_cycles {
@@ -207,9 +205,6 @@ impl Supervisor {
                 // status tells the rest. Drain so it never blocks on a
                 // full pipe.
                 std::io::copy(&mut stdout, &mut std::io::sink()).ok();
-                // The reader thread owns its own metrics shard: merge
-                // it before the thread vanishes.
-                metrics::flush();
             })
         });
         let stderr_reader = child.stderr.take().map(|stderr| {

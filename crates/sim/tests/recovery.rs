@@ -342,7 +342,6 @@ fn corrupt_snapshot_heals_to_an_older_generation_or_fresh_start() {
         .unwrap_or(0);
 
     let resumed = run_recoverable(&spec, &policy).expect("healed run completes");
-    mlpwin_sim::metrics::flush();
     let corrupt_after = mlpwin_sim::metrics::global()
         .snapshot()
         .counters
@@ -385,7 +384,6 @@ fn downgrade_frame(path: &Path) {
 }
 
 fn corrupt_counter() -> u64 {
-    mlpwin_sim::metrics::flush();
     mlpwin_sim::metrics::global()
         .snapshot()
         .counters

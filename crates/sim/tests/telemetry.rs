@@ -129,7 +129,7 @@ fn prometheus_exposition_is_structurally_valid() {
     let outcomes = run_matrix(&specs, 2);
     assert!(outcomes.iter().all(|o| o.is_ok()));
 
-    let text = global().render_prometheus();
+    let text = global().snapshot().render_prometheus();
     assert!(
         text.contains(&format!("# TYPE {METRIC_PHASE_MEASURE} histogram")),
         "missing measure-phase histogram:\n{text}"
@@ -191,7 +191,7 @@ fn prometheus_exposition_is_structurally_valid() {
 
     // The JSON exposition of the same registry parses and agrees on the
     // simulated-cycles total.
-    let doc = Json::parse(&global().to_json().encode()).expect("valid JSON exposition");
+    let doc = Json::parse(&global().snapshot().to_json().encode()).expect("valid JSON exposition");
     assert_eq!(
         doc.get("counters")
             .and_then(|c| c.get(METRIC_SIM_CYCLES))
