@@ -184,6 +184,15 @@ echo "    live probe passed; trace, flight records and progress line written"
 diff target/ci-artifacts/campaign/first/journal.jsonl \
      target/ci-artifacts/campaign/silent/journal.jsonl
 echo "    journal is bit-identical with the listener on and off"
+# The same jobs at the default snapshot cadence, never killed: engine
+# telemetry is not journaled, so the journal must match the 400-cycle,
+# kill-and-resume run byte for byte.
+"$controller" --campaign target/ci-artifacts/campaign/default "${jobs[@]}" \
+    --workers 2 --worker-exe "$worker" > target/ci-artifacts/campaign/default.out
+grep -q 'done=3' target/ci-artifacts/campaign/default.out
+diff target/ci-artifacts/campaign/first/journal.jsonl \
+     target/ci-artifacts/campaign/default/journal.jsonl
+echo "    journal is bit-identical at the default snapshot cadence"
 # The controller alone writes done.jsonl and banks each spec once: its
 # lines are exactly the finalized journal's three, in completion order.
 for run in first silent; do

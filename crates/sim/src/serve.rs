@@ -74,7 +74,7 @@ use crate::runner::{
     METRIC_EVENTS_POSTED,
 };
 use crate::signals;
-use crate::snapshot::SnapshotPolicy;
+use crate::snapshot::{SnapshotPolicy, DEFAULT_SNAPSHOT_CADENCE};
 use crate::supervisor::{Supervisor, WorkerEnd};
 use crate::wire::{Conn, Msg, WireError, WIRE_SCHEMA};
 use std::collections::HashSet;
@@ -117,8 +117,14 @@ pub struct CampaignConfig {
     /// Base retry backoff (doubles per death, plus deterministic
     /// jitter).
     pub backoff_base: Duration,
-    /// Snapshot cadence forwarded to workers (also the heartbeat
-    /// cadence — keep it comfortably under `lease`).
+    /// Snapshot cadence in measured cycles, forwarded to local
+    /// workers (a fleet worker takes its own `--snapshot-cycles`, with
+    /// the same default). Each snapshot offer also sends one heartbeat, so
+    /// the host time a worker takes to simulate one cadence interval
+    /// must stay comfortably under `lease`. At the default
+    /// [`DEFAULT_SNAPSHOT_CADENCE`] the slowest bundled profile × model
+    /// pair (`namd fixed3`) takes 0.34–0.55 s per interval on a 2-vCPU
+    /// host against the 5 s lease.
     pub snapshot_cycles: u64,
     /// Per-job wall-clock deadline; the supervisor kills a worker that
     /// exceeds it (counts as a death).
@@ -148,7 +154,8 @@ pub struct CampaignConfig {
 impl CampaignConfig {
     /// A campaign in `dir` running `worker_exe`, with defaults sized
     /// for the bundled profiles: 2 workers, 5 s leases, 3 kills to
-    /// quarantine, 100 ms backoff, 25k-cycle snapshots, no
+    /// quarantine, 100 ms backoff, snapshots at the one
+    /// [`DEFAULT_SNAPSHOT_CADENCE`] every recoverable run uses, no
     /// observability listener.
     pub fn new(dir: impl Into<PathBuf>, worker_exe: impl Into<PathBuf>) -> CampaignConfig {
         CampaignConfig {
@@ -158,7 +165,7 @@ impl CampaignConfig {
             lease: Duration::from_secs(5),
             max_kills: 3,
             backoff_base: Duration::from_millis(100),
-            snapshot_cycles: 25_000,
+            snapshot_cycles: DEFAULT_SNAPSHOT_CADENCE,
             job_time_budget: None,
             cache: None,
             chaos_kill_at: None,
@@ -1586,6 +1593,26 @@ mod tests {
         assert_eq!(report.failed, 1);
         assert_eq!(report.quarantined, 0);
         assert!(report.render().contains("done=2"), "{}", report.render());
+    }
+
+    /// A default campaign forwards the one cadence every recoverable
+    /// run uses to the worker command line it launches.
+    #[test]
+    fn default_campaign_workers_snapshot_at_the_default_cadence() {
+        let campaign = Arc::new(in_memory_campaign(JobQueue::in_memory(
+            QueuePolicy::default(),
+        )));
+        let cfg = CampaignConfig::new("/tmp/never-used", "/bin/true");
+        let args = supervisor_for(&campaign, &cfg, 0, "w0").spec_args(&spec_n(0));
+        let at = args
+            .iter()
+            .position(|a| a == "--snapshot-cycles")
+            .expect("--snapshot-cycles is forwarded");
+        assert_eq!(
+            args[at + 1],
+            DEFAULT_SNAPSHOT_CADENCE.to_string(),
+            "{args:?}"
+        );
     }
 
     /// Golden structural coverage for the `/status` and `/jobs` JSON

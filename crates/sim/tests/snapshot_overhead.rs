@@ -2,6 +2,11 @@
 //! snapshots may take at most 5% of a run's wall time on the simulating
 //! thread.
 //!
+//! The default cadence is the one every recoverable run uses:
+//! `mlpwin-sim` and `mlpwin-worker` runs, and the workers of an
+//! `mlpwin-serve` campaign (`CampaignConfig::new` forwards
+//! `DEFAULT_SNAPSHOT_CADENCE`), so this bound covers campaign jobs too.
+//!
 //! A timing test, so it is ignored by default; run it in release:
 //!
 //! ```text
