@@ -176,6 +176,13 @@ wait "$ctl_pid"
 grep -q 'done=3' target/ci-artifacts/campaign/first.out
 grep -q '"ph":"X"' target/ci-artifacts/campaign/trace.json
 ls target/ci-artifacts/campaign/first/flightrec/*.json > /dev/null
+# The trace is rendered from the WAL: one attempt span per lease record.
+leases=$(grep -c '"op":"lease"' target/ci-artifacts/campaign/first/campaign.wal)
+attempts=$(grep -oE '"job [0-9]+ attempt [0-9]+"' target/ci-artifacts/campaign/trace.json | wc -l)
+if [ "$leases" -ne "$attempts" ]; then
+    echo "FAIL: $leases lease records in the WAL but $attempts attempt spans in the trace"
+    exit 1
+fi
 grep -qF '3/3 specs (0 failed, 3 retried)' target/ci-artifacts/campaign/first.err
 echo "    live probe passed; trace, flight records and progress line written"
 "$controller" --campaign target/ci-artifacts/campaign/silent "${jobs[@]}" \

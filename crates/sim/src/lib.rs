@@ -80,9 +80,9 @@
 //! controller kills. A running campaign is observable end to end: the
 //! controller can embed [`httpserve`]'s read-only HTTP plane
 //! (`/metrics`, `/status`, `/jobs`, `/healthz`), every job transition
-//! lands in [`campaign_events`]' bounded lifecycle ring (which also
-//! renders Chrome-trace spans per job phase), and a crash flight
-//! recorder dumps events, metrics, and queue state on worker deaths,
+//! is stamped into the [`queue`] WAL, which [`campaign_events`] reads
+//! back as per-job histories and Chrome-trace spans per job phase, and
+//! a crash flight recorder dumps metrics and job views on worker deaths,
 //! quarantines, and fatal errors — all off the simulation hot path.
 //!
 //! ## Multi-machine fleets
@@ -135,7 +135,7 @@ pub mod supervisor;
 pub mod wire;
 
 pub use cachestore::CacheStore;
-pub use campaign_events::{CampaignEvent, CampaignLog, EventKind, JobSpan};
+pub use campaign_events::JobSpan;
 pub use error::SimError;
 pub use httpserve::{HttpServer, ObsProvider};
 pub use journal::{spec_hash, Journal};

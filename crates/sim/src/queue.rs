@@ -40,23 +40,26 @@
 //!   queue's lifetime; a second controller on the same campaign
 //!   directory gets the typed [`SimError::Locked`] and exits instead of
 //!   interleaving records.
-//! - **One source of campaign state.** Every appended record is also
-//!   stamped into the queue's [`CampaignLog`] as its [`EventKind`], and
-//!   the same transition updates the running [`QueueTally`]. Nothing
-//!   outside the queue mirrors a transition: the progress line,
-//!   `/status`, the queue gauges and the final report all render from a
-//!   [`tally`](JobQueue::tally) read when they are read.
+//! - **One source of campaign state.** Every record carries the
+//!   wall-clock `at_ms` of its transition, so the WAL is also the
+//!   campaign's timed job history: `/jobs/<id>` and the Chrome trace
+//!   read it back through [`read_wal`] (see
+//!   [`campaign_events`](crate::campaign_events)), a flight record names
+//!   the last sequence number it covers, and no copy of it is kept in
+//!   memory. The same transition updates the running
+//!   [`QueueTally`]. Nothing outside the queue mirrors a transition: the
+//!   progress line, `/status`, the queue gauges and the final report all
+//!   render from a [`tally`](JobQueue::tally) read when they are read.
 
-use crate::campaign_events::{CampaignLog, EventKind};
 use crate::error::SimError;
 use crate::journal::{decode_spec, encode_spec, spec_hash};
-use crate::json::{num, s, Json};
+use crate::json::{num, obj, s, Json};
 use crate::lock::LockedFile;
 use crate::metrics::{self, MetricsSnapshot};
 use crate::runner::RunSpec;
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::Arc;
+use std::time::{SystemTime, UNIX_EPOCH};
 
 /// The WAL record schema this build writes and replays.
 pub const WAL_SCHEMA: u64 = 1;
@@ -210,9 +213,9 @@ impl Default for QueuePolicy {
 }
 
 /// In-memory lifecycle timings of one job, all in campaign-clock ms.
-/// Deliberately *not* persisted in the WAL: the campaign clock restarts
-/// with the controller, so replayed jobs start timing afresh — the
-/// observability plane reports what this controller actually saw.
+/// Deliberately *not* rebuilt from the WAL's stamps: the campaign clock
+/// restarts with the controller, so replayed jobs start timing afresh —
+/// the job views report what this controller actually saw.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct JobTiming {
     /// When the job entered pending most recently (submit, release,
@@ -222,7 +225,8 @@ pub struct JobTiming {
     pub first_leased_ms: Option<u64>,
     /// Most recent lease grant, if any.
     pub last_leased_ms: Option<u64>,
-    /// Most recent heartbeat renewal (set at lease grant too).
+    /// Most recent heartbeat renewal of the current lease (`None` until
+    /// its first heartbeat).
     pub last_heartbeat_ms: Option<u64>,
     /// When the job reached a terminal state, if it has.
     pub terminal_ms: Option<u64>,
@@ -380,45 +384,19 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
-    fn encode(&self) -> Json {
-        let obj = |pairs: Vec<(&str, Json)>| {
-            Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-        };
-        match self {
-            WalRecord::Enqueue { job, spec, lane } => obj(vec![
-                ("op", s("enqueue")),
-                ("job", num(*job)),
-                ("lane", s(lane.tag())),
-                ("hash", s(format!("{:016x}", spec_hash(spec)))),
-                ("spec", encode_spec(spec)),
-            ]),
-            WalRecord::Lease { job, worker } => obj(vec![
-                ("op", s("lease")),
-                ("job", num(*job)),
-                ("worker", s(worker.clone())),
-            ]),
-            WalRecord::Release { job, reason, kill } => obj(vec![
-                ("op", s("release")),
-                ("job", num(*job)),
-                ("reason", s(reason.clone())),
-                ("kill", Json::Bool(*kill)),
-            ]),
-            WalRecord::Done { job, cached } => obj(vec![
-                ("op", s("done")),
-                ("job", num(*job)),
-                ("cached", Json::Bool(*cached)),
-            ]),
-            WalRecord::Failed { job, detail } => obj(vec![
-                ("op", s("failed")),
-                ("job", num(*job)),
-                ("detail", s(detail.clone())),
-            ]),
-            WalRecord::Quarantine { job, detail } => obj(vec![
-                ("op", s("quarantine")),
-                ("job", num(*job)),
-                ("detail", s(detail.clone())),
-            ]),
+    fn encode(&self, at_ms: u64) -> Json {
+        let (op, _) = self.tags();
+        let mut pairs = vec![
+            ("op", s(op)),
+            ("job", num(self.job())),
+            ("at_ms", num(at_ms)),
+        ];
+        if let WalRecord::Enqueue { spec, .. } = self {
+            pairs.push(("hash", s(format!("{:016x}", spec_hash(spec)))));
+            pairs.push(("spec", encode_spec(spec)));
         }
+        pairs.extend(self.fields());
+        obj(pairs)
     }
 
     fn decode(v: &Json) -> Option<WalRecord> {
@@ -465,10 +443,23 @@ impl WalRecord {
     }
 }
 
+/// One WAL line read back: a transition and when it happened.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WalEntry {
+    /// The line's sequence number.
+    pub seq: u64,
+    /// Unix-epoch ms of the transition; `None` on a line written before
+    /// records carried stamps.
+    pub at_ms: Option<u64>,
+    /// The transition.
+    pub rec: WalRecord,
+}
+
 /// Encodes one WAL line (no trailing newline): schema, sequence number,
-/// CRC-32 of the record body, and the body itself.
-pub fn encode_wal_line(seq: u64, rec: &WalRecord) -> String {
-    let body = rec.encode();
+/// CRC-32 of the record body, and the body itself, stamped `at_ms`
+/// inside the body so the CRC covers it.
+pub fn encode_wal_line(seq: u64, at_ms: u64, rec: &WalRecord) -> String {
+    let body = rec.encode(at_ms);
     let crc = mlpwin_isa::snap::crc32(body.encode().as_bytes());
     Json::Obj(
         [
@@ -485,9 +476,10 @@ pub fn encode_wal_line(seq: u64, rec: &WalRecord) -> String {
 
 /// Decodes one WAL line: schema and CRC are verified (the CRC covers
 /// the canonical re-encoding of the record body, which is stable
-/// because objects encode with sorted keys). `None` for anything
-/// malformed — a torn tail line from a SIGKILL merely vanishes.
-pub fn decode_wal_line(line: &str) -> Option<(u64, WalRecord)> {
+/// because objects encode with sorted keys, whatever keys the body
+/// holds). `None` for anything malformed — a torn tail line from a
+/// SIGKILL merely vanishes. A body without `at_ms` decodes unstamped.
+pub fn decode_wal_line(line: &str) -> Option<WalEntry> {
     let v = Json::parse(line).ok()?;
     if v.get("schema")?.as_u64()? != WAL_SCHEMA {
         return None;
@@ -499,12 +491,36 @@ pub fn decode_wal_line(line: &str) -> Option<(u64, WalRecord)> {
     if recorded != format!("{crc:08x}") {
         return None;
     }
-    Some((seq, WalRecord::decode(body)?))
+    Some(WalEntry {
+        seq,
+        at_ms: body.get("at_ms").and_then(Json::as_u64),
+        rec: WalRecord::decode(body)?,
+    })
+}
+
+/// Every intact record of the WAL at `path`, in file order: the
+/// campaign's job history. Takes no lock, so it can run beside the
+/// queue's appends; corrupt lines and a tail being written read as
+/// torn and are skipped ([`JobQueue::open`] warns about corruption). A
+/// missing WAL is empty.
+///
+/// # Errors
+///
+/// I/O failures reading the file.
+pub fn read_wal(path: &Path) -> Result<Vec<WalEntry>, SimError> {
+    let mut entries = Vec::new();
+    crate::lock::replay_lines(path, |_, line| {
+        entries.extend(line.and_then(decode_wal_line))
+    })
+    .map_err(|e| SimError::Campaign {
+        detail: format!("WAL {} read failed: {e}", path.display()),
+    })?;
+    Ok(entries)
 }
 
 impl WalRecord {
     /// The job the record moves.
-    fn job(&self) -> JobId {
+    pub fn job(&self) -> JobId {
         match self {
             WalRecord::Enqueue { job, .. }
             | WalRecord::Lease { job, .. }
@@ -538,31 +554,38 @@ impl WalRecord {
         }
     }
 
-    /// The record as the campaign event stream shows it. `holder` is
-    /// the lease holder at the transition (`""` for none).
-    fn event(&self, holder: String) -> EventKind {
+    /// The record's `op` in the WAL and its `kind` tag in job
+    /// histories and traces.
+    fn tags(&self) -> (&'static str, &'static str) {
         match self {
-            WalRecord::Enqueue { lane, .. } => EventKind::Submitted { lane: lane.tag() },
-            WalRecord::Lease { worker, .. } => EventKind::Leased {
-                worker: worker.clone(),
-            },
-            WalRecord::Release { reason, kill, .. } => EventKind::Released {
-                worker: holder,
-                reason: reason.clone(),
-                kill: *kill,
-            },
-            WalRecord::Done { cached, .. } => EventKind::Done {
-                worker: holder,
-                cached: *cached,
-            },
-            WalRecord::Failed { detail, .. } => EventKind::Failed {
-                worker: holder,
-                detail: detail.clone(),
-            },
-            WalRecord::Quarantine { detail, .. } => EventKind::Quarantined {
-                worker: holder,
-                detail: detail.clone(),
-            },
+            WalRecord::Enqueue { .. } => ("enqueue", "submitted"),
+            WalRecord::Lease { .. } => ("lease", "leased"),
+            WalRecord::Release { .. } => ("release", "released"),
+            WalRecord::Done { .. } => ("done", "done"),
+            WalRecord::Failed { .. } => ("failed", "failed"),
+            WalRecord::Quarantine { .. } => ("quarantine", "quarantined"),
+        }
+    }
+
+    /// The record's `kind` tag in job histories and traces.
+    pub fn kind(&self) -> &'static str {
+        self.tags().1
+    }
+
+    /// The record's fields besides its op, job and stamp (and an
+    /// enqueue's spec and hash), as WAL lines and job histories show
+    /// them.
+    pub fn fields(&self) -> Vec<(&'static str, Json)> {
+        match self {
+            WalRecord::Enqueue { lane, .. } => vec![("lane", s(lane.tag()))],
+            WalRecord::Lease { worker, .. } => vec![("worker", s(worker.as_str()))],
+            WalRecord::Release { reason, kill, .. } => {
+                vec![("reason", s(reason.as_str())), ("kill", Json::Bool(*kill))]
+            }
+            WalRecord::Done { cached, .. } => vec![("cached", Json::Bool(*cached))],
+            WalRecord::Failed { detail, .. } | WalRecord::Quarantine { detail, .. } => {
+                vec![("detail", s(detail.as_str()))]
+            }
         }
     }
 
@@ -592,11 +615,12 @@ pub struct JobQueue {
     timings: Vec<JobTiming>,
     by_spec: HashMap<RunSpec, JobId>,
     tally: QueueTally,
-    log: Arc<CampaignLog>,
-    /// The exclusively locked WAL (`None` in memory) and the sequence
-    /// number of its last record.
+    /// The exclusively locked WAL (`None` in memory), the sequence
+    /// number of its last record, and the unix-epoch ms its stamps
+    /// count the campaign clock from.
     wal: Option<LockedFile>,
     seq: u64,
+    epoch_ms: u64,
 }
 
 impl JobQueue {
@@ -609,9 +633,9 @@ impl JobQueue {
             timings: Vec::new(),
             by_spec: HashMap::new(),
             tally: QueueTally::default(),
-            log: Arc::new(CampaignLog::new()),
             wal: None,
             seq: 0,
+            epoch_ms: 0,
         }
     }
 
@@ -619,7 +643,9 @@ impl JobQueue {
     /// and replays every intact record into a fresh queue. Jobs that
     /// were `Leased` at the crash are released back to pending — their
     /// workers died with the previous controller — without charging a
-    /// kill.
+    /// kill. Records this queue appends are stamped from the wall clock
+    /// at open, or from the last replayed stamp if the clock reads
+    /// earlier, so they never sort before a predecessor's.
     ///
     /// # Errors
     ///
@@ -628,10 +654,14 @@ impl JobQueue {
     pub fn open(path: &Path, policy: QueuePolicy) -> Result<JobQueue, SimError> {
         let locked = LockedFile::try_exclusive(path)?;
         let mut queue = JobQueue::in_memory(policy);
+        queue.epoch_ms = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map_or(0, |d| d.as_millis() as u64);
         crate::lock::replay_lines(path, |n, line| match line.and_then(decode_wal_line) {
-            Some((line_seq, rec)) => {
-                queue.seq = queue.seq.max(line_seq);
-                if let Err(detail) = queue.apply(&rec, 0) {
+            Some(entry) => {
+                queue.seq = queue.seq.max(entry.seq);
+                queue.epoch_ms = queue.epoch_ms.max(entry.at_ms.unwrap_or(0));
+                if let Err(detail) = queue.apply(&entry.rec, 0) {
                     eprintln!(
                         "warning: WAL {}:{n}: impossible transition ({detail}); skipped",
                         path.display()
@@ -714,43 +744,31 @@ impl JobQueue {
         Ok(())
     }
 
-    /// Logs (when durable), stamps into the event log and applies one
+    /// Logs (stamped at `now_ms`, synced when durable) and applies one
     /// transition.
     fn transition(&mut self, rec: WalRecord, deadline: u64, now_ms: u64) -> Result<(), SimError> {
+        let at_ms = self.stamp(now_ms);
         if let Some(wal) = &mut self.wal {
             self.seq += 1;
-            wal.append_line(&encode_wal_line(self.seq, &rec), rec.durable())
+            wal.append_line(&encode_wal_line(self.seq, at_ms, &rec), rec.durable())
                 .map_err(|e| SimError::Campaign {
                     detail: format!("WAL {} append failed: {e}", wal.path().display()),
                 })?;
         }
-        let id = rec.job();
-        let holder = match self.jobs.get(id as usize).map(|j| &j.state) {
-            Some(JobState::Leased { worker, .. }) => worker.clone(),
-            _ => String::new(),
-        };
-        self.log.record(now_ms, Some(id), rec.event(holder));
         self.apply(&rec, deadline)
             .map_err(|detail| SimError::Campaign { detail })
     }
 
     /// Submits one spec. Identical specs coalesce into one job (the
     /// existing id comes back); the dedup *result* cache is the
-    /// [`CacheStore`](crate::cachestore::CacheStore)'s business. Every
-    /// non-terminal job returned is logged as `submitted` at
-    /// campaign-clock zero — a restarted controller's resubmission
-    /// opens a fresh queued phase.
+    /// [`CacheStore`](crate::cachestore::CacheStore)'s business. A new
+    /// job's record is stamped at campaign-clock zero.
     ///
     /// # Errors
     ///
     /// WAL append failures.
     pub fn submit(&mut self, spec: &RunSpec, lane: Lane) -> Result<JobId, SimError> {
         if let Some(&id) = self.by_spec.get(spec) {
-            let job = &self.jobs[id as usize];
-            if !job.state.is_terminal() {
-                let lane = job.lane.tag();
-                self.log.record(0, Some(id), EventKind::Submitted { lane });
-            }
             return Ok(id);
         }
         let id = self.jobs.len() as JobId;
@@ -794,15 +812,17 @@ impl JobQueue {
         );
         timing.first_leased_ms.get_or_insert(now_ms);
         timing.last_leased_ms = Some(now_ms);
-        timing.last_heartbeat_ms = Some(now_ms);
+        timing.last_heartbeat_ms = None;
         timing.attempts += 1;
         metrics::counter_add(METRIC_LEASES_GRANTED, 1);
         Ok(Some(self.jobs[id as usize].clone()))
     }
 
-    /// Renews a lease (a worker heartbeat arrived). A no-op for jobs
-    /// not currently leased — a late heartbeat from a worker whose
-    /// lease already expired must not resurrect ownership.
+    /// Renews a lease (a worker heartbeat arrived) and observes the gap
+    /// since the lease's previous heartbeat; the grant is no heartbeat,
+    /// so spawn and warm-up never count as a gap. A no-op for jobs not
+    /// currently leased — a late heartbeat from a worker whose lease
+    /// already expired must not resurrect ownership.
     pub fn renew(&mut self, id: JobId, now_ms: u64) {
         if let Some(job) = self.jobs.get_mut(id as usize) {
             if let JobState::Leased { expires_ms, .. } = &mut job.state {
@@ -834,11 +854,6 @@ impl JobQueue {
             .map(|j| j.id)
             .collect();
         for &id in &stale {
-            // The controller finds an expiry; no worker reports it, so
-            // its event names none.
-            if let JobState::Leased { worker, .. } = &mut self.jobs[id as usize].state {
-                worker.clear();
-            }
             metrics::counter_add(METRIC_LEASES_EXPIRED, 1);
             self.death(id, "lease expired (heartbeat lost)", now_ms)?;
         }
@@ -972,10 +987,19 @@ impl JobQueue {
             .count()
     }
 
-    /// The event log every transition is stamped into. Campaign-scoped
-    /// events (controller start, drain, fatal) go here too.
-    pub fn log(&self) -> &Arc<CampaignLog> {
-        &self.log
+    /// The WAL's path; `None` in memory.
+    pub fn wal_path(&self) -> Option<&Path> {
+        self.wal.as_ref().map(LockedFile::path)
+    }
+
+    /// The sequence number of the WAL's last record (0 in memory).
+    pub fn wal_seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// The WAL stamp (unix-epoch ms) of campaign-clock reading `now_ms`.
+    pub fn stamp(&self, now_ms: u64) -> u64 {
+        self.epoch_ms + now_ms
     }
 
     /// Whether every job is done, failed, or quarantined.
@@ -1181,6 +1205,7 @@ mod tests {
     fn tampered_hash_invalidates_an_enqueue_record() {
         let good = encode_wal_line(
             1,
+            0,
             &WalRecord::Enqueue {
                 job: 0,
                 spec: spec("gcc", 1),
@@ -1220,7 +1245,7 @@ mod tests {
         q.lease("w0", 40).expect("lease").expect("granted");
         let t = q.timing(id);
         assert_eq!(t.first_leased_ms, Some(40));
-        assert_eq!(t.last_heartbeat_ms, Some(40));
+        assert_eq!(t.last_heartbeat_ms, None, "the grant is no heartbeat");
         assert_eq!(t.attempts, 1);
         q.renew(id, 70);
         assert_eq!(q.timing(id).last_heartbeat_ms, Some(70));
@@ -1258,5 +1283,81 @@ mod tests {
         }
         assert_eq!(jitter(7, 3, 100), jitter(7, 3, 100), "jitter is a pure fn");
         assert!(jitter(7, 3, 100) < 100);
+    }
+
+    /// The heartbeat-gap histogram sees heartbeat-to-heartbeat gaps
+    /// only: the wait from the lease grant to the first heartbeat
+    /// (spawn, warm-up, one cadence interval) is not a gap.
+    #[test]
+    fn heartbeat_gaps_count_from_the_first_heartbeat() {
+        let _knob = metrics::KNOB_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        metrics::set_telemetry(true);
+        let gaps = || {
+            let snapshot = metrics::global().snapshot();
+            snapshot
+                .histograms
+                .get(METRIC_HEARTBEAT_GAP_MS)
+                .cloned()
+                .unwrap_or_default()
+        };
+        let before = gaps();
+        let mut q = JobQueue::in_memory(QueuePolicy::default());
+        let id = q.submit(&spec("gcc", 1), Lane::Normal).expect("submit");
+        q.lease("w0", 1_000).expect("lease").expect("granted");
+        q.renew(id, 4_000);
+        q.renew(id, 4_400);
+        let after = gaps();
+        metrics::set_telemetry(false);
+        assert_eq!(after.count - before.count, 1, "exactly one gap observed");
+        assert_eq!(
+            after.sum - before.sum,
+            400,
+            "the gap between the heartbeats"
+        );
+        // Expiry still counts from the grant until the first heartbeat.
+        let mut q = JobQueue::in_memory(QueuePolicy::default());
+        q.submit(&spec("gcc", 1), Lane::Normal).expect("submit");
+        q.lease("w0", 1_000).expect("lease").expect("granted");
+        assert_eq!(q.expire_stale(6_001).expect("expire"), vec![0]);
+    }
+
+    /// WAL lines written before records carried stamps, verbatim: an
+    /// enqueue, a lease and a done.
+    const UNSTAMPED_WAL: &str = r#"{"crc":"05b1e7d4","rec":{"hash":"2a239a8f64a3ac6c","job":0,"lane":"normal","op":"enqueue","spec":{"deadline":null,"fault":null,"insts":1000,"intervals":null,"model":"base","profile":"gcc","seed":1,"warmup":1000,"watchdog":null}},"schema":1,"seq":1}
+{"crc":"d473d18d","rec":{"job":0,"op":"lease","worker":"w0"},"schema":1,"seq":2}
+{"crc":"bfbd3563","rec":{"cached":false,"job":0,"op":"done"},"schema":1,"seq":3}
+"#;
+
+    /// A WAL from before stamps resumes exactly: every line replays (none
+    /// is skipped as corrupt), its history carries no times, and the
+    /// next record continues the sequence with a stamp.
+    #[test]
+    fn an_unstamped_wal_still_resumes() {
+        let dir = scratch("unstamped");
+        let wal = dir.join("campaign.wal");
+        std::fs::write(&wal, UNSTAMPED_WAL).expect("write WAL");
+        let entries = read_wal(&wal).expect("read WAL");
+        assert_eq!(entries.len(), 3, "every line decodes");
+        assert!(entries.iter().all(|e| e.at_ms.is_none()));
+        let mut q = JobQueue::open(&wal, QueuePolicy::default()).expect("open");
+        assert_eq!(q.jobs().len(), 1);
+        assert_eq!(q.job(0).spec, spec("gcc", 1));
+        assert_eq!(q.job(0).state, JobState::Done { cached: false });
+        assert_eq!(q.wal_seq(), 3);
+        let events = crate::campaign_events::job_events(&entries, 0);
+        let kinds: Vec<_> = events
+            .iter()
+            .filter_map(|e| e.get("kind")?.as_str())
+            .collect();
+        assert_eq!(kinds, ["submitted", "leased", "done"]);
+        assert!(events.iter().all(|e| e.get("at_ms") == Some(&Json::Null)));
+        q.submit(&spec("mcf", 2), Lane::Normal).expect("submit");
+        let last = read_wal(&wal)
+            .expect("reread")
+            .pop()
+            .expect("the new record");
+        assert_eq!((last.seq, last.rec.job()), (4, 1));
+        assert!(last.at_ms.is_some(), "new records are stamped");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -41,25 +41,22 @@
 //! `/metrics` (Prometheus), `/status` (campaign snapshot), `/jobs` +
 //! `/jobs/<id>` (per-job lifecycle), `/healthz`. The bound address is
 //! written to `obs.addr` in the campaign directory so scripts can
-//! discover an ephemeral port. The job queue stamps every transition
-//! it makes into its [`CampaignLog`] ring and keeps the per-state
-//! tallies that the progress line, `/status`, the queue gauges of a
-//! `/metrics` scrape or flight record, and the [`CampaignReport`] all
-//! render from when they are read — no surface keeps a copy of its
-//! own. The controller adds only campaign-scoped events. The
-//! ring feeds three consumers: the
-//! `/jobs/<id>` event views, the `--trace-out` Chrome trace (one track
-//! per worker, one span per job phase), and the crash flight recorder
-//! (`flightrec/` dumps on worker death, quarantine, graceful-drain
-//! signal, fatal error, or a worker-thread panic). All of it runs in
+//! discover an ephemeral port. The job queue is the one source of
+//! campaign state: its WAL holds every transition with its wall-clock
+//! stamp, which the `/jobs/<id>` event views and the `--trace-out`
+//! Chrome trace (one track per worker, one span per job phase) read
+//! back, and its per-state tallies are what the progress line,
+//! `/status`, the queue gauges of a `/metrics` scrape or flight record,
+//! and the [`CampaignReport`] render from when they are read — no
+//! surface keeps a copy of its own. The crash flight recorder dumps to
+//! `flightrec/` on worker death, quarantine, graceful-drain signal,
+//! fatal error, or a worker-thread panic. All of it runs in
 //! the controller process, off the simulation hot path: worker children
 //! are untouched, and the finalized journal is bit-identical with the
 //! listener on or off (`tests/observability_http.rs` asserts that).
 
 use crate::cachestore::CacheStore;
-use crate::campaign_events::{
-    derive_spans, next_flight_seq, write_flight_record, CampaignLog, EventKind,
-};
+use crate::campaign_events::{derive_spans, job_events, next_flight_seq, write_flight_record};
 use crate::chrome_trace;
 use crate::error::SimError;
 use crate::httpserve::{HttpServer, ObsProvider};
@@ -68,7 +65,9 @@ use crate::json::{num, obj, s, Json};
 use crate::lock::{write_atomic, LockedFile, DEAD_HOLDER_WAIT};
 use crate::metrics::{self, MetricsSnapshot};
 use crate::progress::Progress;
-use crate::queue::{DeathVerdict, JobId, JobQueue, JobState, Lane, QueuePolicy, QueueTally};
+use crate::queue::{
+    read_wal, DeathVerdict, JobId, JobQueue, JobState, Lane, QueuePolicy, QueueTally, WalEntry,
+};
 use crate::runner::{
     RunResult, RunSpec, METRIC_CYCLES_SKIPPED, METRIC_CYCLES_STEPPED, METRIC_EVENTS_POPPED,
     METRIC_EVENTS_POSTED,
@@ -307,10 +306,10 @@ impl FleetInfo {
 /// The shared mutable state one campaign's worker threads drive.
 ///
 /// Lock ordering: `queue` may be held while taking `cache`, `workers`,
-/// `progress`, the event log's internal mutex or the metrics registry's
-/// — never the reverse.
-/// The HTTP snapshot builders take locks one at a time and release
-/// before the next, so they can never participate in a cycle.
+/// `progress` or the metrics registry's mutex — never the reverse. The
+/// WAL's history is read only after the queue lock drops. The HTTP
+/// snapshot builders take locks one at a time and release before the
+/// next, so they can never participate in a cycle.
 struct Campaign {
     queue: Mutex<JobQueue>,
     cache: Mutex<CacheStore>,
@@ -318,9 +317,6 @@ struct Campaign {
     /// failure); stops the campaign.
     fatal: Mutex<Option<SimError>>,
     started: Instant,
-    /// The queue's event ring: `/jobs/<id>` views, Chrome trace spans,
-    /// flight-recorder dumps.
-    log: Arc<CampaignLog>,
     /// Live worker-slot states for `/status`.
     workers: Mutex<Vec<WorkerSlot>>,
     /// Aggregate MIPS/ETA, shared with the progress line and `/status`.
@@ -351,9 +347,7 @@ impl Campaign {
             first
         };
         if let Some(detail) = first {
-            self.log
-                .record(self.now_ms(), None, EventKind::Fatal { detail });
-            self.dump_flight("fatal control-plane error");
+            self.dump_flight(&format!("fatal control-plane error: {detail}"));
         }
         signals::request_interrupt();
     }
@@ -395,24 +389,25 @@ impl Campaign {
         progress.campaign_line(now, &queue.tally(), queue.retried(), fleet)
     }
 
-    /// Dumps a flight record (events + metrics snapshot + queue state).
-    /// Best-effort by contract: a failed dump warns and the campaign
-    /// continues. Never call with the queue lock held.
+    /// Dumps a flight record (metrics snapshot + job views + WAL
+    /// length), all from one queue read. Best-effort by contract: a
+    /// failed dump warns and the campaign continues. Never call with the
+    /// queue lock held.
     fn dump_flight(&self, reason: &str) {
         let seq = self.flight_seq.fetch_add(1, Ordering::SeqCst);
-        let (queue_json, tally) = {
+        let (jobs, tally, at_ms, wal_seq) = {
             let queue = self.queue.lock().expect("queue poisoned");
-            (jobs_json(&queue, self.now_ms()), queue.tally())
+            let now = self.now_ms();
+            (
+                jobs_json(&queue, now),
+                queue.tally(),
+                queue.stamp(now),
+                queue.wal_seq(),
+            )
         };
-        if let Err(e) = write_flight_record(
-            &self.flight_dir,
-            seq,
-            reason,
-            self.now_ms(),
-            &self.log,
-            scrape(&tally).to_json(),
-            queue_json,
-        ) {
+        let metrics = scrape(&tally).to_json();
+        let dir = &self.flight_dir;
+        if let Err(e) = write_flight_record(dir, seq, reason, at_ms, metrics, jobs, wal_seq) {
             eprintln!("warning: flight record for `{reason}` not written: {e}");
         }
     }
@@ -438,8 +433,7 @@ impl Campaign {
                             ("expires_in_ms", num(expires_ms.saturating_sub(now))),
                             (
                                 "heartbeat_age_ms",
-                                num(timing
-                                    .last_heartbeat_ms
+                                num((timing.last_heartbeat_ms.or(timing.last_leased_ms))
                                     .map_or(0, |at| now.saturating_sub(at))),
                             ),
                         ]))
@@ -532,7 +526,6 @@ impl Campaign {
                 },
             ),
             ("interrupted", Json::Bool(signals::interrupted())),
-            ("dropped_events", num(self.log.dropped())),
         ])
     }
 
@@ -542,26 +535,32 @@ impl Campaign {
         jobs_json(&queue, self.now_ms())
     }
 
-    /// The `/jobs/<id>` document, with the job's retained events.
+    /// The `/jobs/<id>` document: the job's view plus its history from
+    /// the WAL (none if the WAL cannot be read).
     fn job_json(&self, id: JobId) -> Option<Json> {
         let view = {
             let queue = self.queue.lock().expect("queue poisoned");
-            if (id as usize) >= queue.jobs().len() {
+            if !valid_job(&queue, id) {
                 return None;
             }
             job_view(&queue, id, self.now_ms())
         };
-        let events: Vec<Json> = self
-            .log
-            .events_for(id)
-            .iter()
-            .map(|e| e.to_json())
-            .collect();
+        let events = self.history().map(|h| job_events(&h, id));
+        let events = events.unwrap_or_default();
         let Json::Obj(mut pairs) = view else {
             return Some(view);
         };
         pairs.insert("events".to_string(), Json::Arr(events));
         Some(Json::Obj(pairs))
+    }
+
+    /// Every record in the WAL, read after the queue lock drops (none
+    /// in memory).
+    fn history(&self) -> Result<Vec<WalEntry>, SimError> {
+        let queue = self.queue.lock().expect("queue poisoned");
+        let path = queue.wal_path().map(Path::to_path_buf);
+        drop(queue);
+        path.map_or(Ok(Vec::new()), |path| read_wal(&path))
     }
 }
 
@@ -728,14 +727,6 @@ pub fn run_campaign(
             Err(other) => return Err(other),
         }
     }
-    let log = Arc::clone(queue.log());
-    log.record(
-        0,
-        None,
-        EventKind::ControllerStart {
-            jobs: queue.jobs().len(),
-        },
-    );
 
     // Jobs already terminal (WAL replay, cache hits) count toward the
     // total from the start but not toward the ETA's rate.
@@ -747,7 +738,6 @@ pub fn run_campaign(
         cache: Mutex::new(cache),
         fatal: Mutex::new(None),
         started: Instant::now(),
-        log,
         workers: Mutex::new(
             (0..cfg.workers.max(1))
                 .map(|i| WorkerSlot {
@@ -827,9 +817,6 @@ pub fn run_campaign(
         };
         let interrupted = signals::interrupted() && !all_terminal;
         if interrupted {
-            campaign
-                .log
-                .record(campaign.now_ms(), None, EventKind::Interrupted);
             campaign.dump_flight("graceful drain (signal)");
         }
         if let Some(path) = &cfg.trace_out {
@@ -866,10 +853,14 @@ fn write_addr_file(path: &Path, addr: &std::net::SocketAddr) -> Result<(), SimEr
     })
 }
 
-/// Renders the campaign event log as a Chrome trace at `path`.
+/// Renders the campaign's WAL history as a Chrome trace at `path`,
+/// closing phases still open now.
 fn write_campaign_trace(path: &Path, campaign: &Campaign) -> Result<(), SimError> {
-    let spans = derive_spans(&campaign.log.snapshot());
-    let jobs = campaign.queue.lock().expect("queue poisoned").jobs().len();
+    let (jobs, end) = {
+        let queue = campaign.queue.lock().expect("queue poisoned");
+        (queue.jobs().len(), queue.stamp(campaign.now_ms()))
+    };
+    let spans = derive_spans(&campaign.history()?, end);
     let doc = chrome_trace::campaign_trace_document(&spans, jobs);
     write_atomic(path, doc.encode().as_bytes()).map_err(|e| SimError::Campaign {
         detail: format!("write trace {}: {e}", path.display()),
@@ -1559,7 +1550,6 @@ mod tests {
     fn in_memory_campaign(queue: JobQueue) -> Campaign {
         let jobs = queue.jobs().len();
         Campaign {
-            log: Arc::clone(queue.log()),
             queue: Mutex::new(queue),
             cache: Mutex::new(CacheStore::new()),
             fatal: Mutex::new(None),
@@ -1619,7 +1609,9 @@ mod tests {
     /// schema, against a hand-driven in-memory campaign.
     #[test]
     fn status_and_jobs_json_schema() {
-        let mut queue = JobQueue::in_memory(QueuePolicy::default());
+        let dir = scratch("schema");
+        let mut queue =
+            JobQueue::open(&dir.join("campaign.wal"), QueuePolicy::default()).expect("open WAL");
         for n in 0..3 {
             queue.submit(&spec_n(n), Lane::Normal).expect("submit");
         }
@@ -1700,6 +1692,32 @@ mod tests {
             Some(50)
         );
         assert!(campaign.job_json(99).is_none(), "unknown id is None");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A restarted controller serves `/jobs/<id>` history from before
+    /// the restart, timed on one clock.
+    #[test]
+    fn job_history_survives_a_controller_restart() {
+        let dir = scratch("restart-history");
+        let wal = dir.join("campaign.wal");
+        let mut queue = JobQueue::open(&wal, QueuePolicy::default()).expect("open WAL");
+        queue.submit(&spec_n(1), Lane::Normal).expect("submit");
+        queue.lease("w0", 100).expect("lease").expect("granted");
+        drop(queue); // the controller crashes with the job leased
+        let queue = JobQueue::open(&wal, QueuePolicy::default()).expect("reopen WAL");
+        let job = in_memory_campaign(queue).job_json(0).expect("job 0");
+        let events = job.get("events").and_then(Json::as_arr).expect("events");
+        let field = |i: usize, key: &str| events[i].get(key).cloned();
+        let kinds: Vec<_> = (0..events.len()).filter_map(|i| field(i, "kind")).collect();
+        assert_eq!(kinds, ["submitted", "leased", "released"].map(s));
+        assert_eq!(field(2, "reason"), Some(s("controller restart")));
+        assert_eq!(field(2, "worker"), Some(s("w0")));
+        let at = |i: usize| field(i, "at_ms").as_ref().and_then(Json::as_u64);
+        let (submitted, leased) = (at(0).expect("stamped"), at(1).expect("stamped"));
+        assert_eq!(leased - submitted, 100);
+        assert!(at(2).expect("stamped") >= leased, "the restart sorts last");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// One in-memory queue through submit, lease, death, release,

@@ -280,7 +280,7 @@ fn live_endpoints_serve_valid_payloads_and_journal_is_listener_invariant() {
     assert!(tracks >= 2, "queue track plus at least one worker track");
 
     // The flight recorder dumped on the chaos worker kills, and every
-    // dump is a valid schema-1 record.
+    // dump is a valid schema-2 record.
     let dumps: Vec<PathBuf> = std::fs::read_dir(dir.join("flightrec"))
         .expect("flightrec dir exists")
         .map(|e| e.expect("dir entry").path())
@@ -289,8 +289,8 @@ fn live_endpoints_serve_valid_payloads_and_journal_is_listener_invariant() {
     for dump in &dumps {
         let doc = Json::parse(&std::fs::read_to_string(dump).expect("read dump"))
             .expect("flight record is valid JSON");
-        assert_eq!(doc.get("schema").and_then(Json::as_u64), Some(1));
-        assert!(doc.get("events").and_then(Json::as_arr).is_some());
+        assert_eq!(doc.get("schema").and_then(Json::as_u64), Some(2));
+        assert!(doc.get("wal_seq").and_then(Json::as_u64).is_some());
         assert!(doc.get("queue").is_some() && doc.get("metrics").is_some());
     }
 

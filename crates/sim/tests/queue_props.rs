@@ -19,12 +19,13 @@
 //!   reproduces every terminal state and kill count exactly, with
 //!   in-flight leases released back to pending.
 //! - **One source of state** — the queue's running tally equals a
-//!   from-scratch recount of its jobs (replay included), and its event
-//!   ring holds exactly one job event per appended WAL record, in order.
+//!   from-scratch recount of its jobs (replay included), and every
+//!   appended WAL record is stamped, round-trips through the line codec,
+//!   and never sorts before a record an earlier controller wrote.
 
 use mlpwin_sim::queue::{
-    decode_wal_line, DeathVerdict, Job, JobId, JobQueue, JobState, Lane, QueuePolicy, QueueTally,
-    WalRecord,
+    decode_wal_line, encode_wal_line, DeathVerdict, Job, JobId, JobQueue, JobState, Lane,
+    QueuePolicy, QueueTally, WalEntry, WalRecord,
 };
 use mlpwin_sim::runner::RunSpec;
 use mlpwin_sim::SimModel;
@@ -150,48 +151,45 @@ fn recount(jobs: &[Job], replayed: bool) -> QueueTally {
     t
 }
 
-/// The job events a queue must have logged since it was opened: one
-/// per WAL record it appended, plus a `submitted` for every resubmitted
-/// open job.
+/// What the WAL must show for the records a queue appends after it
+/// opened: each one stamped no earlier than any record already there,
+/// and re-encoding to the very line it was read from.
 struct Ledger {
     wal_lines: usize,
-    events: Vec<(JobId, &'static str)>,
+    floor_ms: u64,
 }
 
 impl Ledger {
     /// A ledger for a queue opening the WAL at `wal` now.
     fn opening(wal: &std::path::Path) -> Ledger {
         let text = std::fs::read_to_string(wal).unwrap_or_default();
+        let entries = text.lines().filter_map(decode_wal_line);
         Ledger {
             wal_lines: text.lines().count(),
-            events: Vec::new(),
+            floor_ms: entries.filter_map(|e| e.at_ms).max().unwrap_or(0),
         }
     }
 
-    /// Folds in the records appended since the last check, then holds
-    /// the queue's tally and event ring to them.
+    /// Checks the records appended since the last check, then holds the
+    /// queue's tally to a recount of its jobs.
     fn check(&mut self, queue: &JobQueue, wal: &std::path::Path) {
         let text = std::fs::read_to_string(wal).expect("read WAL");
         for line in text.lines().skip(self.wal_lines) {
-            let (_, rec) = decode_wal_line(line).expect("an intact WAL record");
-            self.events.push(match rec {
-                WalRecord::Enqueue { job, .. } => (job, "submitted"),
-                WalRecord::Lease { job, .. } => (job, "leased"),
-                WalRecord::Release { job, .. } => (job, "released"),
-                WalRecord::Done { job, .. } => (job, "done"),
-                WalRecord::Failed { job, .. } => (job, "failed"),
-                WalRecord::Quarantine { job, .. } => (job, "quarantined"),
-            });
+            let entry = decode_wal_line(line).expect("an intact WAL record");
+            let at_ms = entry.at_ms.expect("a stamped record");
+            assert!(
+                at_ms >= self.floor_ms,
+                "record {} sorts before an earlier controller's",
+                entry.seq
+            );
+            assert_eq!(
+                encode_wal_line(entry.seq, at_ms, &entry.rec),
+                line,
+                "a stamped record round-trips"
+            );
         }
         self.wal_lines = text.lines().count();
         assert_eq!(queue.tally(), recount(queue.jobs(), false), "tally drift");
-        let ring: Vec<(JobId, &'static str)> = queue
-            .log()
-            .snapshot()
-            .iter()
-            .filter_map(|e| e.job.map(|job| (job, e.kind.tag())))
-            .collect();
-        assert_eq!(ring, self.events, "event ring vs WAL records");
     }
 }
 
@@ -240,9 +238,6 @@ fn drive(seed: u64, tag: &str) {
                         model.states.contains_key(&id),
                         "resubmitting spec {n} must coalesce into a known job"
                     );
-                    if !queue.job(id).state.is_terminal() {
-                        ledger.events.push((id, "submitted"));
-                    }
                 }
             }
             // Lease: must pick a ready job from the best occupied lane.
@@ -447,7 +442,7 @@ fn drive(seed: u64, tag: &str) {
 fn expected_after_replay(text: &str) -> HashMap<JobId, (ModelState, u32)> {
     let mut jobs: HashMap<JobId, (ModelState, u32)> = HashMap::new();
     for line in text.lines() {
-        let Some((_seq, rec)) = decode_wal_line(line.trim()) else {
+        let Some(WalEntry { rec, .. }) = decode_wal_line(line.trim()) else {
             continue; // torn or corrupt line: vanishes
         };
         match rec {
