@@ -24,14 +24,6 @@ echo "==> golden digests in the release profile"
 # release code, whose inlining decisions differ, so pin it too.
 cargo test --release -q -p mlpwin --test golden_digests
 
-echo "==> cargo test -q --features trace (event-trace hooks)"
-cargo test -q -p mlpwin-ooo --features trace
-
-echo "==> golden digests with the trace hooks compiled in"
-# The hooks sit inside the commit and issue stages; compiling them in
-# must not move a single journal byte.
-cargo test -q -p mlpwin --features trace --test golden_digests
-
 echo "==> matrix input order through a figure binary (1 vs 4 threads)"
 # run_matrix hands results back in input order whatever the thread
 # count, so a figure binary's stdout (fig9 prints no timings) must not
@@ -322,9 +314,6 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "==> cargo clippy --features trace -- -D warnings (event-trace hooks)"
-cargo clippy -p mlpwin-ooo --all-targets --features trace -- -D warnings
 
 echo "==> cargo doc -D warnings (intra-doc links)"
 # A broken or private intra-doc link is a rustdoc warning, which no

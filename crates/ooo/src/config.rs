@@ -1,7 +1,6 @@
 //! Core configuration: pipeline widths, the resource-level table,
 //! optional runahead execution, and the forward-progress watchdog.
 
-use crate::trace::TraceConfig;
 use mlpwin_branch::PredictorConfig;
 use mlpwin_memsys::MemSystemConfig;
 use std::fmt;
@@ -36,10 +35,6 @@ pub enum ConfigError {
     ZeroIntervalEpoch,
     /// The snapshot cadence is zero cycles.
     ZeroSnapshotCadence,
-    /// The tracer's ring-buffer capacity is zero.
-    ZeroTraceCapacity,
-    /// The tracer's LLC-miss sampling divisor is zero.
-    ZeroTraceSample,
 }
 
 impl fmt::Display for ConfigError {
@@ -62,12 +57,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroSnapshotCadence => {
                 write!(f, "snapshot cadence must be positive")
-            }
-            ConfigError::ZeroTraceCapacity => {
-                write!(f, "trace ring capacity must be positive")
-            }
-            ConfigError::ZeroTraceSample => {
-                write!(f, "trace LLC sampling divisor must be positive")
             }
         }
     }
@@ -229,11 +218,12 @@ pub struct CoreConfig {
     /// [`IntervalSample`](crate::stats::IntervalSample) to
     /// `CoreStats::intervals` every `interval_cycles` measured cycles.
     pub interval_cycles: Option<u64>,
-    /// Runtime tracing knob. Always present so configurations are
-    /// feature-independent, but events are only recorded when the crate
-    /// is built with the `trace` cargo feature; without it the field is
-    /// validated and otherwise inert.
-    pub trace: Option<TraceConfig>,
+    /// Record level transitions, runahead episodes, squashes and L2
+    /// demand misses into a [`Tracer`](crate::Tracer) of
+    /// [`trace::CAPACITY`](crate::trace::CAPACITY) events, read back
+    /// through `Core::tracer`. Observability only: simulated results
+    /// are identical either way. Default `false`.
+    pub trace: bool,
     /// Mid-run snapshot cadence in cycles; `None` (the default)
     /// disables periodic snapshots. When set, the core offers a full
     /// state snapshot to its installed sink every `snapshot_cycles`
@@ -265,7 +255,7 @@ impl Default for CoreConfig {
             fast_forward: true,
             freeze_commit_after: None,
             interval_cycles: None,
-            trace: None,
+            trace: false,
             snapshot_cycles: None,
         }
     }
@@ -320,14 +310,6 @@ impl CoreConfig {
         }
         if self.snapshot_cycles == Some(0) {
             return Err(ConfigError::ZeroSnapshotCadence);
-        }
-        if let Some(trace) = &self.trace {
-            if trace.capacity == 0 {
-                return Err(ConfigError::ZeroTraceCapacity);
-            }
-            if trace.llc_sample == 0 {
-                return Err(ConfigError::ZeroTraceSample);
-            }
         }
         Ok(())
     }
@@ -416,32 +398,14 @@ mod tests {
         assert_eq!(c.validate(), Err(ConfigError::ZeroIntervalEpoch));
 
         let c2 = CoreConfig {
-            trace: Some(TraceConfig {
-                capacity: 0,
-                llc_sample: 1,
-            }),
-            ..CoreConfig::default()
-        };
-        assert_eq!(c2.validate(), Err(ConfigError::ZeroTraceCapacity));
-
-        let c3 = CoreConfig {
-            trace: Some(TraceConfig {
-                capacity: 16,
-                llc_sample: 0,
-            }),
-            ..CoreConfig::default()
-        };
-        assert_eq!(c3.validate(), Err(ConfigError::ZeroTraceSample));
-
-        let c4 = CoreConfig {
             snapshot_cycles: Some(0),
             ..CoreConfig::default()
         };
-        assert_eq!(c4.validate(), Err(ConfigError::ZeroSnapshotCadence));
+        assert_eq!(c2.validate(), Err(ConfigError::ZeroSnapshotCadence));
 
         let ok = CoreConfig {
             interval_cycles: Some(1_000),
-            trace: Some(TraceConfig::default()),
+            trace: true,
             snapshot_cycles: Some(50_000),
             ..CoreConfig::default()
         };

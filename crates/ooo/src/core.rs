@@ -32,8 +32,7 @@ use crate::rename::RenameMap;
 use crate::rob::Rob;
 use crate::runahead::{self, CauseStatusTable, RaLookup, RunaheadCache};
 use crate::stats::{CoreStats, CpiBucket, IntervalSample, CPI_BUCKETS};
-#[cfg(feature = "trace")]
-use crate::trace::{TraceEventKind, Tracer};
+use crate::trace::{self, TraceEventKind, Tracer};
 use crate::types::{DynInst, DynSeq, MemState};
 use mlpwin_branch::BranchPredictor;
 use mlpwin_isa::snap::{Snap, SnapError, SnapReader, SnapWriter};
@@ -203,7 +202,7 @@ pub struct Core<W> {
     wake_hist: [u64; WakeSource::COUNT],
     /// Committed-instruction count at the last interval boundary.
     interval_last_insts: u64,
-    #[cfg(feature = "trace")]
+    /// The event ring, when `CoreConfig::trace` is on.
     tracer: Option<Tracer>,
 
     stats: CoreStats,
@@ -271,8 +270,7 @@ impl<W: Workload> Core<W> {
             None => (None, None),
         };
         let stats = fresh_stats(&config);
-        #[cfg(feature = "trace")]
-        let tracer = config.trace.map(Tracer::new);
+        let tracer = config.trace.then(|| Tracer::new(trace::CAPACITY));
         // Size every hot-path container to the largest level up front:
         // the ROB ring then never reallocates, even across enlarges.
         let max_rob = config.max_level_spec().rob;
@@ -314,7 +312,6 @@ impl<W: Workload> Core<W> {
             stepped_cycles: 0,
             wake_hist: [0; WakeSource::COUNT],
             interval_last_insts: 0,
-            #[cfg(feature = "trace")]
             tracer,
             stats,
             last_commit_cycle: 0,
@@ -536,12 +533,9 @@ impl<W: Workload> Core<W> {
         self.bp.reset_stats();
         self.last_commit_cycle = self.now;
         self.interval_last_insts = 0;
-        #[cfg(feature = "trace")]
-        {
-            // The trace restarts with the measurement window, like every
-            // other counter: warm-up events are observability noise.
-            self.tracer = self.cfg.trace.map(Tracer::new);
-        }
+        // The trace restarts with the measurement window, like every
+        // other counter: warm-up events are observability noise.
+        self.tracer = self.cfg.trace.then(|| Tracer::new(trace::CAPACITY));
     }
 
     /// Simulates one clock cycle.
@@ -888,23 +882,24 @@ impl<W: Workload> Core<W> {
         self.stats.intervals.push(sample);
     }
 
-    /// Records a trace event when tracing is compiled in *and* enabled
-    /// at runtime; otherwise free. Kept as a `#[cfg]`-gated method so
-    /// call sites stay single lines.
-    #[cfg(feature = "trace")]
-    fn trace(&mut self, cycle: Cycle, kind: TraceEventKind) {
+    /// Records a trace event when tracing is on, stamped with the
+    /// measured cycle being simulated (`stats.cycles` advances at the
+    /// end of [`step`](Core::step)), the clock interval samples use.
+    fn trace(&mut self, kind: TraceEventKind) {
         if let Some(tracer) = self.tracer.as_mut() {
-            tracer.record(cycle, kind);
+            tracer.record(self.stats.cycles + 1, kind);
         }
     }
 
-    /// Offers an LLC miss to the tracer through its sampling divisor,
-    /// stamping the current MSHR occupancy.
-    #[cfg(feature = "trace")]
-    fn trace_llc_miss(&mut self, cycle: Cycle, pc: Addr, addr: Addr) {
-        if let Some(tracer) = self.tracer.as_mut() {
-            let occ = self.mem.outstanding_misses() as u32;
-            tracer.offer_llc_miss(cycle, pc, addr, occ);
+    /// Records an LLC miss, stamping the current MSHR occupancy.
+    fn trace_llc_miss(&mut self, pc: Addr, addr: Addr) {
+        if self.tracer.is_some() {
+            let mshr_occupancy = self.mem.outstanding_misses() as u32;
+            self.trace(TraceEventKind::LlcMiss {
+                pc,
+                addr,
+                mshr_occupancy,
+            });
         }
     }
 
@@ -950,10 +945,7 @@ impl<W: Workload> Core<W> {
         self.episode.is_some()
     }
 
-    /// The structured-event tracer, when one is configured. Only exists
-    /// in `trace`-feature builds — a default build carries no tracer
-    /// state at all.
-    #[cfg(feature = "trace")]
+    /// The structured-event tracer, when `CoreConfig::trace` is on.
     pub fn tracer(&self) -> Option<&Tracer> {
         self.tracer.as_ref()
     }
@@ -980,8 +972,8 @@ impl<W: Workload> Core<W> {
     /// Deliberately *not* captured: the configuration (the restoring
     /// side must rebuild the core from the identical [`CoreConfig`] —
     /// geometry is validated, not transported), the snapshot sink, the
-    /// `ff_cycles` host diagnostic, and the `trace`-feature event ring
-    /// (observability, not simulated state).
+    /// `ff_cycles` host diagnostic, and the event ring (observability,
+    /// not simulated state).
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = SnapWriter::with_capacity(4096);
         self.save_state(&mut w);
@@ -1272,8 +1264,7 @@ impl<W: Workload> Core<W> {
         }
         if mispredicted {
             self.stats.squashes += 1;
-            #[cfg(feature = "trace")]
-            self.trace(now, TraceEventKind::Squash { at_seq: seq });
+            self.trace(TraceEventKind::Squash { at_seq: seq });
             self.squash_younger(seq);
             let resume = trace_seq.expect("correct-path branch has a trace seq") + 1;
             self.front
@@ -1429,8 +1420,7 @@ impl<W: Workload> Core<W> {
                         .access(AccessKind::Store, pc, m.addr, now, PathKind::Correct);
                     if r.l2_demand_miss {
                         self.l2_miss_events += 1;
-                        #[cfg(feature = "trace")]
-                        self.trace_llc_miss(now, pc, m.addr);
+                        self.trace_llc_miss(pc, m.addr);
                     }
                 }
             }
@@ -1468,8 +1458,7 @@ impl<W: Workload> Core<W> {
         });
         self.stats.runahead_episodes += 1;
         self.force_inv(seq, now);
-        #[cfg(feature = "trace")]
-        self.trace(now, TraceEventKind::RunaheadEnter { trigger_pc });
+        self.trace(TraceEventKind::RunaheadEnter { trigger_pc });
     }
 
     /// Marks an instruction's result INV and available immediately,
@@ -1505,14 +1494,10 @@ impl<W: Workload> Core<W> {
         if let Some(cst) = self.cst.as_mut() {
             cst.update(ep.trigger_pc, useful);
         }
-        #[cfg(feature = "trace")]
-        self.trace(
-            now,
-            TraceEventKind::RunaheadExit {
-                l2_misses: ep.l2_misses,
-                useful,
-            },
-        );
+        self.trace(TraceEventKind::RunaheadExit {
+            l2_misses: ep.l2_misses,
+            useful,
+        });
         // Resume from the checkpoint; the paper assumes no extra penalty
         // for the mode switch.
         self.front.redirect(ep.resume_seq, now);
@@ -1538,15 +1523,11 @@ impl<W: Workload> Core<W> {
                 .max(now + self.cfg.transition_penalty as Cycle);
             self.stats.transitions_up += 1;
             self.policy.on_transition(now, old, self.level);
-            #[cfg(feature = "trace")]
-            self.trace(
-                now,
-                TraceEventKind::LevelUp {
-                    from: old,
-                    to: self.level,
-                    penalty: self.cfg.transition_penalty,
-                },
-            );
+            self.trace(TraceEventKind::LevelUp {
+                from: old,
+                to: self.level,
+                penalty: self.cfg.transition_penalty,
+            });
         } else if target < self.level {
             // Shrink one level per decision, only once the doomed regions
             // of ROB, IQ and LSQ are simultaneously vacant.
@@ -1563,15 +1544,11 @@ impl<W: Workload> Core<W> {
                     .max(now + self.cfg.transition_penalty as Cycle);
                 self.stats.transitions_down += 1;
                 self.policy.on_transition(now, old, self.level);
-                #[cfg(feature = "trace")]
-                self.trace(
-                    now,
-                    TraceEventKind::LevelDown {
-                        from: old,
-                        to: self.level,
-                        penalty: self.cfg.transition_penalty,
-                    },
-                );
+                self.trace(TraceEventKind::LevelDown {
+                    from: old,
+                    to: self.level,
+                    penalty: self.cfg.transition_penalty,
+                });
             } else {
                 self.shrink_wait = true;
             }
@@ -1818,8 +1795,7 @@ impl<W: Workload> Core<W> {
             if let Some(ep) = self.episode.as_mut() {
                 ep.l2_misses += 1;
             }
-            #[cfg(feature = "trace")]
-            self.trace_llc_miss(now, pc, addr);
+            self.trace_llc_miss(pc, addr);
         }
         (r.ready_at, false, r.latency, !r.l2_or_better)
     }

@@ -75,11 +75,12 @@
 //! CPI stack ([`CoreStats::cpi_stack`]), and
 //! [`CoreConfig::interval_cycles`] turns on a fixed-epoch time series of
 //! IPC, window level, occupancies and outstanding misses
-//! ([`CoreStats::intervals`]). The `trace` cargo feature additionally
-//! compiles in a ring-buffered structured-event [`Tracer`] (level
-//! transitions, runahead boundaries, squashes, sampled LLC misses)
-//! enabled at runtime via [`CoreConfig::trace`]; default builds carry
-//! no tracer state and no per-event branches.
+//! ([`CoreStats::intervals`]). [`CoreConfig::trace`] switches on a
+//! ring-buffered structured-event [`Tracer`] (level transitions,
+//! runahead boundaries, squashes, LLC misses), stamped on the same
+//! measured-cycle clock as the interval series. The hooks are compiled
+//! into every build; with the switch off each is one `Option` test on
+//! a rare path, and with it on simulated results are unchanged.
 
 pub mod config;
 #[allow(clippy::module_inception)]
@@ -105,5 +106,5 @@ pub use events::{EngineCounters, EventQueue, WakeRing, WakeSource};
 pub use policy::{DynamicResizingPolicy, FixedLevelPolicy, WindowPolicy};
 pub use ready::ReadyRing;
 pub use stats::{CoreStats, CpiBucket, DeltaError, IntervalSample, StatsDelta, CPI_BUCKETS};
-pub use trace::{TraceConfig, TraceEvent, TraceEventKind, Tracer};
+pub use trace::{TraceEvent, TraceEventKind, Tracer};
 pub use types::{DynInst, DynSeq, MemState, SeqList};

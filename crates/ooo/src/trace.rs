@@ -3,22 +3,25 @@
 //! A [`Tracer`] records the events that explain *why* the window is the
 //! size it is: level transitions, runahead episode boundaries, pipeline
 //! squashes and last-level-cache misses. Events live in a bounded ring
-//! buffer — when it fills, the oldest events are overwritten and a drop
-//! counter keeps the books, so a long run costs bounded memory and the
-//! tail of the run (usually the interesting part) survives.
+//! buffer of [`CAPACITY`] events — when it fills, the oldest events are
+//! overwritten and a drop counter keeps the books, so a long run costs
+//! bounded memory and the tail of the run (usually the interesting part)
+//! survives.
 //!
-//! The module is always compiled so its invariants stay testable, but
-//! the core only *calls* it when the `trace` cargo feature is enabled:
-//! a default build carries no tracer field and no per-event branches,
-//! which is what keeps the zero-cost claim honest (see
-//! `tests/trace_zero_cost.rs`). With the feature on, the runtime knob is
-//! [`CoreConfig::trace`](crate::CoreConfig) — `None` means no tracer is
-//! allocated and every hook is one `Option` test.
+//! The core's hooks are compiled into every build; the run-time switch
+//! is [`CoreConfig::trace`](crate::CoreConfig). When it is off no
+//! tracer is allocated and each hook is one `Option` test on a rare
+//! path (a squash, an L2 demand miss, a level transition, a runahead
+//! entry or exit). Either way the simulated state is untouched: stats
+//! and snapshot images are identical with tracing on and off (see
+//! `tests/trace_zero_cost.rs` and the root `golden_digests` suite).
 //!
-//! High-frequency events (LLC misses) additionally honour a sampling
-//! divisor, [`TraceConfig::llc_sample`]: only every Nth miss is offered
-//! to the ring. Rare events (transitions, runahead boundaries, squashes)
-//! are always offered.
+//! Events are stamped with the measured-cycle clock of
+//! [`CoreStats::cycles`](crate::CoreStats), the clock
+//! [`IntervalSample::end_cycle`](crate::IntervalSample) uses: an event
+//! stamped `c` happened in measured cycle `c` (1-based), so it falls in
+//! the interval sample whose `(end_cycle - epoch, end_cycle]` holds `c`.
+//! The ring restarts when the warm-up ends, with every other counter.
 
 use mlpwin_isa::{Addr, Cycle};
 use std::collections::VecDeque;
@@ -68,7 +71,11 @@ pub enum TraceEventKind {
         pc: Addr,
         /// Missing address.
         addr: Addr,
-        /// Outstanding misses (MSHR occupancy) at record time.
+        /// Outstanding misses (MSHR occupancy) at record time, read from
+        /// `MemSystem::outstanding_misses()`. That count includes MSHR
+        /// entries whose fill has already returned but that no later
+        /// miss has reclaimed yet, so it over-counts live misses until
+        /// the MSHR count is fixed (ROADMAP item 1).
         mshr_occupancy: u32,
     },
 }
@@ -90,63 +97,38 @@ impl TraceEventKind {
 /// One timestamped event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Cycle the event was recorded.
+    /// Measured cycle the event happened in (1-based; see the module
+    /// docs for the clock).
     pub cycle: Cycle,
     /// What happened.
     pub kind: TraceEventKind,
 }
 
-/// Runtime tracing configuration (the knob in `CoreConfig::trace`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Ring-buffer capacity in events. Must be positive.
-    pub capacity: usize,
-    /// Record only every Nth LLC-miss event (1 = record all). Must be
-    /// positive. Rare events (transitions, runahead, squashes) ignore
-    /// this divisor.
-    pub llc_sample: u64,
-}
-
-impl Default for TraceConfig {
-    fn default() -> TraceConfig {
-        TraceConfig {
-            capacity: 64 * 1024,
-            llc_sample: 1,
-        }
-    }
-}
+/// Ring-buffer capacity of the tracer a core allocates, in events.
+pub const CAPACITY: usize = 64 * 1024;
 
 /// A bounded ring of [`TraceEvent`]s with overflow accounting.
 #[derive(Debug, Clone)]
 pub struct Tracer {
-    cfg: TraceConfig,
+    capacity: usize,
     buf: VecDeque<TraceEvent>,
     dropped: u64,
-    llc_seen: u64,
 }
 
 impl Tracer {
-    /// An empty tracer with the given configuration.
+    /// An empty tracer holding at most `capacity` events (a core uses
+    /// [`CAPACITY`]).
     ///
     /// # Panics
     ///
-    /// Panics on a zero capacity or zero sampling divisor; both are
-    /// rejected earlier by `CoreConfig::validate`, so a core never
-    /// constructs an invalid tracer.
-    pub fn new(cfg: TraceConfig) -> Tracer {
-        assert!(cfg.capacity > 0, "trace capacity must be positive");
-        assert!(cfg.llc_sample > 0, "llc_sample must be positive");
+    /// Panics on a zero capacity.
+    pub fn new(capacity: usize) -> Tracer {
+        assert!(capacity > 0, "trace capacity must be positive");
         Tracer {
-            cfg,
-            buf: VecDeque::with_capacity(cfg.capacity.min(4096)),
+            capacity,
+            buf: VecDeque::with_capacity(capacity.min(4096)),
             dropped: 0,
-            llc_seen: 0,
         }
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &TraceConfig {
-        &self.cfg
     }
 
     /// Records an event, evicting the oldest one when the ring is full.
@@ -157,29 +139,11 @@ impl Tracer {
             self.buf.back().is_none_or(|e| e.cycle <= cycle),
             "trace events must be recorded in cycle order"
         );
-        if self.buf.len() == self.cfg.capacity {
+        if self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.dropped += 1;
         }
         self.buf.push_back(TraceEvent { cycle, kind });
-    }
-
-    /// Offers an LLC-miss event through the sampling divisor: the 1st,
-    /// (N+1)th, (2N+1)th... observed misses are recorded, the rest are
-    /// counted but not stored.
-    pub fn offer_llc_miss(&mut self, cycle: Cycle, pc: Addr, addr: Addr, mshr_occupancy: u32) {
-        let sampled = self.llc_seen.is_multiple_of(self.cfg.llc_sample);
-        self.llc_seen += 1;
-        if sampled {
-            self.record(
-                cycle,
-                TraceEventKind::LlcMiss {
-                    pc,
-                    addr,
-                    mshr_occupancy,
-                },
-            );
-        }
     }
 
     /// The buffered events, oldest first.
@@ -203,21 +167,9 @@ impl Tracer {
         self.dropped
     }
 
-    /// Total events recorded into the ring (buffered + dropped). LLC
-    /// misses filtered out by sampling never count.
+    /// Total events recorded into the ring (buffered + dropped).
     pub fn recorded(&self) -> u64 {
         self.buf.len() as u64 + self.dropped
-    }
-
-    /// Total LLC misses observed, sampled or not.
-    pub fn llc_misses_seen(&self) -> u64 {
-        self.llc_seen
-    }
-
-    /// Drains the buffered events, oldest first, leaving the counters
-    /// (dropped, LLC-seen) intact.
-    pub fn drain(&mut self) -> Vec<TraceEvent> {
-        self.buf.drain(..).collect()
     }
 }
 
@@ -231,10 +183,7 @@ mod tests {
 
     #[test]
     fn ring_keeps_the_newest_events() {
-        let mut t = Tracer::new(TraceConfig {
-            capacity: 3,
-            llc_sample: 1,
-        });
+        let mut t = Tracer::new(3);
         for i in 0..10u64 {
             t.record(i, squash(i));
         }
@@ -246,43 +195,9 @@ mod tests {
     }
 
     #[test]
-    fn sampling_thins_llc_misses_only() {
-        let mut t = Tracer::new(TraceConfig {
-            capacity: 100,
-            llc_sample: 4,
-        });
-        for i in 0..10u64 {
-            t.offer_llc_miss(i, 0x400, 0x8000 + i * 64, 1);
-        }
-        t.record(10, squash(1)); // rare events bypass the divisor
-        assert_eq!(t.llc_misses_seen(), 10);
-        // Misses 0, 4 and 8 are sampled; the squash always records.
-        assert_eq!(t.recorded(), 4);
-        assert_eq!(t.len(), 4);
-    }
-
-    #[test]
-    fn drain_empties_but_keeps_counters() {
-        let mut t = Tracer::new(TraceConfig {
-            capacity: 2,
-            llc_sample: 1,
-        });
-        t.record(1, squash(1));
-        t.record(2, squash(2));
-        t.record(3, squash(3));
-        let drained = t.drain();
-        assert_eq!(drained.len(), 2);
-        assert!(t.is_empty());
-        assert_eq!(t.dropped(), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "capacity")]
     fn zero_capacity_is_rejected() {
-        let _ = Tracer::new(TraceConfig {
-            capacity: 0,
-            llc_sample: 1,
-        });
+        let _ = Tracer::new(0);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Chrome `trace_event` export.
 //!
 //! Converts a run's observability data — the interval time series in
-//! [`CoreStats::intervals`] and, when the `trace` feature captured them,
+//! [`CoreStats::intervals`] and, when `CoreConfig::trace` captured them,
 //! the core's structured [`TraceEvent`]s — into the Chrome trace-event
 //! JSON format (the `{"traceEvents": [...]}` object form), loadable in
 //! `chrome://tracing` or Perfetto. Counter samples become `ph: "C"`
 //! events on per-metric tracks; discrete events become `ph: "i"` instant
-//! events. Timestamps are simulated cycles reported as microseconds —
-//! the viewer's time axis then reads directly in cycles.
+//! events. Timestamps are measured cycles (the warm-up excluded; the
+//! interval samples and the trace events share this clock) reported as
+//! microseconds — the viewer's time axis then reads directly in cycles.
 //!
 //! The writer reuses the journal's std-only [`json`](crate::json)
 //! module, so the export stays dependency-free and structurally

@@ -9,7 +9,7 @@
 //! simulated result fails it. The runner reads `MLPWIN_NO_FAST_FORWARD`,
 //! so running this test under that variable pins the plain stepped loop
 //! to the same values (`ci.sh` runs the default engine, the stepped
-//! loop, and the build with trace hooks).
+//! loop, and the release build).
 //!
 //! A second table pins the bytes of `Core::snapshot()` images taken at
 //! a fixed measured cycle. The journal line covers only what a run
@@ -212,9 +212,11 @@ const EXPECTED_SNAPSHOTS: &[(&str, &str, u64)] = &[
 ];
 
 /// The core of `profile` under `model` after warm-up, paused at
-/// [`SNAPSHOT_CYCLE`] measured cycles into its measurement run.
-fn snapshot_image(profile: &str, model: SimModel) -> Vec<u8> {
+/// [`SNAPSHOT_CYCLE`] measured cycles into its measurement run, with
+/// the event trace on or off, and the number of events it recorded.
+fn snapshot_image(profile: &str, model: SimModel, trace: bool) -> (Vec<u8>, u64) {
     let (mut config, policy) = model.build();
+    config.trace = trace;
     config.fast_forward = std::env::var_os("MLPWIN_NO_FAST_FORWARD").is_none();
     config.snapshot_cycles = Some(SNAPSHOT_CYCLE);
     config.interval_cycles = Some(SNAPSHOT_EPOCH);
@@ -229,15 +231,31 @@ fn snapshot_image(profile: &str, model: SimModel) -> Vec<u8> {
         model.tag()
     );
     assert_eq!(core.stats().cycles, SNAPSHOT_CYCLE);
-    core.snapshot()
+    assert_eq!(core.tracer().is_some(), trace);
+    let events = core.tracer().map_or(0, |t| t.recorded());
+    (core.snapshot(), events)
 }
 
+/// Each image hashes to its pinned value with the event trace off and
+/// on: running the trace hooks moves no byte of simulated state.
 #[test]
 fn snapshot_images_match_the_golden_digests() {
-    let actual: Vec<(String, String, u64)> = ["mcf", "gcc", "lbm"]
-        .into_iter()
-        .flat_map(|p| MODELS.map(|m| (p, m)))
-        .map(|(p, m)| (p.to_string(), m.tag(), fnv1a(&snapshot_image(p, m))))
-        .collect();
-    check_table("snapshot images", &actual, EXPECTED_SNAPSHOTS);
+    for trace in [false, true] {
+        let mut events = 0;
+        let actual: Vec<(String, String, u64)> = ["mcf", "gcc", "lbm"]
+            .into_iter()
+            .flat_map(|p| MODELS.map(|m| (p, m)))
+            .map(|(p, m)| {
+                let (image, recorded) = snapshot_image(p, m, trace);
+                events += recorded;
+                (p.to_string(), m.tag(), fnv1a(&image))
+            })
+            .collect();
+        assert_eq!(events > 0, trace, "traced runs must record events");
+        check_table(
+            &format!("snapshot images (trace {trace})"),
+            &actual,
+            EXPECTED_SNAPSHOTS,
+        );
+    }
 }
